@@ -213,7 +213,7 @@ func (c *Cache) evictLocked() {
 			if ok && !e.done() {
 				continue
 			}
-			c.order = append(c.order[:i:i], c.order[i+1:]...)
+			c.removeOrder(i)
 			if ok {
 				delete(c.mem, k)
 				c.stats.Evictions++
@@ -262,11 +262,23 @@ func (c *Cache) forget(key Key, e *entry) {
 		delete(c.mem, key)
 		for i, k := range c.order {
 			if k == key {
-				c.order = append(c.order[:i:i], c.order[i+1:]...)
+				c.removeOrder(i)
 				break
 			}
 		}
 	}
+}
+
+// removeOrder deletes c.order[i] in place, keeping the others in
+// insertion order. The FIFO case (i == 0, every eviction of a cache
+// whose oldest entry is complete) just advances the slice head; neither
+// case allocates. Callers hold c.mu.
+func (c *Cache) removeOrder(i int) {
+	if i == 0 {
+		c.order = c.order[1:]
+		return
+	}
+	c.order = append(c.order[:i], c.order[i+1:]...)
 }
 
 // GetBytes returns the byte value for key, computing it at most once

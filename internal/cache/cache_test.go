@@ -117,6 +117,87 @@ func TestEvictionFIFO(t *testing.T) {
 	})
 }
 
+// TestEvictionOrderPinned pins the eviction order across both in-place
+// removals: a forgotten entry leaves from the middle of the order, an
+// in-flight head is skipped (so a later entry goes first), and every
+// other entry still leaves oldest-first.
+func TestEvictionOrderPinned(t *testing.T) {
+	put := func(c *Cache, n int) {
+		c.GetBytes(keyN(n), func() ([]byte, error) { return []byte{byte(n)}, nil })
+	}
+	resident := func(c *Cache, want ...int) {
+		t.Helper()
+		for n := 0; n < 8; n++ {
+			_, got := c.PeekBytes(keyN(n))
+			exp := false
+			for _, w := range want {
+				exp = exp || w == n
+			}
+			if got != exp {
+				t.Errorf("key %d resident = %v, want %v (want set %v)", n, got, exp, want)
+			}
+		}
+	}
+	// slowly computes key n; the returned func finishes it with err
+	inflight := func(c *Cache, n int) func(error) {
+		started, release := make(chan struct{}), make(chan error)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			c.GetBytes(keyN(n), func() ([]byte, error) {
+				close(started)
+				err := <-release
+				return []byte{byte(n)}, err
+			})
+		}()
+		<-started
+		return func(err error) { release <- err; <-done }
+	}
+
+	// a cancelled owner is forgotten from the middle of the order
+	c := New(3)
+	put(c, 0)
+	finish := inflight(c, 1)
+	put(c, 2)
+	finish(context.Canceled)
+	put(c, 3) // room left by the forgotten key: no eviction
+	resident(c, 0, 2, 3)
+	put(c, 4)
+	resident(c, 2, 3, 4)
+	put(c, 5)
+	resident(c, 3, 4, 5)
+
+	// an in-flight head is skipped; the next-oldest complete entry goes
+	c = New(2)
+	finish = inflight(c, 0)
+	put(c, 1)
+	put(c, 2)
+	finish(nil)
+	resident(c, 0, 2)
+	put(c, 3)
+	resident(c, 2, 3)
+	if got := c.Stats().Evictions; got != 2 {
+		t.Errorf("evictions = %d, want 2", got)
+	}
+
+	// removal reuses the order's backing array (after head advances, the
+	// insert's append regrows it once per few hundred evictions, which
+	// rounds to zero per run)
+	c = New(0)
+	for n := 0; n < 511; n++ {
+		c.order = append(c.order, keyN(n))
+	}
+	for _, i := range []int{0, 7} {
+		k := keyN(i)
+		if a := testing.AllocsPerRun(100, func() {
+			c.removeOrder(i)
+			c.order = append(c.order, k)
+		}); a != 0 {
+			t.Errorf("removeOrder(%d) + append: %v allocs per run, want 0", i, a)
+		}
+	}
+}
+
 func TestDiskWarmStartAcrossInstances(t *testing.T) {
 	dir := t.TempDir()
 	c1 := New(0)

@@ -68,6 +68,23 @@ func compile(ctx context.Context, src string, cfg repro.Config) (*repro.Compilat
 	return c, nil
 }
 
+// build is compile for the serving paths (RunEvalCtx, RunMachineSweepCtx):
+// it returns the memoized, IR-free repro.Build, so a repeated (source,
+// config) pair does not run the pipeline again.
+func build(ctx context.Context, src string, cfg repro.Config) (*repro.Build, error) {
+	if verifyPasses.Load() {
+		cfg.VerifyPasses = true
+	}
+	b, err := repro.BuildCtx(ctx, src, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if b.ProfileErr != nil {
+		return nil, b.ProfileErr
+	}
+	return b, nil
+}
+
 // Row is one benchmark's measurements for the Fig. 10/11 tables.
 type Row struct {
 	Name string
@@ -568,7 +585,7 @@ func RunMachineSweepCtx(ctx context.Context, name string, cfgs []machine.Config,
 	if !ok {
 		return nil, fmt.Errorf("unknown workload %s", name)
 	}
-	c, err := compile(ctx, w.Src, repro.Config{
+	b, err := build(ctx, w.Src, repro.Config{
 		Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs, Workers: workers,
 	})
 	if err != nil {
@@ -577,7 +594,7 @@ func RunMachineSweepCtx(ctx context.Context, name string, cfgs []machine.Config,
 	if cfgs == nil {
 		cfgs = MachineSweepConfigs()
 	}
-	results, err := c.EvaluateCtx(ctx, w.RefArgs, cfgs, workers)
+	results, err := b.EvaluateCtx(ctx, w.RefArgs, cfgs, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -659,7 +676,8 @@ type EvalResult struct {
 	Harden *harden.Report `json:"harden,omitempty"`
 }
 
-// RunEvalCtx compiles and runs one (workload, config) point. The
+// RunEvalCtx compiles and runs one (workload, config) point; the build
+// is memoized (repro.BuildCtx), so a repeated point only replays. The
 // result is deterministic — identical at any worker count and with the
 // compilation cache cold, warm, or disabled — because every computation
 // under it is (see the determinism tests at the repo root).
@@ -693,11 +711,11 @@ func RunEvalCtx(ctx context.Context, req EvalRequest) (*EvalResult, error) {
 	if args == nil {
 		args = w.RefArgs
 	}
-	c, err := compile(ctx, w.Src, cfg)
+	b, err := build(ctx, w.Src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.RunCtx(ctx, args)
+	res, err := b.RunCtx(ctx, args)
 	if err != nil {
 		return nil, err
 	}
@@ -712,8 +730,8 @@ func RunEvalCtx(ctx context.Context, req EvalRequest) (*EvalResult, error) {
 		Config:   cfg,
 		Args:     args,
 		Result:   res,
-		Stats:    c.TotalStats(),
-		Harden:   c.Harden,
+		Stats:    b.TotalStats(),
+		Harden:   b.Harden,
 	}, nil
 }
 

@@ -237,6 +237,13 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE specd_profiling_runs_total counter\n")
 	fmt.Fprintf(w, "specd_profiling_runs_total %d\n", repro.ProfilingRuns())
 
+	// compilation pipeline runs (build-cache misses, plus the adaptive
+	// recompiles and corpus analyses that compile directly): a repeated
+	// /evaluate, /sweep or /compile leaves this flat
+	fmt.Fprintf(w, "# HELP specd_builds_compiled_total Compilation pipeline runs (build-cache misses and direct compiles).\n")
+	fmt.Fprintf(w, "# TYPE specd_builds_compiled_total counter\n")
+	fmt.Fprintf(w, "specd_builds_compiled_total %d\n", repro.BuildsCompiled())
+
 	// resident size of the decoded traces the record-and-replay path
 	// keeps in the memory tier (a gauge: eviction and Reset shrink it)
 	fmt.Fprintf(w, "# HELP specd_trace_bytes Decoded machine traces resident in the in-memory cache tier, in bytes.\n")

@@ -404,21 +404,21 @@ func (s *Server) handleCompile(ctx context.Context, r *http.Request) (any, error
 		cfg.Harden = req.Harden
 	}
 	s.metrics.countSpecPolicy(cfg.Spec)
-	c, err := repro.CompileCtx(ctx, req.Source, cfg)
+	b, err := repro.BuildCtx(ctx, req.Source, cfg)
 	if cfg.VerifyPasses {
 		s.countSpecheck(err)
 	}
 	if err != nil {
 		return nil, err
 	}
-	s.countHarden(c.Harden)
+	s.countHarden(b.Harden)
 	resp := &CompileResponse{
-		Functions: len(c.Prog.Funcs),
-		Stats:     c.TotalStats(),
-		Harden:    c.Harden,
+		Functions: b.Functions,
+		Stats:     b.TotalStats(),
+		Harden:    b.Harden,
 	}
-	if c.ProfileErr != nil {
-		resp.ProfileErr = c.ProfileErr.Error()
+	if b.ProfileErr != nil {
+		resp.ProfileErr = b.ProfileErr.Error()
 	}
 	return resp, nil
 }

@@ -19,6 +19,7 @@ import (
 	"repro"
 	"repro/internal/experiments"
 	"repro/internal/machine"
+	"repro/internal/workloads"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -447,6 +448,83 @@ func TestEvaluateHardenedByteIdentical(t *testing.T) {
 		} else if got != want {
 			t.Errorf("%s = %g, want %g", name, got, want)
 		}
+	}
+}
+
+// TestRepeatedRequestsCompileNothing pins the build cache at the service
+// surface: once an /evaluate, a /sweep and a verified, hardened /compile
+// have been served, repeating them (at other worker counts) leaves
+// specd_builds_compiled_total flat, and every repeat's reply is
+// byte-identical to the first — and, for /evaluate, to the CLI's bytes.
+func TestRepeatedRequestsCompileNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and times a workload")
+	}
+	s := newTestServer(t, Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	w, ok := workloads.ByName("equake")
+	if !ok {
+		t.Fatal("workload equake not registered")
+	}
+	small := machine.Defaults()
+	small.ALATSize = 4
+	type call struct {
+		path string
+		body any
+	}
+	requests := func(workers int) []call {
+		return []call{
+			{"/evaluate", experiments.EvalRequest{Workload: "equake", Workers: workers}},
+			{"/sweep", SweepRequest{Workload: "equake", Configs: []machine.Config{machine.Defaults(), small}, Workers: workers}},
+			{"/compile", CompileRequest{
+				Source: w.Src, Verify: true, Harden: "hoist", Workers: workers,
+				Config: &repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs},
+			}},
+		}
+	}
+	serve := func(workers int) [][]byte {
+		t.Helper()
+		var out [][]byte
+		for _, r := range requests(workers) {
+			resp := postJSON(t, ts, r.path, r.body)
+			body := readAll(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s = %d %q", r.path, resp.StatusCode, body)
+			}
+			out = append(out, body)
+		}
+		return out
+	}
+
+	first := serve(1)
+	res, err := experiments.RunEvalCtx(context.Background(), experiments.EvalRequest{Workload: "equake"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := experiments.MarshalEval(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first[0], cli) {
+		t.Fatalf("/evaluate bytes differ from the CLI's:\nserver: %s\ncli:    %s", first[0], cli)
+	}
+	const metric = "specd_builds_compiled_total"
+	before, ok := scrape(t, ts)[metric]
+	if !ok {
+		t.Fatalf("%s missing from /metrics", metric)
+	}
+	for _, workers := range []int{1, 3} {
+		again := serve(workers)
+		for i, r := range requests(workers) {
+			if !bytes.Equal(again[i], first[i]) {
+				t.Errorf("workers=%d: repeated %s reply differs from the first", workers, r.path)
+			}
+		}
+	}
+	if after := scrape(t, ts)[metric]; after != before {
+		t.Errorf("%s moved from %g to %g on repeated requests", metric, before, after)
 	}
 }
 

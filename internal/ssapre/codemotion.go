@@ -13,8 +13,13 @@ import (
 // value get computations inserted on their edges (ld.s under control
 // speculation).
 func (w *web) codeMotion() {
-	// 1. which web nodes actually provide a consumed value?
+	// 1. which web nodes actually provide a consumed value? The set is
+	// also kept as a list in marking order: steps 2 and 3 number temp
+	// versions and append Φs as they go, so iterating the map would make
+	// the numbering (and, through later rounds, the statistics) depend on
+	// Go's randomized map order.
 	needed := map[*defNode]bool{}
+	var neededList []*defNode
 	var reloads []*occurrence
 	for _, o := range w.ec.occs {
 		if o.reload && w.occStillValid(o) {
@@ -30,6 +35,7 @@ func (w *web) codeMotion() {
 			return
 		}
 		needed[n] = true
+		neededList = append(neededList, n)
 		if n.phi != nil {
 			for _, opnd := range n.phi.opnds {
 				if !opnd.insert {
@@ -53,7 +59,7 @@ func (w *web) codeMotion() {
 			hasChecks = true
 		}
 	}
-	for n := range needed {
+	for _, n := range neededList {
 		if n.phi != nil {
 			for _, opnd := range n.phi.opnds {
 				if opnd.insCheck {
@@ -80,7 +86,7 @@ func (w *web) codeMotion() {
 
 	// 2. materialize value-providing real occurrences: d = E becomes
 	//    t_v = E ; d = t_v
-	for n := range needed {
+	for _, n := range neededList {
 		if n.real == nil {
 			continue
 		}
@@ -100,7 +106,7 @@ func (w *web) codeMotion() {
 	}
 
 	// 3. materialize Φs of the temp and their operand insertions
-	for n := range needed {
+	for _, n := range neededList {
 		if n.phi == nil {
 			continue
 		}

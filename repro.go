@@ -18,6 +18,7 @@ package repro
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -187,16 +188,18 @@ type FnSpec struct {
 	SpecThreshold float64 `json:",omitempty"`
 }
 
-// Compilation is a compiled program plus everything the experiments need.
-type Compilation struct {
-	Config  Config
-	Source  string
-	Prog    *ir.Program // optimized IR
-	Ref     *ir.Program // unoptimized reference IR (fresh compile)
-	Code    *machine.Program
-	Stats   map[string]*ssapre.Stats
-	Profile *profile.Profile
-	Alias   *alias.Result
+// Build is the compiled artifact serving needs: machine code, optimizer
+// statistics and the reports of the optional passes — and no IR. It is
+// immutable once returned, so one Build is safely shared by every
+// concurrent caller (BuildCtx memoizes it per source and config).
+type Build struct {
+	// Config is the configuration the build was compiled under, with
+	// Workers zeroed (it shapes scheduling, never the result). Its
+	// slices and map are shared with the compiling caller's Config and
+	// must be treated as read-only.
+	Config Config
+	Code   *machine.Program
+	Stats  map[string]*ssapre.Stats
 	// ProfileErr records a failed training run: the profiling
 	// interpreter faulted on Config.ProfileArgs and the compilation fell
 	// back to the static Ball-Larus estimate with no alias profile.
@@ -208,9 +211,24 @@ type Compilation struct {
 	// Config.Harden was set): leaks found, fences inserted, checks
 	// hoisted, and the residual count (always zero on success).
 	Harden *harden.Report `json:",omitempty"`
+	// Functions is the number of functions in the program.
+	Functions int
 
 	fpOnce sync.Once
 	fp     [32]byte // lazily computed Code fingerprint for trace keying
+}
+
+// Compilation is a Build plus the intermediate artifacts the experiments,
+// the linters and the tests inspect: the source, both IR programs, the
+// alias analysis and the applied profile. Build's fields and methods
+// (Run, Evaluate, TotalStats, ...) are promoted.
+type Compilation struct {
+	*Build
+	Source  string
+	Prog    *ir.Program // optimized IR
+	Ref     *ir.Program // unoptimized reference IR (fresh compile)
+	Profile *profile.Profile
+	Alias   *alias.Result
 }
 
 // The compilation cache (internal/cache): the in-memory tier memoizes
@@ -222,12 +240,15 @@ type Compilation struct {
 // workload under many config variants, so N variants pay for one parse
 // and one profiling interpreter run instead of N of each. Masters in
 // the cache are never mutated — every caller receives a deep ir.Clone —
-// which is what makes sharing across concurrent compiles sound.
+// which is what makes sharing across concurrent compiles sound. The
+// same object tier holds BuildCtx's immutable builds and the decoded
+// machine traces.
 const compCacheCap = 512
 
 var (
-	compCache     = cache.New(compCacheCap)
-	profilingRuns atomic.Uint64
+	compCache      = cache.New(compCacheCap)
+	profilingRuns  atomic.Uint64
+	buildsCompiled atomic.Uint64
 )
 
 // frontend parses + lowers IR from source, memoized by source hash; the
@@ -374,12 +395,13 @@ func TraceCacheBytes() int64 {
 func SetCacheDir(dir string) error { return compCache.SetDir(dir) }
 
 // SetCacheEnabled turns compilation-pipeline memoization off or back on
-// (default on). With the cache off every Compile re-parses and
-// re-profiles from scratch — the oracle for cache-transparency tests.
+// (default on). With the cache off every Compile and BuildCtx re-parses,
+// re-profiles and re-compiles from scratch — the oracle for
+// cache-transparency tests.
 func SetCacheEnabled(on bool) { compCache.SetEnabled(on) }
 
-// ResetCaches drops the whole in-memory cache tier (parses and
-// profiles); the persistent tier, if configured, stays. Tests and
+// ResetCaches drops the whole in-memory cache tier (parses, profiles,
+// builds and traces); the persistent tier, if configured, stays. Tests and
 // benchmarks use it to measure cold starts.
 func ResetCaches() { compCache.Reset() }
 
@@ -400,6 +422,7 @@ func Compile(src string, cfg Config) (*Compilation, error) {
 // deadline stops the compilation at the next phase instead of running
 // it to completion.
 func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, error) {
+	buildsCompiled.Add(1)
 	// one frontend run (or cache hit) feeds both programs: the reference
 	// IR stays pristine and the optimizer works on a detached clone
 	ref, err := frontendCtx(ctx, src)
@@ -407,7 +430,12 @@ func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, erro
 		return nil, err
 	}
 	prog := ir.Clone(ref)
-	c := &Compilation{Config: cfg, Source: src, Prog: prog, Ref: ref}
+	norm := cfg
+	norm.Workers = 0
+	c := &Compilation{
+		Build:  &Build{Config: norm, Functions: len(prog.Funcs)},
+		Source: src, Prog: prog, Ref: ref,
+	}
 
 	// verify surfaces specheck violations as a compile error; the
 	// *specheck.Error stays reachable through errors.As for callers that
@@ -587,6 +615,64 @@ func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, erro
 	return c, nil
 }
 
+// buildCacheVersion stamps every build cache key; bump it whenever the
+// pipeline's output for an unchanged (source, config) pair changes
+// meaning in a way the key cannot see.
+const buildCacheVersion = 1
+
+// buildKey is the content-addressed key of a build: the source and every
+// field of cfg except Workers, which shapes scheduling only. Every
+// semantic input — speculation mode and threshold, machine model,
+// training input or supplied profile, per-function tiers, hardening and
+// verification — is in the key, so a verified or hardened request is
+// never answered from a build compiled without that option. ok is false
+// when cfg has no JSON encoding (a NaN or infinite SpecThreshold); such
+// a config is compiled without memoization.
+func buildKey(src string, cfg Config) (key cache.Key, ok bool) {
+	cfg.Workers = 0
+	opts, err := json.Marshal(cfg)
+	if err != nil {
+		return cache.Key{}, false
+	}
+	return cache.KeyOf([]byte("build"), fmt.Appendf(nil, "v%d", buildCacheVersion), []byte(src), opts), true
+}
+
+// BuildCtx compiles src under cfg and returns the lean, IR-free Build —
+// the artifact serving needs — memoized in the compilation cache's
+// object tier: a repeat of an earlier call's (source, config), whatever
+// its Workers, returns the same *Build without running the pipeline
+// (DESIGN.md §18). Concurrent callers of one key share one compile. Deterministic compile errors are
+// memoized like results; context errors never are, so a cancelled
+// caller cannot poison the key. SetCacheEnabled(false) makes every call
+// compile, and ResetCaches drops every build. Callers that need the IR,
+// the alias result or the profile use CompileCtx.
+func BuildCtx(ctx context.Context, src string, cfg Config) (*Build, error) {
+	compute := func() (any, error) {
+		c, err := CompileCtx(ctx, src, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return c.Build, nil
+	}
+	key, ok := buildKey(src, cfg)
+	var v any
+	var err error
+	if ok {
+		v, err = compCache.GetObjectCtx(ctx, key, compute)
+	} else {
+		v, err = compute()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v.(*Build), nil
+}
+
+// BuildsCompiled counts the pipeline runs: every CompileCtx call,
+// including each build-cache miss of BuildCtx. A repeated request
+// asserts a zero delta against it, as sweeps do against ProfilingRuns.
+func BuildsCompiled() uint64 { return buildsCompiled.Load() }
+
 // The machine-trace path: one functional machine.Record per (program
 // fingerprint, args, resource limits) captures the architectural event
 // stream, and every timing measurement becomes a cheap machine.Replay
@@ -617,20 +703,20 @@ func TraceEnabled() bool { return !traceDisabled.Load() }
 const traceCacheVersion = 4
 
 // fingerprint returns the compiled program's content hash, computed
-// once per Compilation.
-func (c *Compilation) fingerprint() [32]byte {
-	c.fpOnce.Do(func() { c.fp = c.Code.Fingerprint() })
-	return c.fp
+// once per Build.
+func (b *Build) fingerprint() [32]byte {
+	b.fpOnce.Do(func() { b.fp = b.Code.Fingerprint() })
+	return b.fp
 }
 
-// traceFor returns the recorded architectural trace for (c.Code, args)
+// traceFor returns the recorded architectural trace for (b.Code, args)
 // under mcfg's memory layout and resource limits, recording it on the
 // first request. A run that faults yields the same error direct
 // execution would (memoized like any other cache entry — sound because
 // the limits are part of the key).
-func (c *Compilation) traceFor(ctx context.Context, args []int64, mcfg machine.Config) (*machine.Trace, error) {
+func (b *Build) traceFor(ctx context.Context, args []int64, mcfg machine.Config) (*machine.Trace, error) {
 	n := mcfg.Normalized()
-	fp := c.fingerprint()
+	fp := b.fingerprint()
 	argb := make([]byte, 8*len(args))
 	for i, a := range args {
 		binary.LittleEndian.PutUint64(argb[i*8:], uint64(a))
@@ -641,7 +727,7 @@ func (c *Compilation) traceFor(ctx context.Context, args []int64, mcfg machine.C
 	v, err := compCache.GetObjectCtx(ctx, key, func() (any, error) {
 		data, err := compCache.GetBytesCtx(ctx, cache.KeyOf([]byte("tracebytes"), fp[:], argb, []byte(lim)),
 			func() ([]byte, error) {
-				tr, err := machine.Record(c.Code, args, n)
+				tr, err := machine.Record(b.Code, args, n)
 				if err != nil {
 					return nil, err
 				}
@@ -661,18 +747,18 @@ func (c *Compilation) traceFor(ctx context.Context, args []int64, mcfg machine.C
 // runMachine executes the compiled program under mcfg, through the
 // record-and-replay path when enabled (with direct execution as the
 // fallback), directly otherwise.
-func (c *Compilation) runMachine(ctx context.Context, args []int64, mcfg machine.Config) (*machine.Result, error) {
+func (b *Build) runMachine(ctx context.Context, args []int64, mcfg machine.Config) (*machine.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if TraceEnabled() {
-		tr, err := c.traceFor(ctx, args, mcfg)
+		tr, err := b.traceFor(ctx, args, mcfg)
 		if err != nil {
 			// the recording run faulted: this is the same error direct
 			// execution under these limits would produce
 			return nil, err
 		}
-		res, err := machine.Replay(c.Code, tr, mcfg, nil)
+		res, err := machine.Replay(b.Code, tr, mcfg, nil)
 		if err == nil {
 			return res, nil
 		}
@@ -681,20 +767,20 @@ func (c *Compilation) runMachine(ctx context.Context, args []int64, mcfg machine
 		}
 		// layout mismatch (cannot happen via this key, but stay safe)
 	}
-	return machine.Run(c.Code, args, mcfg, nil)
+	return machine.Run(b.Code, args, mcfg, nil)
 }
 
 // Run executes the compiled program on the EPIC VM (via the trace
 // replay path when enabled; see SetTraceEnabled).
-func (c *Compilation) Run(args []int64) (*machine.Result, error) {
-	return c.RunCtx(context.Background(), args)
+func (b *Build) Run(args []int64) (*machine.Result, error) {
+	return b.RunCtx(context.Background(), args)
 }
 
 // RunCtx is Run with cancellation: the trace-cache lookup honors ctx (a
 // caller waiting on another run's in-flight recording returns promptly
 // when cancelled) and a done ctx stops the run before it starts.
-func (c *Compilation) RunCtx(ctx context.Context, args []int64) (*machine.Result, error) {
-	return c.runMachine(ctx, args, c.Config.Machine)
+func (b *Build) RunCtx(ctx context.Context, args []int64) (*machine.Result, error) {
+	return b.runMachine(ctx, args, b.Config.Machine)
 }
 
 // Evaluate re-times the compiled program on args under every machine
@@ -703,8 +789,8 @@ func (c *Compilation) RunCtx(ctx context.Context, args []int64) (*machine.Result
 // (args, limits, layout) key and each Config costs only a trace walk;
 // replays fan out across workers sharing the recorded trace read-only.
 // Results are index-aligned with cfgs.
-func (c *Compilation) Evaluate(args []int64, cfgs []machine.Config, workers int) ([]*machine.Result, error) {
-	return c.EvaluateCtx(context.Background(), args, cfgs, workers)
+func (b *Build) Evaluate(args []int64, cfgs []machine.Config, workers int) ([]*machine.Result, error) {
+	return b.EvaluateCtx(context.Background(), args, cfgs, workers)
 }
 
 // EvaluateCtx is Evaluate with cancellation threaded through the
@@ -726,11 +812,11 @@ func (c *Compilation) Evaluate(args []int64, cfgs []machine.Config, workers int)
 // every config's limits are at least as generous as its own trace's
 // recorded run — a config whose limits fault does so during recording,
 // inside traceFor, exactly as on the unbatched path.
-func (c *Compilation) EvaluateCtx(ctx context.Context, args []int64, cfgs []machine.Config, workers int) ([]*machine.Result, error) {
+func (b *Build) EvaluateCtx(ctx context.Context, args []int64, cfgs []machine.Config, workers int) ([]*machine.Result, error) {
 	results := make([]*machine.Result, len(cfgs))
 	if !TraceEnabled() {
 		if err := par.EachCtx(ctx, workers, len(cfgs), func(i int) error {
-			res, err := c.runMachine(ctx, args, cfgs[i])
+			res, err := b.runMachine(ctx, args, cfgs[i])
 			if err != nil {
 				return err
 			}
@@ -774,7 +860,7 @@ func (c *Compilation) EvaluateCtx(ctx context.Context, args []int64, cfgs []mach
 	}
 	if err := par.EachCtx(ctx, workers, len(units), func(u int) error {
 		idxs := units[u]
-		tr, err := c.traceFor(ctx, args, cfgs[idxs[0]])
+		tr, err := b.traceFor(ctx, args, cfgs[idxs[0]])
 		if err != nil {
 			// the recording run faulted: this is the same error direct
 			// execution under these limits would produce
@@ -784,14 +870,14 @@ func (c *Compilation) EvaluateCtx(ctx context.Context, args []int64, cfgs []mach
 		for j, i := range idxs {
 			sub[j] = cfgs[i]
 		}
-		res, err := machine.ReplayBatch(c.Code, tr, sub)
+		res, err := machine.ReplayBatch(b.Code, tr, sub)
 		if err != nil {
 			if !errors.Is(err, machine.ErrTraceMismatch) {
 				return err
 			}
 			// layout mismatch (cannot happen via this key, but stay safe)
 			for _, i := range idxs {
-				r, rerr := machine.Run(c.Code, args, cfgs[i], nil)
+				r, rerr := machine.Run(b.Code, args, cfgs[i], nil)
 				if rerr != nil {
 					return rerr
 				}
@@ -824,9 +910,9 @@ func (c *Compilation) RunReferenceCtx(ctx context.Context, args []int64) (*inter
 }
 
 // TotalStats sums optimizer statistics over all functions.
-func (c *Compilation) TotalStats() ssapre.Stats {
+func (b *Build) TotalStats() ssapre.Stats {
 	var total ssapre.Stats
-	for _, s := range c.Stats {
+	for _, s := range b.Stats {
 		total.Add(*s)
 	}
 	return total
