@@ -11,13 +11,15 @@ import (
 	"repro/internal/workloads"
 )
 
-// The machine-engine benchmarks: direct re-execution vs record-and-
-// replay for a RunSensitivity-style multi-config sweep. The tentpole
-// claim is that an N-config sweep costs ~1 functional run + N cheap
-// re-timings, so the "replay" variant (which pays for its recording
-// inside the timed region every iteration) should still beat "direct"
-// by a wide margin. BenchmarkMachineSweep writes the measured numbers
-// to BENCH_machine.json so CI can archive the perf trajectory.
+// The machine-engine benchmarks: an unbatched caller vs record-once-
+// and-replay-the-grid for a RunSensitivity-style multi-config sweep.
+// The claim is that an N-config sweep costs ~1 functional run + one
+// batched re-timing, so the "replay" variant (which pays for its
+// recording inside the timed region every iteration) should still beat
+// "direct" — N independent machine.Run calls, each a Record plus a
+// one-lane replay — by a wide margin. BenchmarkMachineSweep writes the
+// measured numbers to BENCH_machine.json so CI can archive the perf
+// trajectory.
 
 // sweepTarget compiles the profile-guided equake kernel once (compile
 // time must not pollute the sweep timings).
@@ -34,9 +36,11 @@ func sweepTarget(b *testing.B) (*machine.Program, []int64) {
 	return c.Code, w.RefArgs
 }
 
-// BenchmarkMachineSweep times one sweep grid per iteration, as direct
-// re-execution and as record + replay, and emits BENCH_machine.json
-// with the per-sweep costs and speedups. Two grids are measured:
+// BenchmarkMachineSweep times one sweep grid per iteration, as one
+// machine.Run per config ("direct": what a caller without batching
+// pays, K records and K one-lane replays) and as one Record plus one
+// ReplayBatch ("replay"), and emits BENCH_machine.json with the
+// per-sweep costs and speedups. Two grids are measured:
 // "serial" is the 12-config serial-model grid — the RunSensitivity
 // shape, where replay takes the O(events) aggregate path — and "mixed"
 // is the full 24-config MachineSweepConfigs grid whose pipelined half

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,30 +20,49 @@ import (
 
 // TestSweepProfilesOncePerPair asserts via the cache counters that a
 // cold RunAll performs one profiling interpreter run per workload (all
-// four config variants of a workload share one run), and that repeating
-// the sweep performs none.
+// four config variants of a workload share one run), records one
+// machine trace per distinct compiled program, and that repeating the
+// sweep performs neither.
 func TestSweepProfilesOncePerPair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep")
 	}
-	// pin the profiling-cache contract in isolation: the machine-trace
-	// path adds its own (legitimate) cache computes, which would make the
-	// exact compute-count assertion below meaningless
-	repro.SetTraceEnabled(false)
-	defer repro.SetTraceEnabled(true)
 	repro.ResetCaches()
 	runs0 := repro.ProfilingRuns()
 	stats0 := repro.CacheStats()
 	if _, err := experiments.RunAllWorkers(8); err != nil {
 		t.Fatal(err)
 	}
+	computes := repro.CacheStats().Computes - stats0.Computes
 	n := uint64(len(workloads.All()))
 	if got := repro.ProfilingRuns() - runs0; got != n {
 		t.Errorf("cold sweep ran the profiling interpreter %d times, want exactly %d (one per workload)", got, n)
 	}
-	// one frontend parse + one profiling run per workload
-	if got := repro.CacheStats().Computes - stats0.Computes; got != 2*n {
-		t.Errorf("cold sweep computed %d cache entries, want %d", got, 2*n)
+	// Each variant's Run looks its trace up by (code fingerprint, args,
+	// limits); variants that compile to identical code share one. The
+	// four variants experiments.RunOne measures, recompiled here from the
+	// now-warm cache, give the number of distinct trace keys.
+	traces := map[string]bool{}
+	for _, w := range workloads.All() {
+		for _, cfg := range []repro.Config{
+			{Spec: repro.SpecOff},
+			{Spec: repro.SpecProfile},
+			{Spec: repro.SpecHeuristic},
+			{AggressivePromotion: true},
+		} {
+			cfg.ProfileArgs = w.ProfileArgs
+			c, err := repro.Compile(w.Src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces[fmt.Sprint(c.Code.Fingerprint(), w.RefArgs)] = true
+		}
+	}
+	// one frontend parse + one profiling run per workload, and one trace
+	// object + its serialized bytes per distinct trace key
+	if want := 2*n + 2*uint64(len(traces)); computes != want {
+		t.Errorf("cold sweep computed %d cache entries, want %d (%d workloads, %d distinct traces)",
+			computes, want, n, len(traces))
 	}
 	// a second sweep in the same process is fully memoized
 	runs1 := repro.ProfilingRuns()

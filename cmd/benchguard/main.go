@@ -3,7 +3,10 @@
 // exits non-zero on a regression beyond the allowed fraction:
 //
 //   - BENCH_machine.json: the per-grid replay-sweep speedups must not
-//     DROP by more than the margin;
+//     DROP by more than the margin. A speedup is the cost of one
+//     machine.Run per config (K records and K one-lane replays, what a
+//     caller without batching pays) over one Record plus one
+//     ReplayBatch of the whole grid;
 //   - BENCH_compile.json: the compile path's allocs_per_compile and
 //     ns_per_compile must not RISE by more than the margin;
 //   - BENCH_fleet.json: the cold and warm 1-vs-2-worker fleet sweep

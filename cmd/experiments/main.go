@@ -33,14 +33,12 @@
 //	experiments -cache-max-bytes N
 //	                            # prune the disk cache to N bytes before exit
 //	experiments -workers 1      # serial oracle (output is identical)
-//	experiments -no-trace       # direct VM execution (skip record-and-replay)
 //	experiments -cpuprofile f   # write a pprof CPU profile to f
 //	experiments -memprofile f   # write a pprof heap profile to f
 //
-// The report bytes are identical at any -workers value, with the cache
-// cold, warm, or absent, and with -no-trace; -cache-stats prints the
-// cache counters to stderr so observability never perturbs the report
-// itself.
+// The report bytes are identical at any -workers value and with the
+// cache cold, warm, or absent; -cache-stats prints the cache counters to
+// stderr so observability never perturbs the report itself.
 package main
 
 import (
@@ -74,7 +72,6 @@ func run() error {
 	cacheDir := flag.String("cache-dir", "", "persist profiles/compilation artifacts under this directory across runs")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "prune the disk cache to this many bytes before exit (0 = unbounded)")
 	cacheStats := flag.Bool("cache-stats", false, "print compilation-cache hit/miss counters to stderr when done")
-	noTrace := flag.Bool("no-trace", false, "execute the VM directly instead of the record-and-replay trace path")
 	verify := flag.Bool("verify-passes", false, "run the speculation-soundness checker after every pipeline stage of every compilation")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file when done")
@@ -84,9 +81,6 @@ func run() error {
 		if err := repro.SetCacheDir(*cacheDir); err != nil {
 			return err
 		}
-	}
-	if *noTrace {
-		repro.SetTraceEnabled(false)
 	}
 	if *verify {
 		experiments.SetVerifyPasses(true)

@@ -11,6 +11,7 @@ import (
 	"repro"
 	"repro/internal/harden"
 	"repro/internal/machine"
+	"repro/internal/machine/oracle"
 	"repro/internal/specheck"
 )
 
@@ -294,13 +295,10 @@ func TestFuzzEquivalence(t *testing.T) {
 				if _, err := harden.Apply(hardened, harden.PolicyFence); err != nil {
 					t.Fatalf("seed %d cfg %d: harden: %v\n%s", seed, ci, err, src)
 				}
-				var sb strings.Builder
-				if _, err := machine.Run(hardened, []int64{41}, machine.Defaults(), &sb); err != nil {
-					t.Fatalf("seed %d cfg %d: hardened run: %v\n%s", seed, ci, err, src)
-				}
-				if sb.String() != want[41] {
+				res := runHardened(t, hardened, []int64{41})
+				if res.Output != want[41] {
 					t.Logf("seed %d cfg %d: hardening changed output\n got: %q\nwant: %q\nprogram:\n%s",
-						seed, ci, sb.String(), want[41], src)
+						seed, ci, res.Output, want[41], src)
 					return false
 				}
 			}
@@ -323,13 +321,35 @@ func TestFuzzEquivalence(t *testing.T) {
 	}
 }
 
+// runHardened runs a hardened build on the machine with its output
+// going to a writer, and checks the whole result against the oracle:
+// the fences hardening inserts change cycles, never answers.
+func runHardened(t *testing.T, code *machine.Program, args []int64) *machine.Result {
+	t.Helper()
+	var sb strings.Builder
+	res, err := machine.Run(code, args, machine.Defaults(), &sb)
+	if err != nil {
+		t.Fatalf("hardened run: %v", err)
+	}
+	res.Output = sb.String()
+	want, err := oracle.Run(code, args, machine.Defaults())
+	if err != nil {
+		t.Fatalf("hardened oracle run: %v", err)
+	}
+	if !reflect.DeepEqual(want, res) {
+		t.Fatalf("hardened run != oracle\noracle %+v\nrun    %+v", want, res)
+	}
+	return res
+}
+
 // TestFuzzBatchedReplay drives the batched timing engine with generated
 // programs: for each fuzzed source, record one trace of the optimized
-// code and check that a single ReplayBatch over a mixed serial/pipelined
-// grid (with duplicated points and ALAT pressure) agrees field-for-field
-// with per-config Replay. This catches batch-only divergences — lane
-// cross-talk in the shared scoreboards, ALAT-table sharing across sizes
-// — on control flow no hand-written workload exercises.
+// code and check that every lane of a single ReplayBatch over a mixed
+// serial/pipelined grid (with duplicated points and ALAT pressure), and
+// the one-lane Replay of each point, agrees field-for-field with the
+// oracle. This catches batch-only divergences — lane cross-talk in the
+// shared scoreboards, ALAT-table sharing across sizes — on control flow
+// no hand-written workload exercises.
 func TestFuzzBatchedReplay(t *testing.T) {
 	grid := []machine.Config{
 		{},
@@ -360,13 +380,17 @@ func TestFuzzBatchedReplay(t *testing.T) {
 			t.Fatalf("seed %d: batch: %v\n%s", seed, err, src)
 		}
 		for i, mcfg := range grid {
+			want, err := oracle.Run(c.Code, []int64{41}, mcfg)
+			if err != nil {
+				t.Fatalf("seed %d cfg %d: oracle: %v\n%s", seed, i, err, src)
+			}
 			single, err := machine.Replay(c.Code, tr, mcfg, nil)
 			if err != nil {
 				t.Fatalf("seed %d cfg %d: replay: %v\n%s", seed, i, err, src)
 			}
-			if !reflect.DeepEqual(single, batch[i]) {
-				t.Logf("seed %d cfg %+v: batch diverges\nreplay %+v\nbatch  %+v\nprogram:\n%s",
-					seed, mcfg, single, batch[i], src)
+			if !reflect.DeepEqual(want, batch[i]) || !reflect.DeepEqual(want, single) {
+				t.Logf("seed %d cfg %+v: replay diverges from the oracle\noracle %+v\nbatch  %+v\nreplay %+v\nprogram:\n%s",
+					seed, mcfg, want, batch[i], single, src)
 				return false
 			}
 		}
@@ -609,12 +633,8 @@ func TestLeakNearMiss(t *testing.T) {
 					if rep.FencesInserted+rep.ChecksHoisted == 0 {
 						t.Fatalf("cfg %d %s: leaks closed without mitigations?", ci, pol)
 					}
-					var sb strings.Builder
-					if _, err := machine.Run(hardened, []int64{9}, machine.Defaults(), &sb); err != nil {
-						t.Fatalf("cfg %d %s: hardened run: %v", ci, pol, err)
-					}
-					if sb.String() != ref.Output {
-						t.Fatalf("cfg %d %s: hardened output %q want %q", ci, pol, sb.String(), ref.Output)
+					if res := runHardened(t, hardened, []int64{9}); res.Output != ref.Output {
+						t.Fatalf("cfg %d %s: hardened output %q want %q", ci, pol, res.Output, ref.Output)
 					}
 				}
 			}

@@ -10,9 +10,13 @@
 //     point that does not itself take a context must have a ...Ctx
 //     sibling (a trailing Workers is stripped before the lookup, so
 //     RunAllWorkers pairs with RunAllCtx), keeping every long-running
-//     API cancellable.
+//     API cancellable;
+//   - test-only-import: packages that exist only to serve tests (the
+//     machine's reference oracle) must not be imported by any non-test
+//     file anywhere in the repository, so test scaffolding never becomes
+//     a production dependency.
 //
-// The companion test runs both rules over the repository source, making
+// The companion test runs every rule over the repository source, making
 // the conventions regressions instead of review comments.
 package lint
 
@@ -24,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -48,6 +53,9 @@ type Config struct {
 	// CtxVariant: exported Run*/Compile*/Evaluate* functions in these
 	// package directories must have a ...Ctx variant.
 	CtxVariant []string
+	// TestOnlyImports: import paths that only _test.go files may
+	// import, checked in every package under the root.
+	TestOnlyImports []string
 }
 
 // entryPrefixes are the API families the ctx-variant rule covers.
@@ -66,6 +74,13 @@ func Run(root string, cfg Config) ([]Finding, error) {
 	}
 	for _, dir := range cfg.CtxVariant {
 		fs, err := lintDir(root, dir, checkCtxVariants)
+		if err != nil {
+			return nil, err
+		}
+		findings = append(findings, fs...)
+	}
+	if len(cfg.TestOnlyImports) > 0 {
+		fs, err := checkTestOnlyImports(root, cfg.TestOnlyImports)
 		if err != nil {
 			return nil, err
 		}
@@ -213,4 +228,52 @@ func checkCtxVariants(fset *token.FileSet, files map[string]*ast.File) []Finding
 		})
 	}
 	return out
+}
+
+// checkTestOnlyImports flags every import of a test-only path from a
+// non-test .go file under root. Directories the go tool ignores —
+// testdata and names starting with "." or "_" — are skipped.
+func checkTestOnlyImports(root string, paths []string) ([]Finding, error) {
+	testOnly := map[string]bool{}
+	for _, p := range paths {
+		testOnly[p] = true
+	}
+	var out []Finding
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || !testOnly[p] {
+				continue
+			}
+			rel, err := filepath.Rel(root, path)
+			if err != nil {
+				return err
+			}
+			out = append(out, Finding{
+				File: rel, Line: fset.Position(imp.Pos()).Line,
+				Rule: "test-only-import",
+				Msg:  fmt.Sprintf("%s is test-only: import it from _test.go files only", p),
+			})
+		}
+		return nil
+	})
+	return out, err
 }

@@ -11,11 +11,13 @@ import (
 var repoConfig = Config{
 	NoContextBackground: []string{"internal/server"},
 	CtxVariant:          []string{".", "internal/experiments"},
+	TestOnlyImports:     []string{"repro/internal/machine/oracle"},
 }
 
 // TestRepoIsClean lints the repository's own source. Zero findings is
 // the contract: every Run*/Compile*/Evaluate* entry point has a Ctx
-// variant and the server never detaches from the request context.
+// variant, the server never detaches from the request context, and only
+// tests import the machine oracle.
 func TestRepoIsClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -41,10 +43,10 @@ func writeFixture(t *testing.T, dir, name, src string) {
 	}
 }
 
-// TestRulesFire proves both rules actually detect their targets (a
+// TestRulesFire proves every rule actually detects its targets (a
 // linter that can't fail is worse than none) and that the documented
 // escapes — Ctx sibling, Workers-stripped sibling, direct ctx param,
-// test files — suppress them.
+// test files, testdata — suppress them.
 func TestRulesFire(t *testing.T) {
 	root := t.TempDir()
 	writeFixture(t, filepath.Join(root, "srv"), "srv.go", `package srv
@@ -79,9 +81,15 @@ func runLower() {}                                // ok: unexported
 func Render() {}                                  // ok: prefix not covered
 `)
 
+	const oracle = `import _ "example.com/m/oracle"`
+	writeFixture(t, filepath.Join(root, "app", "deep"), "app.go", "package deep\n\n"+oracle+" // violation: test-only-import\n")
+	writeFixture(t, filepath.Join(root, "app", "deep"), "app_test.go", "package deep\n\n"+oracle+" // test file: exempt\n")
+	writeFixture(t, filepath.Join(root, "app", "testdata"), "fixture.go", "package fixture\n\n"+oracle+" // testdata: skipped\n")
+
 	findings, err := Run(root, Config{
 		NoContextBackground: []string{"srv"},
 		CtxVariant:          []string{"api"},
+		TestOnlyImports:     []string{"example.com/m/oracle"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,6 +98,7 @@ func Render() {}                                  // ok: prefix not covered
 	want := map[string]string{
 		"no-context-background": filepath.Join("srv", "srv.go"),
 		"missing-ctx-variant":   filepath.Join("api", "api.go"),
+		"test-only-import":      filepath.Join("app", "deep", "app.go"),
 	}
 	got := map[string]int{}
 	for _, f := range findings {
@@ -103,6 +112,9 @@ func Render() {}                                  // ok: prefix not covered
 	}
 	if got["missing-ctx-variant"] != 2 {
 		t.Errorf("missing-ctx-variant: got %d findings, want 2", got["missing-ctx-variant"])
+	}
+	if got["test-only-import"] != 1 {
+		t.Errorf("test-only-import: got %d findings, want 1", got["test-only-import"])
 	}
 }
 

@@ -1,17 +1,18 @@
 package machine
 
 // The Advanced Load Address Table, shared by the functional engine
-// (exec.go) and the trace replayer (replay.go). Itanium's ALAT is fully
-// associative; this implementation indexes the fixed slot array two
-// ways — by (activation, register) for insert/check and by address for
-// store invalidation — so every operation is O(1) in the table size.
-// The old linear scans made alatInvalidate, which runs on every dynamic
-// store, O(ALATSize) on the hottest path of the simulator.
+// (exec.go) and the timing engine's per-capacity event walk (alatWalk
+// in replay.go). Itanium's ALAT is fully associative; this
+// implementation indexes the fixed slot array two ways — by
+// (activation, register) for insert/check and by address for store
+// invalidation — so every operation is O(1) in the table size. The old
+// linear scans made alatInvalidate, which runs on every dynamic store,
+// O(ALATSize) on the hottest path of the simulator.
 //
-// Eviction order is explicit and part of the machine model's contract,
-// because the replayer re-simulates ALAT contents from recorded address
-// events and its hit/miss stream must provably match the functional
-// engine's:
+// Eviction order is explicit and part of the machine model's contract:
+// it decides which entry a later insert evicts, and so which checks
+// hit, and the test-only oracle (internal/machine/oracle) reimplements
+// it from this description:
 //
 //   - an advanced load to a register that already owns an entry
 //     refreshes that entry in place (the slot does not move);
@@ -19,7 +20,13 @@ package machine
 //     (LIFO over invalidated slots; initially slots fill 0, 1, 2, …);
 //   - when no slot is free, the victim cursor evicts slots in strict
 //     round-robin slot order (0, 1, …, size-1, 0, …), advancing only
-//     when it evicts.
+//     when it evicts;
+//   - a store frees every entry at its address in the order of that
+//     address's slot list, pushing each onto the free stack in turn.
+//     The list grows by appending the slot an entry takes (an insert,
+//     or a refresh to this address) and shrinks by moving its last
+//     element into the removed one's place (an eviction, or a refresh
+//     away from this address).
 //
 // Both engines run this exact code over the same event stream, which is
 // what makes "replayed counters are byte-identical" a structural

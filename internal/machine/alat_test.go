@@ -3,7 +3,7 @@ package machine
 import "testing"
 
 // TestALATEvictionOrder pins the explicit eviction contract the
-// replayer's ALAT re-simulation depends on: slots fill 0,1,2,…; a full
+// timing engine's ALAT re-simulation depends on: slots fill 0,1,2,…; a full
 // table evicts in strict round-robin slot order; refresh keeps an entry
 // in its slot; invalidated slots are reused LIFO.
 func TestALATEvictionOrder(t *testing.T) {

@@ -41,46 +41,46 @@ func BenchmarkALATInsertCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordVsRunVsReplay compares the three engine modes on the
-// same program: plain functional execution, execution with trace
-// recording, and a pure trace re-timing.
+// BenchmarkRecordVsRunVsReplay splits a run into its two halves on the
+// same program: Run (record + one-lane replay), the functional Record
+// alone, and pure trace re-timings.
 func BenchmarkRecordVsRunVsReplay(b *testing.B) {
-	tc := replayPrograms()["alatLoop"]
+	tc := ReplayPrograms()["alatLoop"]
 	b.Run("run", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(tc.p, tc.args, Config{}, nil); err != nil {
+			if _, err := Run(tc.Prog, tc.Args, Config{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("record", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Record(tc.p, tc.args, Config{}); err != nil {
+			if _, err := Record(tc.Prog, tc.Args, Config{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	tr, err := Record(tc.p, tc.args, Config{})
+	tr, err := Record(tc.Prog, tc.Args, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("replay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Replay(tc.p, tr, Config{}, nil); err != nil {
+			if _, err := Replay(tc.Prog, tr, Config{}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("replay_pipelined", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Replay(tc.p, tr, Config{Pipelined: true}, nil); err != nil {
+			if _, err := Replay(tc.Prog, tr, Config{Pipelined: true}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	// eight pipelined latency points in one walk vs eight walks: the
-	// per-point cost of the batch should approach 1/8th of a single
-	// pipelined replay plus the lane overhead
+	// eight pipelined latency points in one walk vs eight one-lane
+	// walks: the per-point cost of the batch should approach 1/8th of a
+	// single pipelined replay plus the lane overhead
 	grid := make([]Config, 8)
 	for i := range grid {
 		grid[i] = Config{Pipelined: true, IntLoadLat: 2 + i, FPLoadLat: 9 + i}
@@ -88,7 +88,7 @@ func BenchmarkRecordVsRunVsReplay(b *testing.B) {
 	b.Run("replay_pipelined_x8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, cfg := range grid {
-				if _, err := Replay(tc.p, tr, cfg, nil); err != nil {
+				if _, err := Replay(tc.Prog, tr, cfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -96,7 +96,7 @@ func BenchmarkRecordVsRunVsReplay(b *testing.B) {
 	})
 	b.Run("replay_batch_x8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ReplayBatch(tc.p, tr, grid); err != nil {
+			if _, err := ReplayBatch(tc.Prog, tr, grid); err != nil {
 				b.Fatal(err)
 			}
 		}

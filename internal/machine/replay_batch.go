@@ -5,23 +5,17 @@ import (
 )
 
 // ReplayBatch re-times one recorded trace under every Config in cfgs,
-// returning results index-aligned with cfgs. Each result is
-// byte-identical to Replay(prog, t, cfgs[i], nil) — and therefore to
-// direct execution — but the cost model is very different: all
-// pipelined config points that can share a walk are re-timed in ONE
-// pass over the trace, so a K-point grid pays for one instruction walk
-// instead of K.
+// returning results index-aligned with cfgs. It is the machine's only
+// timing entry point: Run and Replay are one-lane calls of it. Every
+// config must fit the trace (see Trace.fits); one that does not aborts
+// the whole batch with a wrapped ErrTraceMismatch.
 //
-// Dispatch per config:
-//
-//   - serial model with limits at least as generous as the recorded
-//     run's: the O(events) aggregate path (replaySerial), exactly as in
-//     Replay;
-//   - tightened MaxSteps/MaxCallDepth: a private per-config Replay,
-//     because resource faults must fire at exactly the recorded step
-//     with the same error, which a shared walk cannot reproduce for
-//     configs that diverge mid-trace;
-//   - pipelined with generous limits: collected into one batched walk.
+// Every Counters field except Cycles is a function of the recorded class
+// counts and the capacity-determined check outcomes, so replaySerial
+// computes all of them for every lane — and the serial lanes' cycles in
+// closed form. The pipelined lanes share ONE walk over the trace
+// (batchWalk), so a K-point grid pays for one instruction walk instead
+// of K; the walk computes only the per-lane clocks.
 //
 // The batched walk keeps K scoreboards in struct-of-arrays layout — one
 // ready-time lane per config per register, one clock per config — and
@@ -31,63 +25,34 @@ import (
 // capacity), so one event walk per DISTINCT ALATSize serves every
 // config of that size — configs with different ALAT sizes cannot share
 // one, since different capacities evict different entries. Those walks
-// are the same per-capacity walks replaySerial memoizes on the trace
-// (now extended with a per-check miss bitstream), so the instruction
-// walk simulates no tables at all: each check event reads its
-// precomputed outcome at a shared ordinal, and a sweep's serial half
-// has typically prepaid the event walks entirely.
-//
-// Every Counters field except Cycles is identical across the pipelined
-// walk and the serial aggregate formulas (the walk tallies the same
-// class counts and the same capacity-determined check outcomes), so the
-// batched walk computes only the per-config clocks and derives the rest
-// from replaySerial. The differential tests pin this equivalence
-// against both Replay and direct Run.
-//
-// Any config whose StackSlots differs from the trace's returns
-// ErrTraceMismatch (wrapped) and aborts the whole batch, mirroring
-// Replay; callers fall back to direct execution.
+// are the per-capacity walks replaySerial memoizes on the trace (with a
+// per-check miss bitstream), so the instruction walk simulates no tables
+// at all: each check event reads its precomputed outcome at a shared
+// ordinal.
 func ReplayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
-	norm := make([]Config, len(cfgs))
-	var batched []int // indices of pipelined configs for the shared walk
+	var piped []Config // normalized pipelined configs, in lane order
+	var pipedIdx []int
 	for i, cfg := range cfgs {
 		cfg = cfg.withDefaults()
-		norm[i] = cfg
-		if cfg.StackSlots != t.StackSlots {
-			return nil, fmt.Errorf("%w: recorded with %d stack slots, config has %d",
-				ErrTraceMismatch, t.StackSlots, cfg.StackSlots)
+		if err := t.fits(cfg); err != nil {
+			return nil, err
 		}
-		switch {
-		case cfg.MaxSteps < t.Steps || cfg.MaxCallDepth < t.MaxDepth:
-			// tightened limits: exact fault parity needs a private walk
-			res, err := Replay(prog, t, cfg, nil)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
-		case !cfg.Pipelined:
-			results[i] = &Result{Ret: t.Ret, Output: t.Output, Counters: replaySerial(t, cfg), PerFunc: t.perFuncAt(cfg.ALATSize)}
-		default:
-			batched = append(batched, i)
+		results[i] = &Result{Ret: t.Ret, Output: t.Output, Counters: replaySerial(t, cfg), PerFunc: t.perFuncAt(cfg.ALATSize)}
+		if cfg.Pipelined {
+			piped = append(piped, cfg)
+			pipedIdx = append(pipedIdx, i)
 		}
 	}
-	if len(batched) == 0 {
+	if len(piped) == 0 {
 		return results, nil
 	}
-
-	bcfgs := make([]Config, len(batched))
-	for j, i := range batched {
-		bcfgs[j] = norm[i]
-	}
-	clocks, err := batchWalk(prog, t, bcfgs)
+	clocks, err := batchWalk(prog, t, piped)
 	if err != nil {
 		return nil, err
 	}
-	for j, i := range batched {
-		ctr := replaySerial(t, norm[i])
-		ctr.Cycles = clocks[j]
-		results[i] = &Result{Ret: t.Ret, Output: t.Output, Counters: ctr, PerFunc: t.perFuncAt(norm[i].ALATSize)}
+	for j, i := range pipedIdx {
+		results[i].Counters.Cycles = clocks[j]
 	}
 	return results, nil
 }
@@ -97,11 +62,9 @@ func ReplayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, error) {
 // register r is ready[r*K+k], so the inner per-config loop of one
 // register walks contiguous memory.
 type batchFrame struct {
-	f       *FuncCode
-	pc      int
-	frameID int64
-	base    int
-	ready   []int64
+	f     *FuncCode
+	pc    int
+	ready []int64
 }
 
 // batchWalker carries the shared cursors and the per-config timing
@@ -138,14 +101,15 @@ type batchWalker struct {
 	issue  []int64 // scratch: per-lane issue time of the current instruction
 
 	frames   []batchFrame
-	stackTop int
-	heapBase int
-	frameID  int64
+	maxDepth int // the recorded run's deepest nesting
 }
 
-// batchWalk runs the shared pipelined walk for cfgs (all pipelined,
-// all with generous limits, all matching the trace's StackSlots) and
-// returns the final per-config clocks.
+// batchWalk runs the shared pipelined walk for cfgs (all pipelined, all
+// fitting the trace) and returns the final per-config clocks. The walk
+// retires exactly t.Steps instructions within t.MaxDepth nested calls
+// on a well-formed trace; any other count is a corrupt trace, which this
+// check turns into an error instead of a silently wrong result (and
+// which bounds the walk).
 func batchWalk(prog *Program, t *Trace, cfgs []Config) ([]int64, error) {
 	k := len(cfgs)
 	w := &batchWalker{
@@ -193,8 +157,7 @@ func batchWalk(prog *Program, t *Trace, cfgs []Config) ([]int64, error) {
 	}
 	w.hit = make([]bool, len(w.sums))
 	w.nChecks = t.counts[cCheckInt] + t.counts[cCheckFP]
-	w.stackTop = prog.GlobSize
-	w.heapBase = prog.GlobSize + cfgs[0].StackSlots
+	w.maxDepth = t.MaxDepth
 	mainFn, ok := prog.Funcs["main"]
 	if !ok {
 		return nil, fmt.Errorf("machine: no main function")
@@ -202,22 +165,24 @@ func batchWalk(prog *Program, t *Trace, cfgs []Config) ([]int64, error) {
 	if err := w.push(mainFn); err != nil {
 		return nil, err
 	}
-	if err := w.walk(cfgs); err != nil {
+	steps, err := w.walk(cfgs, t.Steps)
+	if err != nil {
 		return nil, err
+	}
+	if steps != t.Steps {
+		return nil, corruptTrace("replay retired %d steps, trace records %d", steps, t.Steps)
 	}
 	return w.clocks, nil
 }
 
 // push enters an activation in every lane at once: each lane charges
 // its own call overhead and initializes its scoreboard lanes to its own
-// clock, exactly as the single-config replayer does.
+// clock.
 func (w *batchWalker) push(f *FuncCode) error {
-	if w.stackTop+f.FrameSize > w.heapBase {
-		return fmt.Errorf("machine: stack overflow in %s", f.Name)
+	if len(w.frames) >= w.maxDepth {
+		return corruptTrace("replay exceeds the recorded call depth %d", w.maxDepth)
 	}
-	w.frameID++
-	fr := batchFrame{f: f, frameID: w.frameID, base: w.stackTop}
-	w.stackTop += f.FrameSize
+	fr := batchFrame{f: f}
 	k := w.k
 	for i := 0; i < k; i++ {
 		w.clocks[i] += w.callOv[i]
@@ -230,11 +195,12 @@ func (w *batchWalker) push(f *FuncCode) error {
 	return nil
 }
 
-// issueTimes fills w.issue with the per-lane issue time of ins: the
+// issueAt fills w.issue with the per-lane issue time of ins: the
 // lane's clock maxed with the lane's ready times of the instruction's
-// source registers. Same register set as issueTime; the opcode switch
-// runs once and the per-lane loops walk contiguous scoreboard lanes.
-func (w *batchWalker) issueTimes(ins *Instr, ready []int64) {
+// source registers (a fence waits on every register: a scoreboard
+// drain). The opcode switch runs once and the per-lane loops walk
+// contiguous scoreboard lanes.
+func (w *batchWalker) issueAt(ins *Instr, ready []int64) {
 	k := w.k
 	issue := w.issue
 	copy(issue, w.clocks)
@@ -303,21 +269,34 @@ func (w *batchWalker) nextCheck() error {
 
 // walk is the shared instruction walk: one opcode dispatch, one
 // branch-bit/ALAT-event consumption, then a per-lane inner loop that
-// advances each config's clock and scoreboard. It mirrors the
-// single-config replayer walk (which mirrors the interpreter loop);
-// the differential tests pin all three together.
-func (w *batchWalker) walk(cfgs []Config) error {
+// advances each config's clock and scoreboard. It follows the
+// functional engine's control flow through the recorded branch bits and
+// returns the number of instructions it retired, stopping with an error
+// past maxSteps. The differential tests pin it against the test-only
+// oracle (internal/machine/oracle).
+//
+// The pipelined model: one instruction issues per cycle, once its
+// source registers are ready; its result is ready lat cycles after
+// issue. A call charges CallOverhead and starts the callee with every
+// register ready; the call's result is ready when the callee returns.
+// Branches, calls and returns take one issue slot; halt takes none.
+func (w *batchWalker) walk(cfgs []Config, maxSteps int64) (int64, error) {
 	k := w.k
 	clocks := w.clocks
 	issue := w.issue
+	var steps int64
 	for {
 		fr := &w.frames[len(w.frames)-1]
 		f := fr.f
+		steps++
+		if steps > maxSteps {
+			return 0, corruptTrace("replay exceeds the recorded %d steps", maxSteps)
+		}
 		if fr.pc < 0 || fr.pc >= len(f.Instrs) {
-			return fmt.Errorf("machine: pc out of range in %s", f.Name)
+			return 0, fmt.Errorf("machine: pc out of range in %s", f.Name)
 		}
 		ins := &f.Instrs[fr.pc]
-		w.issueTimes(ins, fr.ready)
+		w.issueAt(ins, fr.ready)
 		lats := w.latUnit
 		switch ins.Op {
 		case OpMul:
@@ -342,7 +321,7 @@ func (w *batchWalker) walk(cfgs []Config) error {
 
 		case OpLdC, OpLdFC:
 			if err := w.nextCheck(); err != nil {
-				return err
+				return 0, err
 			}
 			loadLat := w.latIntLoad
 			if ins.Op == OpLdFC {
@@ -362,7 +341,7 @@ func (w *batchWalker) walk(cfgs []Config) error {
 			// bit cursor aligned with branch directions; the ALAT insert
 			// it gates lives in the memoized event walk
 			if _, err := w.nextBit(); err != nil {
-				return err
+				return 0, err
 			}
 			if ins.Op == OpLdFS || ins.Op == OpLdFSA {
 				lats = w.latFPLoad
@@ -383,7 +362,7 @@ func (w *batchWalker) walk(cfgs []Config) error {
 		case OpBeqz, OpBnez:
 			taken, err := w.nextBit()
 			if err != nil {
-				return err
+				return 0, err
 			}
 			for i := 0; i < k; i++ {
 				clocks[i] = issue[i] + 1
@@ -398,14 +377,14 @@ func (w *batchWalker) walk(cfgs []Config) error {
 		case OpCall:
 			callee, ok := w.prog.Funcs[ins.Fn]
 			if !ok {
-				return fmt.Errorf("machine: call to unknown function %q", ins.Fn)
+				return 0, fmt.Errorf("machine: call to unknown function %q", ins.Fn)
 			}
 			for i := 0; i < k; i++ {
 				clocks[i] = issue[i] + 1
 			}
 			fr.pc++ // resume point after the callee returns
 			if err := w.push(callee); err != nil {
-				return err
+				return 0, err
 			}
 			continue
 
@@ -415,10 +394,9 @@ func (w *batchWalker) walk(cfgs []Config) error {
 					clocks[i] = issue[i] + 1
 				}
 			}
-			w.stackTop = fr.base
 			w.frames = w.frames[:len(w.frames)-1]
 			if len(w.frames) == 0 {
-				return nil
+				return steps, nil
 			}
 			caller := &w.frames[len(w.frames)-1]
 			// caller.pc was advanced past its call instruction
@@ -429,8 +407,7 @@ func (w *batchWalker) walk(cfgs []Config) error {
 			continue
 		}
 		// common retirement: advance each lane's clock and publish the
-		// destination's ready time — the exact common exit of the
-		// single-config walk, once per lane
+		// destination's ready time
 		if d := instrDst(ins); d >= 0 {
 			lanes := fr.ready[d*k : (d+1)*k]
 			for i := 0; i < k; i++ {
@@ -444,4 +421,13 @@ func (w *batchWalker) walk(cfgs []Config) error {
 		}
 		fr.pc++
 	}
+}
+
+// instrDst returns the destination register of an instruction, or -1.
+func instrDst(ins *Instr) int {
+	switch ins.Op {
+	case OpSt, OpStF, OpBr, OpBeqz, OpBnez, OpRet, OpPrint, OpHalt, OpNop, OpCall, OpFence:
+		return -1
+	}
+	return ins.Rd
 }

@@ -1,28 +1,30 @@
-package machine
+package machine_test
 
 import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 // TestReplayBatchMatchesReplay is the machine-level differential test
 // for the batched timing engine: for every program in the replay zoo,
-// ReplayBatch over the whole sweep grid must agree field-for-field with
-// per-config Replay (and so, via TestReplayMatchesDirectExecution, with
-// direct Run) — regardless of how the batch mixes serial and pipelined
-// points or duplicates configs.
+// every lane of one ReplayBatch over the whole sweep grid must equal the
+// oracle field for field — regardless of how the batch mixes serial and
+// pipelined points or duplicates configs — and so must the one-lane
+// Replay of the same config.
 func TestReplayBatchMatchesReplay(t *testing.T) {
-	for name, tc := range replayPrograms() {
-		tr, err := Record(tc.p, tc.args, Config{})
+	for name, tc := range machine.ReplayPrograms() {
+		tr, err := machine.Record(tc.Prog, tc.Args, machine.Config{})
 		if err != nil {
 			t.Fatalf("%s: record: %v", name, err)
 		}
-		cfgs := replaySweep()
+		cfgs := machine.ReplaySweep()
 		// duplicate a pipelined config: identical lanes must not perturb
 		// each other's scoreboards
-		cfgs = append(cfgs, Config{Pipelined: true}, Config{Pipelined: true})
-		batch, err := ReplayBatch(tc.p, tr, cfgs)
+		cfgs = append(cfgs, machine.Config{Pipelined: true}, machine.Config{Pipelined: true})
+		batch, err := machine.ReplayBatch(tc.Prog, tr, cfgs)
 		if err != nil {
 			t.Fatalf("%s: batch: %v", name, err)
 		}
@@ -30,43 +32,54 @@ func TestReplayBatchMatchesReplay(t *testing.T) {
 			t.Fatalf("%s: %d results for %d configs", name, len(batch), len(cfgs))
 		}
 		for i, cfg := range cfgs {
-			single, err := Replay(tc.p, tr, cfg, nil)
+			want := mustOracle(t, name, tc, cfg)
+			if !reflect.DeepEqual(want, batch[i]) {
+				t.Errorf("%s %+v:\noracle %+v\nbatch  %+v", name, cfg, want, batch[i])
+			}
+			single, err := machine.Replay(tc.Prog, tr, cfg, nil)
 			if err != nil {
 				t.Fatalf("%s %+v: replay: %v", name, cfg, err)
 			}
-			if !reflect.DeepEqual(single, batch[i]) {
-				t.Errorf("%s %+v:\nreplay %+v\nbatch  %+v", name, cfg, single, batch[i])
+			if !reflect.DeepEqual(want, single) {
+				t.Errorf("%s %+v:\noracle %+v\nreplay %+v", name, cfg, want, single)
 			}
 		}
 	}
 }
 
-// TestReplayBatchFaultParity pins the batch's error contract: a config
-// with tightened limits faults with exactly the single-replay error, a
-// layout mismatch anywhere in the batch is refused with
-// ErrTraceMismatch, and an empty batch is a no-op.
+// TestReplayBatchFaultParity pins the batch's error contract: a lane
+// with limits tighter than the recorded run needed, or with another
+// memory layout, refuses the whole batch with ErrTraceMismatch; a lane
+// whose limits sit between the run's needs and the recording limits
+// replays exactly; an empty batch is a no-op.
 func TestReplayBatchFaultParity(t *testing.T) {
-	tc := replayPrograms()["fib"]
-	tr, err := Record(tc.p, tc.args, Config{})
+	tc := machine.ReplayPrograms()["fib"]
+	tr, err := machine.Record(tc.Prog, tc.Args, machine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	small := Config{MaxSteps: 50}
-	_, singleErr := Replay(tc.p, tr, small, nil)
-	_, batchErr := ReplayBatch(tc.p, tr, []Config{{}, small})
-	if singleErr == nil || batchErr == nil {
-		t.Fatalf("step limit should fault: single=%v batch=%v", singleErr, batchErr)
-	}
-	if singleErr.Error() != batchErr.Error() {
-		t.Errorf("step-limit errors differ: single %q, batch %q", singleErr, batchErr)
+	for _, bad := range []machine.Config{{MaxSteps: 50}, {MaxCallDepth: 3}, {StackSlots: 64}} {
+		if _, err := machine.ReplayBatch(tc.Prog, tr, []machine.Config{{}, bad}); !errors.Is(err, machine.ErrTraceMismatch) {
+			t.Errorf("%+v: not refused: %v", bad, err)
+		}
 	}
 
-	if _, err := ReplayBatch(tc.p, tr, []Config{{}, {StackSlots: 64}}); !errors.Is(err, ErrTraceMismatch) {
-		t.Errorf("layout mismatch not refused: %v", err)
+	snug := []machine.Config{
+		{MaxSteps: tr.Steps, MaxCallDepth: tr.MaxDepth},
+		{MaxSteps: tr.Steps + 1, MaxCallDepth: tr.MaxDepth, Pipelined: true},
+	}
+	res, err := machine.ReplayBatch(tc.Prog, tr, snug)
+	if err != nil {
+		t.Fatalf("snug limits refused: %v", err)
+	}
+	for i, cfg := range snug {
+		if want := mustOracle(t, "fib", tc, cfg); !reflect.DeepEqual(want, res[i]) {
+			t.Errorf("%+v:\noracle %+v\nbatch  %+v", cfg, want, res[i])
+		}
 	}
 
-	res, err := ReplayBatch(tc.p, tr, nil)
+	res, err = machine.ReplayBatch(tc.Prog, tr, nil)
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty batch: %v, %d results", err, len(res))
 	}

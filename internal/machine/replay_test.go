@@ -1,138 +1,50 @@
-package machine
+package machine_test
 
 import (
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/machine/oracle"
 )
 
-// replayPrograms builds a small zoo of programs exercising every
-// trace-relevant behavior: branches, calls/recursion, advanced loads
-// with hits/misses/evictions, speculative loads with deferred faults,
-// and plain arithmetic.
-func replayPrograms() map[string]struct {
-	p    *Program
-	args []int64
-} {
-	// loop with ALAT traffic: ld.a / conflicting stores / ld.c inside a
-	// counted loop, enough iterations to exercise capacity at small sizes
-	alatLoop := buildProg([]Instr{
-		{Op: OpMovI, Rd: 0, Imm: 0},  // i = 0
-		{Op: OpMovI, Rd: 1, Imm: 40}, // n
-		{Op: OpMovI, Rd: 5, Imm: 0},  // acc
-		{Op: OpMovI, Rd: 7, Imm: 1},
-		{Op: OpSub, Rd: 2, Rs: 0, Rt: 1}, // 4 L: i-n
-		{Op: OpBeqz, Rs: 2, Target: 15},  // exit
-		{Op: OpMod, Rd: 3, Rs: 0, Rt: 1}, // slot = i % n (all < glob)
-		{Op: OpLEA, Rd: 4, Imm: 0},
-		{Op: OpAdd, Rd: 4, Rs: 4, Rt: 3}, // &glob[i%n]
-		{Op: OpLdA, Rd: 6, Rs: 4},        // advanced load
-		{Op: OpSt, Rd: 4, Rs: 0},         // conflicting store (invalidates)
-		{Op: OpLdC, Rd: 6, Rs: 4},        // check: always misses
-		{Op: OpAdd, Rd: 5, Rs: 5, Rt: 6}, // acc += value
-		{Op: OpAdd, Rd: 0, Rs: 0, Rt: 7}, // i++
-		{Op: OpBr, Target: 4},
-		{Op: OpRet, Rs: 5}, // 15
-	}, 8, 64)
-
-	// recursion with a print: deep call trees, per-frame activations
-	fib := &Program{
-		Funcs: map[string]*FuncCode{
-			"main": {Name: "main", NumRegs: 3, Instrs: []Instr{
-				{Op: OpMovI, Rd: 0, Imm: 12},
-				{Op: OpCall, Rd: 1, Fn: "fib", ArgRegs: []int{0}},
-				{Op: OpPrint, ArgRegs: []int{1}, FloatRs: []bool{false}},
-				{Op: OpRet, Rs: 1},
-			}},
-			// the parameter arrives in r0 (regs[0..NumParams-1])
-			"fib": {Name: "fib", NumRegs: 6, NumParams: 1, FrameSize: 2, Instrs: []Instr{
-				{Op: OpMovI, Rd: 5, Imm: 1},
-				{Op: OpSub, Rd: 1, Rs: 0, Rt: 5}, // n-1
-				{Op: OpBnez, Rs: 1, Target: 4},
-				{Op: OpRet, Rs: 0},                                // fib(1) = 1
-				{Op: OpBnez, Rs: 0, Target: 6},                    // 4
-				{Op: OpRet, Rs: 0},                                // fib(0) = 0
-				{Op: OpCall, Rd: 3, Fn: "fib", ArgRegs: []int{1}}, // 6: fib(n-1)
-				{Op: OpMovI, Rd: 5, Imm: 2},
-				{Op: OpSub, Rd: 2, Rs: 0, Rt: 5}, // n-2
-				{Op: OpCall, Rd: 4, Fn: "fib", ArgRegs: []int{2}},
-				{Op: OpAdd, Rd: 1, Rs: 3, Rt: 4},
-				{Op: OpRet, Rs: 1},
-			}},
-		},
-		GlobSize:   4,
-		GlobalInit: map[int]uint64{},
+// mustOracle runs the test-only reference interpreter.
+func mustOracle(t *testing.T, name string, tc machine.ZooProgram, cfg machine.Config) *machine.Result {
+	t.Helper()
+	want, err := oracle.Run(tc.Prog, tc.Args, cfg)
+	if err != nil {
+		t.Fatalf("%s %+v: oracle: %v", name, cfg, err)
 	}
-
-	// control speculation with deferred faults (ld.s through an invalid
-	// address on most iterations) plus speculative-advanced loads
-	spec := buildProg([]Instr{
-		{Op: OpMovI, Rd: 0, Imm: 0},
-		{Op: OpMovI, Rd: 1, Imm: 20},
-		{Op: OpMovI, Rd: 5, Imm: 0},
-		{Op: OpMovI, Rd: 7, Imm: 1},
-		{Op: OpSub, Rd: 2, Rs: 0, Rt: 1}, // 4 L:
-		{Op: OpBeqz, Rs: 2, Target: 15},
-		{Op: OpAnd, Rd: 3, Rs: 0, Rt: 7}, // i & 1
-		{Op: OpMovI, Rd: 4, Imm: -1},     // invalid addr
-		{Op: OpBnez, Rs: 3, Target: 10},  // odd i: keep -1 (defer)
-		{Op: OpLEA, Rd: 4, Imm: 2},       // even i: valid addr
-		{Op: OpLdS, Rd: 6, Rs: 4},        // 10: may defer (NaT)
-		{Op: OpLdSA, Rd: 6, Rs: 4},       // speculative-advanced variant
-		{Op: OpAdd, Rd: 5, Rs: 5, Rt: 6},
-		{Op: OpAdd, Rd: 0, Rs: 0, Rt: 7}, // i++
-		{Op: OpBr, Target: 4},
-		{Op: OpRet, Rs: 5}, // 15
-	}, 8, 8)
-
-	return map[string]struct {
-		p    *Program
-		args []int64
-	}{
-		"alatLoop": {alatLoop, nil},
-		"fib":      {fib, nil},
-		"spec":     {spec, nil},
-	}
-}
-
-// replaySweep is the grid of Configs the differential test runs: both
-// timing models, ALAT capacity extremes, latency extremes.
-func replaySweep() []Config {
-	return []Config{
-		{},
-		{Pipelined: true},
-		{ALATSize: 2},
-		{ALATSize: 2, Pipelined: true},
-		{ALATSize: 256},
-		{IntLoadLat: 8, FPLoadLat: 24, CheckMissPen: 16},
-		{IntLoadLat: 8, FPLoadLat: 24, CheckMissPen: 16, Pipelined: true},
-		{CheckHitLat: Free, CheckMissPen: Free},
-		{IntMulLat: 1, IntDivLat: 40, CallOverhead: 7, Pipelined: true},
-	}
+	return want
 }
 
 // TestReplayMatchesDirectExecution is the machine-level differential
-// test: for each program and each sweep Config, Replay over a recorded
-// trace must reproduce direct Run bit-for-bit — Ret, Output, and every
-// Counters field.
+// test: for each program and each sweep Config, Run and Replay over a
+// trace recorded under the default Config must reproduce the oracle
+// bit-for-bit — Ret, Output, every Counters field and PerFunc.
 func TestReplayMatchesDirectExecution(t *testing.T) {
-	for name, tc := range replayPrograms() {
-		tr, err := Record(tc.p, tc.args, Config{})
+	for name, tc := range machine.ReplayPrograms() {
+		tr, err := machine.Record(tc.Prog, tc.Args, machine.Config{})
 		if err != nil {
 			t.Fatalf("%s: record: %v", name, err)
 		}
-		for _, cfg := range replaySweep() {
-			direct, err := Run(tc.p, tc.args, cfg, nil)
+		for _, cfg := range machine.ReplaySweep() {
+			want := mustOracle(t, name, tc, cfg)
+			run, err := machine.Run(tc.Prog, tc.Args, cfg, nil)
 			if err != nil {
-				t.Fatalf("%s %+v: direct: %v", name, cfg, err)
+				t.Fatalf("%s %+v: run: %v", name, cfg, err)
 			}
-			replayed, err := Replay(tc.p, tr, cfg, nil)
+			if !reflect.DeepEqual(want, run) {
+				t.Errorf("%s %+v:\noracle %+v\nrun    %+v", name, cfg, want, run)
+			}
+			replayed, err := machine.Replay(tc.Prog, tr, cfg, nil)
 			if err != nil {
 				t.Fatalf("%s %+v: replay: %v", name, cfg, err)
 			}
-			if !reflect.DeepEqual(direct, replayed) {
-				t.Errorf("%s %+v:\ndirect  %+v\nreplay  %+v", name, cfg, direct, replayed)
+			if !reflect.DeepEqual(want, replayed) {
+				t.Errorf("%s %+v:\noracle %+v\nreplay %+v", name, cfg, want, replayed)
 			}
 		}
 	}
@@ -141,12 +53,12 @@ func TestReplayMatchesDirectExecution(t *testing.T) {
 // TestReplayMarshalRoundTrip runs the same differential through the
 // serialized form (the cache spill path).
 func TestReplayMarshalRoundTrip(t *testing.T) {
-	for name, tc := range replayPrograms() {
-		tr, err := Record(tc.p, tc.args, Config{})
+	for name, tc := range machine.ReplayPrograms() {
+		tr, err := machine.Record(tc.Prog, tc.Args, machine.Config{})
 		if err != nil {
 			t.Fatalf("%s: record: %v", name, err)
 		}
-		tr2, err := UnmarshalTrace(tr.Marshal())
+		tr2, err := machine.UnmarshalTrace(tr.Marshal())
 		if err != nil {
 			t.Fatalf("%s: roundtrip: %v", name, err)
 		}
@@ -155,90 +67,97 @@ func TestReplayMarshalRoundTrip(t *testing.T) {
 			tr2.Events() != tr.Events() {
 			t.Fatalf("%s: metadata mismatch after roundtrip", name)
 		}
-		cfg := Config{ALATSize: 2, Pipelined: true}
-		direct, err := Run(tc.p, tc.args, cfg, nil)
+		cfg := machine.Config{ALATSize: 2, Pipelined: true}
+		want := mustOracle(t, name, tc, cfg)
+		replayed, err := machine.Replay(tc.Prog, tr2, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayed, err := Replay(tc.p, tr2, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(direct, replayed) {
-			t.Errorf("%s: roundtripped replay diverges:\ndirect %+v\nreplay %+v", name, direct, replayed)
+		if !reflect.DeepEqual(want, replayed) {
+			t.Errorf("%s: roundtripped replay diverges:\noracle %+v\nreplay %+v", name, want, replayed)
 		}
 	}
 }
 
 func TestUnmarshalTraceRejectsCorruptInput(t *testing.T) {
-	if _, err := UnmarshalTrace([]byte("not a trace")); err == nil {
+	if _, err := machine.UnmarshalTrace([]byte("not a trace")); err == nil {
 		t.Error("bad magic accepted")
 	}
-	tc := replayPrograms()["fib"]
-	tr, err := Record(tc.p, tc.args, Config{})
+	tc := machine.ReplayPrograms()["fib"]
+	tr, err := machine.Record(tc.Prog, tc.Args, machine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := tr.Marshal()
-	if _, err := UnmarshalTrace(data[:len(data)/2]); err == nil {
+	if _, err := machine.UnmarshalTrace(data[:len(data)/2]); err == nil {
 		t.Error("truncated trace accepted")
 	}
 }
 
-// TestReplayFaultParity pins the resource-limit contract: replay under
-// a tighter limit faults with exactly the error direct execution
-// produces, and a layout mismatch is refused up front.
+// TestReplayFaultParity pins the resource-limit contract. A limit fault
+// surfaces from the recording run, with the oracle's exact message. A
+// trace replays under any limits at least as generous as the recorded
+// run needed — exactly, even below the limits it was recorded under —
+// and is refused with ErrTraceMismatch under tighter limits or another
+// memory layout.
 func TestReplayFaultParity(t *testing.T) {
-	tc := replayPrograms()["fib"]
-	tr, err := Record(tc.p, tc.args, Config{})
+	tc := machine.ReplayPrograms()["fib"]
+	tr, err := machine.Record(tc.Prog, tc.Args, machine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	small := Config{MaxSteps: 50}
-	_, directErr := Run(tc.p, tc.args, small, nil)
-	_, replayErr := Replay(tc.p, tr, small, nil)
-	if directErr == nil || replayErr == nil {
-		t.Fatalf("step limit should fault: direct=%v replay=%v", directErr, replayErr)
-	}
-	if directErr.Error() != replayErr.Error() {
-		t.Errorf("step-limit errors differ: direct %q, replay %q", directErr, replayErr)
-	}
-
-	shallow := Config{MaxCallDepth: 3}
-	_, directErr = Run(tc.p, tc.args, shallow, nil)
-	_, replayErr = Replay(tc.p, tr, shallow, nil)
-	if directErr == nil || replayErr == nil {
-		t.Fatalf("depth limit should fault: direct=%v replay=%v", directErr, replayErr)
-	}
-	if directErr.Error() != replayErr.Error() {
-		t.Errorf("depth-limit errors differ: direct %q, replay %q", directErr, replayErr)
+	for _, tight := range []machine.Config{{MaxSteps: 50}, {MaxCallDepth: 3}} {
+		_, wantErr := oracle.Run(tc.Prog, tc.Args, tight)
+		_, runErr := machine.Run(tc.Prog, tc.Args, tight, nil)
+		if wantErr == nil || runErr == nil {
+			t.Fatalf("%+v should fault: oracle=%v run=%v", tight, wantErr, runErr)
+		}
+		if wantErr.Error() != runErr.Error() {
+			t.Errorf("%+v: run error %q, oracle %q", tight, runErr, wantErr)
+		}
+		if _, err := machine.Replay(tc.Prog, tr, tight, nil); !errors.Is(err, machine.ErrTraceMismatch) {
+			t.Errorf("%+v: replay under tighter limits not refused: %v", tight, err)
+		}
 	}
 
-	if _, err := Replay(tc.p, tr, Config{StackSlots: 64}, nil); !errors.Is(err, ErrTraceMismatch) {
+	// limits between the recorded run's needs and the recording limits
+	snug := machine.Config{MaxSteps: tr.Steps, MaxCallDepth: tr.MaxDepth, Pipelined: true}
+	want := mustOracle(t, "fib", tc, snug)
+	got, err := machine.Replay(tc.Prog, tr, snug, nil)
+	if err != nil {
+		t.Fatalf("replay at the recorded run's exact limits: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("snug limits:\noracle %+v\nreplay %+v", want, got)
+	}
+
+	if _, err := machine.Replay(tc.Prog, tr, machine.Config{StackSlots: 64}, nil); !errors.Is(err, machine.ErrTraceMismatch) {
 		t.Errorf("layout mismatch not refused: %v", err)
 	}
 }
 
-// TestReplayOutputWriter checks the out-writer convention matches Run's:
-// with a writer the output goes there and Result.Output stays empty.
+// TestReplayOutputWriter checks the out-writer convention, shared by Run
+// and Replay: with a writer the output goes there and Result.Output
+// stays empty.
 func TestReplayOutputWriter(t *testing.T) {
-	tc := replayPrograms()["fib"]
-	tr, err := Record(tc.p, tc.args, Config{})
+	tc := machine.ReplayPrograms()["fib"]
+	tr, err := machine.Record(tc.Prog, tc.Args, machine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var direct, replayed strings.Builder
-	dres, err := Run(tc.p, tc.args, Config{}, &direct)
+	want := mustOracle(t, "fib", tc, machine.Config{})
+	var run, replayed strings.Builder
+	dres, err := machine.Run(tc.Prog, tc.Args, machine.Config{}, &run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, err := Replay(tc.p, tr, Config{}, &replayed)
+	rres, err := machine.Replay(tc.Prog, tr, machine.Config{}, &replayed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct.String() != replayed.String() || direct.Len() == 0 {
-		t.Errorf("writer output: direct %q, replay %q", direct.String(), replayed.String())
+	if run.String() != want.Output || replayed.String() != want.Output || want.Output == "" {
+		t.Errorf("writer output: run %q, replay %q, oracle %q", run.String(), replayed.String(), want.Output)
 	}
 	if dres.Output != "" || rres.Output != "" {
 		t.Errorf("Result.Output must be empty with an explicit writer: %q %q", dres.Output, rres.Output)

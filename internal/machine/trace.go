@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -15,28 +16,28 @@ import (
 // speculative-load fault bits, the ALAT event stream (advanced-load
 // inserts, check loads, store invalidations — each with its owning
 // activation, register, and address), and per-latency-class retirement
-// counts. A Replay walk (replay.go) then re-times the trace under any
-// Config — serial or pipelined, any latencies, any ALAT size — without
-// a register file or memory image, so an N-config sensitivity sweep
-// costs one functional run plus N cheap re-timings.
+// counts. ReplayBatch (replay_batch.go) then re-times the trace under
+// any Config — serial or pipelined, any latencies, any ALAT size —
+// without a register file or memory image, so an N-config sensitivity
+// sweep costs one functional run plus N cheap re-timings.
 //
 // Under the serial model the re-timing is O(ALAT events), not
 // O(instructions): serial cycles are a linear function of the class
-// counts plus the per-check hit/miss outcomes, so the replayer walks
-// only the (much shorter) ALAT event stream. The pipelined scoreboard
-// genuinely depends on per-instruction operand availability, so that
-// model replays the full instruction walk, driven by the branch bits.
+// counts plus the per-check hit/miss outcomes, so replay walks only the
+// (much shorter) ALAT event stream. The pipelined scoreboard genuinely
+// depends on per-instruction operand availability, so that model walks
+// the full instruction stream, driven by the branch bits.
 //
 // The trace deliberately does not record check-load hits or ALAT
-// evictions: both depend on Config.ALATSize, so the replayer
-// re-simulates ALAT contents from the recorded event stream with the
-// same alat implementation the functional engine uses. What makes this
+// evictions: both depend on Config.ALATSize, so replay re-simulates ALAT
+// contents from the recorded event stream with the same alat
+// implementation the functional engine uses. What makes this
 // sound is a well-formedness obligation on the code (which the code
 // generator upholds and the differential tests check): the register of
 // a check load still holds its advanced load's value when the check
 // executes. Then a check's architectural effect is the same whether it
 // hits or misses — the register ends up equal to memory — and only the
-// timing differs, which is exactly what the replayer recomputes.
+// timing differs, which is exactly what replay recomputes.
 //
 // Streams are append-only and chunked so recording never re-copies a
 // growing flat slice and a finished trace can be shared read-only by
@@ -135,44 +136,6 @@ func (a *opChunks) append(op alatOp) {
 	a.n++
 }
 
-// opReader is one replay's private cursor over an opChunks stream. It
-// caches the current chunk's column slices so the per-event hot path is
-// four contiguous indexed loads, re-sliced only at chunk boundaries.
-type opReader struct {
-	t      *opChunks
-	pos    int64
-	chunk  int // cached chunk index; -1 before first read
-	kinds  []uint8
-	regs   []int32
-	frames []int64
-	addrs  []int64
-	fns    []int32
-}
-
-func (r *opReader) next() (op alatOp, ok bool) {
-	if r.pos >= r.t.n {
-		return alatOp{}, false
-	}
-	ci, off := int(r.pos)/opChunkLen, int(r.pos)%opChunkLen
-	if r.kinds == nil || ci != r.chunk {
-		r.chunk = ci
-		r.kinds = r.t.kinds[ci]
-		r.regs = r.t.regs[ci]
-		r.frames = r.t.frames[ci]
-		r.addrs = r.t.addrs[ci]
-		r.fns = r.t.fns[ci]
-	}
-	op = alatOp{
-		kind:    r.kinds[off],
-		reg:     r.regs[off],
-		frameID: r.frames[off],
-		addr:    r.addrs[off],
-		fn:      r.fns[off],
-	}
-	r.pos++
-	return op, true
-}
-
 // Instruction latency classes counted during recording. Every retired
 // instruction outside these classes has unit latency (cHalt retires for
 // free), so serial cycles are a linear function of the counts and the
@@ -199,7 +162,7 @@ const (
 
 // Trace is the recorded architectural event stream of one (program,
 // input) execution, plus the run's architectural outputs. A finished
-// Trace is immutable and safe for concurrent Replay walks.
+// Trace is immutable and safe for concurrent replays.
 type Trace struct {
 	bits bitChunks // branch directions and spec-load fault bits, in order
 	ops  opChunks  // ALAT events (inserts, checks, invalidations), in order
@@ -216,9 +179,11 @@ type Trace struct {
 	counts [cNumClasses]int64
 
 	// Steps is the dynamic step count of the recorded run (one per
-	// retired instruction); Replay reproduces step-limit faults from it.
+	// retired instruction). Replay refuses a config whose MaxSteps is
+	// below it, and the pipelined walk must retire exactly this many.
 	Steps int64
-	// MaxDepth is the deepest call nesting the run reached.
+	// MaxDepth is the deepest call nesting the run reached; replay
+	// refuses a config whose MaxCallDepth is below it.
 	MaxDepth int
 	// Frames is the total number of activations entered (including
 	// main); each is charged Config.CallOverhead.
@@ -226,7 +191,7 @@ type Trace struct {
 	// StackSlots is the (normalized) Config.StackSlots the trace was
 	// recorded under. Replay requires an identical value: the stack size
 	// determines concrete addresses, so re-timing under a different
-	// memory layout would not correspond to any direct execution.
+	// memory layout would not correspond to any run of the program.
 	StackSlots int
 	// Ret and Output are the architectural results of the run.
 	Ret    int64
@@ -278,22 +243,6 @@ func (t *Trace) Bytes() int64 {
 	return b + int64(len(t.Output))
 }
 
-// Record executes prog functionally under cfg (latency fields are
-// irrelevant; limits and StackSlots are honoured) and returns the
-// architectural trace. A run that faults returns the same error direct
-// execution would, and no trace.
-func Record(prog *Program, args []int64, cfg Config) (*Trace, error) {
-	// timing is recomputed per replay; force the cheap serial model so
-	// recording never pays for the scoreboard
-	cfg = cfg.withDefaults()
-	cfg.Pipelined = false
-	_, tr, err := execute(prog, args, cfg, nil, &Trace{})
-	if err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // traceMagic stamps the serialized form; the version is bumped whenever
 // the stream layout or the event set changes (v2 added event kinds,
 // activation/register fields, and the latency-class counts; v3 added
@@ -332,28 +281,35 @@ func (t *Trace) Marshal() []byte {
 		buf = append(buf, w8[:]...)
 	}
 	buf = binary.AppendUvarint(buf, uint64(t.ops.n))
-	r := opReader{t: &t.ops}
 	var prevFrame int64
-	for {
-		op, ok := r.next()
-		if !ok {
-			break
+	for ci, kinds := range t.ops.kinds {
+		for off, kind := range kinds {
+			frame := t.ops.frames[ci][off]
+			buf = append(buf, kind)
+			buf = binary.AppendUvarint(buf, uint64(t.ops.regs[ci][off]))
+			buf = binary.AppendVarint(buf, frame-prevFrame)
+			prevFrame = frame
+			buf = binary.AppendVarint(buf, t.ops.addrs[ci][off])
+			buf = binary.AppendUvarint(buf, uint64(t.ops.fns[ci][off]))
 		}
-		buf = append(buf, op.kind)
-		buf = binary.AppendUvarint(buf, uint64(op.reg))
-		buf = binary.AppendVarint(buf, op.frameID-prevFrame)
-		prevFrame = op.frameID
-		buf = binary.AppendVarint(buf, op.addr)
-		buf = binary.AppendUvarint(buf, uint64(op.fn))
 	}
 	return buf
 }
 
+// corruptTrace reports a trace that no Record run could have produced.
+func corruptTrace(format string, a ...any) error {
+	return fmt.Errorf("machine: corrupt trace: %s", fmt.Sprintf(format, a...))
+}
+
 // UnmarshalTrace reverses Marshal. Corrupt input returns an error (the
-// cache layer treats that as a miss and re-records).
+// cache layer treats that as a miss and re-records). Traces arrive from
+// the disk tier and from peers, so the decoder also rejects a header
+// that contradicts its own streams: the class counts the ALAT event
+// stream determines (checks, stores, advanced-load inserts) must match
+// it, because replay sizes its per-check outcome table from them.
 func UnmarshalTrace(data []byte) (*Trace, error) {
 	bad := func(what string) (*Trace, error) {
-		return nil, fmt.Errorf("machine: corrupt trace: %s", what)
+		return nil, corruptTrace("%s", what)
 	}
 	if len(data) < len(traceMagic) || string(data[:len(traceMagic)]) != traceMagic {
 		return bad("bad magic")
@@ -387,7 +343,7 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 	}
 	for _, f := range hdr {
 		v, ok := uvar()
-		if !ok {
+		if !ok || v > math.MaxInt64 {
 			return bad(f.what)
 		}
 		f.dst(v)
@@ -399,7 +355,7 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 	t.Ret = ret
 	for i := range t.counts {
 		v, ok := uvar()
-		if !ok {
+		if !ok || v > math.MaxInt64 {
 			return bad("class counts")
 		}
 		t.counts[i] = int64(v)
@@ -443,6 +399,7 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 		return bad("op count")
 	}
 	var prevFrame int64
+	var kinds [opInval + 1]int64
 	for i := uint64(0); i < nops; i++ {
 		if len(data) == 0 {
 			return bad("op kind")
@@ -470,6 +427,11 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 			return bad("op fn")
 		}
 		t.ops.append(alatOp{kind: kind, reg: int32(reg), frameID: prevFrame, addr: addr, fn: int32(fn)})
+		kinds[kind]++
+	}
+	if kinds[opCheckInt] != t.counts[cCheckInt] || kinds[opCheckFP] != t.counts[cCheckFP] ||
+		kinds[opInval] != t.counts[cStore] || kinds[opInsert] != t.counts[cAdv] {
+		return bad("class counts disagree with the ALAT event stream")
 	}
 	return t, nil
 }

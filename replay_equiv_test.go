@@ -7,17 +7,19 @@ import (
 	"repro"
 	"repro/internal/experiments"
 	"repro/internal/machine"
+	"repro/internal/machine/oracle"
 	"repro/internal/workloads"
 )
 
 // The end-to-end differential obligation of the record-and-replay
 // split: for every workload and every Config in the sensitivity sweep
-// grid, the replayed result — cycle counts, every Counters field, and
-// program output — is byte-identical to direct machine execution, at
-// one worker and at eight. Evaluate now re-times each trace group
-// through machine.ReplayBatch, so the Evaluate legs below exercise the
-// batched engine end-to-end; the explicit ReplayBatch-vs-Replay leg
-// pins the machine-level contract per workload over the full grid.
+// grid, the served result — cycle counts, every Counters field, and
+// program output — is byte-identical to the test-only oracle's direct
+// interpretation, at one worker and at eight. Evaluate re-times each
+// trace group through machine.ReplayBatch, so the Evaluate legs below
+// exercise the batched engine end-to-end; the explicit ReplayBatch and
+// Replay legs pin the machine-level contract per workload over the full
+// grid.
 
 func TestReplayEquivalentToDirectOnAllWorkloads(t *testing.T) {
 	if testing.Short() {
@@ -35,34 +37,24 @@ func TestReplayEquivalentToDirectOnAllWorkloads(t *testing.T) {
 			t.Fatalf("%s: %v", w.Name, c.ProfileErr)
 		}
 
-		repro.SetTraceEnabled(false)
-		direct, err := c.Evaluate(w.RefArgs, cfgs, 1)
-		repro.SetTraceEnabled(true)
-		if err != nil {
-			t.Fatalf("%s: direct evaluate: %v", w.Name, err)
+		want := make([]*machine.Result, len(cfgs))
+		for i, cfg := range cfgs {
+			if want[i], err = oracle.Run(c.Code, w.RefArgs, cfg); err != nil {
+				t.Fatalf("%s %+v: oracle: %v", w.Name, cfg, err)
+			}
 		}
 
 		serial, err := c.Evaluate(w.RefArgs, cfgs, 1)
 		if err != nil {
-			t.Fatalf("%s: replay evaluate (1 worker): %v", w.Name, err)
+			t.Fatalf("%s: evaluate (1 worker): %v", w.Name, err)
 		}
 		parallel, err := c.Evaluate(w.RefArgs, cfgs, 8)
 		if err != nil {
-			t.Fatalf("%s: replay evaluate (8 workers): %v", w.Name, err)
+			t.Fatalf("%s: evaluate (8 workers): %v", w.Name, err)
 		}
 
-		for i, cfg := range cfgs {
-			if !reflect.DeepEqual(direct[i], serial[i]) {
-				t.Errorf("%s %+v: replay != direct\ndirect %+v\nreplay %+v",
-					w.Name, cfg, direct[i], serial[i])
-			}
-			if !reflect.DeepEqual(serial[i], parallel[i]) {
-				t.Errorf("%s %+v: 8-worker replay != 1-worker replay", w.Name, cfg)
-			}
-		}
-
-		// machine-level leg: one ReplayBatch over the whole grid against
-		// per-config Replay on the same trace
+		// machine-level legs: one ReplayBatch over the whole grid, and
+		// per-config Replay, on the same trace
 		tr, err := machine.Record(c.Code, w.RefArgs, machine.Config{})
 		if err != nil {
 			t.Fatalf("%s: record: %v", w.Name, err)
@@ -76,20 +68,21 @@ func TestReplayEquivalentToDirectOnAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %+v: replay: %v", w.Name, cfg, err)
 			}
-			if !reflect.DeepEqual(single, batch[i]) {
-				t.Errorf("%s %+v: batch != per-config replay\nreplay %+v\nbatch  %+v",
-					w.Name, cfg, single, batch[i])
-			}
-			if !reflect.DeepEqual(direct[i], batch[i]) {
-				t.Errorf("%s %+v: batch != direct\ndirect %+v\nbatch  %+v",
-					w.Name, cfg, direct[i], batch[i])
+			for _, got := range []struct {
+				leg string
+				res *machine.Result
+			}{{"evaluate/1", serial[i]}, {"evaluate/8", parallel[i]}, {"batch", batch[i]}, {"replay", single}} {
+				if !reflect.DeepEqual(want[i], got.res) {
+					t.Errorf("%s %+v: %s != oracle\noracle %+v\n%-6s %+v",
+						w.Name, cfg, got.leg, want[i], got.leg, got.res)
+				}
 			}
 		}
 	}
 }
 
 // TestRunUsesTracePathTransparently pins that the default Compilation.Run
-// (trace-backed) matches direct execution exactly, including for the
+// (trace-backed) matches the oracle exactly, including for the
 // pipelined model of PipelinedMachine.
 func TestRunUsesTracePathTransparently(t *testing.T) {
 	w, ok := workloads.ByName("equake")
@@ -106,14 +99,12 @@ func TestRunUsesTracePathTransparently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		repro.SetTraceEnabled(false)
-		direct, derr := c.Run(w.RefArgs)
-		repro.SetTraceEnabled(true)
-		if derr != nil {
-			t.Fatal(derr)
+		want, err := oracle.Run(c.Code, w.RefArgs, mcfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(traced, direct) {
-			t.Errorf("%+v: traced Run != direct Run\ntraced %+v\ndirect %+v", mcfg, traced, direct)
+		if !reflect.DeepEqual(traced, want) {
+			t.Errorf("%+v: traced Run != oracle\ntraced %+v\noracle %+v", mcfg, traced, want)
 		}
 	}
 }

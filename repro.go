@@ -687,17 +687,6 @@ func BuildsCompiled() uint64 { return buildsCompiled.Load() }
 // the decoded *machine.Trace lives in the memory tier, its serialized
 // form spills to the on-disk tier when SetCacheDir is active.
 
-var traceDisabled atomic.Bool
-
-// SetTraceEnabled turns the record-and-replay machine path off or back
-// on (default on). With tracing off every Run and Evaluate executes the
-// VM directly — the oracle the replay path is differentially tested
-// against, and the `-no-trace` escape hatch.
-func SetTraceEnabled(on bool) { traceDisabled.Store(!on) }
-
-// TraceEnabled reports whether the record-and-replay path is active.
-func TraceEnabled() bool { return !traceDisabled.Load() }
-
 // traceCacheVersion stamps trace cache keys; bump it whenever the
 // trace format or the recorded event set changes.
 const traceCacheVersion = 4
@@ -711,9 +700,11 @@ func (b *Build) fingerprint() [32]byte {
 
 // traceFor returns the recorded architectural trace for (b.Code, args)
 // under mcfg's memory layout and resource limits, recording it on the
-// first request. A run that faults yields the same error direct
-// execution would (memoized like any other cache entry — sound because
-// the limits are part of the key).
+// first request. A run that faults yields the functional engine's error
+// (memoized like any other cache entry — sound because the limits are
+// part of the key). The trace is recorded under exactly the normalized
+// layout and limits it is keyed by, so it fits every Config sharing the
+// key and replay never refuses it.
 func (b *Build) traceFor(ctx context.Context, args []int64, mcfg machine.Config) (*machine.Trace, error) {
 	n := mcfg.Normalized()
 	fp := b.fingerprint()
@@ -744,34 +735,22 @@ func (b *Build) traceFor(ctx context.Context, args []int64, mcfg machine.Config)
 	return v.(*machine.Trace), nil
 }
 
-// runMachine executes the compiled program under mcfg, through the
-// record-and-replay path when enabled (with direct execution as the
-// fallback), directly otherwise.
+// runMachine executes the compiled program under mcfg: the cached
+// trace for its key, re-timed by machine.Replay.
 func (b *Build) runMachine(ctx context.Context, args []int64, mcfg machine.Config) (*machine.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if TraceEnabled() {
-		tr, err := b.traceFor(ctx, args, mcfg)
-		if err != nil {
-			// the recording run faulted: this is the same error direct
-			// execution under these limits would produce
-			return nil, err
-		}
-		res, err := machine.Replay(b.Code, tr, mcfg, nil)
-		if err == nil {
-			return res, nil
-		}
-		if !errors.Is(err, machine.ErrTraceMismatch) {
-			return nil, err
-		}
-		// layout mismatch (cannot happen via this key, but stay safe)
+	tr, err := b.traceFor(ctx, args, mcfg)
+	if err != nil {
+		// the recording run faulted under these limits
+		return nil, err
 	}
-	return machine.Run(b.Code, args, mcfg, nil)
+	return machine.Replay(b.Code, tr, mcfg, nil)
 }
 
-// Run executes the compiled program on the EPIC VM (via the trace
-// replay path when enabled; see SetTraceEnabled).
+// Run executes the compiled program on the EPIC VM through the
+// record-and-replay trace path.
 func (b *Build) Run(args []int64) (*machine.Result, error) {
 	return b.RunCtx(context.Background(), args)
 }
@@ -784,10 +763,10 @@ func (b *Build) RunCtx(ctx context.Context, args []int64) (*machine.Result, erro
 }
 
 // Evaluate re-times the compiled program on args under every machine
-// configuration in cfgs — the paper's §5 sensitivity-style sweeps. With
-// tracing enabled the program executes functionally once per distinct
-// (args, limits, layout) key and each Config costs only a trace walk;
-// replays fan out across workers sharing the recorded trace read-only.
+// configuration in cfgs — the paper's §5 sensitivity-style sweeps. The
+// program executes functionally once per distinct (args, limits,
+// layout) key and each Config costs only a trace walk; replays fan out
+// across workers sharing the recorded trace read-only.
 // Results are index-aligned with cfgs.
 func (b *Build) Evaluate(args []int64, cfgs []machine.Config, workers int) ([]*machine.Result, error) {
 	return b.EvaluateCtx(context.Background(), args, cfgs, workers)
@@ -800,8 +779,7 @@ func (b *Build) Evaluate(args []int64, cfgs []machine.Config, workers int) ([]*m
 // ctx.Err() promptly without waiting for replays already in flight
 // (which finish and are dropped).
 //
-// With tracing enabled the grid is grouped by the non-timing part of
-// each Config — normalized (StackSlots, MaxSteps, MaxCallDepth), which
+// The grid is grouped by the non-timing part of each Config — normalized (StackSlots, MaxSteps, MaxCallDepth), which
 // is exactly the trace cache key — and every group re-times through one
 // machine.ReplayBatch call on the group's shared trace, so all the
 // pipelined points of a sweep cost one instruction walk instead of one
@@ -809,25 +787,11 @@ func (b *Build) Evaluate(args []int64, cfgs []machine.Config, workers int) ([]*m
 // fan-out parallel; per-config results are independent of batch
 // composition (pinned by the differential tests), so worker count never
 // changes the output. Because the grouping key equals the trace key,
-// every config's limits are at least as generous as its own trace's
-// recorded run — a config whose limits fault does so during recording,
-// inside traceFor, exactly as on the unbatched path.
+// every config fits its own group's trace — a config whose limits fault
+// does so during recording, inside traceFor, exactly as on the
+// unbatched path.
 func (b *Build) EvaluateCtx(ctx context.Context, args []int64, cfgs []machine.Config, workers int) ([]*machine.Result, error) {
 	results := make([]*machine.Result, len(cfgs))
-	if !TraceEnabled() {
-		if err := par.EachCtx(ctx, workers, len(cfgs), func(i int) error {
-			res, err := b.runMachine(ctx, args, cfgs[i])
-			if err != nil {
-				return err
-			}
-			results[i] = res
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return results, nil
-	}
-
 	type traceKey struct {
 		slots int
 		steps int64
@@ -862,8 +826,7 @@ func (b *Build) EvaluateCtx(ctx context.Context, args []int64, cfgs []machine.Co
 		idxs := units[u]
 		tr, err := b.traceFor(ctx, args, cfgs[idxs[0]])
 		if err != nil {
-			// the recording run faulted: this is the same error direct
-			// execution under these limits would produce
+			// the recording run faulted under these limits
 			return err
 		}
 		sub := make([]machine.Config, len(idxs))
@@ -872,18 +835,7 @@ func (b *Build) EvaluateCtx(ctx context.Context, args []int64, cfgs []machine.Co
 		}
 		res, err := machine.ReplayBatch(b.Code, tr, sub)
 		if err != nil {
-			if !errors.Is(err, machine.ErrTraceMismatch) {
-				return err
-			}
-			// layout mismatch (cannot happen via this key, but stay safe)
-			for _, i := range idxs {
-				r, rerr := machine.Run(b.Code, args, cfgs[i], nil)
-				if rerr != nil {
-					return rerr
-				}
-				results[i] = r
-			}
-			return nil
+			return err
 		}
 		for j, i := range idxs {
 			results[i] = res[j]
