@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // The machine-engine benchmarks: an unbatched caller vs record-once-
-// and-replay-the-grid for a RunSensitivity-style multi-config sweep.
+// and-replay-the-grid for a RunSensitivityCtx-style multi-config sweep.
 // The claim is that an N-config sweep costs ~1 functional run + one
 // batched re-timing, so the "replay" variant (which pays for its
 // recording inside the timed region every iteration) should still beat
@@ -29,7 +30,7 @@ func sweepTarget(b *testing.B) (*machine.Program, []int64) {
 	if !ok {
 		b.Fatal("equake not registered")
 	}
-	c, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+	c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func sweepTarget(b *testing.B) (*machine.Program, []int64) {
 // pays, K records and K one-lane replays) and as one Record plus one
 // ReplayBatch ("replay"), and emits BENCH_machine.json with the
 // per-sweep costs and speedups. Two grids are measured:
-// "serial" is the 12-config serial-model grid — the RunSensitivity
+// "serial" is the 12-config serial-model grid — the RunSensitivityCtx
 // shape, where replay takes the O(events) aggregate path — and "mixed"
 // is the full 24-config MachineSweepConfigs grid whose pipelined half
 // needs the per-instruction scoreboard walk.
@@ -103,7 +104,7 @@ func BenchmarkMachineSweep(b *testing.B) {
 		}
 	}
 
-	// the headline number is the RunSensitivity-shaped serial grid; the
+	// the headline number is the RunSensitivityCtx-shaped serial grid; the
 	// mixed grid is reported alongside
 	b.ReportMetric(speedups["serial"], "serial_sweep_speedup")
 	b.ReportMetric(speedups["mixed"], "mixed_sweep_speedup")
@@ -124,14 +125,14 @@ func BenchmarkEvaluate(b *testing.B) {
 	if !ok {
 		b.Fatal("equake not registered")
 	}
-	c, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+	c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfgs := experiments.MachineSweepConfigs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Evaluate(w.RefArgs, cfgs, 0); err != nil {
+		if _, err := c.EvaluateCtx(context.Background(), w.RefArgs, cfgs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,7 +151,7 @@ func BenchmarkReuseLimitSharded(b *testing.B) {
 	}{{"serial", 1}, {"sharded", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := repro.ReuseLimitWorkers(w.Src, w.RefArgs, bc.workers); err != nil {
+				if _, err := repro.ReuseLimitCtx(context.Background(), w.Src, w.RefArgs, bc.workers); err != nil {
 					b.Fatal(err)
 				}
 			}

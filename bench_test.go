@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -35,7 +36,7 @@ func BenchmarkSec51Smvp(b *testing.B) {
 	var s experiments.Smvp
 	for i := 0; i < b.N; i++ {
 		var err error
-		s, err = experiments.RunSmvp()
+		s, err = experiments.RunSmvpCtx(context.Background(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func benchRows(b *testing.B, metric func(experiments.Row) (string, float64)) {
 	var rows []experiments.Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.RunAll()
+		rows, err = experiments.RunAllCtx(context.Background(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,11 +136,11 @@ func ablationCycles(b *testing.B, name string, cfg repro.Config) float64 {
 	cfg.ProfileArgs = w.ProfileArgs
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		c, err := repro.Compile(w.Src, cfg)
+		c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := c.Run(w.RefArgs)
+		res, err := c.RunCtx(context.Background(), w.RefArgs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,11 +207,11 @@ func BenchmarkAblationALATSize(b *testing.B) {
 			cfg.Machine.ALATSize = size
 			var failed int64
 			for i := 0; i < b.N; i++ {
-				c, err := repro.Compile(w.Src, cfg)
+				c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := c.Run(w.RefArgs)
+				res, err := c.RunCtx(context.Background(), w.RefArgs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -229,7 +230,7 @@ func BenchmarkPipelineCompile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := ws[i%len(ws)]
-		if _, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}); err != nil {
+		if _, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,7 +246,7 @@ func BenchmarkCompileProfile(b *testing.B) {
 	ws := workloads.All()
 	// warm every cache first so steady-state compiles are measured
 	for _, w := range ws {
-		if _, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}); err != nil {
+		if _, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +256,7 @@ func BenchmarkCompileProfile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := ws[i%len(ws)]
-		if _, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}); err != nil {
+		if _, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,13 +269,13 @@ func BenchmarkCompileProfile(b *testing.B) {
 	// a deep IR clone, so this approximates the clone cost itself
 	w, _ := workloads.ByName("equake")
 	cfg := repro.Config{OptimizeOff: true}
-	if _, err := repro.Compile(w.Src, cfg); err != nil {
+	if _, err := repro.CompileCtx(context.Background(), w.Src, cfg); err != nil {
 		b.Fatal(err)
 	}
 	const cloneIters = 64
 	cloneStart := time.Now()
 	for i := 0; i < cloneIters; i++ {
-		if _, err := repro.Compile(w.Src, cfg); err != nil {
+		if _, err := repro.CompileCtx(context.Background(), w.Src, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +306,7 @@ func sweepOnce(ws []workloads.Workload, sweepWorkers int) error {
 	return par.Each(sweepWorkers, len(ws), func(i int) error {
 		w := ws[i]
 		cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs, Workers: sweepWorkers}
-		_, err := repro.Compile(w.Src, cfg)
+		_, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 		return err
 	})
 }
@@ -365,20 +366,20 @@ func BenchmarkFrontendCache(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			repro.ResetFrontendCache()
-			if _, err := repro.Compile(w.Src, cfg); err != nil {
+			repro.ResetCaches()
+			if _, err := repro.CompileCtx(context.Background(), w.Src, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
-		if _, err := repro.Compile(w.Src, cfg); err != nil {
+		if _, err := repro.CompileCtx(context.Background(), w.Src, cfg); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := repro.Compile(w.Src, cfg); err != nil {
+			if _, err := repro.CompileCtx(context.Background(), w.Src, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -389,13 +390,13 @@ func BenchmarkFrontendCache(b *testing.B) {
 // kernel.
 func BenchmarkVMExecution(b *testing.B) {
 	w, _ := workloads.ByName("equake")
-	c, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+	c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Run(w.RefArgs); err != nil {
+		if _, err := c.RunCtx(context.Background(), w.RefArgs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -419,11 +420,11 @@ func BenchmarkAblationScheduling(b *testing.B) {
 			c.cfg.ProfileArgs = w.ProfileArgs
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				comp, err := repro.Compile(w.Src, c.cfg)
+				comp, err := repro.CompileCtx(context.Background(), w.Src, c.cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := comp.Run(w.RefArgs)
+				res, err := comp.RunCtx(context.Background(), w.RefArgs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -443,7 +444,7 @@ func BenchmarkInputSensitivity(b *testing.B) {
 	var rows []experiments.Sensitivity
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.RunSensitivity()
+		rows, err = experiments.RunSensitivityCtx(context.Background(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -251,7 +251,7 @@ func TestCompileStatsDeterministic(t *testing.T) {
 			cfg := repro.Config{Spec: mode, ProfileArgs: w.ProfileArgs, Workers: 1}
 			var first *repro.Compilation
 			for i := 0; i < reps; i++ {
-				c, err := repro.Compile(w.Src, cfg)
+				c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", w.Name, mode, err)
 				}

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -19,7 +20,7 @@ import (
 // persistent, and at any worker count.
 
 // TestSweepProfilesOncePerPair asserts via the cache counters that a
-// cold RunAll performs one profiling interpreter run per workload (all
+// cold RunAllCtx performs one profiling interpreter run per workload (all
 // four config variants of a workload share one run), records one
 // machine trace per distinct compiled program, and that repeating the
 // sweep performs neither.
@@ -30,7 +31,7 @@ func TestSweepProfilesOncePerPair(t *testing.T) {
 	repro.ResetCaches()
 	runs0 := repro.ProfilingRuns()
 	stats0 := repro.CacheStats()
-	if _, err := experiments.RunAllWorkers(8); err != nil {
+	if _, err := experiments.RunAllCtx(context.Background(), 8); err != nil {
 		t.Fatal(err)
 	}
 	computes := repro.CacheStats().Computes - stats0.Computes
@@ -40,7 +41,7 @@ func TestSweepProfilesOncePerPair(t *testing.T) {
 	}
 	// Each variant's Run looks its trace up by (code fingerprint, args,
 	// limits); variants that compile to identical code share one. The
-	// four variants experiments.RunOne measures, recompiled here from the
+	// four variants experiments.RunOneCtx measures, recompiled here from the
 	// now-warm cache, give the number of distinct trace keys.
 	traces := map[string]bool{}
 	for _, w := range workloads.All() {
@@ -51,7 +52,7 @@ func TestSweepProfilesOncePerPair(t *testing.T) {
 			{AggressivePromotion: true},
 		} {
 			cfg.ProfileArgs = w.ProfileArgs
-			c, err := repro.Compile(w.Src, cfg)
+			c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +67,7 @@ func TestSweepProfilesOncePerPair(t *testing.T) {
 	}
 	// a second sweep in the same process is fully memoized
 	runs1 := repro.ProfilingRuns()
-	if _, err := experiments.RunAllWorkers(8); err != nil {
+	if _, err := experiments.RunAllCtx(context.Background(), 8); err != nil {
 		t.Fatal(err)
 	}
 	if got := repro.ProfilingRuns() - runs1; got != 0 {
@@ -92,7 +93,7 @@ func TestWarmStartSkipsProfiling(t *testing.T) {
 		}
 	}()
 	repro.ResetCaches()
-	cold, err := experiments.RunOneWorkers(w, 2)
+	cold, err := experiments.RunOneCtx(context.Background(), w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestWarmStartSkipsProfiling(t *testing.T) {
 	runs0 := repro.ProfilingRuns()
 	stats0 := repro.CacheStats()
 	repro.ResetCaches() // "new process": memory tier gone, disk tier stays
-	warm, err := experiments.RunOneWorkers(w, 2)
+	warm, err := experiments.RunOneCtx(context.Background(), w, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestReportByteIdenticalAcrossCacheModes(t *testing.T) {
 	render := func(name string, workers int) string {
 		t.Helper()
 		var b strings.Builder
-		if err := experiments.ReportWorkers(&b, workers); err != nil {
+		if err := experiments.ReportCtx(context.Background(), &b, workers); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		return b.String()

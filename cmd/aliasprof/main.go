@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -38,6 +39,7 @@ func run() error {
 	outFile := flag.String("o", "", "write the serialized profile (JSON) to this file")
 	cacheDir := flag.String("cache-dir", "", "reuse/persist profiles under this directory across runs")
 	flag.Parse()
+	ctx := context.Background()
 	if flag.NArg() != 1 {
 		return cli.Usagef("usage: aliasprof [-args ...] file.mc")
 	}
@@ -63,8 +65,8 @@ func run() error {
 	}
 
 	// the canonical cached profiling computation — identical site ids to
-	// what Compile consumes via Config.ProfileJSON
-	data, err := repro.CollectProfile(src, args)
+	// what CompileCtx consumes via Config.ProfileJSON
+	data, err := repro.CollectProfileCtx(ctx, src, args)
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
@@ -84,7 +86,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	alias.Refine(prog)
+	alias.RefineWorkers(prog, 0)
 	prof, err := profile.Unmarshal(prog, data)
 	if err != nil {
 		return err
@@ -171,11 +173,11 @@ func run() error {
 	// advanced load, check and mis-speculation to its function — the
 	// same quantities the adaptive tier monitor folds into failure-rate
 	// windows, shown here per function instead of program-summed
-	c, err := repro.Compile(src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: args, ProfileJSON: data})
+	c, err := repro.CompileCtx(ctx, src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: args, ProfileJSON: data})
 	if err != nil {
 		return err
 	}
-	res, err := c.Run(args)
+	res, err := c.RunCtx(ctx, args)
 	if err != nil {
 		return err
 	}

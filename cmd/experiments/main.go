@@ -76,6 +76,7 @@ func run() error {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file when done")
 	flag.Parse()
+	ctx := context.Background()
 
 	if *cacheDir != "" {
 		if err := repro.SetCacheDir(*cacheDir); err != nil {
@@ -99,16 +100,16 @@ func run() error {
 	var err error
 	switch *exp {
 	case "all":
-		err = experiments.ReportWorkers(os.Stdout, *workers)
+		err = experiments.ReportCtx(ctx, os.Stdout, *workers)
 	case "smvp":
 		var s experiments.Smvp
-		s, err = experiments.RunSmvpWorkers(*workers)
+		s, err = experiments.RunSmvpCtx(ctx, *workers)
 		if err == nil {
 			experiments.PrintSmvp(os.Stdout, s)
 		}
 	case "fig10", "fig11", "fig12", "heur":
 		var rows []experiments.Row
-		rows, err = experiments.RunAllWorkers(*workers)
+		rows, err = experiments.RunAllCtx(ctx, *workers)
 		if err == nil {
 			switch *exp {
 			case "fig10":
@@ -123,19 +124,19 @@ func run() error {
 		}
 	case "sensitivity":
 		var rows []experiments.Sensitivity
-		rows, err = experiments.RunSensitivityWorkers(*workers)
+		rows, err = experiments.RunSensitivityCtx(ctx, *workers)
 		if err == nil {
 			experiments.PrintSensitivity(os.Stdout, rows)
 		}
 	case "ablation":
-		err = ablation(os.Stdout, *workers)
+		err = ablation(ctx, os.Stdout, *workers)
 	case "machine":
 		// hardware sensitivity sweeps on the ablation kernels — the
 		// showcase of the record-and-replay path (one functional run
 		// per kernel, one cheap replay per grid point)
 		for _, name := range []string{"equake", "mcf"} {
 			var points []experiments.MachinePoint
-			points, err = experiments.RunMachineSweepWorkers(name, *workers)
+			points, err = experiments.RunMachineSweepCtx(ctx, name, nil, *workers)
 			if err != nil {
 				break
 			}
@@ -147,7 +148,7 @@ func run() error {
 		// threshold θ on the input-sensitive kernels, one evaluation per
 		// distinct build through the trace-replay path
 		var sweeps []experiments.ThresholdSweep
-		sweeps, err = experiments.RunThresholdSweeps(*workers)
+		sweeps, err = experiments.RunThresholdSweepsCtx(ctx, *workers)
 		if err == nil && *jsonOut {
 			var data []byte
 			data, err = experiments.MarshalThresholdSweeps(sweeps)
@@ -168,7 +169,7 @@ func run() error {
 		// training profile, let the tier ladder demote and re-promote,
 		// and compare total cycles against both fixed extremes
 		var res *experiments.AdaptiveResult
-		res, err = experiments.RunAdaptiveCtx(context.Background(), *workers)
+		res, err = experiments.RunAdaptiveCtx(ctx, *workers)
 		if err == nil && *jsonOut {
 			var data []byte
 			data, err = experiments.MarshalAdaptive(res)
@@ -186,7 +187,7 @@ func run() error {
 		// (BENCH_harden.json); any undetected seed or residual leak is an
 		// error, so the run doubles as the hardening smoke gate
 		var res *experiments.HardenResult
-		res, err = experiments.RunHardenCtx(context.Background(), *workers)
+		res, err = experiments.RunHardenCtx(ctx, *workers)
 		if err == nil && *jsonOut {
 			var data []byte
 			data, err = experiments.MarshalHarden(res)
@@ -203,13 +204,13 @@ func run() error {
 		// one (workload, config) point through the same code path specd's
 		// POST /evaluate uses; with -json the bytes match the service's
 		// response exactly (the CI smoke job diffs them)
-		err = evalOne(*workload, *evalArgs, *fnTiers, *hardenPol, *workers, *jsonOut)
+		err = evalOne(ctx, *workload, *evalArgs, *fnTiers, *hardenPol, *workers, *jsonOut)
 	case "corpus":
 		// corpus-scale batch analysis: every MiniC source under -corpus,
 		// aggregated into per-alias-pattern speculation statistics; the
 		// single-node oracle the fleet coordinator is diffed against
 		// (speccoord emits byte-identical -json output)
-		err = corpusRun(*corpusDir, *workers, *jsonOut)
+		err = corpusRun(ctx, *corpusDir, *workers, *jsonOut)
 	default:
 		err = cli.Usagef("unknown experiment %q", *exp)
 	}
@@ -239,7 +240,7 @@ func run() error {
 // with -json the exact bytes — an adaptive server served under that
 // assignment; hardenPol runs the speculative-leak mitigation pass, the
 // CLI twin of the server's "harden" request field.
-func evalOne(name, args, fnTiers, hardenPol string, workers int, jsonOut bool) error {
+func evalOne(ctx context.Context, name, args, fnTiers, hardenPol string, workers int, jsonOut bool) error {
 	req := experiments.EvalRequest{Workload: name, Workers: workers, Harden: hardenPol}
 	if args != "" {
 		for _, part := range strings.Split(args, ",") {
@@ -260,7 +261,7 @@ func evalOne(name, args, fnTiers, hardenPol string, workers int, jsonOut bool) e
 			req.FnTiers[fn] = tier
 		}
 	}
-	res, err := experiments.RunEvalCtx(context.Background(), req)
+	res, err := experiments.RunEvalCtx(ctx, req)
 	if err != nil {
 		return err
 	}
@@ -280,11 +281,11 @@ func evalOne(name, args, fnTiers, hardenPol string, workers int, jsonOut bool) e
 
 // corpusRun aggregates speculation statistics over a directory of
 // MiniC sources (see experiments.RunCorpusDirCtx).
-func corpusRun(dir string, workers int, jsonOut bool) error {
+func corpusRun(ctx context.Context, dir string, workers int, jsonOut bool) error {
 	if dir == "" {
 		return cli.Usagef("-exp corpus requires -corpus DIR")
 	}
-	rep, err := experiments.RunCorpusDirCtx(context.Background(), dir, workers)
+	rep, err := experiments.RunCorpusDirCtx(ctx, dir, workers)
 	if err != nil {
 		return err
 	}
@@ -313,16 +314,16 @@ func writeMemProfile(path string) error {
 }
 
 // verifyPasses mirrors -verify-passes for the ablation sweep's direct
-// repro.Compile calls (the table experiments go through
+// repro.CompileCtx calls (the table experiments go through
 // experiments.SetVerifyPasses instead).
 var verifyPasses bool
 
-// compile wraps repro.Compile and refuses a compilation whose training
+// compile wraps repro.CompileCtx and refuses a compilation whose training
 // run faulted (the silent StaticEstimate fallback would skew the
 // ablation numbers).
-func compile(src string, cfg repro.Config) (*repro.Compilation, error) {
+func compile(ctx context.Context, src string, cfg repro.Config) (*repro.Compilation, error) {
 	cfg.VerifyPasses = verifyPasses
-	c, err := repro.Compile(src, cfg)
+	c, err := repro.CompileCtx(ctx, src, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +336,7 @@ func compile(src string, cfg repro.Config) (*repro.Compilation, error) {
 // ablation sweeps the design choices DESIGN.md calls out on equake and
 // mcf: data speculation off, control speculation off, arithmetic PRE off
 // (promotion only), and ALAT capacity.
-func ablation(out *os.File, workers int) error {
+func ablation(ctx context.Context, out *os.File, workers int) error {
 	kernels := []string{"equake", "mcf"}
 	type cfgCase struct {
 		name string
@@ -357,11 +358,11 @@ func ablation(out *os.File, workers int) error {
 		for _, c := range cases {
 			c.cfg.ProfileArgs = w.ProfileArgs
 			c.cfg.Workers = workers
-			comp, err := compile(w.Src, c.cfg)
+			comp, err := compile(ctx, w.Src, c.cfg)
 			if err != nil {
 				return err
 			}
-			res, err := comp.Run(w.RefArgs)
+			res, err := comp.RunCtx(ctx, w.RefArgs)
 			if err != nil {
 				return err
 			}
@@ -374,11 +375,11 @@ func ablation(out *os.File, workers int) error {
 		for _, size := range []int{4, 8, 32, 128} {
 			cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs, Workers: workers}
 			cfg.Machine.ALATSize = size
-			comp, err := compile(w.Src, cfg)
+			comp, err := compile(ctx, w.Src, cfg)
 			if err != nil {
 				return err
 			}
-			res, err := comp.Run(w.RefArgs)
+			res, err := comp.RunCtx(ctx, w.RefArgs)
 			if err != nil {
 				return err
 			}

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -116,7 +117,8 @@ func run() error {
 		return cli.Usagef("bad -args: %v", err)
 	}
 
-	c, err := repro.Compile(string(src), cfg)
+	ctx := context.Background()
+	c, err := repro.CompileCtx(ctx, string(src), cfg)
 	if err != nil {
 		return err
 	}
@@ -139,7 +141,7 @@ func run() error {
 	if !*doRun {
 		return nil
 	}
-	res, err := c.Run(args)
+	res, err := c.RunCtx(ctx, args)
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}

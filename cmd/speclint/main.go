@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -69,6 +70,7 @@ func run() error {
 	leaksMode := flag.Bool("leaks", false, "run the Layer 3 speculative-leak sweep (per-site leak table)")
 	hardenPol := flag.String("harden", "", "with -leaks: mitigation policy to apply and re-check (fence|hoist)")
 	flag.Parse()
+	ctx := context.Background()
 
 	if *mutants {
 		return runMutants()
@@ -128,7 +130,7 @@ func run() error {
 		for _, u := range units {
 			lus = append(lus, leakUnit{name: u.name, src: u.src, train: u.train})
 		}
-		return runLeaks(lus, modes, *hardenPol, *sched, *workers)
+		return runLeaks(ctx, lus, modes, *hardenPol, *sched, *workers)
 	}
 
 	checked, dirty := 0, 0
@@ -142,7 +144,7 @@ func run() error {
 				VerifyPasses: true,
 			}
 			checked++
-			_, err := repro.Compile(u.src, cfg)
+			_, err := repro.CompileCtx(ctx, u.src, cfg)
 			if err == nil {
 				continue
 			}
@@ -176,7 +178,7 @@ type leakUnit struct {
 // the unchecked path length. With a -harden policy it then mitigates
 // each leaky build and reports the post-mitigation re-check; the gate
 // becomes zero residual instead of zero leaks.
-func runLeaks(units []leakUnit, modes []repro.SpecMode, pol string, sched bool, workers int) error {
+func runLeaks(ctx context.Context, units []leakUnit, modes []repro.SpecMode, pol string, sched bool, workers int) error {
 	checked, leaksTotal, residualTotal := 0, 0, 0
 	fmt.Printf("%-10s %-10s %-14s %6s %6s %-8s %5s\n",
 		"unit", "mode", "func", "load", "sink", "kind", "path")
@@ -189,7 +191,7 @@ func runLeaks(units []leakUnit, modes []repro.SpecMode, pol string, sched bool, 
 				Workers:     workers,
 			}
 			checked++
-			c, err := repro.Compile(u.src, cfg)
+			c, err := repro.CompileCtx(ctx, u.src, cfg)
 			if err != nil {
 				return fmt.Errorf("%s (spec=%s): %w", u.name, mode, err)
 			}

@@ -3,11 +3,13 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"io"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/workloads"
 )
@@ -27,7 +29,7 @@ func TestEvaluateCtxCancelMidSweep(t *testing.T) {
 		t.Fatal("workload equake not registered")
 	}
 	cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}
-	c, err := repro.Compile(w.Src, cfg)
+	c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +99,76 @@ func TestCompileCtxCancelled(t *testing.T) {
 		t.Fatalf("CompileCtx with cancelled ctx = %v, want context.Canceled", err)
 	}
 	// and the cancellation did not poison the cache for the next caller
-	c, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+	c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.ProfileErr != nil {
 		t.Fatalf("profile poisoned by cancelled compile: %v", c.ProfileErr)
+	}
+}
+
+// TestEntryPointsCancelled passes an already-cancelled context to every
+// long-running entry point on cold cache keys: each must return
+// context.Canceled without running a pipeline stage, so neither
+// BuildsCompiled nor ProfilingRuns moves.
+func TestEntryPointsCancelled(t *testing.T) {
+	w, ok := workloads.ByName("mcf")
+	if !ok {
+		t.Fatal("workload mcf not registered")
+	}
+	cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}
+	live := context.Background()
+	comp, err := repro.CompileCtx(live, w.Src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(live)
+	cancel()
+
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"CompileCtx", func() error { _, err := repro.CompileCtx(ctx, w.Src, cfg); return err }},
+		{"BuildCtx", func() error { _, err := repro.BuildCtx(ctx, w.Src, cfg); return err }},
+		{"CollectProfileCtx", func() error { _, err := repro.CollectProfileCtx(ctx, w.Src, w.ProfileArgs); return err }},
+		{"ReuseLimitCtx", func() error { _, err := repro.ReuseLimitCtx(ctx, w.Src, w.RefArgs, 1); return err }},
+		{"RunReferenceCtx", func() error { _, err := comp.RunReferenceCtx(ctx, w.RefArgs); return err }},
+		{"RunCtx", func() error { _, err := comp.RunCtx(ctx, w.RefArgs); return err }},
+		{"EvaluateCtx", func() error {
+			_, err := comp.EvaluateCtx(ctx, w.RefArgs, experiments.MachineSweepConfigs(), 1)
+			return err
+		}},
+		{"RunAllCtx", func() error { _, err := experiments.RunAllCtx(ctx, 1); return err }},
+		{"RunOneCtx", func() error { _, err := experiments.RunOneCtx(ctx, w, 1); return err }},
+		{"RunSmvpCtx", func() error { _, err := experiments.RunSmvpCtx(ctx, 1); return err }},
+		{"RunSensitivityCtx", func() error { _, err := experiments.RunSensitivityCtx(ctx, 1); return err }},
+		{"RunMachineSweepCtx", func() error { _, err := experiments.RunMachineSweepCtx(ctx, "mcf", nil, 1); return err }},
+		{"RunThresholdSweepCtx", func() error { _, err := experiments.RunThresholdSweepCtx(ctx, "mcf", nil, 1); return err }},
+		{"RunThresholdSweepsCtx", func() error { _, err := experiments.RunThresholdSweepsCtx(ctx, 1); return err }},
+		{"RunHardenCtx", func() error { _, err := experiments.RunHardenCtx(ctx, 1); return err }},
+		{"RunAdaptiveCtx", func() error { _, err := experiments.RunAdaptiveCtx(ctx, 1); return err }},
+		{"RunEvalCtx", func() error {
+			_, err := experiments.RunEvalCtx(ctx, experiments.EvalRequest{Workload: "mcf", Workers: 1})
+			return err
+		}},
+		{"RunCorpusDirCtx", func() error { _, err := experiments.RunCorpusDirCtx(ctx, "testdata", 1); return err }},
+		{"ReportCtx", func() error { return experiments.ReportCtx(ctx, io.Discard, 1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			repro.ResetCaches()
+			builds, profiles := repro.BuildsCompiled(), repro.ProfilingRuns()
+			if err := tc.call(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s with a cancelled ctx = %v, want context.Canceled", tc.name, err)
+			}
+			if d := repro.BuildsCompiled() - builds; d != 0 {
+				t.Errorf("%s: BuildsCompiled moved by %d", tc.name, d)
+			}
+			if d := repro.ProfilingRuns() - profiles; d != 0 {
+				t.Errorf("%s: ProfilingRuns moved by %d", tc.name, d)
+			}
+		})
 	}
 }

@@ -1,15 +1,17 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro"
 )
 
-// ExampleCompile demonstrates the whole pipeline on the paper's Figure 2
+// ExampleCompileCtx demonstrates the whole pipeline on the paper's Figure 2
 // scenario: a load made redundant by speculation, checked by the ALAT.
-func ExampleCompile() {
+func ExampleCompileCtx() {
+	ctx := context.Background()
 	src := `
 int a = 10;
 int b = 20;
@@ -23,14 +25,14 @@ int main() {
 	print(x, y);
 	return 0;
 }`
-	c, err := repro.Compile(src, repro.Config{
+	c, err := repro.CompileCtx(ctx, src, repro.Config{
 		Spec:        repro.SpecProfile,
 		ProfileArgs: []int64{0}, // training input: no aliasing
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := c.Run([]int64{0})
+	res, err := c.RunCtx(ctx, []int64{0})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +40,7 @@ int main() {
 	fmt.Printf("checks=%d failed=%d\n", res.Counters.CheckLoads, res.Counters.FailedChecks)
 
 	// the adversarial input mis-speculates but stays correct
-	res, err = c.Run([]int64{99})
+	res, err = c.RunCtx(ctx, []int64{99})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,8 +72,9 @@ int main() {
 	// 55
 }
 
-// ExampleCollectProfile shows the two-step profile-feedback workflow.
-func ExampleCollectProfile() {
+// ExampleCollectProfileCtx shows the two-step profile-feedback workflow.
+func ExampleCollectProfileCtx() {
+	ctx := context.Background()
 	src := `
 int total = 0;
 int main() {
@@ -79,15 +82,15 @@ int main() {
 	print(total);
 	return 0;
 }`
-	prof, err := repro.CollectProfile(src, []int64{100})
+	prof, err := repro.CollectProfileCtx(ctx, src, []int64{100})
 	if err != nil {
 		log.Fatal(err)
 	}
-	c, err := repro.Compile(src, repro.Config{Spec: repro.SpecProfile, ProfileJSON: prof})
+	c, err := repro.CompileCtx(ctx, src, repro.Config{Spec: repro.SpecProfile, ProfileJSON: prof})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := c.Run([]int64{5})
+	res, err := c.RunCtx(ctx, []int64{5})
 	if err != nil {
 		log.Fatal(err)
 	}

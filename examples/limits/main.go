@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,34 +14,35 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	w, _ := workloads.ByName("mcf")
 	fmt.Println(w.Description)
 
-	base, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecOff, ProfileArgs: w.ProfileArgs})
+	base, err := repro.CompileCtx(ctx, w.Src, repro.Config{Spec: repro.SpecOff, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+	spec, err := repro.CompileCtx(ctx, w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		log.Fatal(err)
 	}
-	agg, err := repro.Compile(w.Src, repro.Config{AggressivePromotion: true, ProfileArgs: w.ProfileArgs})
+	agg, err := repro.CompileCtx(ctx, w.Src, repro.Config{AggressivePromotion: true, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rb, err := base.Run(w.RefArgs)
+	rb, err := base.RunCtx(ctx, w.RefArgs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rs, err := spec.Run(w.RefArgs)
+	rs, err := spec.RunCtx(ctx, w.RefArgs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ra, err := agg.Run(w.RefArgs)
+	ra, err := agg.RunCtx(ctx, w.RefArgs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := repro.ReuseLimit(w.Src, w.RefArgs)
+	sim, err := repro.ReuseLimitCtx(ctx, w.Src, w.RefArgs, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

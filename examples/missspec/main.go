@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,18 +34,19 @@ int main() {
 }`
 
 func main() {
+	ctx := context.Background()
 	// train WITHOUT aliasing
-	c, err := repro.Compile(src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{0, 50}})
+	c, err := repro.CompileCtx(ctx, src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{0, 50}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, alias := range []int64{0, 1} {
 		args := []int64{alias, 10000}
-		ref, err := c.RunReference(args)
+		ref, err := c.RunReferenceCtx(ctx, args)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := c.Run(args)
+		res, err := c.RunCtx(ctx, args)
 		if err != nil {
 			log.Fatal(err)
 		}

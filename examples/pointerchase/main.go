@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	w, ok := workloads.ByName("mcf")
 	if !ok {
 		log.Fatal("mcf workload missing")
@@ -22,11 +24,11 @@ func main() {
 
 	var baseCycles int64
 	for _, mode := range []repro.SpecMode{repro.SpecOff, repro.SpecProfile, repro.SpecHeuristic} {
-		c, err := repro.Compile(w.Src, repro.Config{Spec: mode, ProfileArgs: w.ProfileArgs})
+		c, err := repro.CompileCtx(ctx, w.Src, repro.Config{Spec: mode, ProfileArgs: w.ProfileArgs})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := c.Run(w.RefArgs)
+		res, err := c.RunCtx(ctx, w.RefArgs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,15 +30,16 @@ int main() {
 }`
 
 func main() {
+	ctx := context.Background()
 	for _, mode := range []repro.SpecMode{repro.SpecOff, repro.SpecProfile} {
-		c, err := repro.Compile(src, repro.Config{
+		c, err := repro.CompileCtx(ctx, src, repro.Config{
 			Spec:        mode,
 			ProfileArgs: []int64{100}, // training input
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := c.Run([]int64{100000})
+		res, err := c.RunCtx(ctx, []int64{100000})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,7 +17,8 @@ import (
 )
 
 func main() {
-	s, err := experiments.RunSmvp()
+	ctx := context.Background()
+	s, err := experiments.RunSmvpCtx(ctx, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func main() {
 
 	// also show the transformed inner loop
 	w, _ := workloads.ByName("equake")
-	c, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+	c, err := repro.CompileCtx(ctx, w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,6 +25,7 @@ int main() {
 }`
 
 func main() {
+	ctx := context.Background()
 	for _, cfg := range []struct {
 		name string
 		c    repro.Config
@@ -31,11 +33,11 @@ func main() {
 		{"unoptimized", repro.Config{OptimizeOff: true}},
 		{"optimized", repro.Config{Spec: repro.SpecOff, ProfileArgs: []int64{10}}},
 	} {
-		comp, err := repro.Compile(src, cfg.c)
+		comp, err := repro.CompileCtx(ctx, src, cfg.c)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := comp.Run([]int64{100000})
+		res, err := comp.RunCtx(ctx, []int64{100000})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -44,7 +46,7 @@ func main() {
 			cfg.name, res.Output[:len(res.Output)-1], res.Counters.Cycles,
 			res.Counters.InstrsRetired, st.StrengthReduced, st.LFTRApplied)
 	}
-	c, err := repro.Compile(src, repro.Config{Spec: repro.SpecOff, ProfileArgs: []int64{10}})
+	c, err := repro.CompileCtx(ctx, src, repro.Config{Spec: repro.SpecOff, ProfileArgs: []int64{10}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -278,7 +279,7 @@ func TestFuzzEquivalence(t *testing.T) {
 		for ci, cfg := range configs {
 			cfg.ProfileArgs = []int64{3}
 			cfg.VerifyPasses = true
-			c, err := repro.Compile(src, cfg)
+			c, err := repro.CompileCtx(context.Background(), src, cfg)
 			if err != nil {
 				t.Fatalf("seed %d cfg %d: compile: %v\n%s", seed, ci, err, src)
 			}
@@ -303,7 +304,7 @@ func TestFuzzEquivalence(t *testing.T) {
 				}
 			}
 			for _, input := range []int64{0, 3, 41} {
-				got, err := c.Run([]int64{input})
+				got, err := c.RunCtx(context.Background(), []int64{input})
 				if err != nil {
 					t.Fatalf("seed %d cfg %d input %d: run: %v\n%s", seed, ci, input, err, src)
 				}
@@ -367,7 +368,7 @@ func TestFuzzBatchedReplay(t *testing.T) {
 	cfgQ := &quick.Config{MaxCount: count}
 	err := quick.Check(func(seed int64) bool {
 		src := newProgGen(seed).generate()
-		c, err := repro.Compile(src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{3}})
+		c, err := repro.CompileCtx(context.Background(), src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{3}})
 		if err != nil {
 			t.Fatalf("seed %d: compile: %v\n%s", seed, err, src)
 		}
@@ -494,7 +495,7 @@ func TestSpecheckNearMiss(t *testing.T) {
 			for ci, cfg := range modes {
 				cfg.ProfileArgs = []int64{2}
 				cfg.VerifyPasses = true
-				c, err := repro.Compile(p.src, cfg)
+				c, err := repro.CompileCtx(context.Background(), p.src, cfg)
 				if err != nil {
 					t.Fatalf("cfg %d: %v", ci, err)
 				}
@@ -503,7 +504,7 @@ func TestSpecheckNearMiss(t *testing.T) {
 					if err != nil {
 						t.Fatalf("reference(%d): %v", input, err)
 					}
-					got, err := c.Run([]int64{input})
+					got, err := c.RunCtx(context.Background(), []int64{input})
 					if err != nil {
 						t.Fatalf("cfg %d input %d: %v", ci, input, err)
 					}
@@ -601,7 +602,7 @@ func TestLeakNearMiss(t *testing.T) {
 			for ci, cfg := range modes {
 				cfg.ProfileArgs = []int64{2}
 				cfg.VerifyPasses = true
-				c, err := repro.Compile(p.src, cfg)
+				c, err := repro.CompileCtx(context.Background(), p.src, cfg)
 				if err != nil {
 					t.Fatalf("cfg %d: %v", ci, err)
 				}
@@ -609,7 +610,7 @@ func TestLeakNearMiss(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reference: %v", err)
 				}
-				got, err := c.Run([]int64{9})
+				got, err := c.RunCtx(context.Background(), []int64{9})
 				if err != nil {
 					t.Fatalf("cfg %d: run: %v", ci, err)
 				}
@@ -674,7 +675,7 @@ int main() {
 	return 0;
 }`, size, size, rng.Intn(size), rng.Intn(size), rng.Intn(size), rng.Intn(size), rng.Intn(size))
 		trainMode := int64(pick % 2)
-		c, err := repro.Compile(src, repro.Config{
+		c, err := repro.CompileCtx(context.Background(), src, repro.Config{
 			Spec: repro.SpecProfile, ProfileArgs: []int64{trainMode, 6},
 		})
 		if err != nil {
@@ -686,7 +687,7 @@ int main() {
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			got, err := c.Run(args)
+			got, err := c.RunCtx(context.Background(), args)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

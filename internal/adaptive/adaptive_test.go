@@ -1,6 +1,7 @@
 package adaptive
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -275,11 +276,11 @@ func TestManagerHotSwapNotTorn(t *testing.T) {
 	m := NewManager(Config{Source: testSrc, Build: build, Policy: Policy{WindowChecks: 64, WindowEvals: 4, MinChecks: 16}})
 	defer m.Close()
 
-	ref, err := repro.Compile(testSrc, repro.Config{Spec: repro.SpecOff, ProfileArgs: []int64{64, 16}})
+	ref, err := repro.CompileCtx(context.Background(), testSrc, repro.Config{Spec: repro.SpecOff, ProfileArgs: []int64{64, 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRes, err := ref.Run([]int64{64, 2})
+	refRes, err := ref.RunCtx(context.Background(), []int64{64, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,12 +312,12 @@ func TestManagerHotSwapNotTorn(t *testing.T) {
 					errs <- err // torn map: invalid tier name leaked
 					return
 				}
-				c, err := repro.Compile(testSrc, cfg)
+				c, err := repro.CompileCtx(context.Background(), testSrc, cfg)
 				if err != nil {
 					errs <- err
 					return
 				}
-				res, err := c.Run([]int64{64, 2})
+				res, err := c.RunCtx(context.Background(), []int64{64, 2})
 				if err != nil {
 					errs <- err
 					return

@@ -111,7 +111,7 @@ int main() {
 	return 0;
 }`)
 	res := Analyze(prog, Options{})
-	res.Annotate(prog)
+	res.AnnotateWorkers(prog, 0)
 	main := prog.FuncMap["main"]
 	var storeChis, loadMus int
 	for _, blk := range main.Blocks {
@@ -156,7 +156,7 @@ int main() {
 }`
 	prog := compile(t, src)
 	res := Analyze(prog, Options{TypeBased: true})
-	res.Annotate(prog)
+	res.AnnotateWorkers(prog, 0)
 	main := prog.FuncMap["main"]
 	for _, blk := range main.Blocks {
 		for _, st := range blk.Stmts {
@@ -181,7 +181,7 @@ int main() {
 	return 0;
 }`)
 	res := Analyze(prog, Options{})
-	res.Annotate(prog)
+	res.AnnotateWorkers(prog, 0)
 	main := prog.FuncMap["main"]
 	found := false
 	for _, blk := range main.Blocks {
@@ -235,9 +235,9 @@ int main() {
 	print(x, y, g);
 	return 0;
 }`)
-	n := Refine(prog)
+	n := RefineWorkers(prog, 0)
 	if n < 3 {
-		t.Fatalf("Refine rewrote %d references, want >= 3\n%s", n, prog)
+		t.Fatalf("RefineWorkers rewrote %d references, want >= 3\n%s", n, prog)
 	}
 	main := prog.FuncMap["main"]
 	for _, b := range main.Blocks {
@@ -263,7 +263,7 @@ int main() {
 	print(*p);
 	return 0;
 }`)
-	if n := Refine(prog); n != 0 {
-		t.Fatalf("Refine rewrote %d references on an ambiguous pointer", n)
+	if n := RefineWorkers(prog, 0); n != 0 {
+		t.Fatalf("RefineWorkers rewrote %d references on an ambiguous pointer", n)
 	}
 }

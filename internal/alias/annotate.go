@@ -7,7 +7,7 @@ import (
 	"repro/internal/par"
 )
 
-// Annotate installs the initial chi and mu lists on every statement of the
+// AnnotateWorkers installs the initial chi and mu lists on every statement of the
 // program, following §3.2 of the paper:
 //
 //   - an indirect store gets a chi for every visible, type-compatible
@@ -21,13 +21,10 @@ import (
 //
 // All chis and mus start unflagged (speculative weak updates); the core
 // package attaches the speculation flags from profiles or heuristics.
-// Annotate records which virtual symbols each function now references in
-// FuncVirtuals, for the SSA renamer.
-func (r *Result) Annotate(prog *ir.Program) {
-	r.AnnotateWorkers(prog, 0)
-}
-
-// AnnotateWorkers annotates with at most workers functions in flight
+// AnnotateWorkers records which virtual symbols each function now
+// references in FuncVirtuals, for the SSA renamer.
+//
+// It annotates with at most workers functions in flight
 // (0 = all cores, 1 = serial). Annotation writes only the target
 // function's statements and reads the (by now frozen) analysis maps, so
 // the chi/mu lists are identical at every worker count. The per-function

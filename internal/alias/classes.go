@@ -51,7 +51,7 @@ type Result struct {
 
 	// FuncVirtuals lists, per function, the virtual symbols (class
 	// virtual variables and heap pseudo-symbols) referenced by its
-	// chi/mu lists. Populated by Annotate.
+	// chi/mu lists. Populated by AnnotateWorkers.
 	FuncVirtuals map[*ir.Func][]*ir.Sym
 
 	funcSymSet map[*ir.Func]map[*ir.Sym]bool

@@ -5,7 +5,7 @@ import (
 	"repro/internal/par"
 )
 
-// Refine performs the flow-sensitive refinement step of the paper's
+// RefineWorkers performs the flow-sensitive refinement step of the paper's
 // Fig. 4 ("flow sensitive pointer alias analysis ... refine the μs list
 // and the χs list"): an indirect reference whose address provably resolves
 // — through single-definition copy chains — to the address of one scalar
@@ -14,15 +14,9 @@ import (
 // fan-out over the whole alias class, and a load becomes an ordinary
 // scalar read, both of which sharpen every later phase.
 //
-// Refine runs on the pre-SSA flattened IR, before chi/mu annotation.
-// It returns the number of references rewritten. Functions refine
-// concurrently on every core; use RefineWorkers to bound or serialize.
-func Refine(prog *ir.Program) int {
-	return RefineWorkers(prog, 0)
-}
-
-// RefineWorkers refines with at most workers functions in flight
-// (0 = all cores, 1 = serial). Each function's rewrite reads and writes
+// RefineWorkers runs on the pre-SSA flattened IR, before chi/mu
+// annotation. It returns the number of references rewritten. It refines
+// with at most workers functions in flight (0 = all cores, 1 = serial). Each function's rewrite reads and writes
 // only that function's statements, so the result is identical at every
 // worker count.
 func RefineWorkers(prog *ir.Program, workers int) int {

@@ -281,16 +281,13 @@ func (c *Cache) removeOrder(i int) {
 	c.order = append(c.order[:i], c.order[i+1:]...)
 }
 
-// GetBytes returns the byte value for key, computing it at most once
+// GetBytesCtx returns the byte value for key, computing it at most once
 // per key per process and, when the disk tier is on, at most once per
 // key per cache directory. Errors are memoized in memory (the pipeline
 // computations are deterministic) but never persisted. Callers must not
 // mutate the returned slice.
-func (c *Cache) GetBytes(key Key, compute func() ([]byte, error)) ([]byte, error) {
-	return c.GetBytesCtx(context.Background(), key, compute)
-}
-
-// GetBytesCtx is GetBytes with cancellation: a caller waiting on
+//
+// Cancellation: a caller waiting on
 // another caller's in-flight computation (the singleflight path)
 // returns ctx.Err() as soon as ctx is done instead of blocking until
 // the owner finishes. The owner itself always completes its compute —
@@ -432,16 +429,11 @@ func (c *Cache) PutBytes(key Key, data []byte) {
 	}
 }
 
-// GetObject is the memory-only variant of GetBytes for values that are
-// not serialized (frontend IR masters). The returned object is shared —
-// callers must treat it as immutable (clone before mutating).
-func (c *Cache) GetObject(key Key, compute func() (any, error)) (any, error) {
-	return c.GetObjectCtx(context.Background(), key, compute)
-}
-
-// GetObjectCtx is GetObject with cancellation, under the same contract
-// as GetBytesCtx: waiters honor ctx, owners complete, context errors
-// are never memoized.
+// GetObjectCtx is the memory-only variant of GetBytesCtx for values that
+// are not serialized (frontend IR masters). The returned object is
+// shared — callers must treat it as immutable (clone before mutating).
+// Cancellation follows the same contract as GetBytesCtx: waiters honor
+// ctx, owners complete, context errors are never memoized.
 func (c *Cache) GetObjectCtx(ctx context.Context, key Key, compute func() (any, error)) (any, error) {
 	if c.isDisabled() {
 		c.countCompute()

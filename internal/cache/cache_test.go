@@ -30,7 +30,7 @@ func TestMemoizeBytes(t *testing.T) {
 	c := New(0)
 	computes := 0
 	get := func() ([]byte, error) {
-		return c.GetBytes(keyN(1), func() ([]byte, error) {
+		return c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 			computes++
 			return []byte("value"), nil
 		})
@@ -55,7 +55,7 @@ func TestErrorsMemoized(t *testing.T) {
 	computes := 0
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
-		_, err := c.GetBytes(keyN(1), func() ([]byte, error) {
+		_, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 			computes++
 			return nil, boom
 		})
@@ -79,7 +79,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.GetBytes(keyN(7), func() ([]byte, error) {
+			v, err := c.GetBytesCtx(context.Background(), keyN(7), func() ([]byte, error) {
 				computes++ // safe: only one goroutine may get here
 				<-release
 				return []byte("shared"), nil
@@ -99,19 +99,19 @@ func TestSingleflight(t *testing.T) {
 func TestEvictionFIFO(t *testing.T) {
 	c := New(2)
 	for i := 0; i < 3; i++ {
-		c.GetBytes(keyN(i), func() ([]byte, error) { return []byte{byte(i)}, nil })
+		c.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) { return []byte{byte(i)}, nil })
 	}
 	if got := c.Stats().Evictions; got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 	// key 0 was evicted: a re-get recomputes
 	recomputed := false
-	c.GetBytes(keyN(0), func() ([]byte, error) { recomputed = true; return nil, nil })
+	c.GetBytesCtx(context.Background(), keyN(0), func() ([]byte, error) { recomputed = true; return nil, nil })
 	if !recomputed {
 		t.Fatal("oldest entry should have been evicted")
 	}
 	// key 2 survived
-	c.GetBytes(keyN(2), func() ([]byte, error) {
+	c.GetBytesCtx(context.Background(), keyN(2), func() ([]byte, error) {
 		t.Fatal("newest entry should still be resident")
 		return nil, nil
 	})
@@ -123,7 +123,7 @@ func TestEvictionFIFO(t *testing.T) {
 // other entry still leaves oldest-first.
 func TestEvictionOrderPinned(t *testing.T) {
 	put := func(c *Cache, n int) {
-		c.GetBytes(keyN(n), func() ([]byte, error) { return []byte{byte(n)}, nil })
+		c.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) { return []byte{byte(n)}, nil })
 	}
 	resident := func(c *Cache, want ...int) {
 		t.Helper()
@@ -144,7 +144,7 @@ func TestEvictionOrderPinned(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			c.GetBytes(keyN(n), func() ([]byte, error) {
+			c.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) {
 				close(started)
 				err := <-release
 				return []byte{byte(n)}, err
@@ -204,7 +204,7 @@ func TestDiskWarmStartAcrossInstances(t *testing.T) {
 	if err := c1.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c1.GetBytes(keyN(1), func() ([]byte, error) { return []byte("persisted"), nil })
+	v, err := c1.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { return []byte("persisted"), nil })
 	if err != nil || string(v) != "persisted" {
 		t.Fatalf("store: %q, %v", v, err)
 	}
@@ -214,7 +214,7 @@ func TestDiskWarmStartAcrossInstances(t *testing.T) {
 	if err := c2.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	v, err = c2.GetBytes(keyN(1), func() ([]byte, error) {
+	v, err = c2.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 		t.Fatal("warm start must not recompute")
 		return nil, nil
 	})
@@ -243,7 +243,7 @@ func TestCorruptEntriesRecomputed(t *testing.T) {
 			if err := c1.SetDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c1.GetBytes(keyN(1), func() ([]byte, error) { return payload, nil }); err != nil {
+			if _, err := c1.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { return payload, nil }); err != nil {
 				t.Fatal(err)
 			}
 			path := c1.diskPath(c1.Dir(), keyN(1))
@@ -260,7 +260,7 @@ func TestCorruptEntriesRecomputed(t *testing.T) {
 				t.Fatal(err)
 			}
 			recomputed := false
-			v, err := c2.GetBytes(keyN(1), func() ([]byte, error) { recomputed = true; return payload, nil })
+			v, err := c2.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { recomputed = true; return payload, nil })
 			if err != nil {
 				t.Fatalf("corruption must never surface as an error: %v", err)
 			}
@@ -275,7 +275,7 @@ func TestCorruptEntriesRecomputed(t *testing.T) {
 			if err := c3.SetDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c3.GetBytes(keyN(1), func() ([]byte, error) {
+			if _, err := c3.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 				t.Fatal("repaired entry should load from disk")
 				return nil, nil
 			}); err != nil {
@@ -294,7 +294,7 @@ func TestDisabledBypassesAllTiers(t *testing.T) {
 	c.SetEnabled(false)
 	computes := 0
 	for i := 0; i < 2; i++ {
-		c.GetBytes(keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
+		c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
 	}
 	if computes != 2 {
 		t.Fatalf("computes = %d, want 2 while disabled", computes)
@@ -304,8 +304,8 @@ func TestDisabledBypassesAllTiers(t *testing.T) {
 		t.Fatalf("disabled cache wrote %d files", len(files))
 	}
 	c.SetEnabled(true)
-	c.GetBytes(keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
-	c.GetBytes(keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
+	c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
+	c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
 	if computes != 3 {
 		t.Fatalf("computes = %d, want 3 after re-enable", computes)
 	}
@@ -318,7 +318,7 @@ func TestObjectTierIsMemoryOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	type big struct{ n int }
-	v, err := c.GetObject(keyN(3), func() (any, error) { return &big{42}, nil })
+	v, err := c.GetObjectCtx(context.Background(), keyN(3), func() (any, error) { return &big{42}, nil })
 	if err != nil || v.(*big).n != 42 {
 		t.Fatalf("%v, %v", v, err)
 	}
@@ -326,7 +326,7 @@ func TestObjectTierIsMemoryOnly(t *testing.T) {
 	if len(files) != 0 {
 		t.Fatalf("object entries must not be persisted, found %d files", len(files))
 	}
-	v2, _ := c.GetObject(keyN(3), func() (any, error) {
+	v2, _ := c.GetObjectCtx(context.Background(), keyN(3), func() (any, error) {
 		t.Fatal("must be memoized")
 		return nil, nil
 	})
@@ -341,9 +341,9 @@ func TestResetDropsMemoryKeepsDisk(t *testing.T) {
 	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	c.GetBytes(keyN(1), func() ([]byte, error) { return []byte("v"), nil })
+	c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { return []byte("v"), nil })
 	c.Reset()
-	v, err := c.GetBytes(keyN(1), func() ([]byte, error) {
+	v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 		t.Fatal("reset must not clear the persistent tier")
 		return nil, nil
 	})
@@ -372,7 +372,7 @@ func TestConcurrentMixed(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				k := i % 8
 				want := fmt.Sprintf("v%d", k)
-				v, err := c.GetBytes(keyN(k), func() ([]byte, error) {
+				v, err := c.GetBytesCtx(context.Background(), keyN(k), func() ([]byte, error) {
 					return []byte(fmt.Sprintf("v%d", k)), nil
 				})
 				if err != nil || string(v) != want {
@@ -382,7 +382,7 @@ func TestConcurrentMixed(t *testing.T) {
 				if g%4 == 0 && i%25 == 24 {
 					c.Reset()
 				}
-				if _, err := c.GetObject(keyN(100+k), func() (any, error) { return k, nil }); err != nil {
+				if _, err := c.GetObjectCtx(context.Background(), keyN(100+k), func() (any, error) { return k, nil }); err != nil {
 					t.Errorf("object: %v", err)
 					return
 				}
@@ -419,7 +419,7 @@ func TestSharedDirTwoInstancesConcurrent(t *testing.T) {
 			go func(c *Cache) {
 				defer wg.Done()
 				for n := 0; n < keys; n++ {
-					got, err := c.GetBytes(keyN(n), func() ([]byte, error) {
+					got, err := c.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) {
 						return value(n), nil
 					})
 					if err != nil {
@@ -449,7 +449,7 @@ func TestSharedDirTwoInstancesConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < keys; n++ {
-		got, err := c3.GetBytes(keyN(n), func() ([]byte, error) {
+		got, err := c3.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) {
 			return nil, errors.New("must not recompute: entry should be on disk")
 		})
 		if err != nil || !bytes.Equal(got, value(n)) {
@@ -470,7 +470,7 @@ func TestPruneOldestFirst(t *testing.T) {
 	// three 1KiB-payload entries with distinct mtimes, oldest first
 	var paths []string
 	for n := 0; n < 3; n++ {
-		if _, err := c.GetBytes(keyN(n), func() ([]byte, error) {
+		if _, err := c.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) {
 			return bytes.Repeat([]byte{byte(n)}, 1024), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -516,7 +516,7 @@ func TestPruneOldestFirst(t *testing.T) {
 	if err := c2.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.GetBytes(keyN(0), func() ([]byte, error) {
+	if _, err := c2.GetBytesCtx(context.Background(), keyN(0), func() ([]byte, error) {
 		return []byte("recomputed"), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -560,7 +560,7 @@ func TestCtxWaiterCancelled(t *testing.T) {
 	computing := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		c.GetBytes(keyN(1), func() ([]byte, error) {
+		c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 			close(computing)
 			<-release
 			return []byte("slow"), nil
@@ -586,7 +586,7 @@ func TestCtxWaiterCancelled(t *testing.T) {
 	}
 	close(release)
 	// the owner's value is memoized normally
-	v, err := c.GetBytes(keyN(1), func() ([]byte, error) {
+	v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 		return nil, errors.New("must be memoized")
 	})
 	if err != nil || string(v) != "slow" {
@@ -609,7 +609,7 @@ func TestCtxErrorNotMemoized(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	v, err := c.GetBytes(keyN(1), func() ([]byte, error) {
+	v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 		return []byte("fresh"), nil
 	})
 	if err != nil || string(v) != "fresh" {
@@ -617,8 +617,8 @@ func TestCtxErrorNotMemoized(t *testing.T) {
 	}
 	// real errors stay memoized (the existing contract)
 	boom := errors.New("boom")
-	c.GetBytes(keyN(2), func() ([]byte, error) { return nil, boom })
-	_, err = c.GetBytes(keyN(2), func() ([]byte, error) {
+	c.GetBytesCtx(context.Background(), keyN(2), func() ([]byte, error) { return nil, boom })
+	_, err = c.GetBytesCtx(context.Background(), keyN(2), func() ([]byte, error) {
 		return nil, errors.New("must not recompute")
 	})
 	if !errors.Is(err, boom) {
@@ -634,7 +634,7 @@ func TestPanicDoesNotDeadlockWaiters(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		defer func() { recover() }()
-		c.GetBytes(keyN(1), func() ([]byte, error) {
+		c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 			close(started)
 			// give the waiter time to block on ready
 			time.Sleep(50 * time.Millisecond)
@@ -645,7 +645,7 @@ func TestPanicDoesNotDeadlockWaiters(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v, err := c.GetBytes(keyN(1), func() ([]byte, error) {
+		v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
 			return []byte("recovered"), nil
 		})
 		if err != nil || string(v) != "recovered" {
@@ -675,7 +675,7 @@ func TestPruneConcurrentReaders(t *testing.T) {
 	}
 	var total int64
 	for i := 0; i < nkeys; i++ {
-		v, err := seed.GetBytes(keyN(i), func() ([]byte, error) { return value(i), nil })
+		v, err := seed.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) { return value(i), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -721,7 +721,7 @@ func TestPruneConcurrentReaders(t *testing.T) {
 			for iter := 0; iter < 50; iter++ {
 				for i := 0; i < nkeys; i++ {
 					i := i
-					v, err := c.GetBytes(keyN(i), func() ([]byte, error) { return value(i), nil })
+					v, err := c.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) { return value(i), nil })
 					if err != nil {
 						t.Errorf("get key %d: %v", i, err)
 						return
@@ -750,7 +750,7 @@ func TestPruneConcurrentReaders(t *testing.T) {
 	}
 	for i := 0; i < nkeys; i++ {
 		i := i
-		v, err := final.GetBytes(keyN(i), func() ([]byte, error) { return value(i), nil })
+		v, err := final.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) { return value(i), nil })
 		if err != nil || !bytes.Equal(v, value(i)) {
 			t.Fatalf("final read key %d: %q, %v", i, v, err)
 		}
@@ -772,7 +772,7 @@ func TestPruneGenerousBudgetLosesNothing(t *testing.T) {
 	const nkeys = 16
 	for i := 0; i < nkeys; i++ {
 		i := i
-		if _, err := c.GetBytes(keyN(i), func() ([]byte, error) { return []byte(fmt.Sprintf("v%d", i)), nil }); err != nil {
+		if _, err := c.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) { return []byte(fmt.Sprintf("v%d", i)), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -799,7 +799,7 @@ func TestPruneGenerousBudgetLosesNothing(t *testing.T) {
 	}
 	for iter := 0; iter < 30; iter++ {
 		for i := 0; i < nkeys; i++ {
-			v, err := reader.GetBytes(keyN(i), func() ([]byte, error) {
+			v, err := reader.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) {
 				return nil, fmt.Errorf("entry %d lost under generous budget", i)
 			})
 			if err != nil {
@@ -827,7 +827,7 @@ func TestDiskHitRefreshesMtime(t *testing.T) {
 	hot, cold := keyN(1), keyN(2)
 	for _, k := range []Key{hot, cold} {
 		k := k
-		if _, err := c.GetBytes(k, func() ([]byte, error) { return []byte("xxxxxxxx"), nil }); err != nil {
+		if _, err := c.GetBytesCtx(context.Background(), k, func() ([]byte, error) { return []byte("xxxxxxxx"), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -840,7 +840,7 @@ func TestDiskHitRefreshesMtime(t *testing.T) {
 		}
 	}
 	c.Reset()
-	if _, err := c.GetBytes(hot, func() ([]byte, error) { return nil, fmt.Errorf("lost") }); err != nil {
+	if _, err := c.GetBytesCtx(context.Background(), hot, func() ([]byte, error) { return nil, fmt.Errorf("lost") }); err != nil {
 		t.Fatal(err)
 	}
 	// Prune to a budget that keeps exactly one entry: the cold one goes.

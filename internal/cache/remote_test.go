@@ -113,7 +113,7 @@ func TestRemoteTierHitSkipsComputeAndFillsDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetRemote(remote)
-	v, err := c.GetBytes(key, func() ([]byte, error) {
+	v, err := c.GetBytesCtx(context.Background(), key, func() ([]byte, error) {
 		t.Fatal("compute must not run on a remote hit")
 		return nil, nil
 	})
@@ -131,7 +131,7 @@ func TestRemoteTierHitSkipsComputeAndFillsDisk(t *testing.T) {
 	if err := c2.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	v, err = c2.GetBytes(key, func() ([]byte, error) {
+	v, err = c2.GetBytesCtx(context.Background(), key, func() ([]byte, error) {
 		t.Fatal("compute must not run on a disk hit")
 		return nil, nil
 	})
@@ -145,7 +145,7 @@ func TestRemoteTierMissComputesAndPuts(t *testing.T) {
 	c := New(0)
 	c.SetRemote(remote)
 	key := keyN(2)
-	v, err := c.GetBytes(key, func() ([]byte, error) { return []byte("computed"), nil })
+	v, err := c.GetBytesCtx(context.Background(), key, func() ([]byte, error) { return []byte("computed"), nil })
 	if err != nil || string(v) != "computed" {
 		t.Fatalf("get: %q, %v", v, err)
 	}
@@ -157,7 +157,7 @@ func TestRemoteTierMissComputesAndPuts(t *testing.T) {
 		t.Fatalf("computed value not pushed to remote: %q", remote.store[key])
 	}
 	// Memory hit on re-lookup: the remote is not consulted again.
-	if _, err := c.GetBytes(key, func() ([]byte, error) { return nil, nil }); err != nil {
+	if _, err := c.GetBytesCtx(context.Background(), key, func() ([]byte, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if remote.gets != 1 {
@@ -169,7 +169,7 @@ func TestRemoteTierErrorsNotPushed(t *testing.T) {
 	remote := newFakeRemote()
 	c := New(0)
 	c.SetRemote(remote)
-	_, err := c.GetBytes(keyN(3), func() ([]byte, error) { return nil, fmt.Errorf("boom") })
+	_, err := c.GetBytesCtx(context.Background(), keyN(3), func() ([]byte, error) { return nil, fmt.Errorf("boom") })
 	if err == nil {
 		t.Fatal("want compute error")
 	}
@@ -184,7 +184,7 @@ func TestDisabledCacheSkipsRemote(t *testing.T) {
 	c := New(0)
 	c.SetRemote(remote)
 	c.SetEnabled(false)
-	v, err := c.GetBytes(keyN(4), func() ([]byte, error) { return []byte("local"), nil })
+	v, err := c.GetBytesCtx(context.Background(), keyN(4), func() ([]byte, error) { return []byte("local"), nil })
 	if err != nil || string(v) != "local" {
 		t.Fatalf("get: %q, %v", v, err)
 	}
@@ -200,10 +200,10 @@ func TestPeekBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	memKey, diskKey, missKey := keyN(1), keyN(2), keyN(3)
-	if _, err := c.GetBytes(memKey, func() ([]byte, error) { return []byte("in memory"), nil }); err != nil {
+	if _, err := c.GetBytesCtx(context.Background(), memKey, func() ([]byte, error) { return []byte("in memory"), nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetBytes(diskKey, func() ([]byte, error) { return []byte("on disk"), nil }); err != nil {
+	if _, err := c.GetBytesCtx(context.Background(), diskKey, func() ([]byte, error) { return []byte("on disk"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	c.Reset() // diskKey now reachable only via disk
@@ -238,7 +238,7 @@ func TestPutBytes(t *testing.T) {
 	}
 	key := keyN(1)
 	c.PutBytes(key, []byte("pushed"))
-	v, err := c.GetBytes(key, func() ([]byte, error) {
+	v, err := c.GetBytesCtx(context.Background(), key, func() ([]byte, error) {
 		t.Fatal("compute must not run after PutBytes")
 		return nil, nil
 	})
@@ -367,7 +367,7 @@ func TestPeerRemoteDownPeerDegradesToMiss(t *testing.T) {
 	// And through the cache: the compute path still works.
 	c := New(0)
 	c.SetRemote(remote)
-	v, err := c.GetBytes(keyN(1), func() ([]byte, error) { return []byte("local"), nil })
+	v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { return []byte("local"), nil })
 	if err != nil || string(v) != "local" {
 		t.Fatalf("get with down remote: %q, %v", v, err)
 	}

@@ -14,15 +14,9 @@ import (
 	"repro/internal/par"
 )
 
-// Lower compiles a program. The IR must be out of SSA form (versions are
-// ignored; each symbol is one register). Functions lower concurrently on
-// every core; use LowerWorkers to bound or serialize.
-func Lower(prog *ir.Program) (*machine.Program, error) {
-	return LowerWorkers(prog, 0)
-}
-
 // LowerWorkers compiles a program with at most workers functions lowering
-// concurrently (0 = all cores, 1 = serial). Each function's code depends
+// concurrently (0 = all cores, 1 = serial). The IR must be out of SSA
+// form (versions are ignored; each symbol is one register). Each function's code depends
 // only on that function's IR, so the emitted program is identical at
 // every worker count.
 func LowerWorkers(prog *ir.Program, workers int) (*machine.Program, error) {

@@ -18,7 +18,7 @@ func lower(t *testing.T, src string) *machine.Program {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	mp, err := Lower(prog)
+	mp, err := LowerWorkers(prog, 0)
 	if err != nil {
 		t.Fatalf("codegen: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestSpecFlagsBecomeSpeculativeOpcodes(t *testing.T) {
 			LoadsFrom: ir.IntType, Spec: ir.SpecFlags{AdvLoad: true, SpecLoad: true}},
 	}
 	b.Term = ir.Term{Kind: ir.TermRet, Val: &ir.Ref{Sym: t1}}
-	mp, err := Lower(prog)
+	mp, err := LowerWorkers(prog, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestALATRegisterPairing(t *testing.T) {
 			LoadsFrom: ir.IntType, Spec: ir.SpecFlags{CheckLoad: true}},
 	}
 	b.Term = ir.Term{Kind: ir.TermRet, Val: &ir.Ref{Sym: tsym}}
-	mp, err := Lower(prog)
+	mp, err := LowerWorkers(prog, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSelfCopyElided(t *testing.T) {
 		&ir.Assign{Dst: &ir.Ref{Sym: x}, RK: ir.RHSCopy, A: &ir.Ref{Sym: x}}, // self copy
 	}
 	b.Term = ir.Term{Kind: ir.TermRet, Val: &ir.Ref{Sym: x}}
-	mp, err := Lower(prog)
+	mp, err := LowerWorkers(prog, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/par"
 )
 
-// Schedule performs latency-driven list scheduling inside each basic block
+// ScheduleWorkers performs latency-driven list scheduling inside each basic block
 // of an (out-of-SSA) function — the "instruction scheduling" client of the
 // paper's Fig. 3. Loads are issued as early as their dependences allow so
 // that their latency overlaps with independent work; the pipelined VM
@@ -19,11 +19,8 @@ import (
 // higher level by speculative PRE, which removes or hoists the loads
 // outright). Calls and prints are full barriers. Register dependences
 // (flow, anti, output) are honoured exactly.
-func Schedule(prog *ir.Program) {
-	ScheduleWorkers(prog, 0)
-}
-
-// ScheduleWorkers schedules with at most workers functions in flight
+//
+// It schedules with at most workers functions in flight
 // (0 = all cores, 1 = serial). Scheduling touches only the function's own
 // blocks, so the result is independent of the worker count.
 func ScheduleWorkers(prog *ir.Program, workers int) {

@@ -21,14 +21,14 @@ func compileSched(t *testing.T, src string, sched bool) *machine.Program {
 		t.Fatalf("lower: %v", err)
 	}
 	if sched {
-		Schedule(prog)
+		ScheduleWorkers(prog, 0)
 		for _, fn := range prog.Funcs {
 			if err := ir.Verify(fn); err != nil {
 				t.Fatalf("scheduler broke the IR: %v", err)
 			}
 		}
 	}
-	mp, err := Lower(prog)
+	mp, err := LowerWorkers(prog, 0)
 	if err != nil {
 		t.Fatalf("codegen: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestScheduleManyBlocksStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		Schedule(prog)
+		ScheduleWorkers(prog, 0)
 		s := fmt.Sprint(prog)
 		if trial == 0 {
 			f1 = s

@@ -119,23 +119,6 @@ func AliasProb(count, total uint64) float64 {
 	return float64(count) / float64(total)
 }
 
-// AssignFlags walks every chi/mu list in the program and sets the Spec
-// flags according to the mode, using the default machine model's policy
-// for ModeCost. For ModeProfile and ModeCost, prof supplies the LOC
-// multisets collected by the alias-profiling interpreter run; profiled
-// LOCs that the compile-time lists miss are added as flagged entries (the
-// paper's "if any member of its profiled LOC set is not in its chi list,
-// add the member using chi_s").
-func AssignFlags(prog *ir.Program, ar *alias.Result, prof *profile.Profile, mode Mode) {
-	AssignFlagsPolicy(prog, ar, prof, mode, DefaultPolicy())
-}
-
-// AssignFlagsPolicy is AssignFlags with an explicit expected-cost policy
-// (consulted only by ModeCost).
-func AssignFlagsPolicy(prog *ir.Program, ar *alias.Result, prof *profile.Profile, mode Mode, pol Policy) {
-	AssignFlagsTiered(prog, ar, prof, mode, pol, nil)
-}
-
 // FnOverride re-tiers one function: its chi/mu flags are assigned under
 // its own mode and policy instead of the program-wide ones. This is the
 // compile-side half of adaptive tiering — flag assignment is purely a
@@ -148,8 +131,15 @@ type FnOverride struct {
 	Policy Policy
 }
 
-// AssignFlagsTiered is AssignFlagsPolicy with per-function overrides
-// (keyed by function name; functions absent from the map use the
+// AssignFlagsTiered walks every chi/mu list in the program and sets the
+// Spec flags according to the mode, using the expected-cost policy pol
+// for ModeCost (DefaultPolicy is the default machine model's). For
+// ModeProfile and ModeCost, prof supplies the LOC multisets collected by
+// the alias-profiling interpreter run; profiled LOCs that the
+// compile-time lists miss are added as flagged entries (the paper's "if
+// any member of its profiled LOC set is not in its chi list, add the
+// member using chi_s"). overrides re-tier single functions (keyed by
+// function name; functions absent from the map, or a nil map, use the
 // program-wide mode and policy).
 func AssignFlagsTiered(prog *ir.Program, ar *alias.Result, prof *profile.Profile, mode Mode, pol Policy, overrides map[string]FnOverride) {
 	for _, f := range prog.Funcs {
@@ -225,7 +215,7 @@ func assignFlagsFunc(f *ir.Func, ar *alias.Result, prof *profile.Profile, mode M
 	}
 }
 
-// LocsFor fetches the profiled LOC set AssignFlags consults for a
+// LocsFor fetches the profiled LOC set AssignFlagsTiered consults for a
 // reference site (nil when no profile applies). Exported for the
 // speculation-soundness checker (internal/specheck), which re-derives the
 // expected flag of every chi/mu and compares it against what the pipeline
@@ -234,14 +224,14 @@ func LocsFor(prof *profile.Profile, mode Mode, site int, isStore bool) profile.L
 	return locsFor(prof, mode, site, isStore)
 }
 
-// SiteTotalFor fetches the site-execution total AssignFlags consults for
+// SiteTotalFor fetches the site-execution total AssignFlagsTiered consults for
 // a reference site (0 unless ModeCost with a counted profile). Exported
 // for internal/specheck (see LocsFor).
 func SiteTotalFor(prof *profile.Profile, mode Mode, site int) uint64 {
 	return siteTotal(prof, mode, site)
 }
 
-// SymFlag reports the speculation flag AssignFlags would give one chi/mu
+// SymFlag reports the speculation flag AssignFlagsTiered would give one chi/mu
 // symbol at a site with the given profiled LOC set, execution total and
 // policy (the latter two consulted only by ModeCost; fp selects the
 // floating-point cost terms). Exported for internal/specheck (see

@@ -34,13 +34,13 @@ func TestPolicySpeculateBreakEven(t *testing.T) {
 		fp   bool
 		want bool
 	}{
-		{0, false, true},            // nothing ever aliased: always worth it
-		{0.1, false, true},          // below 1/7
-		{0.15, false, false},        // just past the 1/7 break-even
-		{0.5, false, false},         // coin flip never pays at 1-vs-6
-		{1, false, false},           // certain alias: never speculate
-		{0.3, true, true},           // fp saves 8, below 8/21 ≈ 0.38
-		{0.5, true, false},          // above the fp break-even
+		{0, false, true},     // nothing ever aliased: always worth it
+		{0.1, false, true},   // below 1/7
+		{0.15, false, false}, // just past the 1/7 break-even
+		{0.5, false, false},  // coin flip never pays at 1-vs-6
+		{1, false, false},    // certain alias: never speculate
+		{0.3, true, true},    // fp saves 8, below 8/21 ≈ 0.38
+		{0.5, true, false},   // above the fp break-even
 		{0, true, true},
 		{1, true, false},
 	}
@@ -83,9 +83,9 @@ func TestAliasProb(t *testing.T) {
 		count, total uint64
 		want         float64
 	}{
-		{0, 0, 0},    // v1 profile, never observed
-		{5, 0, 1},    // v1 profile, observed: set semantics
-		{0, 100, 0},  // counted, never observed
+		{0, 0, 0},   // v1 profile, never observed
+		{5, 0, 1},   // v1 profile, observed: set semantics
+		{0, 100, 0}, // counted, never observed
 		{25, 100, 0.25},
 		{100, 100, 1},
 		{250, 100, 1}, // call sites can touch a LOC many times per call
@@ -135,7 +135,7 @@ func TestCostModeFlagsByProbability(t *testing.T) {
 					}
 				}
 			}
-			AssignFlagsPolicy(prog, ar, prof, ModeCost, PolicyFor(machine.Config{}, c.threshold))
+			AssignFlagsTiered(prog, ar, prof, ModeCost, PolicyFor(machine.Config{}, c.threshold), nil)
 			checked := false
 			for _, blk := range main.Blocks {
 				for _, st := range blk.Stmts {
@@ -180,7 +180,7 @@ func TestCostModeDegradesToSetSemantics(t *testing.T) {
 				}
 			}
 		}
-		AssignFlags(prog, ar, prof, mode)
+		AssignFlagsTiered(prog, ar, prof, mode, DefaultPolicy(), nil)
 		var out string
 		for _, blk := range main.Blocks {
 			for _, st := range blk.Stmts {
@@ -249,7 +249,7 @@ int main() {
 		t.Fatal("fused load's store side got no chi: the Assign arms must be independent, not exclusive")
 	}
 
-	AssignFlags(prog, ar, nil, ModeNone)
+	AssignFlagsTiered(prog, ar, nil, ModeNone, DefaultPolicy(), nil)
 	for _, chi := range load.Chis {
 		if !chi.Spec {
 			t.Errorf("ModeNone left the store-side chi on %s weak", chi.Sym.Name)
@@ -260,7 +260,7 @@ int main() {
 			t.Errorf("ModeNone left mu on %s weak", mu.Sym.Name)
 		}
 	}
-	AssignFlags(prog, ar, profile.New(), ModeProfile)
+	AssignFlagsTiered(prog, ar, profile.New(), ModeProfile, DefaultPolicy(), nil)
 	for _, chi := range load.Chis {
 		if chi.Spec {
 			t.Errorf("ModeProfile must keep the direct-store summary chi on %s weak", chi.Sym.Name)
@@ -285,6 +285,6 @@ func lowerOnly(t *testing.T, src string) *ir.Program {
 
 func analyzeAnnotate(prog *ir.Program) *alias.Result {
 	ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-	ar.Annotate(prog)
+	ar.AnnotateWorkers(prog, 0)
 	return ar
 }

@@ -25,8 +25,8 @@ func TestSSAInvariantsOnWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-			ar.Annotate(prog)
-			AssignFlags(prog, ar, nil, ModeHeuristic)
+			ar.AnnotateWorkers(prog, 0)
+			AssignFlagsTiered(prog, ar, nil, ModeHeuristic, DefaultPolicy(), nil)
 			for _, fn := range prog.Funcs {
 				ssa := BuildSSA(fn, ar.FuncVirtuals[fn])
 				if err := ir.VerifySSA(fn); err != nil {
@@ -148,8 +148,8 @@ func TestSpecHomeMonotone(t *testing.T) {
 			t.Fatal(err)
 		}
 		ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-		ar.Annotate(prog)
-		AssignFlags(prog, ar, nil, ModeHeuristic)
+		ar.AnnotateWorkers(prog, 0)
+		AssignFlagsTiered(prog, ar, nil, ModeHeuristic, DefaultPolicy(), nil)
 		for _, fn := range prog.Funcs {
 			ssa := BuildSSA(fn, ar.FuncVirtuals[fn])
 			keys := ir.SyntaxKeys(fn)

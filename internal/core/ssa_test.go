@@ -24,7 +24,7 @@ func build(t *testing.T, src string, mode Mode, args []int64) (*ir.Program, *ali
 		t.Fatalf("lower: %v", err)
 	}
 	ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-	ar.Annotate(prog)
+	ar.AnnotateWorkers(prog, 0)
 	var prof *profile.Profile
 	if mode == ModeProfile {
 		prof = profile.New()
@@ -32,7 +32,7 @@ func build(t *testing.T, src string, mode Mode, args []int64) (*ir.Program, *ali
 			t.Fatalf("profiling run: %v", err)
 		}
 	}
-	AssignFlags(prog, ar, prof, mode)
+	AssignFlagsTiered(prog, ar, prof, mode, DefaultPolicy(), nil)
 	main := prog.FuncMap["main"]
 	ssa := BuildSSA(main, ar.FuncVirtuals[main])
 	if err := ir.VerifySSA(main); err != nil {
@@ -286,7 +286,7 @@ func buildRaw(t *testing.T, src string, mode Mode, args []int64) (*ir.Program, *
 		t.Fatalf("lower: %v", err)
 	}
 	ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-	ar.Annotate(prog)
+	ar.AnnotateWorkers(prog, 0)
 	var prof *profile.Profile
 	if mode == ModeProfile {
 		prof = profile.New()
@@ -294,7 +294,7 @@ func buildRaw(t *testing.T, src string, mode Mode, args []int64) (*ir.Program, *
 			t.Fatalf("profiling run: %v", err)
 		}
 	}
-	AssignFlags(prog, ar, prof, mode)
+	AssignFlagsTiered(prog, ar, prof, mode, DefaultPolicy(), nil)
 	return prog, ar, prof
 }
 
@@ -335,7 +335,7 @@ int main() {
 			}
 		}
 	}
-	AssignFlags(prog, ar, prof, ModeProfile)
+	AssignFlagsTiered(prog, ar, prof, ModeProfile, DefaultPolicy(), nil)
 	foundChi, foundMu := false, false
 	for _, blk := range main.Blocks {
 		for _, st := range blk.Stmts {

@@ -41,8 +41,8 @@ type AdaptiveTransition struct {
 	To    string `json:"to"`
 }
 
-// SpeedupCell wraps a speedup ratio in the object shape benchguard's
-// speedup guard extracts from top-level JSON entries.
+// SpeedupCell wraps a speedup ratio in a top-level JSON object, the
+// shape every BENCH_*.json file uses for its headline ratios.
 type SpeedupCell struct {
 	Speedup float64 `json:"speedup"`
 }
@@ -196,7 +196,8 @@ func RunAdaptiveCtx(ctx context.Context, workers int) (*AdaptiveResult, error) {
 }
 
 // MarshalAdaptive renders the result as canonical indented JSON (the
-// BENCH_adaptive.json artifact benchguard diffs).
+// BENCH_adaptive.json artifact CI diffs byte for byte against a fresh
+// run).
 func MarshalAdaptive(res *AdaptiveResult) ([]byte, error) {
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {

@@ -58,7 +58,7 @@ func TestAdaptiveExperiment(t *testing.T) {
 }
 
 // TestAdaptiveDeterministic pins the BENCH_adaptive.json bytes: two
-// full runs must marshal identically, or benchguard's diff against the
+// full runs must marshal identically, or CI's exact diff against the
 // committed baseline is meaningless.
 func TestAdaptiveDeterministic(t *testing.T) {
 	a, err := RunAdaptiveCtx(context.Background(), 0)
@@ -98,7 +98,7 @@ func TestRetieredFunctionsPassSpecheck(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := repro.Compile(w.Src, cfg)
+		c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 		if err != nil {
 			t.Errorf("tier %s: specheck rejected the re-tiered build: %v", tier, err)
 			continue

@@ -155,23 +155,13 @@ func (r Row) HeurLoadReduction() float64 {
 	return 1 - float64(r.HeurLoads)/float64(r.BaseLoads)
 }
 
-// RunAll measures every workload under base (SpecOff), profile-guided and
-// heuristic speculation, plus the Fig. 12 limit methods. Workloads run
-// concurrently on every core; use RunAllWorkers to bound or serialize.
-func RunAll() ([]Row, error) {
-	return RunAllWorkers(0)
-}
-
-// RunAllWorkers runs the sweep with at most workers workloads in flight
-// (0 = all cores, 1 = the serial oracle). The same worker bound is
-// threaded into each workload's config sweep and from there into every
-// compilation, so workers=1 reproduces the fully serial engine.
-func RunAllWorkers(workers int) ([]Row, error) {
-	return RunAllCtx(context.Background(), workers)
-}
-
-// RunAllCtx is RunAllWorkers with cancellation threaded through the
-// workload fan-out and every compilation under it.
+// RunAllCtx measures every workload under base (SpecOff), profile-guided
+// and heuristic speculation, plus the Fig. 12 limit methods, with at most
+// workers workloads in flight (0 = all cores, 1 = the serial oracle). The
+// same worker bound is threaded into each workload's config sweep and
+// from there into every compilation, so workers=1 reproduces the fully
+// serial engine. Cancellation is threaded through the workload fan-out
+// and every compilation under it.
 func RunAllCtx(ctx context.Context, workers int) ([]Row, error) {
 	ws := workloads.All()
 	rows := make([]Row, len(ws))
@@ -189,22 +179,12 @@ func RunAllCtx(ctx context.Context, workers int) ([]Row, error) {
 	return rows, nil
 }
 
-// RunOne measures a single workload, fanning its config variants out over
-// every core.
-func RunOne(w workloads.Workload) (Row, error) {
-	return RunOneWorkers(w, 0)
-}
-
-// RunOneWorkers measures a single workload with at most workers config
-// variants compiling concurrently. Every variant re-compiles the same
-// source, so all of them after the first hit the frontend compilation
-// cache and pay only for their own optimization pipeline.
-func RunOneWorkers(w workloads.Workload, workers int) (Row, error) {
-	return RunOneCtx(context.Background(), w, workers)
-}
-
-// RunOneCtx is RunOneWorkers with cancellation threaded through the
-// variant fan-out, each compilation, and each run.
+// RunOneCtx measures a single workload with at most workers config
+// variants compiling concurrently (0 = all cores). Every variant
+// re-compiles the same source, so all of them after the first hit the
+// frontend compilation cache and pay only for their own optimization
+// pipeline. Cancellation is threaded through the variant fan-out, each
+// compilation, and each run.
 func RunOneCtx(ctx context.Context, w workloads.Workload, workers int) (Row, error) {
 	row := Row{Name: w.Name}
 
@@ -222,7 +202,7 @@ func RunOneCtx(ctx context.Context, w workloads.Workload, workers int) (Row, err
 		if i == len(variants) {
 			// sharded by equivalence class; identical totals at any
 			// worker count, so the report bytes stay stable
-			sim, err := repro.ReuseLimitWorkersCtx(ctx, w.Src, w.RefArgs, workers)
+			sim, err := repro.ReuseLimitCtx(ctx, w.Src, w.RefArgs, workers)
 			if err != nil {
 				return err
 			}
@@ -272,23 +252,13 @@ type Smvp struct {
 	ManualSpeedup float64 // aggressive no-check bound vs base ("manually tuned")
 }
 
-// RunSmvp reproduces the §5.1 case study on the equake kernel: the
+// RunSmvpCtx reproduces the §5.1 case study on the equake kernel: the
 // fraction of load operations converted to checks, the speedup of
 // speculative promotion, and the upper bound of a manually tuned version
 // that promotes without any check instructions (compiled with
 // AggressivePromotion and zero-cost checks — the paper's hand-allocated
-// registers).
-func RunSmvp() (Smvp, error) {
-	return RunSmvpWorkers(0)
-}
-
-// RunSmvpWorkers runs the §5.1 case study with at most workers variants
-// compiling concurrently; the bound is threaded into each compilation.
-func RunSmvpWorkers(workers int) (Smvp, error) {
-	return RunSmvpCtx(context.Background(), workers)
-}
-
-// RunSmvpCtx is RunSmvpWorkers with cancellation.
+// registers). At most workers variants compile concurrently; the bound
+// is threaded into each compilation.
 func RunSmvpCtx(ctx context.Context, workers int) (Smvp, error) {
 	w, ok := workloads.ByName("equake")
 	if !ok {
@@ -384,22 +354,18 @@ func PrintSmvp(w io.Writer, s Smvp) {
 	fmt.Fprintf(w, "  manual no-check bound:     %.1f%% (paper: 14%%)\n", s.ManualSpeedup*100)
 }
 
-// Report runs everything and renders all tables.
-func Report(w io.Writer) error {
-	return ReportWorkers(w, 0)
-}
-
-// ReportWorkers renders the full report with the given worker bound
-// threaded through every study; the rendered bytes are identical at any
-// worker count and with the compilation cache cold, warm, or disabled.
-func ReportWorkers(w io.Writer, workers int) error {
-	s, err := RunSmvpWorkers(workers)
+// ReportCtx runs everything and renders all tables, with the given
+// worker bound threaded through every study; the rendered bytes are
+// identical at any worker count and with the compilation cache cold,
+// warm, or disabled.
+func ReportCtx(ctx context.Context, w io.Writer, workers int) error {
+	s, err := RunSmvpCtx(ctx, workers)
 	if err != nil {
 		return err
 	}
 	PrintSmvp(w, s)
 	fmt.Fprintln(w)
-	rows, err := RunAllWorkers(workers)
+	rows, err := RunAllCtx(ctx, workers)
 	if err != nil {
 		return err
 	}
@@ -411,7 +377,7 @@ func ReportWorkers(w io.Writer, workers int) error {
 	fmt.Fprintln(w)
 	PrintHeuristic(w, rows)
 	fmt.Fprintln(w)
-	sens, err := RunSensitivityWorkers(workers)
+	sens, err := RunSensitivityCtx(ctx, workers)
 	if err != nil {
 		return err
 	}
@@ -446,21 +412,11 @@ type Sensitivity struct {
 	MatchedLoadReduction  float64
 }
 
-// RunSensitivity measures the input-sensitivity table on kernels that
+// RunSensitivityCtx measures the input-sensitivity table on kernels that
 // have input-dependent aliasing (gzip and mcf carry rare aliasing stores
-// that small training inputs never execute).
-func RunSensitivity() ([]Sensitivity, error) {
-	return RunSensitivityWorkers(0)
-}
-
-// RunSensitivityWorkers runs the sensitivity study with at most workers
+// that small training inputs never execute), with at most workers
 // kernels (and, within each kernel, compilations) in flight; the bound
 // is threaded into every compilation, so workers=1 is the serial oracle.
-func RunSensitivityWorkers(workers int) ([]Sensitivity, error) {
-	return RunSensitivityCtx(context.Background(), workers)
-}
-
-// RunSensitivityCtx is RunSensitivityWorkers with cancellation.
 func RunSensitivityCtx(ctx context.Context, workers int) ([]Sensitivity, error) {
 	names := []string{"gzip", "mcf", "equake"}
 	rows := make([]Sensitivity, len(names))
@@ -561,25 +517,14 @@ type MachinePoint struct {
 	Evictions    int64
 }
 
-// RunMachineSweep measures the profile-guided speculative build of one
-// workload under every MachineSweepConfigs point, fanning the
-// re-timings out over every core.
-func RunMachineSweep(name string) ([]MachinePoint, error) {
-	return RunMachineSweepWorkers(name, 0)
-}
-
-// RunMachineSweepWorkers is RunMachineSweep with a worker bound. The
+// RunMachineSweepCtx measures the profile-guided speculative build of
+// one workload under every point of cfgs (nil = MachineSweepConfigs),
+// with at most workers re-timings in flight (0 = all cores). The
 // compiled program executes functionally once; each grid point is a
-// trace replay sharing the recording read-only (or a direct run when
-// tracing is disabled — the results are identical either way).
-func RunMachineSweepWorkers(name string, workers int) ([]MachinePoint, error) {
-	return RunMachineSweepCtx(context.Background(), name, nil, workers)
-}
-
-// RunMachineSweepCtx is the cancellable machine sweep: cfgs selects the
-// grid (nil = MachineSweepConfigs), and ctx is threaded through the
-// compilation, the one functional recording, and the per-point replay
-// fan-out, so cancelling a sweep stops claiming grid points promptly.
+// trace replay sharing the recording read-only. ctx is threaded through
+// the compilation, the one functional recording, and the per-point
+// replay fan-out, so cancelling a sweep stops claiming grid points
+// promptly.
 func RunMachineSweepCtx(ctx context.Context, name string, cfgs []machine.Config, workers int) ([]MachinePoint, error) {
 	w, ok := workloads.Resolve(name)
 	if !ok {

@@ -25,7 +25,7 @@ func TestPaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep")
 	}
-	rows, err := RunAll()
+	rows, err := RunAllCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPaperShape(t *testing.T) {
 }
 
 func TestSmvpShape(t *testing.T) {
-	s, err := RunSmvp()
+	s, err := RunSmvpCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReportRendersAllTables(t *testing.T) {
 		t.Skip("full sweep")
 	}
 	var sb strings.Builder
-	if err := Report(&sb); err != nil {
+	if err := ReportCtx(context.Background(), &sb, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -145,7 +145,7 @@ func TestReportRendersAllTables(t *testing.T) {
 }
 
 func TestInputSensitivityShape(t *testing.T) {
-	rows, err := RunSensitivity()
+	rows, err := RunSensitivityCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,9 +152,9 @@ func RunHardenCtx(ctx context.Context, workers int) (*HardenResult, error) {
 // (BENCH_harden.json). Besides the rows, every workload contributes
 // "<name>_fence" and "<name>_hoist" top-level cells holding the
 // leaky-over-hardened serial cycle ratio in the object-with-"speedup"
-// shape benchguard's sweep guard reads: 1.0 means free hardening, lower
-// means overhead, and a drop beyond the margin (the pass got more
-// expensive) fails CI.
+// shape (SpeedupCell): 1.0 means free hardening, lower means overhead.
+// The bytes are deterministic, so CI diffs a fresh run against the
+// committed file exactly.
 func MarshalHarden(res *HardenResult) ([]byte, error) {
 	doc := map[string]any{
 		"rows":          res.Rows,

@@ -14,7 +14,7 @@ package experiments
 // Most θ values collapse to identical machine code (the policy is a
 // step function of the per-site probabilities), so the sweep dedupes
 // compilations by code fingerprint and pays one evaluation per distinct
-// build through the record-and-replay trace path (Compilation.Evaluate),
+// build through the record-and-replay trace path (Build.EvaluateCtx),
 // not one per θ.
 
 import (
@@ -117,11 +117,6 @@ type ThresholdSweep struct {
 	// DistinctBuilds counts the compilations that produced unique machine
 	// code — the number of evaluations actually paid for.
 	DistinctBuilds int `json:"distinctBuilds"`
-}
-
-// RunThresholdSweep sweeps the default grid on one workload.
-func RunThresholdSweep(name string) (ThresholdSweep, error) {
-	return RunThresholdSweepCtx(context.Background(), name, nil, 0)
 }
 
 // RunThresholdSweepCtx sweeps the cost-model threshold on one workload:
@@ -231,12 +226,8 @@ func RunThresholdSweepCtx(ctx context.Context, name string, thresholds []float64
 // case study, and the two kernels with input-dependent aliasing.
 func ThresholdSweepKernels() []string { return []string{"mixprob", "equake", "gzip", "mcf"} }
 
-// RunThresholdSweeps runs the sweep on every report kernel.
-func RunThresholdSweeps(workers int) ([]ThresholdSweep, error) {
-	return RunThresholdSweepsCtx(context.Background(), workers)
-}
-
-// RunThresholdSweepsCtx runs the report kernels' sweeps concurrently.
+// RunThresholdSweepsCtx runs the sweep on every report kernel,
+// concurrently.
 func RunThresholdSweepsCtx(ctx context.Context, workers int) ([]ThresholdSweep, error) {
 	names := ThresholdSweepKernels()
 	out := make([]ThresholdSweep, len(names))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ import (
 // the saved latency) and total refusal (the largest θ, which degrades
 // to the base build).
 func TestThresholdSweepTradeoff(t *testing.T) {
-	s, err := RunThresholdSweep("mixprob")
+	s, err := RunThresholdSweepCtx(context.Background(), "mixprob", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestThresholdSweepTradeoff(t *testing.T) {
 }
 
 func TestThresholdSweepRendering(t *testing.T) {
-	s, err := RunThresholdSweep("mixprob")
+	s, err := RunThresholdSweepCtx(context.Background(), "mixprob", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

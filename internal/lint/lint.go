@@ -6,11 +6,10 @@
 //     must not call context.Background() outside tests; every operation
 //     there runs under a request context with a deadline, and a
 //     background context silently opts out of cancellation;
-//   - missing-ctx-variant: an exported Run*/Compile*/Evaluate* entry
-//     point that does not itself take a context must have a ...Ctx
-//     sibling (a trailing Workers is stripped before the lookup, so
-//     RunAllWorkers pairs with RunAllCtx), keeping every long-running
-//     API cancellable;
+//   - ctx-param: an exported Run*/Compile*/Evaluate*/Report*/Collect*/
+//     ReuseLimit* function or method must take a context.Context as its
+//     first parameter, so every long-running API is cancellable through
+//     its one entry point (no context-free wrapper beside it);
 //   - test-only-import: packages that exist only to serve tests (the
 //     machine's reference oracle) must not be imported by any non-test
 //     file anywhere in the repository, so test scaffolding never becomes
@@ -50,16 +49,17 @@ type Config struct {
 	// NoContextBackground: non-test files in these package directories
 	// must not call context.Background().
 	NoContextBackground []string
-	// CtxVariant: exported Run*/Compile*/Evaluate* functions in these
-	// package directories must have a ...Ctx variant.
-	CtxVariant []string
+	// CtxParam: exported entry points (see entryPrefixes) in these
+	// package directories must take a context.Context first.
+	CtxParam []string
 	// TestOnlyImports: import paths that only _test.go files may
 	// import, checked in every package under the root.
 	TestOnlyImports []string
 }
 
-// entryPrefixes are the API families the ctx-variant rule covers.
-var entryPrefixes = []string{"Run", "Compile", "Evaluate"}
+// entryPrefixes are the long-running API families the ctx-param rule
+// covers.
+var entryPrefixes = []string{"Run", "Compile", "Evaluate", "Report", "Collect", "ReuseLimit"}
 
 // Run lints the configured directories under root and returns the
 // findings sorted by file and line.
@@ -72,8 +72,8 @@ func Run(root string, cfg Config) ([]Finding, error) {
 		}
 		findings = append(findings, fs...)
 	}
-	for _, dir := range cfg.CtxVariant {
-		fs, err := lintDir(root, dir, checkCtxVariants)
+	for _, dir := range cfg.CtxParam {
+		fs, err := lintDir(root, dir, checkCtxParam)
 		if err != nil {
 			return nil, err
 		}
@@ -146,86 +146,41 @@ func checkNoBackground(fset *token.FileSet, files map[string]*ast.File) []Findin
 	return out
 }
 
-// recvName returns the receiver's base type name ("" for plain funcs),
-// so methods pair with methods on the same type.
-func recvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
-// takesContext reports whether any parameter's type is context.Context.
-func takesContext(fd *ast.FuncDecl) bool {
-	if fd.Type.Params == nil {
+// firstParamIsContext reports whether fd's first parameter has type
+// context.Context.
+func firstParamIsContext(fd *ast.FuncDecl) bool {
+	if fd.Type.Params == nil || len(fd.Type.Params.List) == 0 {
 		return false
 	}
-	for _, p := range fd.Type.Params.List {
-		sel, ok := p.Type.(*ast.SelectorExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := sel.X.(*ast.Ident); ok && id.Name == "context" && sel.Sel.Name == "Context" {
-			return true
-		}
+	sel, ok := fd.Type.Params.List[0].Type.(*ast.SelectorExpr)
+	if !ok {
+		return false
 	}
-	return false
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == "context" && sel.Sel.Name == "Context"
 }
 
-// checkCtxVariants flags exported Run*/Compile*/Evaluate* declarations
-// with no context parameter and no ...Ctx sibling on the same receiver.
-func checkCtxVariants(fset *token.FileSet, files map[string]*ast.File) []Finding {
-	// one package: collect every function key first, then judge
-	decls := map[string]bool{} // "Recv.Name"
-	type entry struct {
-		file string
-		line int
-		recv string
-		name string
-	}
-	var candidates []entry
+// checkCtxParam flags exported entry-point functions and methods whose
+// first parameter is not a context.Context.
+func checkCtxParam(fset *token.FileSet, files map[string]*ast.File) []Finding {
+	var out []Finding
 	for rel, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			recv := recvName(fd)
-			name := fd.Name.Name
-			decls[recv+"."+name] = true
-			if !fd.Name.IsExported() || strings.HasSuffix(name, "Ctx") || takesContext(fd) {
+			if !ok || !fd.Name.IsExported() || firstParamIsContext(fd) {
 				continue
 			}
 			for _, prefix := range entryPrefixes {
-				if strings.HasPrefix(name, prefix) {
-					candidates = append(candidates, entry{rel, fset.Position(fd.Pos()).Line, recv, name})
+				if strings.HasPrefix(fd.Name.Name, prefix) {
+					out = append(out, Finding{
+						File: rel, Line: fset.Position(fd.Pos()).Line,
+						Rule: "ctx-param",
+						Msg:  fmt.Sprintf("exported entry point %s must take context.Context as its first parameter: long-running APIs must be cancellable", fd.Name.Name),
+					})
 					break
 				}
 			}
 		}
-	}
-	var out []Finding
-	for _, c := range candidates {
-		base := strings.TrimSuffix(c.name, "Workers")
-		if decls[c.recv+"."+c.name+"Ctx"] || decls[c.recv+"."+base+"Ctx"] {
-			continue
-		}
-		what := c.name
-		if c.recv != "" {
-			what = c.recv + "." + c.name
-		}
-		out = append(out, Finding{
-			File: c.file, Line: c.line,
-			Rule: "missing-ctx-variant",
-			Msg:  fmt.Sprintf("exported entry point %s has no %sCtx variant: long-running APIs must be cancellable", what, base),
-		})
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -10,14 +11,15 @@ import (
 // runs this test, so a convention break fails the build.
 var repoConfig = Config{
 	NoContextBackground: []string{"internal/server"},
-	CtxVariant:          []string{".", "internal/experiments"},
+	CtxParam:            []string{".", "internal/experiments"},
 	TestOnlyImports:     []string{"repro/internal/machine/oracle"},
 }
 
 // TestRepoIsClean lints the repository's own source. Zero findings is
-// the contract: every Run*/Compile*/Evaluate* entry point has a Ctx
-// variant, the server never detaches from the request context, and only
-// tests import the machine oracle.
+// the contract: every Run*/Compile*/Evaluate*/Report*/Collect*/
+// ReuseLimit* entry point takes a context first, the server never
+// detaches from the request context, and only tests import the machine
+// oracle.
 func TestRepoIsClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -45,8 +47,9 @@ func writeFixture(t *testing.T, dir, name, src string) {
 
 // TestRulesFire proves every rule actually detects its targets (a
 // linter that can't fail is worse than none) and that the documented
-// escapes — Ctx sibling, Workers-stripped sibling, direct ctx param,
-// test files, testdata — suppress them.
+// escapes — a leading ctx param, test files, testdata — suppress them.
+// A Ctx or Workers sibling is no escape: the context-free form itself
+// is the finding.
 func TestRulesFire(t *testing.T) {
 	root := t.TempDir()
 	writeFixture(t, filepath.Join(root, "srv"), "srv.go", `package srv
@@ -70,15 +73,15 @@ import "context"
 
 type T struct{}
 
-func RunBad() {}                                  // violation: no Ctx variant
-func (t *T) CompileBad() {}                       // violation: method, no Ctx variant
-func RunGood() {}                                 // ok: sibling below
-func RunGoodCtx(ctx context.Context) {}           // the sibling
-func RunPoolWorkers() {}                          // ok: Workers strips to RunPoolCtx
-func RunPoolCtx(ctx context.Context) {}           // the stripped sibling
-func EvaluateDirect(ctx context.Context) {}       // ok: takes ctx itself
+func RunX() {}                                    // violation: a Ctx sibling is no escape
+func RunXCtx(ctx context.Context) {}              // ok: ctx first
+func RunXWorkers(workers int) {}                  // violation: Workers form
+func (t *T) EvaluateX() {}                        // violation: method
+func CollectX(ctx context.Context) {}             // ok
+func ReportLate(w int, ctx context.Context) {}    // violation: ctx not first
+func EvaluateDirect(ctx context.Context, n int) {} // ok: takes ctx first
+func BuildsCompiled() uint64 { return 0 }         // ok: prefix not covered
 func runLower() {}                                // ok: unexported
-func Render() {}                                  // ok: prefix not covered
 `)
 
 	const oracle = `import _ "example.com/m/oracle"`
@@ -88,7 +91,7 @@ func Render() {}                                  // ok: prefix not covered
 
 	findings, err := Run(root, Config{
 		NoContextBackground: []string{"srv"},
-		CtxVariant:          []string{"api"},
+		CtxParam:            []string{"api"},
 		TestOnlyImports:     []string{"example.com/m/oracle"},
 	})
 	if err != nil {
@@ -97,12 +100,16 @@ func Render() {}                                  // ok: prefix not covered
 
 	want := map[string]string{
 		"no-context-background": filepath.Join("srv", "srv.go"),
-		"missing-ctx-variant":   filepath.Join("api", "api.go"),
+		"ctx-param":             filepath.Join("api", "api.go"),
 		"test-only-import":      filepath.Join("app", "deep", "app.go"),
 	}
 	got := map[string]int{}
+	var ctxLines []int
 	for _, f := range findings {
 		got[f.Rule]++
+		if f.Rule == "ctx-param" {
+			ctxLines = append(ctxLines, f.Line)
+		}
 		if wantFile, ok := want[f.Rule]; !ok || f.File != wantFile {
 			t.Errorf("unexpected finding: %s", f)
 		}
@@ -110,8 +117,9 @@ func Render() {}                                  // ok: prefix not covered
 	if got["no-context-background"] != 1 {
 		t.Errorf("no-context-background: got %d findings, want 1", got["no-context-background"])
 	}
-	if got["missing-ctx-variant"] != 2 {
-		t.Errorf("missing-ctx-variant: got %d findings, want 2", got["missing-ctx-variant"])
+	// RunX, RunXWorkers, (*T).EvaluateX and ReportLate, by fixture line
+	if want := []int{7, 9, 10, 12}; !reflect.DeepEqual(ctxLines, want) {
+		t.Errorf("ctx-param: flagged lines %v, want %v", ctxLines, want)
 	}
 	if got["test-only-import"] != 1 {
 		t.Errorf("test-only-import: got %d findings, want 1", got["test-only-import"])
@@ -121,7 +129,7 @@ func Render() {}                                  // ok: prefix not covered
 // TestMissingDir ensures a misconfigured directory is an error, not a
 // silent pass.
 func TestMissingDir(t *testing.T) {
-	if _, err := Run(t.TempDir(), Config{CtxVariant: []string{"nope"}}); err == nil {
+	if _, err := Run(t.TempDir(), Config{CtxParam: []string{"nope"}}); err == nil {
 		t.Fatal("want error for missing directory")
 	}
 }

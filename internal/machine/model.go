@@ -35,7 +35,7 @@ type Config struct {
 	// latencies) to an in-order scoreboard: one instruction issues per
 	// cycle and a consumer stalls until its operands' latencies have
 	// elapsed. Under this model latency-driven scheduling
-	// (codegen.Schedule) overlaps load latency with independent work.
+	// (codegen.ScheduleWorkers) overlaps load latency with independent work.
 	Pipelined bool
 }
 

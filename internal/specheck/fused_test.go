@@ -61,8 +61,8 @@ int main() {
 	}
 	load.Dst = &ir.Ref{Sym: gSym}
 	ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-	ar.Annotate(prog)
-	core.AssignFlags(prog, ar, nil, core.ModeNone)
+	ar.AnnotateWorkers(prog, 0)
+	core.AssignFlagsTiered(prog, ar, nil, core.ModeNone, core.DefaultPolicy(), nil)
 	return prog, ar, load
 }
 

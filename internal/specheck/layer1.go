@@ -156,7 +156,7 @@ func CheckFlags(prog *ir.Program, env *Env, pass string) []Violation {
 		}
 	}
 	// complete checks the §3.2.1 escape hatch: every profiled LOC of the
-	// site must appear in the list (AssignFlags adds the missing ones as
+	// site must appear in the list (AssignFlagsTiered adds the missing ones as
 	// flagged entries).
 	completeChi := func(f *ir.Func, b *ir.Block, chis []*ir.Chi, locs profile.LocSet) {
 		if locs == nil {
@@ -193,7 +193,7 @@ func CheckFlags(prog *ir.Program, env *Env, pass string) []Violation {
 			for _, st := range b.Stmts {
 				switch t := st.(type) {
 				case *ir.Assign:
-					// mirrors AssignFlags: the conditions are independent,
+					// mirrors AssignFlagsTiered: the conditions are independent,
 					// not exclusive (see CheckAnnotated)
 					if t.RK == ir.RHSLoad && t.Site != 0 {
 						locs := core.LocsFor(prof, mode, t.Site, false)

@@ -7,6 +7,7 @@ package specheck_test
 // checker catches broken pipelines, this proves it accepts the real one.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestPipelineIsCleanOnAllWorkloads(t *testing.T) {
 					cfg.ProfileArgs = w.ProfileArgs
 					cfg.VerifyPasses = true
 					cfg.Workers = workers
-					c, err := repro.Compile(w.Src, cfg)
+					c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 					if err != nil {
 						t.Fatalf("specheck found violations in the real pipeline: %v", err)
 					}
@@ -49,11 +50,11 @@ func TestPipelineIsCleanOnAllWorkloads(t *testing.T) {
 						t.Fatalf("profiling run failed: %v", c.ProfileErr)
 					}
 					// the verified program must still run correctly
-					res, err := c.Run(w.RefArgs)
+					res, err := c.RunCtx(context.Background(), w.RefArgs)
 					if err != nil {
 						t.Fatalf("verified program faulted: %v", err)
 					}
-					ref, err := c.RunReference(w.RefArgs)
+					ref, err := c.RunReferenceCtx(context.Background(), w.RefArgs)
 					if err != nil {
 						t.Fatalf("reference: %v", err)
 					}

@@ -84,9 +84,9 @@ func Build(src string, args []int64, stage Stage) (*Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	alias.Refine(prog)
+	alias.RefineWorkers(prog, 0)
 	ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-	ar.Annotate(prog)
+	ar.AnnotateWorkers(prog, 0)
 	prof := profile.New()
 	if _, err := interp.Run(prog, interp.Options{
 		CollectEdges: true, CollectAlias: true, Profile: prof, Args: args,
@@ -94,7 +94,7 @@ func Build(src string, args []int64, stage Stage) (*Target, error) {
 		return nil, fmt.Errorf("profiling run: %w", err)
 	}
 	prof.ApplyEdges(prog)
-	core.AssignFlags(prog, ar, prof, core.ModeProfile)
+	core.AssignFlagsTiered(prog, ar, prof, core.ModeProfile, core.DefaultPolicy(), nil)
 	t := &Target{
 		Stage: stage,
 		Prog:  prog,
@@ -115,7 +115,7 @@ func Build(src string, args []int64, stage Stage) (*Target, error) {
 		return nil, err
 	}
 	if stage == StageMachine {
-		code, err := codegen.Lower(prog)
+		code, err := codegen.LowerWorkers(prog, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +295,7 @@ func loadShapedCheck(a *ir.Assign) bool {
 // store/barrier precedes a load in the same block — the pairs a buggy
 // scheduler could swap.
 type fencedPair struct {
-	b          *ir.Block
+	b           *ir.Block
 	fence, load int
 }
 

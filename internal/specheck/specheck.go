@@ -106,7 +106,7 @@ func AsError(vs []Violation) error {
 
 // Env carries the analysis context Layer 1 re-derives expectations from:
 // the whole-program alias result and the exact (profile, mode, policy)
-// triple core.AssignFlags ran with. Prof is nil outside the
+// triple core.AssignFlagsTiered ran with. Prof is nil outside the
 // profile-guided modes (and the empty profile under aggressive
 // promotion, matching the pipeline). Policy is consulted only under
 // core.ModeCost; the zero value is replaced by core.DefaultPolicy(), so

@@ -25,13 +25,13 @@ func buildWebs(t *testing.T, src string, mode core.Mode, controlSpec bool, profA
 		t.Fatalf("lower: %v", err)
 	}
 	ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-	ar.Annotate(prog)
+	ar.AnnotateWorkers(prog, 0)
 	prof := profile.New()
 	if _, err := interp.Run(prog, interp.Options{CollectEdges: true, CollectAlias: true, Profile: prof, Args: profArgs}); err != nil {
 		t.Fatalf("profiling run: %v", err)
 	}
 	prof.ApplyEdges(prog)
-	core.AssignFlags(prog, ar, prof, mode)
+	core.AssignFlagsTiered(prog, ar, prof, mode, core.DefaultPolicy(), nil)
 
 	fn := prog.FuncMap["main"]
 	opts := Options{DataSpec: mode, ControlSpec: controlSpec, Alias: ar}

@@ -10,8 +10,8 @@ import (
 
 // Run optimizes every function of the program with speculative SSAPRE and
 // returns per-function statistics. The program must already carry chi/mu
-// lists (alias.Result.Annotate) and speculation flags (core.AssignFlags);
-// edge frequencies should be applied (profile.ApplyEdges or
+// lists (alias.Result.AnnotateWorkers) and speculation flags
+// (core.AssignFlagsTiered); edge frequencies should be applied (profile.ApplyEdges or
 // profile.StaticEstimate) when control speculation is on. After Run the
 // program is out of SSA form and ready for code generation.
 //

@@ -26,13 +26,13 @@ func pipeline(t *testing.T, src string, mode core.Mode, controlSpec bool, profAr
 		t.Fatalf("lower: %v", err)
 	}
 	ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-	ar.Annotate(prog)
+	ar.AnnotateWorkers(prog, 0)
 	prof := profile.New()
 	if _, err := interp.Run(prog, interp.Options{CollectEdges: true, CollectAlias: true, Profile: prof, Args: profArgs}); err != nil {
 		t.Fatalf("profiling run: %v", err)
 	}
 	prof.ApplyEdges(prog)
-	core.AssignFlags(prog, ar, prof, mode)
+	core.AssignFlagsTiered(prog, ar, prof, mode, core.DefaultPolicy(), nil)
 	stats, err := Run(prog, Options{DataSpec: mode, ControlSpec: controlSpec, Alias: ar, Verify: true})
 	if err != nil {
 		t.Fatalf("ssapre: %v", err)
@@ -402,8 +402,8 @@ int main() {
 		t.Fatal(err)
 	}
 	ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-	ar.Annotate(prog)
-	core.AssignFlags(prog, ar, profile.New(), core.ModeProfile) // all weak
+	ar.AnnotateWorkers(prog, 0)
+	core.AssignFlagsTiered(prog, ar, profile.New(), core.ModeProfile, core.DefaultPolicy(), nil) // all weak
 	profile.StaticEstimate(prog)
 	if _, err := Run(prog, Options{DataSpec: core.ModeProfile, ControlSpec: true, Alias: ar, Verify: true}); err != nil {
 		t.Fatal(err)
@@ -482,13 +482,13 @@ int main() {
 			t.Fatal(err)
 		}
 		ar := alias.Analyze(prog, alias.Options{TypeBased: true})
-		ar.Annotate(prog)
+		ar.AnnotateWorkers(prog, 0)
 		prof := profile.New()
 		if _, err := interp.Run(prog, interp.Options{CollectEdges: true, CollectAlias: true, Profile: prof, Args: []int64{8}}); err != nil {
 			t.Fatal(err)
 		}
 		prof.ApplyEdges(prog)
-		core.AssignFlags(prog, ar, prof, core.ModeProfile)
+		core.AssignFlagsTiered(prog, ar, prof, core.ModeProfile, core.DefaultPolicy(), nil)
 		if _, err := Run(prog, Options{DataSpec: core.ModeProfile, ControlSpec: true, Alias: ar, Rounds: rounds}); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -24,16 +25,16 @@ func TestAllKernelsAllModes(t *testing.T) {
 			cfg.ProfileArgs = w.ProfileArgs
 			name := fmt.Sprintf("%s/spec=%v_opt=%v_agg=%v", w.Name, cfg.Spec, !cfg.OptimizeOff, cfg.AggressivePromotion)
 			t.Run(name, func(t *testing.T) {
-				c, err := repro.Compile(w.Src, cfg)
+				c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
 				for _, args := range [][]int64{w.ProfileArgs, w.RefArgs} {
-					want, err := c.RunReference(args)
+					want, err := c.RunReferenceCtx(context.Background(), args)
 					if err != nil {
 						t.Fatalf("reference: %v", err)
 					}
-					got, err := c.Run(args)
+					got, err := c.RunCtx(context.Background(), args)
 					if err != nil {
 						t.Fatalf("vm: %v", err)
 					}
@@ -54,19 +55,19 @@ func TestSpeculationWinsWhereThePaperSays(t *testing.T) {
 	winners := map[string]bool{"equake": true, "mcf": true, "art": true, "ammp": true, "twolf": true}
 	for _, w := range All() {
 		t.Run(w.Name, func(t *testing.T) {
-			base, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecOff, ProfileArgs: w.ProfileArgs})
+			base, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecOff, ProfileArgs: w.ProfileArgs})
 			if err != nil {
 				t.Fatalf("compile base: %v", err)
 			}
-			spec, err := repro.Compile(w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
+			spec, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 			if err != nil {
 				t.Fatalf("compile spec: %v", err)
 			}
-			rb, err := base.Run(w.RefArgs)
+			rb, err := base.RunCtx(context.Background(), w.RefArgs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := spec.Run(w.RefArgs)
+			rs, err := spec.RunCtx(context.Background(), w.RefArgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,19 +108,19 @@ func TestPipelinedScheduledEquivalence(t *testing.T) {
 			base := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs, Machine: repro.PipelinedMachine()}
 			sched := base
 			sched.Schedule = true
-			cb, err := repro.Compile(w.Src, base)
+			cb, err := repro.CompileCtx(context.Background(), w.Src, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs, err := repro.Compile(w.Src, sched)
+			cs, err := repro.CompileCtx(context.Background(), w.Src, sched)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rb, err := cb.Run(w.RefArgs)
+			rb, err := cb.RunCtx(context.Background(), w.RefArgs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := cs.Run(w.RefArgs)
+			rs, err := cs.RunCtx(context.Background(), w.RefArgs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,18 +199,18 @@ func TestHiddenWorkloads(t *testing.T) {
 
 	w, _ := Resolve("drift")
 	cfg := repro.Config{Spec: repro.SpecCost, SpecThreshold: 1, ProfileArgs: w.ProfileArgs}
-	c, err := repro.Compile(w.Src, cfg)
+	c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	rates := make(map[int64]float64)
 	for _, mod := range []int64{16, 2, 64} {
 		args := []int64{256, mod}
-		want, err := c.RunReference(args)
+		want, err := c.RunReferenceCtx(context.Background(), args)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Run(args)
+		res, err := c.RunCtx(context.Background(), args)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -19,11 +20,11 @@ func compileAt(t *testing.T, w workloads.Workload, cfg repro.Config, workers int
 	t.Helper()
 	cfg.ProfileArgs = w.ProfileArgs
 	cfg.Workers = workers
-	c, err := repro.Compile(w.Src, cfg)
+	c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 	if err != nil {
 		t.Fatalf("compile %s workers=%d: %v", w.Name, workers, err)
 	}
-	res, err := c.Run(w.RefArgs)
+	res, err := c.RunCtx(context.Background(), w.RefArgs)
 	if err != nil {
 		t.Fatalf("run %s workers=%d: %v", w.Name, workers, err)
 	}
@@ -71,11 +72,11 @@ func TestCompileParallelDeterminism(t *testing.T) {
 // TestRunAllParallelDeterminism runs the full experiment sweep serially
 // and with 8 workers; every measured row must be identical.
 func TestRunAllParallelDeterminism(t *testing.T) {
-	serial, err := experiments.RunAllWorkers(1)
+	serial, err := experiments.RunAllCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatalf("serial sweep: %v", err)
 	}
-	parallel, err := experiments.RunAllWorkers(8)
+	parallel, err := experiments.RunAllCtx(context.Background(), 8)
 	if err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}
@@ -85,26 +86,26 @@ func TestRunAllParallelDeterminism(t *testing.T) {
 }
 
 // TestAuxExperimentsParallelDeterminism pins the Workers contract for
-// the studies outside RunAll: the smvp case study and the sensitivity
+// the studies outside RunAllCtx: the smvp case study and the sensitivity
 // table must be identical at Workers=1 (the serial oracle) and
 // Workers=8.
 func TestAuxExperimentsParallelDeterminism(t *testing.T) {
-	s1, err := experiments.RunSmvpWorkers(1)
+	s1, err := experiments.RunSmvpCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatalf("serial smvp: %v", err)
 	}
-	s8, err := experiments.RunSmvpWorkers(8)
+	s8, err := experiments.RunSmvpCtx(context.Background(), 8)
 	if err != nil {
 		t.Fatalf("parallel smvp: %v", err)
 	}
 	if s1 != s8 {
 		t.Errorf("smvp differs between workers=1 and workers=8:\n%+v\nvs\n%+v", s1, s8)
 	}
-	r1, err := experiments.RunSensitivityWorkers(1)
+	r1, err := experiments.RunSensitivityCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatalf("serial sensitivity: %v", err)
 	}
-	r8, err := experiments.RunSensitivityWorkers(8)
+	r8, err := experiments.RunSensitivityCtx(context.Background(), 8)
 	if err != nil {
 		t.Fatalf("parallel sensitivity: %v", err)
 	}
@@ -119,7 +120,7 @@ func TestAuxExperimentsParallelDeterminism(t *testing.T) {
 func TestFrontendCacheDetached(t *testing.T) {
 	w, _ := workloads.ByName("equake")
 	cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}
-	c1, err := repro.Compile(w.Src, cfg)
+	c1, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,18 +134,18 @@ func TestFrontendCacheDetached(t *testing.T) {
 			s.Name = "junk_" + s.Name
 		}
 	}
-	c2, err := repro.Compile(w.Src, cfg)
+	c2, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c2.Ref.String() != refText {
 		t.Fatal("mutating one compilation's IR leaked into a later compile of the same source")
 	}
-	res1, err := c1.Run(w.RefArgs)
+	res1, err := c1.RunCtx(context.Background(), w.RefArgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := c2.Run(w.RefArgs)
+	res2, err := c2.RunCtx(context.Background(), w.RefArgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +154,8 @@ func TestFrontendCacheDetached(t *testing.T) {
 	}
 
 	// a cold compile (cache dropped) must also agree
-	repro.ResetFrontendCache()
-	c3, err := repro.Compile(w.Src, cfg)
+	repro.ResetCaches()
+	c3, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 // split: for every workload and every Config in the sensitivity sweep
 // grid, the served result — cycle counts, every Counters field, and
 // program output — is byte-identical to the test-only oracle's direct
-// interpretation, at one worker and at eight. Evaluate re-times each
-// trace group through machine.ReplayBatch, so the Evaluate legs below
+// interpretation, at one worker and at eight. EvaluateCtx re-times each
+// trace group through machine.ReplayBatch, so the EvaluateCtx legs below
 // exercise the batched engine end-to-end; the explicit ReplayBatch and
 // Replay legs pin the machine-level contract per workload over the full
 // grid.
@@ -27,7 +28,7 @@ func TestReplayEquivalentToDirectOnAllWorkloads(t *testing.T) {
 	}
 	cfgs := experiments.MachineSweepConfigs()
 	for _, w := range workloads.All() {
-		c, err := repro.Compile(w.Src, repro.Config{
+		c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{
 			Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs,
 		})
 		if err != nil {
@@ -44,11 +45,11 @@ func TestReplayEquivalentToDirectOnAllWorkloads(t *testing.T) {
 			}
 		}
 
-		serial, err := c.Evaluate(w.RefArgs, cfgs, 1)
+		serial, err := c.EvaluateCtx(context.Background(), w.RefArgs, cfgs, 1)
 		if err != nil {
 			t.Fatalf("%s: evaluate (1 worker): %v", w.Name, err)
 		}
-		parallel, err := c.Evaluate(w.RefArgs, cfgs, 8)
+		parallel, err := c.EvaluateCtx(context.Background(), w.RefArgs, cfgs, 8)
 		if err != nil {
 			t.Fatalf("%s: evaluate (8 workers): %v", w.Name, err)
 		}
@@ -91,11 +92,11 @@ func TestRunUsesTracePathTransparently(t *testing.T) {
 	}
 	for _, mcfg := range []machine.Config{{}, repro.PipelinedMachine(), {ALATSize: 4}} {
 		cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs, Machine: mcfg}
-		c, err := repro.Compile(w.Src, cfg)
+		c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		traced, err := c.Run(w.RefArgs)
+		traced, err := c.RunCtx(context.Background(), w.RefArgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +115,11 @@ func TestRunUsesTracePathTransparently(t *testing.T) {
 // PotentialReduction) identical to the serial walk, for every workload.
 func TestShardedReuseLimitMatchesSerial(t *testing.T) {
 	for _, w := range workloads.All() {
-		serial, err := repro.ReuseLimitWorkers(w.Src, w.RefArgs, 1)
+		serial, err := repro.ReuseLimitCtx(context.Background(), w.Src, w.RefArgs, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		sharded, err := repro.ReuseLimitWorkers(w.Src, w.RefArgs, 8)
+		sharded, err := repro.ReuseLimitCtx(context.Background(), w.Src, w.RefArgs, 8)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

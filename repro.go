@@ -10,8 +10,9 @@
 //
 // Typical use:
 //
-//	c, err := repro.Compile(src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{100}})
-//	res, err := c.Run([]int64{1000})
+//	ctx := context.Background()
+//	c, err := repro.CompileCtx(ctx, src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{100}})
+//	res, err := c.RunCtx(ctx, []int64{1000})
 //	fmt.Println(res.Output, res.Counters.LoadsRetired)
 package repro
 
@@ -120,7 +121,7 @@ type Config struct {
 	// or is skipped, a static Ball-Larus-style estimate is used).
 	ProfileArgs []int64
 	// ProfileJSON, when non-empty, supplies a previously collected
-	// profile (from CollectProfile or `aliasprof -o`) instead of running
+	// profile (from CollectProfileCtx or `aliasprof -o`) instead of running
 	// the training input at compile time — the paper's separate
 	// profile-then-recompile feedback workflow.
 	ProfileJSON []byte
@@ -203,8 +204,8 @@ type Build struct {
 	// ProfileErr records a failed training run: the profiling
 	// interpreter faulted on Config.ProfileArgs and the compilation fell
 	// back to the static Ball-Larus estimate with no alias profile.
-	// Compile itself still succeeds (the fallback is well-defined), but
-	// profile-guided measurements are meaningless under it, so the
+	// CompileCtx itself still succeeds (the fallback is well-defined),
+	// but profile-guided measurements are meaningless under it, so the
 	// experiments treat a non-nil ProfileErr as fatal.
 	ProfileErr error
 	// Harden reports what the leak-mitigation pass did (nil unless
@@ -221,7 +222,7 @@ type Build struct {
 // Compilation is a Build plus the intermediate artifacts the experiments,
 // the linters and the tests inspect: the source, both IR programs, the
 // alias analysis and the applied profile. Build's fields and methods
-// (Run, Evaluate, TotalStats, ...) are promoted.
+// (RunCtx, EvaluateCtx, TotalStats, ...) are promoted.
 type Compilation struct {
 	*Build
 	Source  string
@@ -235,10 +236,10 @@ type Compilation struct {
 // one pristine lowered program per source hash plus the serialized
 // alias/edge profile per (source, options, training-args) key, and the
 // optional on-disk tier (SetCacheDir) persists the profiles across
-// processes. Compile, CollectProfile, Reference and ReuseLimit all
-// start from the same parse, and an experiment sweep re-compiles each
-// workload under many config variants, so N variants pay for one parse
-// and one profiling interpreter run instead of N of each. Masters in
+// processes. CompileCtx, CollectProfileCtx, Reference and ReuseLimitCtx
+// all start from the same parse, and an experiment sweep re-compiles
+// each workload under many config variants, so N variants pay for one
+// parse and one profiling interpreter run instead of N of each. Masters in
 // the cache are never mutated — every caller receives a deep ir.Clone —
 // which is what makes sharing across concurrent compiles sound. The
 // same object tier holds BuildCtx's immutable builds and the decoded
@@ -251,12 +252,9 @@ var (
 	buildsCompiled atomic.Uint64
 )
 
-// frontend parses + lowers IR from source, memoized by source hash; the
-// caller owns the returned clone outright.
-func frontend(src string) (*ir.Program, error) {
-	return frontendCtx(context.Background(), src)
-}
-
+// frontendCtx parses + lowers IR from source, memoized by source hash;
+// the caller owns the returned clone outright. The cache lookup honors
+// ctx.
 func frontendCtx(ctx context.Context, src string) (*ir.Program, error) {
 	key := cache.KeyOf([]byte("frontend"), []byte(src))
 	v, err := compCache.GetObjectCtx(ctx, key, func() (any, error) {
@@ -290,20 +288,21 @@ func profileKey(src string, cfg Config) cache.Key {
 	return cache.KeyOf([]byte("profile"), []byte(src), []byte(opts), args)
 }
 
-// profileData returns the serialized alias/edge profile for (src,
+// profileDataCtx returns the serialized alias/edge profile for (src,
 // options, training args), memoized in memory and — when a cache dir is
 // set — persisted on disk. The computation is canonical: frontend, the
-// same flow-sensitive refinement Compile applies (so reference-site ids
-// line up), one profiling interpreter run, profile.Marshal. Compile,
-// CollectProfile and every experiment variant share it, so a sweep pays
-// for one interpreter run per key no matter how many variants it
-// compiles, and a warm-started process pays for none.
-func profileData(src string, cfg Config) ([]byte, error) {
-	return profileDataCtx(context.Background(), src, cfg)
-}
-
+// same flow-sensitive refinement CompileCtx applies (so reference-site
+// ids line up), one profiling interpreter run, profile.Marshal.
+// CompileCtx, CollectProfileCtx and every experiment variant share it,
+// so a sweep pays for one interpreter run per key no matter how many
+// variants it compiles, and a warm-started process pays for none.
 func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error) {
 	return compCache.GetBytesCtx(ctx, profileKey(src, cfg), func() ([]byte, error) {
+		// the cache runs its owner's compute even under a done ctx; a
+		// context error is never memoized, so refusing here is free
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		profilingRuns.Add(1)
 		prog, err := frontendCtx(ctx, src)
 		if err != nil {
@@ -395,8 +394,8 @@ func TraceCacheBytes() int64 {
 func SetCacheDir(dir string) error { return compCache.SetDir(dir) }
 
 // SetCacheEnabled turns compilation-pipeline memoization off or back on
-// (default on). With the cache off every Compile and BuildCtx re-parses,
-// re-profiles and re-compiles from scratch — the oracle for
+// (default on). With the cache off every CompileCtx and BuildCtx
+// re-parses, re-profiles and re-compiles from scratch — the oracle for
 // cache-transparency tests.
 func SetCacheEnabled(on bool) { compCache.SetEnabled(on) }
 
@@ -405,23 +404,18 @@ func SetCacheEnabled(on bool) { compCache.SetEnabled(on) }
 // benchmarks use it to measure cold starts.
 func ResetCaches() { compCache.Reset() }
 
-// ResetFrontendCache drops every memoized parse (and profile). Kept as
-// the historical name; it is ResetCaches.
-func ResetFrontendCache() { ResetCaches() }
-
-// Compile runs the full pipeline on MiniC source.
-func Compile(src string, cfg Config) (*Compilation, error) {
-	return CompileCtx(context.Background(), src, cfg)
-}
-
-// CompileCtx is Compile with cancellation: the frontend and profiling
-// cache lookups honor ctx (a caller waiting on another compile's
-// in-flight work returns promptly), and the pipeline checks ctx at
-// every phase boundary — refinement, profiling, SSAPRE, verification,
-// scheduling, code generation — so a dropped client or an expired
-// deadline stops the compilation at the next phase instead of running
-// it to completion.
+// CompileCtx runs the full pipeline on MiniC source. A ctx that is
+// already done returns ctx.Err() before anything runs or is counted;
+// the frontend and profiling cache lookups honor ctx (a caller waiting
+// on another compile's in-flight work returns promptly), and the
+// pipeline checks ctx at every phase boundary — refinement, profiling,
+// SSAPRE, verification, scheduling, code generation — so a dropped
+// client or an expired deadline stops the compilation at the next phase
+// instead of running it to completion.
 func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	buildsCompiled.Add(1)
 	// one frontend run (or cache hit) feeds both programs: the reference
 	// IR stays pristine and the optimizer works on a detached clone
@@ -749,35 +743,26 @@ func (b *Build) runMachine(ctx context.Context, args []int64, mcfg machine.Confi
 	return machine.Replay(b.Code, tr, mcfg, nil)
 }
 
-// Run executes the compiled program on the EPIC VM through the
-// record-and-replay trace path.
-func (b *Build) Run(args []int64) (*machine.Result, error) {
-	return b.RunCtx(context.Background(), args)
-}
-
-// RunCtx is Run with cancellation: the trace-cache lookup honors ctx (a
+// RunCtx executes the compiled program on the EPIC VM through the
+// record-and-replay trace path. The trace-cache lookup honors ctx (a
 // caller waiting on another run's in-flight recording returns promptly
 // when cancelled) and a done ctx stops the run before it starts.
 func (b *Build) RunCtx(ctx context.Context, args []int64) (*machine.Result, error) {
 	return b.runMachine(ctx, args, b.Config.Machine)
 }
 
-// Evaluate re-times the compiled program on args under every machine
+// EvaluateCtx re-times the compiled program on args under every machine
 // configuration in cfgs — the paper's §5 sensitivity-style sweeps. The
 // program executes functionally once per distinct (args, limits,
 // layout) key and each Config costs only a trace walk; replays fan out
 // across workers sharing the recorded trace read-only.
 // Results are index-aligned with cfgs.
-func (b *Build) Evaluate(args []int64, cfgs []machine.Config, workers int) ([]*machine.Result, error) {
-	return b.EvaluateCtx(context.Background(), args, cfgs, workers)
-}
-
-// EvaluateCtx is Evaluate with cancellation threaded through the
-// batched fan-out (internal/par) and the trace cache's singleflight:
-// when ctx is done, idle workers stop claiming batches, waiters blocked
-// on another caller's recording return, and EvaluateCtx itself returns
-// ctx.Err() promptly without waiting for replays already in flight
-// (which finish and are dropped).
+//
+// Cancellation is threaded through the batched fan-out (internal/par)
+// and the trace cache's singleflight: when ctx is done, idle workers
+// stop claiming batches, waiters blocked on another caller's recording
+// return, and EvaluateCtx itself returns ctx.Err() promptly without
+// waiting for replays already in flight (which finish and are dropped).
 //
 // The grid is grouped by the non-timing part of each Config — normalized (StackSlots, MaxSteps, MaxCallDepth), which
 // is exactly the trace cache key — and every group re-times through one
@@ -847,13 +832,8 @@ func (b *Build) EvaluateCtx(ctx context.Context, args []int64, cfgs []machine.Co
 	return results, nil
 }
 
-// RunReference interprets the unoptimized IR (the semantic oracle).
-func (c *Compilation) RunReference(args []int64) (*interp.Result, error) {
-	return c.RunReferenceCtx(context.Background(), args)
-}
-
-// RunReferenceCtx is RunReference with cancellation: a done ctx stops
-// the interpretation before it starts.
+// RunReferenceCtx interprets the unoptimized IR (the semantic oracle).
+// A done ctx stops the interpretation before it starts.
 func (c *Compilation) RunReferenceCtx(ctx context.Context, args []int64) (*interp.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -870,54 +850,40 @@ func (b *Build) TotalStats() ssapre.Stats {
 	return total
 }
 
-// CollectProfile runs the alias/edge profiler on src with the given
+// CollectProfileCtx runs the alias/edge profiler on src with the given
 // training input and returns the serialized profile, suitable for
-// Config.ProfileJSON in a later Compile. It is the same canonical,
-// cached computation Compile uses (frontend, refinement, one
+// Config.ProfileJSON in a later CompileCtx. It is the same canonical,
+// cached computation CompileCtx uses (frontend, refinement, one
 // interpreter run), so collecting a profile warms the cache for a later
-// Compile with the same training args — and vice versa.
-func CollectProfile(src string, args []int64) ([]byte, error) {
-	return CollectProfileCtx(context.Background(), src, args)
-}
-
-// CollectProfileCtx is CollectProfile with cancellation (the cache
-// lookup and any nested frontend wait honor ctx).
+// compile with the same training args — and vice versa. The cache
+// lookup and any nested frontend wait honor ctx.
 func CollectProfileCtx(ctx context.Context, src string, args []int64) ([]byte, error) {
 	return profileDataCtx(ctx, src, Config{ProfileArgs: args})
 }
 
 // Reference interprets the unoptimized program and returns its result.
 func Reference(src string, args []int64) (*interp.Result, error) {
-	prog, err := frontend(src)
+	prog, err := frontendCtx(context.TODO(), src)
 	if err != nil {
 		return nil, err
 	}
 	return interp.Run(prog, interp.Options{Args: args})
 }
 
-// ReuseLimit runs the Fig. 12 simulation-based load-reuse limit study on
-// the unoptimized program: references with identical syntax trees form
+// ReuseLimitCtx runs the Fig. 12 simulation-based load-reuse limit study
+// on the unoptimized program: references with identical syntax trees form
 // equivalence classes and repeats of the same (class, address, value) are
 // counted as potential speculative reuses.
-func ReuseLimit(src string, args []int64) (*interp.ReuseSim, error) {
-	return ReuseLimitWorkers(src, args, 1)
-}
-
-// ReuseLimitWorkers is ReuseLimit with the simulation sharded by
-// equivalence class across workers: one interpreter run records the
-// dynamic memory-access stream, then the reuse walk partitions it per
-// class shard (the state is keyed by (class, address), so shards are
-// independent and the merged totals match the serial walk exactly).
-// workers <= 1 runs the simulation inline during interpretation — the
-// historical serial path and the equivalence oracle.
-func ReuseLimitWorkers(src string, args []int64, workers int) (*interp.ReuseSim, error) {
-	return ReuseLimitWorkersCtx(context.Background(), src, args, workers)
-}
-
-// ReuseLimitWorkersCtx is ReuseLimitWorkers with cancellation: the
-// frontend cache lookup honors ctx and a done ctx stops the simulation
-// before the interpreter run starts.
-func ReuseLimitWorkersCtx(ctx context.Context, src string, args []int64, workers int) (*interp.ReuseSim, error) {
+//
+// The simulation is sharded by equivalence class across workers: one
+// interpreter run records the dynamic memory-access stream, then the
+// reuse walk partitions it per class shard (the state is keyed by
+// (class, address), so shards are independent and the merged totals
+// match the serial walk exactly). A single worker (after par.Workers
+// resolution) runs the simulation inline during interpretation — the
+// serial path and the equivalence oracle. The frontend cache lookup honors ctx and a done ctx stops the
+// simulation before the interpreter run starts.
+func ReuseLimitCtx(ctx context.Context, src string, args []int64, workers int) (*interp.ReuseSim, error) {
 	prog, err := frontendCtx(ctx, src)
 	if err != nil {
 		return nil, err

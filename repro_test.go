@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -9,16 +10,16 @@ import (
 // interpreter output for every argument vector.
 func endToEnd(t *testing.T, src string, cfg Config, argSets [][]int64) *Compilation {
 	t.Helper()
-	c, err := Compile(src, cfg)
+	c, err := CompileCtx(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	for _, args := range argSets {
-		want, err := c.RunReference(args)
+		want, err := c.RunReferenceCtx(context.Background(), args)
 		if err != nil {
 			t.Fatalf("reference (args=%v): %v", args, err)
 		}
-		got, err := c.Run(args)
+		got, err := c.RunCtx(context.Background(), args)
 		if err != nil {
 			t.Fatalf("vm run (args=%v): %v\ncode:\n%s", args, err, c.Code)
 		}
@@ -72,12 +73,12 @@ func TestVMEquivalenceOnMisSpeculation(t *testing.T) {
 
 func TestALATCountsFailedCheck(t *testing.T) {
 	cfg := Config{Spec: SpecProfile, ProfileArgs: []int64{0}}
-	c, err := Compile(checkRecoverySrc, cfg)
+	c, err := CompileCtx(context.Background(), checkRecoverySrc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// aliasing input: the check must fail at least once
-	res, err := c.Run([]int64{60})
+	res, err := c.RunCtx(context.Background(), []int64{60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestALATCountsFailedCheck(t *testing.T) {
 		t.Errorf("aliasing store must invalidate the ALAT entry: %+v", res.Counters)
 	}
 	// non-aliasing input: the check must succeed
-	res2, err := c.Run([]int64{0})
+	res2, err := c.RunCtx(context.Background(), []int64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,19 +117,19 @@ int main() {
 	print(sum);
 	return 0;
 }`
-	base, err := Compile(src, Config{Spec: SpecOff, ProfileArgs: []int64{64}})
+	base, err := CompileCtx(context.Background(), src, Config{Spec: SpecOff, ProfileArgs: []int64{64}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := Compile(src, Config{Spec: SpecProfile, ProfileArgs: []int64{64}})
+	spec, err := CompileCtx(context.Background(), src, Config{Spec: SpecProfile, ProfileArgs: []int64{64}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := base.Run([]int64{1000})
+	rb, err := base.RunCtx(context.Background(), []int64{1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := spec.Run([]int64{1000})
+	rs, err := spec.RunCtx(context.Background(), []int64{1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ int main() {
 	print(sum);
 	return 0;
 }`
-	sim, err := ReuseLimit(src, []int64{100})
+	sim, err := ReuseLimitCtx(context.Background(), src, []int64{100}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,23 +258,23 @@ func TestSeparateProfileWorkflow(t *testing.T) {
 	// collect a profile in one step, compile with it in another (the
 	// paper's ORC feedback workflow); the result must match in-process
 	// profiling exactly.
-	data, err := CollectProfile(checkRecoverySrc, []int64{0})
+	data, err := CollectProfileCtx(context.Background(), checkRecoverySrc, []int64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := Compile(checkRecoverySrc, Config{Spec: SpecProfile, ProfileJSON: data})
+	fromFile, err := CompileCtx(context.Background(), checkRecoverySrc, Config{Spec: SpecProfile, ProfileJSON: data})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inProcess, err := Compile(checkRecoverySrc, Config{Spec: SpecProfile, ProfileArgs: []int64{0}})
+	inProcess, err := CompileCtx(context.Background(), checkRecoverySrc, Config{Spec: SpecProfile, ProfileArgs: []int64{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := fromFile.Run([]int64{60})
+	r1, err := fromFile.RunCtx(context.Background(), []int64{60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := inProcess.Run([]int64{60})
+	r2, err := inProcess.RunCtx(context.Background(), []int64{60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,16 +311,16 @@ int main() {
 	print(s, d);
 	return 0;
 }`
-	c, err := Compile(src, Config{OptimizeOff: true})
+	c, err := CompileCtx(context.Background(), src, Config{OptimizeOff: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int64{0, 10, 333} {
-		ref, err := c.RunReference([]int64{n})
+		ref, err := c.RunReferenceCtx(context.Background(), []int64{n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		vm, err := c.Run([]int64{n})
+		vm, err := c.RunCtx(context.Background(), []int64{n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,11 +343,11 @@ int main() {
 	print(acc);
 	return 0;
 }`
-	withSR, err := Compile(src, Config{Spec: SpecOff, ProfileArgs: []int64{10}})
+	withSR, err := CompileCtx(context.Background(), src, Config{Spec: SpecOff, ProfileArgs: []int64{10}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Compile(src, Config{Spec: SpecOff, ProfileArgs: []int64{10}, NoStrength: true})
+	without, err := CompileCtx(context.Background(), src, Config{Spec: SpecOff, ProfileArgs: []int64{10}, NoStrength: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +357,11 @@ int main() {
 	if without.TotalStats().StrengthReduced != 0 {
 		t.Error("NoStrength did not disable the client")
 	}
-	r1, err := withSR.Run([]int64{100})
+	r1, err := withSR.RunCtx(context.Background(), []int64{100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := without.Run([]int64{100})
+	r2, err := without.RunCtx(context.Background(), []int64{100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,11 +387,11 @@ func TestPipelinedEquivalence(t *testing.T) {
 func TestCompilationDeterminism(t *testing.T) {
 	src := checkRecoverySrc
 	cfg := Config{Spec: SpecProfile, ProfileArgs: []int64{0}, Schedule: true}
-	c1, err := Compile(src, cfg)
+	c1, err := CompileCtx(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Compile(src, cfg)
+	c2, err := CompileCtx(context.Background(), src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,11 +399,11 @@ func TestCompilationDeterminism(t *testing.T) {
 		t.Error("two compiles of identical source differ")
 	}
 	// and the workload kernels, through the whole pipeline
-	r1, err := c1.Run([]int64{60})
+	r1, err := c1.RunCtx(context.Background(), []int64{60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c2.Run([]int64{60})
+	r2, err := c2.RunCtx(context.Background(), []int64{60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +414,7 @@ func TestCompilationDeterminism(t *testing.T) {
 
 // TestProfileErrRecorded pins the failure contract of the training run:
 // a faulting training input no longer degrades silently to the static
-// estimate — Compile still succeeds (the fallback is well-defined) but
+// estimate — CompileCtx still succeeds (the fallback is well-defined) but
 // records the fault on Compilation.ProfileErr.
 func TestProfileErrRecorded(t *testing.T) {
 	src := `
@@ -421,7 +422,7 @@ int main() {
 	print(100 / arg(0));
 	return 0;
 }`
-	c, err := Compile(src, Config{Spec: SpecProfile, ProfileArgs: []int64{0}})
+	c, err := CompileCtx(context.Background(), src, Config{Spec: SpecProfile, ProfileArgs: []int64{0}})
 	if err != nil {
 		t.Fatalf("compile must survive a faulting training run: %v", err)
 	}
@@ -432,7 +433,7 @@ int main() {
 		t.Error("a failed training run must not leave a partial profile attached")
 	}
 	// the fallback build still executes correctly on good inputs
-	res, err := c.Run([]int64{4})
+	res, err := c.RunCtx(context.Background(), []int64{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +442,7 @@ int main() {
 	}
 
 	// a good training input on the same source carries no error
-	c2, err := Compile(src, Config{Spec: SpecProfile, ProfileArgs: []int64{5}})
+	c2, err := CompileCtx(context.Background(), src, Config{Spec: SpecProfile, ProfileArgs: []int64{5}})
 	if err != nil {
 		t.Fatal(err)
 	}

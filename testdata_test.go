@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -36,15 +37,15 @@ func TestTestdataPrograms(t *testing.T) {
 		runArgs := args[base]
 		for _, mode := range []repro.SpecMode{repro.SpecOff, repro.SpecProfile, repro.SpecHeuristic} {
 			t.Run(base+"/"+mode.String(), func(t *testing.T) {
-				c, err := repro.Compile(string(src), repro.Config{Spec: mode, ProfileArgs: train[base]})
+				c, err := repro.CompileCtx(context.Background(), string(src), repro.Config{Spec: mode, ProfileArgs: train[base]})
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
-				want, err := c.RunReference(runArgs)
+				want, err := c.RunReferenceCtx(context.Background(), runArgs)
 				if err != nil {
 					t.Fatalf("reference: %v", err)
 				}
-				got, err := c.Run(runArgs)
+				got, err := c.RunCtx(context.Background(), runArgs)
 				if err != nil {
 					t.Fatalf("vm: %v", err)
 				}
