@@ -60,8 +60,8 @@ func TestSweepProfilesOncePerPair(t *testing.T) {
 		}
 	}
 	// one frontend parse + one profiling run per workload, and one trace
-	// object + its serialized bytes per distinct trace key
-	if want := 2*n + 2*uint64(len(traces)); computes != want {
+	// entry per distinct trace key
+	if want := 2*n + uint64(len(traces)); computes != want {
 		t.Errorf("cold sweep computed %d cache entries, want %d (%d workloads, %d distinct traces)",
 			computes, want, n, len(traces))
 	}

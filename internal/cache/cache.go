@@ -1,24 +1,26 @@
-// Package cache is the two-tier content-addressed cache behind the
-// compilation pipeline's reuse: an in-memory memoization tier (frontend
-// IR masters, serialized profiles) and an optional persistent on-disk
-// tier (serialized profiles), so a sweep's config variants share one
-// profiling interpreter run and a warm-started process skips profiling
-// entirely.
+// Package cache is the content-addressed cache behind the compilation
+// pipeline's reuse. One lookup, GetCtx, serves every artifact — frontend
+// IR masters, builds, serialized profiles, recorded traces — from an
+// in-memory tier that holds each artifact once, as the value callers
+// use, backed by an optional on-disk tier and an optional remote tier
+// of fleet peers. A sweep's config variants share one profiling run,
+// and a warm-started process skips profiling entirely.
 //
 // Keys are sha256 digests over length-prefixed byte parts (KeyOf), so a
 // key commits to the full content that produced the value — source
-// text, option string, training arguments — never to a name. Both tiers
-// follow the same contract:
+// text, option string, training arguments — never to a name. Every
+// tier follows the same contract:
 //
 //   - a lookup either returns the memoized value or runs the caller's
 //     compute function exactly once per key, even under concurrency
-//     (misses are single-flighted: concurrent callers of the same key
-//     block on one computation instead of duplicating it);
-//   - on-disk entries live under a versioned subdirectory and carry a
-//     checksum header; a truncated, garbled, or stale entry is
-//     discarded and recomputed — corruption is never an error;
-//   - hit/miss/compute/evict counters are exported (Stats) so tests
-//     and tools can assert reuse instead of trusting it.
+//     (concurrent misses of one key block on one computation);
+//   - a value crosses the process boundary only through its entry's
+//     Codec: encoded on the way to disk or a peer, decoded before use
+//     on the way back; a truncated, garbled, stale or undecodable
+//     payload is discarded and recomputed — corruption is never an
+//     error;
+//   - hit/miss/compute/evict/corrupt counters are exported (Stats) so
+//     tests and tools can assert reuse instead of trusting it.
 package cache
 
 import (
@@ -68,20 +70,35 @@ type Stats struct {
 	MemMisses    uint64 // lookups that missed the in-memory tier
 	DiskHits     uint64 // memory misses served by the on-disk tier
 	DiskMisses   uint64 // on-disk lookups that found no (valid) entry
-	RemoteHits   uint64 // disk misses served by the remote (peer) tier
-	RemoteMisses uint64 // remote lookups that found no peer copy
+	RemoteHits   uint64 // disk misses served by a peer's payload, fetched or pushed
+	RemoteMisses uint64 // peer lookups that found no (valid) payload
 	RemotePuts   uint64 // computed entries pushed to the remote tier
 	Computes     uint64 // compute functions actually run
 	Evictions    uint64 // in-memory entries dropped for capacity
-	Corrupt      uint64 // on-disk entries discarded as corrupt/stale
+	Corrupt      uint64 // disk or peer payloads discarded as corrupt, stale or undecodable
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("mem %d/%d hit/miss, disk %d/%d hit/miss, remote %d/%d hit/miss (%d puts), %d computes, %d evictions, %d corrupt",
+		s.MemHits, s.MemMisses, s.DiskHits, s.DiskMisses, s.RemoteHits, s.RemoteMisses, s.RemotePuts, s.Computes, s.Evictions, s.Corrupt)
+}
+
+// Codec converts an entry's value to and from the bytes the disk and
+// peer tiers carry. It runs only where bytes cross the process
+// boundary; the memory tier always holds the decoded value. A nil
+// *Codec marks a memory-only entry.
+type Codec struct {
+	Encode func(v any) []byte
+	Decode func(data []byte) (any, error) // an error marks the payload corrupt
 }
 
 // entry is one memoized result. ready is closed when the result fields
 // are final; late arrivals at the same key wait on it (singleflight).
 type entry struct {
 	ready chan struct{}
-	data  []byte
-	obj   any
+	val   any    // the value callers use
+	codec *Codec // how val crosses the process boundary (nil: it does not)
+	raw   []byte // a peer-pushed payload no local lookup has decoded yet
 	err   error
 }
 
@@ -114,18 +131,15 @@ func New(capacity int) *Cache {
 }
 
 // SetDir enables the on-disk tier under dir (creating its versioned
-// subdirectory), or disables it when dir is empty. Byte entries are
-// persisted there and survive the process.
+// subdirectory), or disables it when dir is empty. Entries with a codec
+// are persisted there and survive the process.
 func (c *Cache) SetDir(dir string) error {
-	if dir == "" {
-		c.mu.Lock()
-		c.dir = ""
-		c.mu.Unlock()
-		return nil
-	}
-	vdir := filepath.Join(dir, fmt.Sprintf("v%d", Version))
-	if err := os.MkdirAll(vdir, 0o755); err != nil {
-		return fmt.Errorf("cache: %w", err)
+	vdir := ""
+	if dir != "" {
+		vdir = filepath.Join(dir, fmt.Sprintf("v%d", Version))
+		if err := os.MkdirAll(vdir, 0o755); err != nil {
+			return fmt.Errorf("cache: %w", err)
+		}
 	}
 	c.mu.Lock()
 	c.dir = vdir
@@ -159,17 +173,16 @@ func (c *Cache) Reset() {
 	c.mu.Unlock()
 }
 
-// SumObjects folds f over every completed, non-error object entry of
-// the in-memory tier and returns the sum. Used to expose resident-size
-// gauges (e.g. decoded trace bytes) without the cache knowing any
-// value's type.
+// SumObjects folds f over the value of every completed, non-error entry
+// of the in-memory tier and returns the sum. Used to expose resident-size
+// gauges (e.g. trace bytes) without the cache knowing any value's type.
 func (c *Cache) SumObjects(f func(v any) int64) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var total int64
 	for _, e := range c.mem {
-		if e.done() && e.err == nil && e.obj != nil {
-			total += f(e.obj)
+		if e.done() && e.err == nil && e.val != nil {
+			total += f(e.val)
 		}
 	}
 	return total
@@ -182,21 +195,36 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
+// bump increments one counter of c.stats.
+func (c *Cache) bump(n *uint64) {
+	c.mu.Lock()
+	*n++
+	c.mu.Unlock()
+}
+
 // lookupOrClaim returns the entry for key and whether the caller owns
-// its computation. Non-owners must wait on entry.ready.
-func (c *Cache) lookupOrClaim(key Key) (e *entry, owner bool, dir string) {
+// its computation. Non-owners must wait on entry.ready. A peer-pushed
+// entry is a miss the caller claims, and its payload is returned as
+// pushed for the owner to decode outside the lock.
+func (c *Cache) lookupOrClaim(key Key) (e *entry, owner bool, pushed []byte, dir string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.mem[key]; ok {
+	e, ok := c.mem[key]
+	if ok && e.raw == nil {
 		c.stats.MemHits++
-		return e, false, c.dir
+		return e, false, nil, c.dir
 	}
 	c.stats.MemMisses++
+	if ok { // the key keeps its place in the FIFO order
+		claim := &entry{ready: make(chan struct{})}
+		c.mem[key] = claim
+		return claim, true, e.raw, c.dir
+	}
 	c.evictLocked()
 	e = &entry{ready: make(chan struct{})}
 	c.mem[key] = e
 	c.order = append(c.order, key)
-	return e, true, c.dir
+	return e, true, nil, c.dir
 }
 
 // evictLocked makes room for one insertion, FIFO over completed
@@ -233,22 +261,14 @@ func (c *Cache) isDisabled() bool {
 	return c.disabled
 }
 
-func (c *Cache) countCompute() {
-	c.mu.Lock()
-	c.stats.Computes++
-	c.mu.Unlock()
-}
-
 // errAbandoned marks an entry whose owner exited without a result (a
 // compute panic). It wraps context.Canceled so waiters treat it like an
 // owner cancellation: retry the lookup instead of surfacing it.
 var errAbandoned = fmt.Errorf("cache: computation abandoned: %w", context.Canceled)
 
 // isCtxErr reports whether err is a context cancellation or deadline —
-// the one class of compute error that must never be memoized: it
-// describes the caller that happened to own the computation, not the
-// computation itself, and caching it would poison the key for every
-// future caller with a live context.
+// the one compute error never memoized: it describes the caller that
+// owned the computation, not the computation, and would poison the key.
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -281,28 +301,27 @@ func (c *Cache) removeOrder(i int) {
 	c.order = append(c.order[:i], c.order[i+1:]...)
 }
 
-// GetBytesCtx returns the byte value for key, computing it at most once
-// per key per process and, when the disk tier is on, at most once per
-// key per cache directory. Errors are memoized in memory (the pipeline
-// computations are deterministic) but never persisted. Callers must not
-// mutate the returned slice.
+// GetCtx returns the value for key, computing it at most once per key
+// per process and, for an entry with a codec and the disk tier on, at
+// most once per key per cache directory. Every caller shares the one
+// value compute returned (or codec.Decode produced) and must treat it as
+// immutable. A nil codec keeps the entry out of the disk and remote
+// tiers. Errors are memoized in memory (the pipeline computations are
+// deterministic) but never persisted.
 //
-// Cancellation: a caller waiting on
-// another caller's in-flight computation (the singleflight path)
-// returns ctx.Err() as soon as ctx is done instead of blocking until
-// the owner finishes. The owner itself always completes its compute —
-// the result is cached for every other caller, so abandoning it would
-// only duplicate work — but if the compute surfaces a context error
-// (a nested ctx-aware lookup, or a compute closure that honors its
-// caller's ctx), that error is forgotten, not memoized, and waiters
-// with a live context retry the lookup.
-func (c *Cache) GetBytesCtx(ctx context.Context, key Key, compute func() ([]byte, error)) ([]byte, error) {
+// Cancellation: a caller waiting on another caller's in-flight
+// computation returns ctx.Err() as soon as ctx is done. The owner always
+// completes its compute — the result is cached for every other caller —
+// but a context error it surfaces (a nested ctx-aware lookup, or a
+// compute that honors its caller's ctx) is forgotten, not memoized, and
+// waiters with a live context retry the lookup.
+func (c *Cache) GetCtx(ctx context.Context, key Key, codec *Codec, compute func() (any, error)) (any, error) {
 	if c.isDisabled() {
-		c.countCompute()
+		c.bump(&c.stats.Computes)
 		return compute()
 	}
 	for {
-		e, owner, dir := c.lookupOrClaim(key)
+		e, owner, pushed, dir := c.lookupOrClaim(key)
 		if !owner {
 			select {
 			case <-e.ready:
@@ -314,23 +333,24 @@ func (c *Cache) GetBytesCtx(ctx context.Context, key Key, compute func() ([]byte
 					}
 					continue
 				}
-				return e.data, e.err
+				return e.val, e.err
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
 		}
-		return c.fillBytes(ctx, e, key, dir, compute)
+		return c.fill(ctx, e, key, dir, codec, pushed, compute)
 	}
 }
 
-// fillBytes runs the owner's side of a GetBytesCtx miss: disk tier,
-// then the remote (peer) tier, then the compute function. e.ready is
-// closed on every exit, including a compute panic (the entry is then
-// forgotten so waiters retry rather than observe a half-filled entry,
-// and the panic propagates to the owner). A remote hit is written
-// through to the disk tier; a computed value is written through to both
-// (the push to peers is what makes the entry computed once fleet-wide).
-func (c *Cache) fillBytes(ctx context.Context, e *entry, key Key, dir string, compute func() ([]byte, error)) ([]byte, error) {
+// fill runs the owner's side of a GetCtx miss: (with a codec) the disk
+// tier, then a peer's payload — pushed earlier or fetched now — then
+// compute. A payload is decoded before it is used or written anywhere;
+// one that fails is counted corrupt and the next step is taken. A
+// decoded peer payload is written through to disk; a computed value is
+// encoded once, only if a disk or remote tier is on, and written through
+// to both. e.ready is closed on every exit; after a compute panic the
+// entry is forgotten so waiters retry, and the panic propagates.
+func (c *Cache) fill(ctx context.Context, e *entry, key Key, dir string, codec *Codec, pushed []byte, compute func() (any, error)) (any, error) {
 	completed := false
 	defer func() {
 		if !completed {
@@ -339,182 +359,148 @@ func (c *Cache) fillBytes(ctx context.Context, e *entry, key Key, dir string, co
 		}
 		close(e.ready)
 	}()
+	e.codec = codec
+	var remote Remote
+	if codec == nil {
+		dir = "" // a memory-only entry never leaves memory
+	} else {
+		remote = c.getRemote()
+	}
 	if dir != "" {
-		if data, ok := c.diskLoad(dir, key); ok {
-			e.data = data
-			completed = true
-			return data, nil
+		if v, ok := c.diskLoad(dir, key, codec.Decode); ok {
+			e.val, completed = v, true
+			return v, nil
 		}
 	}
-	if remote := c.getRemote(); remote != nil {
-		if data, ok := remote.Get(ctx, key); ok {
-			c.mu.Lock()
-			c.stats.RemoteHits++
-			c.mu.Unlock()
-			e.data = data
-			completed = true
-			if dir != "" {
-				c.diskStore(dir, key, data)
+	// a peer's payload: the one it pushed here, else one fetched now
+	data, ok := pushed, pushed != nil
+	if !ok && remote != nil {
+		data, ok = remote.Get(ctx, key)
+	}
+	if ok {
+		if codec != nil {
+			if v, err := codec.Decode(data); err == nil {
+				c.bump(&c.stats.RemoteHits)
+				e.val, completed = v, true
+				if dir != "" {
+					c.diskStore(dir, key, data)
+				}
+				return v, nil
 			}
-			return data, nil
 		}
-		c.mu.Lock()
-		c.stats.RemoteMisses++
-		c.mu.Unlock()
+		c.bump(&c.stats.Corrupt) // undecodable, or pushed for a memory-only entry
 	}
-	c.countCompute()
-	e.data, e.err = compute()
+	if remote != nil || pushed != nil {
+		c.bump(&c.stats.RemoteMisses)
+	}
+	c.bump(&c.stats.Computes)
+	e.val, e.err = compute()
 	completed = true
 	if isCtxErr(e.err) {
 		c.forget(key, e)
-	} else if e.err == nil {
+	} else if e.err == nil && (dir != "" || remote != nil) {
+		data := codec.Encode(e.val)
 		if dir != "" {
-			c.diskStore(dir, key, e.data)
+			c.diskStore(dir, key, data)
 		}
-		if remote := c.getRemote(); remote != nil {
-			remote.Put(ctx, key, e.data)
-			c.mu.Lock()
-			c.stats.RemotePuts++
-			c.mu.Unlock()
+		if remote != nil {
+			remote.Put(ctx, key, data)
+			c.bump(&c.stats.RemotePuts)
 		}
 	}
-	return e.data, e.err
+	return e.val, e.err
 }
 
-// PeekBytes is the read side of serving the remote tier to peers: it
-// returns the completed byte entry for key from the memory or disk tier
-// without claiming the key, running any compute, or consulting this
-// cache's own remote tier (so two peers looking each other up can never
-// recurse). In-flight computations are not waited for — a peek races a
-// compute, it never joins one.
+// rawPayload reads the disk tier for PeekBytes: the peer decodes.
+func rawPayload(data []byte) (any, error) { return data, nil }
+
+// PeekBytes is the read side of serving the remote tier to peers: the
+// completed entry for key from the memory tier, encoded with its codec
+// (a pushed payload as pushed; a nil-codec entry not at all), or from
+// the disk tier. It never claims the key, computes, waits for an
+// in-flight entry, or consults this cache's own remote tier, so two
+// peers looking each other up can never recurse.
 func (c *Cache) PeekBytes(key Key) ([]byte, bool) {
 	c.mu.Lock()
 	e, ok := c.mem[key]
 	dir := c.dir
 	c.mu.Unlock()
-	if ok && e.done() && e.err == nil && e.data != nil {
-		return e.data, true
+	if ok && e.done() && e.err == nil {
+		if e.raw != nil {
+			return e.raw, true
+		}
+		if e.codec != nil {
+			return e.codec.Encode(e.val), true
+		}
 	}
 	if dir != "" {
-		if data, ok := c.diskLoad(dir, key); ok {
-			return data, true
+		if v, ok := c.diskLoad(dir, key, rawPayload); ok {
+			return v.([]byte), true
 		}
 	}
 	return nil, false
 }
 
 // PutBytes is the write side of serving the remote tier to peers: it
-// installs data as the completed byte entry for key in the memory tier
-// (respecting capacity) and writes it through to the disk tier. An
-// existing entry — completed or in flight — wins: the cache's values
-// are content-addressed and deterministic, so the first copy is as good
-// as any, and displacing an in-flight entry would strand its waiters.
+// installs data as a pushed payload for key in the memory tier. The
+// first local GetCtx of the key decodes it and only then writes it
+// through to disk; a payload that fails to decode is counted corrupt,
+// dropped and recomputed. An existing entry, completed or in flight,
+// wins (values are content-addressed, and displacing an in-flight entry
+// would strand its waiters). An empty payload encodes nothing and is
+// ignored.
 func (c *Cache) PutBytes(key Key, data []byte) {
-	c.mu.Lock()
-	if c.disabled {
-		c.mu.Unlock()
+	if len(data) == 0 {
 		return
 	}
-	dir := c.dir
-	if _, ok := c.mem[key]; !ok {
-		c.evictLocked()
-		e := &entry{ready: make(chan struct{}), data: data}
-		close(e.ready)
-		c.mem[key] = e
-		c.order = append(c.order, key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.mem[key]; ok || c.disabled {
+		return
 	}
-	c.mu.Unlock()
-	if dir != "" {
-		c.diskStore(dir, key, data)
-	}
-}
-
-// GetObjectCtx is the memory-only variant of GetBytesCtx for values that
-// are not serialized (frontend IR masters). The returned object is
-// shared — callers must treat it as immutable (clone before mutating).
-// Cancellation follows the same contract as GetBytesCtx: waiters honor
-// ctx, owners complete, context errors are never memoized.
-func (c *Cache) GetObjectCtx(ctx context.Context, key Key, compute func() (any, error)) (any, error) {
-	if c.isDisabled() {
-		c.countCompute()
-		return compute()
-	}
-	for {
-		e, owner, _ := c.lookupOrClaim(key)
-		if !owner {
-			select {
-			case <-e.ready:
-				if isCtxErr(e.err) {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				return e.obj, e.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		return c.fillObject(e, key, compute)
-	}
-}
-
-// fillObject is fillBytes for the memory-only object tier.
-func (c *Cache) fillObject(e *entry, key Key, compute func() (any, error)) (any, error) {
-	completed := false
-	defer func() {
-		if !completed {
-			e.err = errAbandoned
-			c.forget(key, e)
-		}
-		close(e.ready)
-	}()
-	c.countCompute()
-	e.obj, e.err = compute()
-	completed = true
-	if isCtxErr(e.err) {
-		c.forget(key, e)
-	}
-	return e.obj, e.err
+	c.evictLocked()
+	e := &entry{ready: make(chan struct{}), raw: data}
+	close(e.ready)
+	c.mem[key] = e
+	c.order = append(c.order, key)
 }
 
 // The on-disk entry format: one header line
 //
 //	reprocache v<Version> <64-hex sha256 of payload>\n
 //
-// followed by the raw payload. The checksum makes truncation and bit
-// rot detectable; the version (in both the directory name and the
-// header) makes staleness detectable.
+// followed by the codec-encoded payload. The checksum makes truncation
+// and bit rot detectable; the version (in both the directory name and
+// the header) makes staleness detectable; the codec's decoder catches a
+// well-formed entry whose payload is not a valid encoding.
 
 func (c *Cache) diskPath(dir string, key Key) string {
 	return filepath.Join(dir, hex.EncodeToString(key[:])+".cache")
 }
 
-// diskLoad reads and verifies the entry for key. Any failure — missing
-// file, malformed header, checksum mismatch — is a miss; a present but
-// invalid file is deleted and counted as corrupt. A hit refreshes the
-// entry's mtime so Prune's oldest-first deletion order approximates
-// LRU: entries that concurrent readers are actively using are the last
-// to go, not the first (their write time says nothing about their use).
-func (c *Cache) diskLoad(dir string, key Key) ([]byte, bool) {
+// diskLoad reads, verifies and decodes the entry for key. Any failure —
+// missing file, malformed header, checksum mismatch, a payload decode
+// rejects — is a miss; a present but invalid file is deleted and counted
+// as corrupt. A hit refreshes the entry's mtime so Prune's oldest-first
+// deletion order approximates LRU: entries that concurrent readers are
+// actively using are the last to go, not the first (their write time
+// says nothing about their use).
+func (c *Cache) diskLoad(dir string, key Key, decode func([]byte) (any, error)) (any, bool) {
 	path := c.diskPath(dir, key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		c.mu.Lock()
-		c.stats.DiskMisses++
-		c.mu.Unlock()
+		c.bump(&c.stats.DiskMisses)
 		return nil, false
 	}
+	var v any
 	payload, ok := verifyEntry(raw)
-	c.mu.Lock()
 	if ok {
-		c.stats.DiskHits++
-	} else {
-		c.stats.DiskMisses++
-		c.stats.Corrupt++
+		v, err = decode(payload)
+		ok = err == nil
 	}
-	c.mu.Unlock()
 	if !ok {
+		c.bump(&c.stats.DiskMisses)
+		c.bump(&c.stats.Corrupt)
 		// Remove the corrupt file — but only if it still is the file we
 		// read. A concurrent writer may have renamed a fresh, valid
 		// entry over the path between our read and this removal, and
@@ -529,9 +515,10 @@ func (c *Cache) diskLoad(dir string, key Key) ([]byte, bool) {
 		}
 		return nil, false
 	}
+	c.bump(&c.stats.DiskHits)
 	now := time.Now()
 	os.Chtimes(path, now, now) // best-effort: a failed touch only ages the entry
-	return payload, true
+	return v, true
 }
 
 func verifyEntry(raw []byte) ([]byte, bool) {

@@ -7,12 +7,45 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 func keyN(n int) Key { return KeyOf([]byte(fmt.Sprintf("key-%d", n))) }
+
+// bytesCodec is the identity codec: byte values that cross every tier
+// as they are.
+var bytesCodec = &Codec{
+	Encode: func(v any) []byte { return v.([]byte) },
+	Decode: func(data []byte) (any, error) { return data, nil },
+}
+
+// getBytes is GetCtx for a byte-valued entry under bytesCodec.
+func getBytes(ctx context.Context, c *Cache, key Key, compute func() ([]byte, error)) ([]byte, error) {
+	v, err := c.GetCtx(ctx, key, bytesCodec, func() (any, error) { return compute() })
+	data, _ := v.([]byte)
+	return data, err
+}
+
+// strictCodec stands in for the trace and profile decoders: a string
+// value travels as "v:" + value, and any other payload is rejected.
+// encodes counts Encode calls.
+type strictCodec struct{ encodes atomic.Int64 }
+
+func (s *strictCodec) codec() *Codec {
+	return &Codec{
+		Encode: func(v any) []byte { s.encodes.Add(1); return []byte("v:" + v.(string)) },
+		Decode: func(data []byte) (any, error) {
+			if v, ok := strings.CutPrefix(string(data), "v:"); ok {
+				return v, nil
+			}
+			return nil, errors.New("not a v: payload")
+		},
+	}
+}
 
 func TestKeyOfLengthPrefixed(t *testing.T) {
 	if KeyOf([]byte("ab"), []byte("c")) == KeyOf([]byte("a"), []byte("bc")) {
@@ -30,7 +63,7 @@ func TestMemoizeBytes(t *testing.T) {
 	c := New(0)
 	computes := 0
 	get := func() ([]byte, error) {
-		return c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
+		return getBytes(context.Background(), c, keyN(1), func() ([]byte, error) {
 			computes++
 			return []byte("value"), nil
 		})
@@ -55,7 +88,7 @@ func TestErrorsMemoized(t *testing.T) {
 	computes := 0
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
-		_, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
+		_, err := getBytes(context.Background(), c, keyN(1), func() ([]byte, error) {
 			computes++
 			return nil, boom
 		})
@@ -79,7 +112,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.GetBytesCtx(context.Background(), keyN(7), func() ([]byte, error) {
+			v, err := getBytes(context.Background(), c, keyN(7), func() ([]byte, error) {
 				computes++ // safe: only one goroutine may get here
 				<-release
 				return []byte("shared"), nil
@@ -99,19 +132,19 @@ func TestSingleflight(t *testing.T) {
 func TestEvictionFIFO(t *testing.T) {
 	c := New(2)
 	for i := 0; i < 3; i++ {
-		c.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) { return []byte{byte(i)}, nil })
+		getBytes(context.Background(), c, keyN(i), func() ([]byte, error) { return []byte{byte(i)}, nil })
 	}
 	if got := c.Stats().Evictions; got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 	// key 0 was evicted: a re-get recomputes
 	recomputed := false
-	c.GetBytesCtx(context.Background(), keyN(0), func() ([]byte, error) { recomputed = true; return nil, nil })
+	getBytes(context.Background(), c, keyN(0), func() ([]byte, error) { recomputed = true; return nil, nil })
 	if !recomputed {
 		t.Fatal("oldest entry should have been evicted")
 	}
 	// key 2 survived
-	c.GetBytesCtx(context.Background(), keyN(2), func() ([]byte, error) {
+	getBytes(context.Background(), c, keyN(2), func() ([]byte, error) {
 		t.Fatal("newest entry should still be resident")
 		return nil, nil
 	})
@@ -123,7 +156,7 @@ func TestEvictionFIFO(t *testing.T) {
 // other entry still leaves oldest-first.
 func TestEvictionOrderPinned(t *testing.T) {
 	put := func(c *Cache, n int) {
-		c.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) { return []byte{byte(n)}, nil })
+		getBytes(context.Background(), c, keyN(n), func() ([]byte, error) { return []byte{byte(n)}, nil })
 	}
 	resident := func(c *Cache, want ...int) {
 		t.Helper()
@@ -144,7 +177,7 @@ func TestEvictionOrderPinned(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			c.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) {
+			getBytes(context.Background(), c, keyN(n), func() ([]byte, error) {
 				close(started)
 				err := <-release
 				return []byte{byte(n)}, err
@@ -204,7 +237,7 @@ func TestDiskWarmStartAcrossInstances(t *testing.T) {
 	if err := c1.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c1.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { return []byte("persisted"), nil })
+	v, err := getBytes(context.Background(), c1, keyN(1), func() ([]byte, error) { return []byte("persisted"), nil })
 	if err != nil || string(v) != "persisted" {
 		t.Fatalf("store: %q, %v", v, err)
 	}
@@ -214,7 +247,7 @@ func TestDiskWarmStartAcrossInstances(t *testing.T) {
 	if err := c2.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	v, err = c2.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
+	v, err = getBytes(context.Background(), c2, keyN(1), func() ([]byte, error) {
 		t.Fatal("warm start must not recompute")
 		return nil, nil
 	})
@@ -243,7 +276,7 @@ func TestCorruptEntriesRecomputed(t *testing.T) {
 			if err := c1.SetDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c1.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { return payload, nil }); err != nil {
+			if _, err := getBytes(context.Background(), c1, keyN(1), func() ([]byte, error) { return payload, nil }); err != nil {
 				t.Fatal(err)
 			}
 			path := c1.diskPath(c1.Dir(), keyN(1))
@@ -260,7 +293,7 @@ func TestCorruptEntriesRecomputed(t *testing.T) {
 				t.Fatal(err)
 			}
 			recomputed := false
-			v, err := c2.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { recomputed = true; return payload, nil })
+			v, err := getBytes(context.Background(), c2, keyN(1), func() ([]byte, error) { recomputed = true; return payload, nil })
 			if err != nil {
 				t.Fatalf("corruption must never surface as an error: %v", err)
 			}
@@ -275,13 +308,57 @@ func TestCorruptEntriesRecomputed(t *testing.T) {
 			if err := c3.SetDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c3.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
+			if _, err := getBytes(context.Background(), c3, keyN(1), func() ([]byte, error) {
 				t.Fatal("repaired entry should load from disk")
 				return nil, nil
 			}); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// peekDir reads key's verified disk payload from the cache dir dir
+// through c (a fresh instance, so the memory tier cannot answer).
+func (c *Cache) peekDir(t *testing.T, dir string, key Key) ([]byte, bool) {
+	t.Helper()
+	if err := c.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	return c.PeekBytes(key)
+}
+
+// TestUndecodableDiskEntryRecomputed pins the disk boundary's decode
+// step: an entry with a valid checksum whose payload the codec rejects
+// is counted corrupt, removed, and recomputed.
+func TestUndecodableDiskEntryRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	var sc strictCodec
+	c1 := New(0)
+	if err := c1.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	c1.diskStore(c1.Dir(), keyN(1), []byte("garbage"))
+	path := c1.diskPath(c1.Dir(), keyN(1))
+
+	c2 := New(0)
+	if err := c2.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	v, err := c2.GetCtx(context.Background(), keyN(1), sc.codec(), func() (any, error) {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("undecodable entry not removed before recompute: %v", err)
+		}
+		return "fresh", nil
+	})
+	if err != nil || v != "fresh" {
+		t.Fatalf("get: %v, %v", v, err)
+	}
+	if s := c2.Stats(); s.Corrupt != 1 || s.DiskHits != 0 || s.DiskMisses != 1 || s.Computes != 1 {
+		t.Fatalf("stats = %+v, want 1 corrupt disk miss and 1 compute", s)
+	}
+	if data, ok := New(0).peekDir(t, dir, keyN(1)); !ok || string(data) != "v:fresh" {
+		t.Fatalf("repaired entry = %q, %v", data, ok)
 	}
 }
 
@@ -294,7 +371,7 @@ func TestDisabledBypassesAllTiers(t *testing.T) {
 	c.SetEnabled(false)
 	computes := 0
 	for i := 0; i < 2; i++ {
-		c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
+		getBytes(context.Background(), c, keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
 	}
 	if computes != 2 {
 		t.Fatalf("computes = %d, want 2 while disabled", computes)
@@ -304,8 +381,8 @@ func TestDisabledBypassesAllTiers(t *testing.T) {
 		t.Fatalf("disabled cache wrote %d files", len(files))
 	}
 	c.SetEnabled(true)
-	c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
-	c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
+	getBytes(context.Background(), c, keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
+	getBytes(context.Background(), c, keyN(1), func() ([]byte, error) { computes++; return []byte("x"), nil })
 	if computes != 3 {
 		t.Fatalf("computes = %d, want 3 after re-enable", computes)
 	}
@@ -318,7 +395,7 @@ func TestObjectTierIsMemoryOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	type big struct{ n int }
-	v, err := c.GetObjectCtx(context.Background(), keyN(3), func() (any, error) { return &big{42}, nil })
+	v, err := c.GetCtx(context.Background(), keyN(3), nil, func() (any, error) { return &big{42}, nil })
 	if err != nil || v.(*big).n != 42 {
 		t.Fatalf("%v, %v", v, err)
 	}
@@ -326,7 +403,7 @@ func TestObjectTierIsMemoryOnly(t *testing.T) {
 	if len(files) != 0 {
 		t.Fatalf("object entries must not be persisted, found %d files", len(files))
 	}
-	v2, _ := c.GetObjectCtx(context.Background(), keyN(3), func() (any, error) {
+	v2, _ := c.GetCtx(context.Background(), keyN(3), nil, func() (any, error) {
 		t.Fatal("must be memoized")
 		return nil, nil
 	})
@@ -341,9 +418,9 @@ func TestResetDropsMemoryKeepsDisk(t *testing.T) {
 	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { return []byte("v"), nil })
+	getBytes(context.Background(), c, keyN(1), func() ([]byte, error) { return []byte("v"), nil })
 	c.Reset()
-	v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
+	v, err := getBytes(context.Background(), c, keyN(1), func() ([]byte, error) {
 		t.Fatal("reset must not clear the persistent tier")
 		return nil, nil
 	})
@@ -356,14 +433,16 @@ func TestResetDropsMemoryKeepsDisk(t *testing.T) {
 }
 
 // TestConcurrentMixed drives many goroutines across overlapping keys
-// with the disk tier on; run under -race this is the cache's
-// thread-safety gate.
+// with the disk tier on — byte entries, memory-only entries, and pushed
+// payloads that peeks serve and lookups claim and decode; run under
+// -race this is the cache's thread-safety gate.
 func TestConcurrentMixed(t *testing.T) {
 	dir := t.TempDir()
 	c := New(16)
 	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
+	var sc strictCodec
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
@@ -372,7 +451,7 @@ func TestConcurrentMixed(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				k := i % 8
 				want := fmt.Sprintf("v%d", k)
-				v, err := c.GetBytesCtx(context.Background(), keyN(k), func() ([]byte, error) {
+				v, err := getBytes(context.Background(), c, keyN(k), func() ([]byte, error) {
 					return []byte(fmt.Sprintf("v%d", k)), nil
 				})
 				if err != nil || string(v) != want {
@@ -382,8 +461,18 @@ func TestConcurrentMixed(t *testing.T) {
 				if g%4 == 0 && i%25 == 24 {
 					c.Reset()
 				}
-				if _, err := c.GetObjectCtx(context.Background(), keyN(100+k), func() (any, error) { return k, nil }); err != nil {
+				if _, err := c.GetCtx(context.Background(), keyN(100+k), nil, func() (any, error) { return k, nil }); err != nil {
 					t.Errorf("object: %v", err)
+					return
+				}
+				c.PutBytes(keyN(200+k), []byte("v:"+want))
+				if data, ok := c.PeekBytes(keyN(200 + k)); ok && string(data) != "v:"+want {
+					t.Errorf("peek pushed: %q", data)
+					return
+				}
+				pv, err := c.GetCtx(context.Background(), keyN(200+k), sc.codec(), func() (any, error) { return want, nil })
+				if err != nil || pv != want {
+					t.Errorf("pushed key: %v, %v", pv, err)
 					return
 				}
 			}
@@ -419,7 +508,7 @@ func TestSharedDirTwoInstancesConcurrent(t *testing.T) {
 			go func(c *Cache) {
 				defer wg.Done()
 				for n := 0; n < keys; n++ {
-					got, err := c.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) {
+					got, err := getBytes(context.Background(), c, keyN(n), func() ([]byte, error) {
 						return value(n), nil
 					})
 					if err != nil {
@@ -449,7 +538,7 @@ func TestSharedDirTwoInstancesConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 0; n < keys; n++ {
-		got, err := c3.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) {
+		got, err := getBytes(context.Background(), c3, keyN(n), func() ([]byte, error) {
 			return nil, errors.New("must not recompute: entry should be on disk")
 		})
 		if err != nil || !bytes.Equal(got, value(n)) {
@@ -470,7 +559,7 @@ func TestPruneOldestFirst(t *testing.T) {
 	// three 1KiB-payload entries with distinct mtimes, oldest first
 	var paths []string
 	for n := 0; n < 3; n++ {
-		if _, err := c.GetBytesCtx(context.Background(), keyN(n), func() ([]byte, error) {
+		if _, err := getBytes(context.Background(), c, keyN(n), func() ([]byte, error) {
 			return bytes.Repeat([]byte{byte(n)}, 1024), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -516,7 +605,7 @@ func TestPruneOldestFirst(t *testing.T) {
 	if err := c2.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.GetBytesCtx(context.Background(), keyN(0), func() ([]byte, error) {
+	if _, err := getBytes(context.Background(), c2, keyN(0), func() ([]byte, error) {
 		return []byte("recomputed"), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -560,7 +649,7 @@ func TestCtxWaiterCancelled(t *testing.T) {
 	computing := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
+		getBytes(context.Background(), c, keyN(1), func() ([]byte, error) {
 			close(computing)
 			<-release
 			return []byte("slow"), nil
@@ -570,7 +659,7 @@ func TestCtxWaiterCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.GetBytesCtx(ctx, keyN(1), func() ([]byte, error) {
+		_, err := getBytes(ctx, c, keyN(1), func() ([]byte, error) {
 			return nil, errors.New("waiter must not compute")
 		})
 		done <- err
@@ -586,7 +675,7 @@ func TestCtxWaiterCancelled(t *testing.T) {
 	}
 	close(release)
 	// the owner's value is memoized normally
-	v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
+	v, err := getBytes(context.Background(), c, keyN(1), func() ([]byte, error) {
 		return nil, errors.New("must be memoized")
 	})
 	if err != nil || string(v) != "slow" {
@@ -601,7 +690,7 @@ func TestCtxErrorNotMemoized(t *testing.T) {
 	c := New(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
+	_, err := getBytes(context.Background(), c, keyN(1), func() ([]byte, error) {
 		// a nested ctx-aware computation bubbling up its caller's
 		// cancellation
 		return nil, ctx.Err()
@@ -609,7 +698,7 @@ func TestCtxErrorNotMemoized(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
+	v, err := getBytes(context.Background(), c, keyN(1), func() ([]byte, error) {
 		return []byte("fresh"), nil
 	})
 	if err != nil || string(v) != "fresh" {
@@ -617,8 +706,8 @@ func TestCtxErrorNotMemoized(t *testing.T) {
 	}
 	// real errors stay memoized (the existing contract)
 	boom := errors.New("boom")
-	c.GetBytesCtx(context.Background(), keyN(2), func() ([]byte, error) { return nil, boom })
-	_, err = c.GetBytesCtx(context.Background(), keyN(2), func() ([]byte, error) {
+	getBytes(context.Background(), c, keyN(2), func() ([]byte, error) { return nil, boom })
+	_, err = getBytes(context.Background(), c, keyN(2), func() ([]byte, error) {
 		return nil, errors.New("must not recompute")
 	})
 	if !errors.Is(err, boom) {
@@ -634,7 +723,7 @@ func TestPanicDoesNotDeadlockWaiters(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		defer func() { recover() }()
-		c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
+		getBytes(context.Background(), c, keyN(1), func() ([]byte, error) {
 			close(started)
 			// give the waiter time to block on ready
 			time.Sleep(50 * time.Millisecond)
@@ -645,7 +734,7 @@ func TestPanicDoesNotDeadlockWaiters(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) {
+		v, err := getBytes(context.Background(), c, keyN(1), func() ([]byte, error) {
 			return []byte("recovered"), nil
 		})
 		if err != nil || string(v) != "recovered" {
@@ -675,7 +764,7 @@ func TestPruneConcurrentReaders(t *testing.T) {
 	}
 	var total int64
 	for i := 0; i < nkeys; i++ {
-		v, err := seed.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) { return value(i), nil })
+		v, err := getBytes(context.Background(), seed, keyN(i), func() ([]byte, error) { return value(i), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -721,7 +810,7 @@ func TestPruneConcurrentReaders(t *testing.T) {
 			for iter := 0; iter < 50; iter++ {
 				for i := 0; i < nkeys; i++ {
 					i := i
-					v, err := c.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) { return value(i), nil })
+					v, err := getBytes(context.Background(), c, keyN(i), func() ([]byte, error) { return value(i), nil })
 					if err != nil {
 						t.Errorf("get key %d: %v", i, err)
 						return
@@ -750,7 +839,7 @@ func TestPruneConcurrentReaders(t *testing.T) {
 	}
 	for i := 0; i < nkeys; i++ {
 		i := i
-		v, err := final.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) { return value(i), nil })
+		v, err := getBytes(context.Background(), final, keyN(i), func() ([]byte, error) { return value(i), nil })
 		if err != nil || !bytes.Equal(v, value(i)) {
 			t.Fatalf("final read key %d: %q, %v", i, v, err)
 		}
@@ -772,7 +861,7 @@ func TestPruneGenerousBudgetLosesNothing(t *testing.T) {
 	const nkeys = 16
 	for i := 0; i < nkeys; i++ {
 		i := i
-		if _, err := c.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) { return []byte(fmt.Sprintf("v%d", i)), nil }); err != nil {
+		if _, err := getBytes(context.Background(), c, keyN(i), func() ([]byte, error) { return []byte(fmt.Sprintf("v%d", i)), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -799,7 +888,7 @@ func TestPruneGenerousBudgetLosesNothing(t *testing.T) {
 	}
 	for iter := 0; iter < 30; iter++ {
 		for i := 0; i < nkeys; i++ {
-			v, err := reader.GetBytesCtx(context.Background(), keyN(i), func() ([]byte, error) {
+			v, err := getBytes(context.Background(), reader, keyN(i), func() ([]byte, error) {
 				return nil, fmt.Errorf("entry %d lost under generous budget", i)
 			})
 			if err != nil {
@@ -827,7 +916,7 @@ func TestDiskHitRefreshesMtime(t *testing.T) {
 	hot, cold := keyN(1), keyN(2)
 	for _, k := range []Key{hot, cold} {
 		k := k
-		if _, err := c.GetBytesCtx(context.Background(), k, func() ([]byte, error) { return []byte("xxxxxxxx"), nil }); err != nil {
+		if _, err := getBytes(context.Background(), c, k, func() ([]byte, error) { return []byte("xxxxxxxx"), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -840,7 +929,7 @@ func TestDiskHitRefreshesMtime(t *testing.T) {
 		}
 	}
 	c.Reset()
-	if _, err := c.GetBytesCtx(context.Background(), hot, func() ([]byte, error) { return nil, fmt.Errorf("lost") }); err != nil {
+	if _, err := getBytes(context.Background(), c, hot, func() ([]byte, error) { return nil, fmt.Errorf("lost") }); err != nil {
 		t.Fatal(err)
 	}
 	// Prune to a budget that keeps exactly one entry: the cold one goes.

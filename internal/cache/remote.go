@@ -5,8 +5,9 @@ package cache
 // content-addressed store — a profile or trace computed on any node is
 // computed exactly once fleet-wide. The tier is best-effort by the same
 // contract as the disk tier: an unreachable peer is a miss, never an
-// error, and a corrupt response is discarded (the content hash in the
-// key makes verification free).
+// error. A key hashes the inputs, not the payload, so nothing here can
+// verify a response; the cache decodes it with the entry's codec and
+// discards one that fails as corrupt.
 //
 // Peers are ranked per key by rendezvous (highest-random-weight)
 // hashing, so every node agrees on which peer owns a key without any
@@ -29,8 +30,8 @@ import (
 	"time"
 )
 
-// Remote is the peer-lookup tier consulted by GetBytesCtx between the
-// disk tier and the compute function. Both methods are best-effort:
+// Remote is the peer-lookup tier consulted by GetCtx between the disk
+// tier and the compute function. Both methods are best-effort:
 // Get reports a miss for any failure, Put may silently drop. The cache
 // never calls them while holding its lock.
 type Remote interface {
@@ -140,10 +141,8 @@ func (r *PeerRemote) url(peer string, key Key) string {
 	return peer + "/cache/" + key.String()
 }
 
-// Get tries the key's ranked peers in order and returns the first
-// verified hit. The payload is re-verified against the content hash the
-// peer cannot know better than we do — a checksum mismatch is treated
-// exactly like a corrupt disk entry: a miss.
+// Get tries the key's ranked peers in order and returns the first hit,
+// undecoded: the cache's codec is the check on what a peer sent.
 func (r *PeerRemote) Get(ctx context.Context, key Key) ([]byte, bool) {
 	for _, peer := range HRWRank(key, r.peers) {
 		if data, ok := r.getOne(ctx, peer, key); ok {

@@ -113,7 +113,7 @@ func TestRemoteTierHitSkipsComputeAndFillsDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetRemote(remote)
-	v, err := c.GetBytesCtx(context.Background(), key, func() ([]byte, error) {
+	v, err := getBytes(context.Background(), c, key, func() ([]byte, error) {
 		t.Fatal("compute must not run on a remote hit")
 		return nil, nil
 	})
@@ -131,7 +131,7 @@ func TestRemoteTierHitSkipsComputeAndFillsDisk(t *testing.T) {
 	if err := c2.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	v, err = c2.GetBytesCtx(context.Background(), key, func() ([]byte, error) {
+	v, err = getBytes(context.Background(), c2, key, func() ([]byte, error) {
 		t.Fatal("compute must not run on a disk hit")
 		return nil, nil
 	})
@@ -145,7 +145,7 @@ func TestRemoteTierMissComputesAndPuts(t *testing.T) {
 	c := New(0)
 	c.SetRemote(remote)
 	key := keyN(2)
-	v, err := c.GetBytesCtx(context.Background(), key, func() ([]byte, error) { return []byte("computed"), nil })
+	v, err := getBytes(context.Background(), c, key, func() ([]byte, error) { return []byte("computed"), nil })
 	if err != nil || string(v) != "computed" {
 		t.Fatalf("get: %q, %v", v, err)
 	}
@@ -157,7 +157,7 @@ func TestRemoteTierMissComputesAndPuts(t *testing.T) {
 		t.Fatalf("computed value not pushed to remote: %q", remote.store[key])
 	}
 	// Memory hit on re-lookup: the remote is not consulted again.
-	if _, err := c.GetBytesCtx(context.Background(), key, func() ([]byte, error) { return nil, nil }); err != nil {
+	if _, err := getBytes(context.Background(), c, key, func() ([]byte, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if remote.gets != 1 {
@@ -169,7 +169,7 @@ func TestRemoteTierErrorsNotPushed(t *testing.T) {
 	remote := newFakeRemote()
 	c := New(0)
 	c.SetRemote(remote)
-	_, err := c.GetBytesCtx(context.Background(), keyN(3), func() ([]byte, error) { return nil, fmt.Errorf("boom") })
+	_, err := getBytes(context.Background(), c, keyN(3), func() ([]byte, error) { return nil, fmt.Errorf("boom") })
 	if err == nil {
 		t.Fatal("want compute error")
 	}
@@ -184,7 +184,7 @@ func TestDisabledCacheSkipsRemote(t *testing.T) {
 	c := New(0)
 	c.SetRemote(remote)
 	c.SetEnabled(false)
-	v, err := c.GetBytesCtx(context.Background(), keyN(4), func() ([]byte, error) { return []byte("local"), nil })
+	v, err := getBytes(context.Background(), c, keyN(4), func() ([]byte, error) { return []byte("local"), nil })
 	if err != nil || string(v) != "local" {
 		t.Fatalf("get: %q, %v", v, err)
 	}
@@ -200,10 +200,10 @@ func TestPeekBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	memKey, diskKey, missKey := keyN(1), keyN(2), keyN(3)
-	if _, err := c.GetBytesCtx(context.Background(), memKey, func() ([]byte, error) { return []byte("in memory"), nil }); err != nil {
+	if _, err := getBytes(context.Background(), c, memKey, func() ([]byte, error) { return []byte("in memory"), nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetBytesCtx(context.Background(), diskKey, func() ([]byte, error) { return []byte("on disk"), nil }); err != nil {
+	if _, err := getBytes(context.Background(), c, diskKey, func() ([]byte, error) { return []byte("on disk"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	c.Reset() // diskKey now reachable only via disk
@@ -238,14 +238,15 @@ func TestPutBytes(t *testing.T) {
 	}
 	key := keyN(1)
 	c.PutBytes(key, []byte("pushed"))
-	v, err := c.GetBytesCtx(context.Background(), key, func() ([]byte, error) {
+	v, err := getBytes(context.Background(), c, key, func() ([]byte, error) {
 		t.Fatal("compute must not run after PutBytes")
 		return nil, nil
 	})
 	if err != nil || string(v) != "pushed" {
 		t.Fatalf("get: %q, %v", v, err)
 	}
-	// Write-through to disk: visible to a fresh instance.
+	// The decoded push was written through to disk: visible to a fresh
+	// instance.
 	c2 := New(0)
 	if err := c2.SetDir(dir); err != nil {
 		t.Fatal(err)
@@ -367,7 +368,7 @@ func TestPeerRemoteDownPeerDegradesToMiss(t *testing.T) {
 	// And through the cache: the compute path still works.
 	c := New(0)
 	c.SetRemote(remote)
-	v, err := c.GetBytesCtx(context.Background(), keyN(1), func() ([]byte, error) { return []byte("local"), nil })
+	v, err := getBytes(context.Background(), c, keyN(1), func() ([]byte, error) { return []byte("local"), nil })
 	if err != nil || string(v) != "local" {
 		t.Fatalf("get with down remote: %q, %v", v, err)
 	}
@@ -419,5 +420,122 @@ func TestPeerRemoteRejectsOversizedResponse(t *testing.T) {
 	remote := NewPeerRemote([]string{huge.URL}, nil, 5*time.Second)
 	if _, ok := remote.Get(context.Background(), keyN(1)); ok {
 		t.Fatal("oversized response must be a miss")
+	}
+}
+
+// TestRemoteUndecodablePayloadRecomputed pins the fetch boundary: a
+// peer response the codec rejects is counted corrupt, never written to
+// disk, and recomputed.
+func TestRemoteUndecodablePayloadRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	remote := newFakeRemote()
+	key := keyN(5)
+	remote.store[key] = []byte("garbage")
+	var sc strictCodec
+	c := New(0)
+	if err := c.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	c.SetRemote(remote)
+	v, err := c.GetCtx(context.Background(), key, sc.codec(), func() (any, error) { return "computed", nil })
+	if err != nil || v != "computed" {
+		t.Fatalf("get: %v, %v", v, err)
+	}
+	if s := c.Stats(); s.Corrupt != 1 || s.RemoteHits != 0 || s.RemoteMisses != 1 || s.Computes != 1 {
+		t.Fatalf("stats = %+v, want 1 corrupt, 1 remote miss, 1 compute", s)
+	}
+	// the disk holds the computed encoding, not the peer's garbage
+	if data, ok := New(0).peekDir(t, dir, key); !ok || string(data) != "v:computed" {
+		t.Fatalf("disk entry = %q, %v", data, ok)
+	}
+}
+
+// TestPushedPayloadDecodedOnFirstLookup pins the push boundary: a pushed
+// payload is served to peers as pushed, satisfies the first local lookup
+// with no compute, and only then reaches the disk tier; an undecodable
+// one is counted corrupt, dropped and recomputed.
+func TestPushedPayloadDecodedOnFirstLookup(t *testing.T) {
+	dir := t.TempDir()
+	var sc strictCodec
+	c := New(0)
+	if err := c.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	good, bad := keyN(1), keyN(2)
+	c.PutBytes(good, []byte("v:pushed"))
+	c.PutBytes(bad, []byte("garbage"))
+	if data, ok := c.PeekBytes(good); !ok || string(data) != "v:pushed" {
+		t.Fatalf("peek of a pushed payload: %q, %v", data, ok)
+	}
+	if _, ok := New(0).peekDir(t, dir, bad); ok {
+		t.Fatal("an undecoded push reached the disk tier")
+	}
+
+	v, err := c.GetCtx(context.Background(), good, sc.codec(), func() (any, error) {
+		t.Fatal("compute must not run for a decodable push")
+		return nil, nil
+	})
+	if err != nil || v != "pushed" {
+		t.Fatalf("get pushed: %v, %v", v, err)
+	}
+	if data, ok := New(0).peekDir(t, dir, good); !ok || string(data) != "v:pushed" {
+		t.Fatalf("decoded push not written through: %q, %v", data, ok)
+	}
+
+	v, err = c.GetCtx(context.Background(), bad, sc.codec(), func() (any, error) { return "recomputed", nil })
+	if err != nil || v != "recomputed" {
+		t.Fatalf("get undecodable push: %v, %v", v, err)
+	}
+	if s := c.Stats(); s.Corrupt != 1 || s.Computes != 1 || s.RemoteHits != 1 || s.RemoteMisses != 1 || s.MemHits != 0 {
+		t.Fatalf("stats = %+v, want 1 corrupt, 1 compute, 1 remote hit and miss, no memory hit", s)
+	}
+	if data, _ := c.PeekBytes(bad); string(data) != "v:recomputed" {
+		t.Fatalf("peek after recompute = %q", data)
+	}
+}
+
+// TestPeekBytesEncodesValues pins what a peer is served from memory: a
+// codec-backed value encoded by its codec, and nothing for a
+// memory-only entry.
+func TestPeekBytesEncodesValues(t *testing.T) {
+	var sc strictCodec
+	c := New(0)
+	if _, err := c.GetCtx(context.Background(), keyN(1), sc.codec(), func() (any, error) { return "x", nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetCtx(context.Background(), keyN(2), nil, func() (any, error) { return "memory only", nil }); err != nil {
+		t.Fatal(err)
+	}
+	if data, ok := c.PeekBytes(keyN(1)); !ok || string(data) != "v:x" {
+		t.Fatalf("peek codec-backed value: %q, %v", data, ok)
+	}
+	if _, ok := c.PeekBytes(keyN(2)); ok {
+		t.Fatal("peek must refuse a nil-codec entry")
+	}
+}
+
+// TestComputeEncodesOnlyForOuterTiers pins that a value is serialized
+// only when bytes must leave the process: never with memory alone, once
+// per compute with a disk or remote tier.
+func TestComputeEncodesOnlyForOuterTiers(t *testing.T) {
+	var sc strictCodec
+	c := New(0)
+	for i := 0; i < 2; i++ {
+		if _, err := c.GetCtx(context.Background(), keyN(1), sc.codec(), func() (any, error) { return "x", nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sc.encodes.Load(); n != 0 {
+		t.Fatalf("memory-only cache encoded %d times, want 0", n)
+	}
+	if err := c.SetDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	c.SetRemote(newFakeRemote())
+	if _, err := c.GetCtx(context.Background(), keyN(2), sc.codec(), func() (any, error) { return "y", nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n := sc.encodes.Load(); n != 1 {
+		t.Fatalf("disk+remote compute encoded %d times, want 1", n)
 	}
 }

@@ -225,7 +225,7 @@ func (m *metrics) write(w io.Writer) {
 		{"specd_cache_remote_puts_total", "Computed entries pushed to the remote (peer) tier.", cs.RemotePuts},
 		{"specd_cache_computes_total", "Cache compute functions actually run.", cs.Computes},
 		{"specd_cache_evictions_total", "In-memory cache entries evicted.", cs.Evictions},
-		{"specd_cache_corrupt_total", "On-disk cache entries discarded as corrupt.", cs.Corrupt},
+		{"specd_cache_corrupt_total", "Disk entries and peer payloads (fetched or pushed) discarded as corrupt or undecodable.", cs.Corrupt},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v)
 	}
@@ -244,9 +244,9 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE specd_builds_compiled_total counter\n")
 	fmt.Fprintf(w, "specd_builds_compiled_total %d\n", repro.BuildsCompiled())
 
-	// resident size of the decoded traces the record-and-replay path
+	// resident size of the traces the record-and-replay path
 	// keeps in the memory tier (a gauge: eviction and Reset shrink it)
-	fmt.Fprintf(w, "# HELP specd_trace_bytes Decoded machine traces resident in the in-memory cache tier, in bytes.\n")
+	fmt.Fprintf(w, "# HELP specd_trace_bytes Machine traces resident in the in-memory cache tier, in bytes.\n")
 	fmt.Fprintf(w, "# TYPE specd_trace_bytes gauge\n")
 	fmt.Fprintf(w, "specd_trace_bytes %d\n", repro.TraceCacheBytes())
 

@@ -232,18 +232,18 @@ type Compilation struct {
 	Alias   *alias.Result
 }
 
-// The compilation cache (internal/cache): the in-memory tier memoizes
-// one pristine lowered program per source hash plus the serialized
-// alias/edge profile per (source, options, training-args) key, and the
-// optional on-disk tier (SetCacheDir) persists the profiles across
-// processes. CompileCtx, CollectProfileCtx, Reference and ReuseLimitCtx
-// all start from the same parse, and an experiment sweep re-compiles
-// each workload under many config variants, so N variants pay for one
-// parse and one profiling interpreter run instead of N of each. Masters in
-// the cache are never mutated — every caller receives a deep ir.Clone —
-// which is what makes sharing across concurrent compiles sound. The
-// same object tier holds BuildCtx's immutable builds and the decoded
-// machine traces.
+// The compilation cache (internal/cache) holds one entry per artifact:
+// a pristine lowered program per source hash, the serialized alias/edge
+// profile per (source, options, training-args) key, BuildCtx's immutable
+// builds and the recorded machine traces. Profiles and traces carry a
+// codec, so the optional on-disk tier (SetCacheDir) and the peer tier
+// (SetCacheRemote) persist and share them; parses and builds stay in
+// memory. CompileCtx, CollectProfileCtx, Reference and ReuseLimitCtx all
+// start from the same parse, and an experiment sweep re-compiles each
+// workload under many config variants, so N variants pay for one parse
+// and one profiling interpreter run instead of N of each. Masters in the
+// cache are never mutated — every caller receives a deep ir.Clone —
+// which is what makes sharing across concurrent compiles sound.
 const compCacheCap = 512
 
 var (
@@ -257,7 +257,7 @@ var (
 // ctx.
 func frontendCtx(ctx context.Context, src string) (*ir.Program, error) {
 	key := cache.KeyOf([]byte("frontend"), []byte(src))
-	v, err := compCache.GetObjectCtx(ctx, key, func() (any, error) {
+	v, err := compCache.GetCtx(ctx, key, nil, func() (any, error) {
 		f, err := source.Parse(src)
 		if err != nil {
 			return nil, err
@@ -297,7 +297,7 @@ func profileKey(src string, cfg Config) cache.Key {
 // so a sweep pays for one interpreter run per key no matter how many
 // variants it compiles, and a warm-started process pays for none.
 func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error) {
-	return compCache.GetBytesCtx(ctx, profileKey(src, cfg), func() ([]byte, error) {
+	v, err := compCache.GetCtx(ctx, profileKey(src, cfg), profileCodec, func() (any, error) {
 		// the cache runs its owner's compute even under a done ctx; a
 		// context error is never memoized, so refusing here is free
 		if err := ctx.Err(); err != nil {
@@ -317,64 +317,55 @@ func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error)
 		}
 		return profile.Marshal(prog, prof)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return v.([]byte), nil
+}
+
+// profileCodec carries serialized profiles across the disk and peer
+// tiers as they are. Decode binds the payload against an empty program,
+// which checks everything that does not depend on the program — the
+// JSON shape, the version, the site keys — so a payload that is not a
+// profile document never reaches a compile.
+var profileCodec = &cache.Codec{
+	Encode: func(v any) []byte { return v.([]byte) },
+	Decode: func(data []byte) (any, error) {
+		if _, err := profile.Unmarshal(&ir.Program{}, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	},
 }
 
 // ProfilingRuns counts the profiling interpreter runs actually executed
 // (cache misses); sweeps assert "profile once" against its deltas.
 func ProfilingRuns() uint64 { return profilingRuns.Load() }
 
-// CacheCounters is a snapshot of the compilation cache's cumulative
-// hit/miss/compute/evict counters (see internal/cache.Stats).
-type CacheCounters struct {
-	MemHits      uint64
-	MemMisses    uint64
-	DiskHits     uint64
-	DiskMisses   uint64
-	RemoteHits   uint64
-	RemoteMisses uint64
-	RemotePuts   uint64
-	Computes     uint64
-	Evictions    uint64
-	Corrupt      uint64
-}
-
-func (s CacheCounters) String() string {
-	return fmt.Sprintf("mem %d/%d hit/miss, disk %d/%d hit/miss, remote %d/%d hit/miss (%d puts), %d computes, %d evictions, %d corrupt",
-		s.MemHits, s.MemMisses, s.DiskHits, s.DiskMisses, s.RemoteHits, s.RemoteMisses, s.RemotePuts, s.Computes, s.Evictions, s.Corrupt)
-}
-
-// CacheStats snapshots the compilation cache counters.
-func CacheStats() CacheCounters {
-	s := compCache.Stats()
-	return CacheCounters{
-		MemHits: s.MemHits, MemMisses: s.MemMisses,
-		DiskHits: s.DiskHits, DiskMisses: s.DiskMisses,
-		RemoteHits: s.RemoteHits, RemoteMisses: s.RemoteMisses, RemotePuts: s.RemotePuts,
-		Computes: s.Computes, Evictions: s.Evictions, Corrupt: s.Corrupt,
-	}
-}
+// CacheStats snapshots the compilation cache's cumulative counters.
+func CacheStats() cache.Stats { return compCache.Stats() }
 
 // SetCacheRemote installs (or, with nil, removes) the peer/remote tier
-// of the compilation cache: byte entries — serialized profiles and
-// recorded traces — missing from memory and disk are fetched from fleet
-// peers before being computed, and computed entries are pushed to the
-// key's owning peer, so a program profiled on any node is profiled once
-// fleet-wide.
+// of the compilation cache: serialized profiles and recorded traces
+// missing from memory and disk are fetched from fleet peers before being
+// computed, and computed ones are pushed to the key's owning peer, so a
+// program profiled on any node is profiled once fleet-wide. A peer's
+// payload that does not decode is counted corrupt and recomputed.
 func SetCacheRemote(r cache.Remote) { compCache.SetRemote(r) }
 
 // CachePeekBytes serves the peer side of the remote tier (specd's
-// GET /cache/{key}): the completed byte entry for key from the memory
-// or disk tier only — it never computes and never consults this
-// process's own remote tier, so peer lookups cannot recurse.
+// GET /cache/{key}): the completed entry for key from the memory tier,
+// encoded, or from the disk tier — it never computes and never consults
+// this process's own remote tier, so peer lookups cannot recurse.
 func CachePeekBytes(key cache.Key) ([]byte, bool) { return compCache.PeekBytes(key) }
 
 // CachePutBytes serves the peer side of remote-tier stores (specd's
-// PUT /cache/{key}): the entry is installed in the memory tier and
-// written through to disk. Existing entries win; values are
-// content-addressed, so any copy is as good as the first.
+// PUT /cache/{key}): the payload waits in the memory tier until the
+// first local lookup of key decodes it. Existing entries win; values
+// are content-addressed, so any copy is as good as the first.
 func CachePutBytes(key cache.Key, data []byte) { compCache.PutBytes(key, data) }
 
-// TraceCacheBytes reports the heap footprint of every decoded
+// TraceCacheBytes reports the heap footprint of every
 // *machine.Trace resident in the in-memory cache tier, in bytes. The
 // specd /metrics endpoint exposes it as the specd_trace_bytes gauge so
 // operators can see what record-and-replay reuse costs in memory.
@@ -458,40 +449,34 @@ func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, erro
 			}
 		}
 
+		// a supplied profile, or the memoized training run: every
+		// variant of a sweep that shares (source, options, training
+		// args) reuses one interpreter run's serialized profile
+		data, from := cfg.ProfileJSON, ""
+		var perr error
+		if len(data) == 0 {
+			data, perr = profileDataCtx(ctx, src, cfg)
+			from = "cached profile: "
+		}
+		if isCtxErr(perr) {
+			// cancellation is not a failed training run; surface it
+			return nil, perr
+		}
 		var prof *profile.Profile
-		if len(cfg.ProfileJSON) > 0 {
-			p, err := profile.Unmarshal(prog, cfg.ProfileJSON)
+		if perr == nil {
+			p, err := profile.Unmarshal(prog, data)
 			if err != nil {
-				return nil, fmt.Errorf("repro: %w", err)
+				return nil, fmt.Errorf("repro: %s%w", from, err)
 			}
 			prof = p
 			prof.ApplyEdges(prog)
 			c.Profile = prof
 		} else {
-			// the training run is memoized: every variant of a sweep
-			// that shares (source, options, training args) reuses one
-			// interpreter run's serialized profile
-			data, perr := profileDataCtx(ctx, src, cfg)
-			if isCtxErr(perr) {
-				// cancellation is not a failed training run; surface it
-				return nil, perr
-			}
-			if perr == nil {
-				p, err := profile.Unmarshal(prog, data)
-				if err != nil {
-					return nil, fmt.Errorf("repro: cached profile: %w", err)
-				}
-				prof = p
-				prof.ApplyEdges(prog)
-				c.Profile = prof
-			} else {
-				// the training input faulted: fall back to the static
-				// estimate, but record the failure — silently degrading
-				// would skew every profile-guided measurement
-				c.ProfileErr = fmt.Errorf("repro: profiling run failed: %w", perr)
-				profile.StaticEstimate(prog)
-				prof = nil
-			}
+			// the training input faulted: fall back to the static
+			// estimate, but record the failure — silently degrading
+			// would skew every profile-guided measurement
+			c.ProfileErr = fmt.Errorf("repro: profiling run failed: %w", perr)
+			profile.StaticEstimate(prog)
 		}
 
 		if err := ctx.Err(); err != nil {
@@ -632,8 +617,8 @@ func buildKey(src string, cfg Config) (key cache.Key, ok bool) {
 }
 
 // BuildCtx compiles src under cfg and returns the lean, IR-free Build —
-// the artifact serving needs — memoized in the compilation cache's
-// object tier: a repeat of an earlier call's (source, config), whatever
+// the artifact serving needs — memoized in memory by the compilation
+// cache: a repeat of an earlier call's (source, config), whatever
 // its Workers, returns the same *Build without running the pipeline
 // (DESIGN.md §18). Concurrent callers of one key share one compile. Deterministic compile errors are
 // memoized like results; context errors never are, so a cancelled
@@ -652,7 +637,7 @@ func BuildCtx(ctx context.Context, src string, cfg Config) (*Build, error) {
 	var v any
 	var err error
 	if ok {
-		v, err = compCache.GetObjectCtx(ctx, key, compute)
+		v, err = compCache.GetCtx(ctx, key, nil, compute)
 	} else {
 		v, err = compute()
 	}
@@ -677,9 +662,10 @@ func BuildsCompiled() uint64 { return buildsCompiled.Load() }
 // change what the run does: a smaller limit faults, and the cache
 // memoizes errors, so excluding them would poison larger-limit callers;
 // StackSlots additionally shifts concrete addresses (Replay refuses a
-// mismatch outright). Traces ride the same two-tier cache as profiles:
-// the decoded *machine.Trace lives in the memory tier, its serialized
-// form spills to the on-disk tier when SetCacheDir is active.
+// mismatch outright). A trace is one cache entry: the memory tier holds
+// the *machine.Trace as recorded (or as decoded from disk or a peer),
+// and traceCodec serializes it only when a disk or peer tier needs the
+// bytes.
 
 // traceCacheVersion stamps trace cache keys; bump it whenever the
 // trace format or the recorded event set changes.
@@ -709,24 +695,19 @@ func (b *Build) traceFor(ctx context.Context, args []int64, mcfg machine.Config)
 	lim := fmt.Sprintf("v%d slots=%d steps=%d depth=%d",
 		traceCacheVersion, n.StackSlots, n.MaxSteps, n.MaxCallDepth)
 	key := cache.KeyOf([]byte("trace"), fp[:], argb, []byte(lim))
-	v, err := compCache.GetObjectCtx(ctx, key, func() (any, error) {
-		data, err := compCache.GetBytesCtx(ctx, cache.KeyOf([]byte("tracebytes"), fp[:], argb, []byte(lim)),
-			func() ([]byte, error) {
-				tr, err := machine.Record(b.Code, args, n)
-				if err != nil {
-					return nil, err
-				}
-				return tr.Marshal(), nil
-			})
-		if err != nil {
-			return nil, err
-		}
-		return machine.UnmarshalTrace(data)
+	v, err := compCache.GetCtx(ctx, key, traceCodec, func() (any, error) {
+		return machine.Record(b.Code, args, n)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*machine.Trace), nil
+}
+
+// traceCodec carries recorded traces across the disk and peer tiers.
+var traceCodec = &cache.Codec{
+	Encode: func(v any) []byte { return v.(*machine.Trace).Marshal() },
+	Decode: func(data []byte) (any, error) { return machine.UnmarshalTrace(data) },
 }
 
 // runMachine executes the compiled program under mcfg: the cached
