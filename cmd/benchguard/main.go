@@ -9,12 +9,7 @@
 //     caller without batching pays) over one Record plus one
 //     ReplayBatch of the whole grid;
 //   - BENCH_compile.json: the compile path's allocs_per_compile and
-//     ns_per_compile must not RISE by more than the margin;
-//   - BENCH_fleet.json: the cold and warm 1-vs-2-worker fleet sweep
-//     speedups must not DROP by more than the margin. Fleet speedups
-//     are core-count-bound (the file records "cores"), so the gate
-//     only compares runs against a baseline generated on the same CI
-//     runner class.
+//     ns_per_compile must not RISE by more than the margin.
 //
 // Single-pass CI benchmark numbers are noisy, so the default margin is
 // deliberately wide (25%); the guarded quantities sit far inside it on
@@ -28,7 +23,6 @@
 //
 //	benchguard -baseline BENCH_machine.baseline.json -fresh BENCH_machine.json \
 //	    [-compile-baseline BENCH_compile.baseline.json -compile-fresh BENCH_compile.json] \
-//	    [-fleet-baseline BENCH_fleet.baseline.json -fleet-fresh BENCH_fleet.json] \
 //	    [-max-regress 0.25]
 package main
 
@@ -63,14 +57,6 @@ func main() {
 			fresh:    flag.String("compile-fresh", "BENCH_compile.json", "freshly generated BENCH_compile.json"),
 			load:     loadCompileStats,
 		},
-		{
-			// BENCH_fleet.json has the same per-grid shape as
-			// BENCH_machine.json ("cold"/"warm" objects with a "speedup")
-			baseline:       flag.String("fleet-baseline", "", "committed BENCH_fleet.json to compare against (empty = skip the fleet guard)"),
-			fresh:          flag.String("fleet-fresh", "BENCH_fleet.json", "freshly generated BENCH_fleet.json"),
-			load:           loadSpeedups,
-			higherIsBetter: true,
-		},
 	}
 	maxRegress := flag.Float64("max-regress", 0.25, "maximum allowed fractional regression (0.25 = 25%)")
 	flag.Parse()
@@ -89,7 +75,7 @@ func main() {
 		failed = failed || !ok
 	}
 	if !ran {
-		fmt.Fprintln(os.Stderr, "benchguard: -baseline, -compile-baseline or -fleet-baseline is required")
+		fmt.Fprintln(os.Stderr, "benchguard: -baseline or -compile-baseline is required")
 		os.Exit(2)
 	}
 	if failed {
@@ -142,8 +128,8 @@ func guard(w io.Writer, g gate, margin float64) (bool, error) {
 }
 
 // loadSpeedups extracts the per-grid speedups from a BENCH_machine.json
-// or BENCH_fleet.json file (the "speedup" field of every object-valued
-// top-level entry, e.g. the "serial" and "mixed" grids).
+// file (the "speedup" field of every object-valued top-level entry,
+// e.g. the "serial" and "mixed" grids).
 func loadSpeedups(path string) (map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

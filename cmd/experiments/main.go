@@ -27,8 +27,7 @@
 //	                            # replay (BENCH_harden.json)
 //	experiments -exp corpus -corpus dir/ -json
 //	                            # per-alias-pattern speculation statistics
-//	                            # over a directory of MiniC sources —
-//	                            # byte-identical to speccoord's fleet run
+//	                            # over a directory of MiniC sources
 //	experiments -cache-dir DIR  # persist profiles; warm runs skip profiling
 //	experiments -cache-max-bytes N
 //	                            # prune the disk cache to N bytes before exit
@@ -207,9 +206,7 @@ func run() error {
 		err = evalOne(ctx, *workload, *evalArgs, *fnTiers, *hardenPol, *workers, *jsonOut)
 	case "corpus":
 		// corpus-scale batch analysis: every MiniC source under -corpus,
-		// aggregated into per-alias-pattern speculation statistics; the
-		// single-node oracle the fleet coordinator is diffed against
-		// (speccoord emits byte-identical -json output)
+		// aggregated into per-alias-pattern speculation statistics
 		err = corpusRun(ctx, *corpusDir, *workers, *jsonOut)
 	default:
 		err = cli.Usagef("unknown experiment %q", *exp)

@@ -13,11 +13,6 @@
 //	-timeout         per-request deadline (default 60s)
 //	-cache-dir       persist profiles/traces under this directory
 //	-cache-max-bytes prune the disk cache to this budget on shutdown (0 = unbounded)
-//	-peers           comma-separated base URLs of fleet peers; enables the
-//	                 remote cache tier (profiles/traces missing locally are
-//	                 fetched from the peer that owns the key, and computed
-//	                 entries are pushed there)
-//	-peer-timeout    per-peer cache request deadline (default 5s)
 //	-adaptive        enable the online tier-management runtime: served
 //	                 evaluations feed a per-function mis-speculation
 //	                 monitor, functions whose check-failure rate crosses
@@ -26,8 +21,8 @@
 //	                 and clean traffic re-promotes them
 //	-pprof           serve net/http/pprof on a separate address (off by default)
 //
-// Endpoints: POST /compile, POST /evaluate, POST /sweep, POST /corpus,
-// GET /workloads, GET /healthz, GET /metrics, GET/PUT /cache/{key}.
+// Endpoints: POST /compile, POST /evaluate, POST /sweep, GET /workloads,
+// GET /healthz, GET /metrics.
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting
 // work (new and queued jobs get 503), finishes jobs already executing,
@@ -44,7 +39,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on DefaultServeMux for -pprof
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -63,8 +57,6 @@ func run() error {
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline (negative = none)")
 	cacheDir := flag.String("cache-dir", "", "persist profiles/traces under this directory across runs")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "prune the disk cache to this many bytes on shutdown (0 = unbounded)")
-	peers := flag.String("peers", "", "comma-separated base URLs of fleet peers serving GET/PUT /cache/{key}; empty = no remote tier")
-	peerTimeout := flag.Duration("peer-timeout", cache.DefaultPeerTimeout, "per-peer cache request deadline")
 	adaptiveOn := flag.Bool("adaptive", false, "enable online tier management: monitor served evaluations, demote mis-speculating functions, re-promote on clean traffic")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
 	flag.Parse()
@@ -77,23 +69,6 @@ func run() error {
 			return err
 		}
 	}
-	if *peers != "" {
-		var urls []string
-		for _, p := range strings.Split(*peers, ",") {
-			p = strings.TrimRight(strings.TrimSpace(p), "/")
-			if p == "" {
-				continue
-			}
-			if !strings.Contains(p, "://") {
-				p = "http://" + p
-			}
-			urls = append(urls, p)
-		}
-		if len(urls) > 0 {
-			repro.SetCacheRemote(cache.NewPeerRemote(urls, nil, *peerTimeout))
-		}
-	}
-
 	logger := log.New(os.Stderr, "specd ", log.LstdFlags|log.Lmsgprefix)
 	s := server.New(server.Config{
 		Workers:  *workers,

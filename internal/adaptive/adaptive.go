@@ -121,7 +121,7 @@ func FnSpecs(tiers map[string]string) (map[string]repro.FnSpec, error) {
 }
 
 // tierVector renders an assignment as a canonical sorted string for
-// content-addressed cert keys and logs.
+// the manager's verified set and logs.
 func tierVector(tiers map[string]string) string {
 	if len(tiers) == 0 {
 		return ""

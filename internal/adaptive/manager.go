@@ -2,14 +2,12 @@ package adaptive
 
 import (
 	"context"
-	"encoding/json"
 	"log"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro"
-	"repro/internal/cache"
 	"repro/internal/machine"
 )
 
@@ -53,31 +51,31 @@ type Assignment struct {
 // concurrent with a swap see the old or the new assignment, never a
 // mix.
 type Manager struct {
-	cfg       Config
-	pol       Policy
-	buildJSON []byte
+	cfg Config
+	pol Policy
 
 	asn atomic.Pointer[Assignment]
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	states  map[string]*fnState
-	version uint64 // decision clock; observations against older versions are stale
-	busy    bool   // a recompile goroutine is in flight
-	closed  bool
-	pending []Transition // decided but not yet handed to a recompile
+	mu       sync.Mutex
+	cond     *sync.Cond
+	states   map[string]*fnState
+	version  uint64 // decision clock; observations against older versions are stale
+	busy     bool   // a recompile goroutine is in flight
+	closed   bool
+	pending  []Transition        // decided but not yet handed to a recompile
+	verified map[string]struct{} // tier vectors (tierVector form) specheck has passed
 }
 
 // NewManager builds a manager publishing the all-aggressive assignment
 // at version 0.
 func NewManager(cfg Config) *Manager {
 	m := &Manager{
-		cfg:    cfg,
-		pol:    cfg.Policy.withDefaults(),
-		states: make(map[string]*fnState),
+		cfg:      cfg,
+		pol:      cfg.Policy.withDefaults(),
+		states:   make(map[string]*fnState),
+		verified: make(map[string]struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
-	m.buildJSON, _ = json.Marshal(cfg.Build)
 	m.asn.Store(&Assignment{})
 	return m
 }
@@ -196,12 +194,14 @@ func (m *Manager) recompile(version uint64, tiers map[string]string, trans []Tra
 }
 
 // verifyTiers compiles the workload at the tier vector with specheck
-// enabled. A content-addressed cert (source, build config, tier
-// vector) memoizes the outcome, so the fleet's shared cache lets one
-// replica's verification admit the vector everywhere.
+// enabled. A vector that passed once is remembered, so a ladder that
+// returns to it publishes without recompiling.
 func (m *Manager) verifyTiers(tiers map[string]string) error {
-	key := cache.KeyOf([]byte("adaptive-cert"), []byte(m.cfg.Source), m.buildJSON, []byte(tierVector(tiers)))
-	if _, ok := repro.CachePeekBytes(key); ok {
+	vec := tierVector(tiers)
+	m.mu.Lock()
+	_, ok := m.verified[vec]
+	m.mu.Unlock()
+	if ok {
 		return nil
 	}
 	cfg := m.cfg.Build
@@ -218,7 +218,9 @@ func (m *Manager) verifyTiers(tiers map[string]string) error {
 	if c.ProfileErr != nil {
 		return c.ProfileErr
 	}
-	repro.CachePutBytes(key, []byte{1})
+	m.mu.Lock()
+	m.verified[vec] = struct{}{}
+	m.mu.Unlock()
 	return nil
 }
 

@@ -2,23 +2,22 @@
 // pipeline's reuse. One lookup, GetCtx, serves every artifact — frontend
 // IR masters, builds, serialized profiles, recorded traces — from an
 // in-memory tier that holds each artifact once, as the value callers
-// use, backed by an optional on-disk tier and an optional remote tier
-// of fleet peers. A sweep's config variants share one profiling run,
-// and a warm-started process skips profiling entirely.
+// use, backed by an optional on-disk tier. A sweep's config variants
+// share one profiling run, and a warm-started process skips profiling
+// entirely.
 //
 // Keys are sha256 digests over length-prefixed byte parts (KeyOf), so a
 // key commits to the full content that produced the value — source
-// text, option string, training arguments — never to a name. Every
-// tier follows the same contract:
+// text, option string, training arguments — never to a name. Both
+// tiers follow the same contract:
 //
 //   - a lookup either returns the memoized value or runs the caller's
 //     compute function exactly once per key, even under concurrency
 //     (concurrent misses of one key block on one computation);
 //   - a value crosses the process boundary only through its entry's
-//     Codec: encoded on the way to disk or a peer, decoded before use
-//     on the way back; a truncated, garbled, stale or undecodable
-//     payload is discarded and recomputed — corruption is never an
-//     error;
+//     Codec: encoded on the way to disk, decoded before use on the
+//     way back; a truncated, garbled, stale or undecodable payload is
+//     discarded and recomputed — corruption is never an error;
 //   - hit/miss/compute/evict/corrupt counters are exported (Stats) so
 //     tests and tools can assert reuse instead of trusting it.
 package cache
@@ -66,27 +65,24 @@ func KeyOf(parts ...[]byte) Key {
 // Stats are the cache's cumulative counters. Snapshot them before and
 // after an operation and compare deltas; they are never reset.
 type Stats struct {
-	MemHits      uint64 // lookups served by the in-memory tier
-	MemMisses    uint64 // lookups that missed the in-memory tier
-	DiskHits     uint64 // memory misses served by the on-disk tier
-	DiskMisses   uint64 // on-disk lookups that found no (valid) entry
-	RemoteHits   uint64 // disk misses served by a peer's payload, fetched or pushed
-	RemoteMisses uint64 // peer lookups that found no (valid) payload
-	RemotePuts   uint64 // computed entries pushed to the remote tier
-	Computes     uint64 // compute functions actually run
-	Evictions    uint64 // in-memory entries dropped for capacity
-	Corrupt      uint64 // disk or peer payloads discarded as corrupt, stale or undecodable
+	MemHits    uint64 // lookups served by the in-memory tier
+	MemMisses  uint64 // lookups that missed the in-memory tier
+	DiskHits   uint64 // memory misses served by the on-disk tier
+	DiskMisses uint64 // on-disk lookups that found no (valid) entry
+	Computes   uint64 // compute functions actually run
+	Evictions  uint64 // in-memory entries dropped for capacity
+	Corrupt    uint64 // disk entries discarded as corrupt, stale or undecodable
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("mem %d/%d hit/miss, disk %d/%d hit/miss, remote %d/%d hit/miss (%d puts), %d computes, %d evictions, %d corrupt",
-		s.MemHits, s.MemMisses, s.DiskHits, s.DiskMisses, s.RemoteHits, s.RemoteMisses, s.RemotePuts, s.Computes, s.Evictions, s.Corrupt)
+	return fmt.Sprintf("mem %d/%d hit/miss, disk %d/%d hit/miss, %d computes, %d evictions, %d corrupt",
+		s.MemHits, s.MemMisses, s.DiskHits, s.DiskMisses, s.Computes, s.Evictions, s.Corrupt)
 }
 
-// Codec converts an entry's value to and from the bytes the disk and
-// peer tiers carry. It runs only where bytes cross the process
-// boundary; the memory tier always holds the decoded value. A nil
-// *Codec marks a memory-only entry.
+// Codec converts an entry's value to and from the bytes the disk tier
+// carries. It runs only where bytes cross the process boundary; the
+// memory tier always holds the decoded value. A nil *Codec marks a
+// memory-only entry.
 type Codec struct {
 	Encode func(v any) []byte
 	Decode func(data []byte) (any, error) // an error marks the payload corrupt
@@ -96,9 +92,7 @@ type Codec struct {
 // are final; late arrivals at the same key wait on it (singleflight).
 type entry struct {
 	ready chan struct{}
-	val   any    // the value callers use
-	codec *Codec // how val crosses the process boundary (nil: it does not)
-	raw   []byte // a peer-pushed payload no local lookup has decoded yet
+	val   any // the value callers use
 	err   error
 }
 
@@ -111,14 +105,13 @@ func (e *entry) done() bool {
 	}
 }
 
-// Cache is a content-addressed cache with up to three tiers (memory,
-// disk, remote peers), safe for concurrent use.
+// Cache is a content-addressed cache with up to two tiers (memory,
+// disk), safe for concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	disabled bool
 	dir      string // "" = memory only
-	remote   Remote // nil = no peer tier
 	mem      map[Key]*entry
 	order    []Key // insertion order, for FIFO eviction
 	stats    Stats
@@ -203,28 +196,20 @@ func (c *Cache) bump(n *uint64) {
 }
 
 // lookupOrClaim returns the entry for key and whether the caller owns
-// its computation. Non-owners must wait on entry.ready. A peer-pushed
-// entry is a miss the caller claims, and its payload is returned as
-// pushed for the owner to decode outside the lock.
-func (c *Cache) lookupOrClaim(key Key) (e *entry, owner bool, pushed []byte, dir string) {
+// its computation. Non-owners must wait on entry.ready.
+func (c *Cache) lookupOrClaim(key Key) (e *entry, owner bool, dir string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.mem[key]
-	if ok && e.raw == nil {
+	if e, ok := c.mem[key]; ok {
 		c.stats.MemHits++
-		return e, false, nil, c.dir
+		return e, false, c.dir
 	}
 	c.stats.MemMisses++
-	if ok { // the key keeps its place in the FIFO order
-		claim := &entry{ready: make(chan struct{})}
-		c.mem[key] = claim
-		return claim, true, e.raw, c.dir
-	}
 	c.evictLocked()
 	e = &entry{ready: make(chan struct{})}
 	c.mem[key] = e
 	c.order = append(c.order, key)
-	return e, true, nil, c.dir
+	return e, true, c.dir
 }
 
 // evictLocked makes room for one insertion, FIFO over completed
@@ -305,9 +290,9 @@ func (c *Cache) removeOrder(i int) {
 // per process and, for an entry with a codec and the disk tier on, at
 // most once per key per cache directory. Every caller shares the one
 // value compute returned (or codec.Decode produced) and must treat it as
-// immutable. A nil codec keeps the entry out of the disk and remote
-// tiers. Errors are memoized in memory (the pipeline computations are
-// deterministic) but never persisted.
+// immutable. A nil codec keeps the entry out of the disk tier. Errors
+// are memoized in memory (the pipeline computations are deterministic)
+// but never persisted.
 //
 // Cancellation: a caller waiting on another caller's in-flight
 // computation returns ctx.Err() as soon as ctx is done. The owner always
@@ -321,7 +306,7 @@ func (c *Cache) GetCtx(ctx context.Context, key Key, codec *Codec, compute func(
 		return compute()
 	}
 	for {
-		e, owner, pushed, dir := c.lookupOrClaim(key)
+		e, owner, dir := c.lookupOrClaim(key)
 		if !owner {
 			select {
 			case <-e.ready:
@@ -338,19 +323,17 @@ func (c *Cache) GetCtx(ctx context.Context, key Key, codec *Codec, compute func(
 				return nil, ctx.Err()
 			}
 		}
-		return c.fill(ctx, e, key, dir, codec, pushed, compute)
+		return c.fill(e, key, dir, codec, compute)
 	}
 }
 
 // fill runs the owner's side of a GetCtx miss: (with a codec) the disk
-// tier, then a peer's payload — pushed earlier or fetched now — then
-// compute. A payload is decoded before it is used or written anywhere;
-// one that fails is counted corrupt and the next step is taken. A
-// decoded peer payload is written through to disk; a computed value is
-// encoded once, only if a disk or remote tier is on, and written through
-// to both. e.ready is closed on every exit; after a compute panic the
-// entry is forgotten so waiters retry, and the panic propagates.
-func (c *Cache) fill(ctx context.Context, e *entry, key Key, dir string, codec *Codec, pushed []byte, compute func() (any, error)) (any, error) {
+// tier, then compute. A disk payload is decoded before it is used; one
+// that fails is counted corrupt and recomputed. A computed value is
+// encoded once, only if the disk tier is on, and written through to it.
+// e.ready is closed on every exit; after a compute panic the entry is
+// forgotten so waiters retry, and the panic propagates.
+func (c *Cache) fill(e *entry, key Key, dir string, codec *Codec, compute func() (any, error)) (any, error) {
 	completed := false
 	defer func() {
 		if !completed {
@@ -359,12 +342,8 @@ func (c *Cache) fill(ctx context.Context, e *entry, key Key, dir string, codec *
 		}
 		close(e.ready)
 	}()
-	e.codec = codec
-	var remote Remote
 	if codec == nil {
 		dir = "" // a memory-only entry never leaves memory
-	} else {
-		remote = c.getRemote()
 	}
 	if dir != "" {
 		if v, ok := c.diskLoad(dir, key, codec.Decode); ok {
@@ -372,97 +351,15 @@ func (c *Cache) fill(ctx context.Context, e *entry, key Key, dir string, codec *
 			return v, nil
 		}
 	}
-	// a peer's payload: the one it pushed here, else one fetched now
-	data, ok := pushed, pushed != nil
-	if !ok && remote != nil {
-		data, ok = remote.Get(ctx, key)
-	}
-	if ok {
-		if codec != nil {
-			if v, err := codec.Decode(data); err == nil {
-				c.bump(&c.stats.RemoteHits)
-				e.val, completed = v, true
-				if dir != "" {
-					c.diskStore(dir, key, data)
-				}
-				return v, nil
-			}
-		}
-		c.bump(&c.stats.Corrupt) // undecodable, or pushed for a memory-only entry
-	}
-	if remote != nil || pushed != nil {
-		c.bump(&c.stats.RemoteMisses)
-	}
 	c.bump(&c.stats.Computes)
 	e.val, e.err = compute()
 	completed = true
 	if isCtxErr(e.err) {
 		c.forget(key, e)
-	} else if e.err == nil && (dir != "" || remote != nil) {
-		data := codec.Encode(e.val)
-		if dir != "" {
-			c.diskStore(dir, key, data)
-		}
-		if remote != nil {
-			remote.Put(ctx, key, data)
-			c.bump(&c.stats.RemotePuts)
-		}
+	} else if e.err == nil && dir != "" {
+		c.diskStore(dir, key, codec.Encode(e.val))
 	}
 	return e.val, e.err
-}
-
-// rawPayload reads the disk tier for PeekBytes: the peer decodes.
-func rawPayload(data []byte) (any, error) { return data, nil }
-
-// PeekBytes is the read side of serving the remote tier to peers: the
-// completed entry for key from the memory tier, encoded with its codec
-// (a pushed payload as pushed; a nil-codec entry not at all), or from
-// the disk tier. It never claims the key, computes, waits for an
-// in-flight entry, or consults this cache's own remote tier, so two
-// peers looking each other up can never recurse.
-func (c *Cache) PeekBytes(key Key) ([]byte, bool) {
-	c.mu.Lock()
-	e, ok := c.mem[key]
-	dir := c.dir
-	c.mu.Unlock()
-	if ok && e.done() && e.err == nil {
-		if e.raw != nil {
-			return e.raw, true
-		}
-		if e.codec != nil {
-			return e.codec.Encode(e.val), true
-		}
-	}
-	if dir != "" {
-		if v, ok := c.diskLoad(dir, key, rawPayload); ok {
-			return v.([]byte), true
-		}
-	}
-	return nil, false
-}
-
-// PutBytes is the write side of serving the remote tier to peers: it
-// installs data as a pushed payload for key in the memory tier. The
-// first local GetCtx of the key decodes it and only then writes it
-// through to disk; a payload that fails to decode is counted corrupt,
-// dropped and recomputed. An existing entry, completed or in flight,
-// wins (values are content-addressed, and displacing an in-flight entry
-// would strand its waiters). An empty payload encodes nothing and is
-// ignored.
-func (c *Cache) PutBytes(key Key, data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.mem[key]; ok || c.disabled {
-		return
-	}
-	c.evictLocked()
-	e := &entry{ready: make(chan struct{}), raw: data}
-	close(e.ready)
-	c.mem[key] = e
-	c.order = append(c.order, key)
 }
 
 // The on-disk entry format: one header line

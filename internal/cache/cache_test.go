@@ -161,7 +161,9 @@ func TestEvictionOrderPinned(t *testing.T) {
 	resident := func(c *Cache, want ...int) {
 		t.Helper()
 		for n := 0; n < 8; n++ {
-			_, got := c.PeekBytes(keyN(n))
+			c.mu.Lock()
+			_, got := c.mem[keyN(n)]
+			c.mu.Unlock()
 			exp := false
 			for _, w := range want {
 				exp = exp || w == n
@@ -325,7 +327,9 @@ func (c *Cache) peekDir(t *testing.T, dir string, key Key) ([]byte, bool) {
 	if err := c.SetDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	return c.PeekBytes(key)
+	v, ok := c.diskLoad(c.Dir(), key, bytesCodec.Decode)
+	data, _ := v.([]byte)
+	return data, ok
 }
 
 // TestUndecodableDiskEntryRecomputed pins the disk boundary's decode
@@ -359,6 +363,54 @@ func TestUndecodableDiskEntryRecomputed(t *testing.T) {
 	}
 	if data, ok := New(0).peekDir(t, dir, keyN(1)); !ok || string(data) != "v:fresh" {
 		t.Fatalf("repaired entry = %q, %v", data, ok)
+	}
+}
+
+// TestComputeEncodesOnlyForOuterTiers pins that a value is serialized
+// only when bytes must leave the process: never with memory alone, once
+// per compute with the disk tier on.
+func TestComputeEncodesOnlyForOuterTiers(t *testing.T) {
+	var sc strictCodec
+	c := New(0)
+	for i := 0; i < 2; i++ {
+		if _, err := c.GetCtx(context.Background(), keyN(1), sc.codec(), func() (any, error) { return "x", nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sc.encodes.Load(); n != 0 {
+		t.Fatalf("memory-only cache encoded %d times, want 0", n)
+	}
+	if err := c.SetDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.GetCtx(context.Background(), keyN(2), sc.codec(), func() (any, error) { return "y", nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sc.encodes.Load(); n != 1 {
+		t.Fatalf("disk compute encoded %d times, want 1", n)
+	}
+}
+
+// TestErrorsNotPersisted pins that a compute error is memoized in
+// memory only: nothing reaches the disk tier, and a fresh instance on
+// the same dir computes again.
+func TestErrorsNotPersisted(t *testing.T) {
+	dir := t.TempDir()
+	c := New(0)
+	if err := c.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if _, err := getBytes(context.Background(), c, keyN(3), func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(c.Dir(), "*.cache")); len(files) != 0 {
+		t.Fatalf("error result persisted: %d files", len(files))
+	}
+	if _, ok := New(0).peekDir(t, dir, keyN(3)); ok {
+		t.Fatal("error result readable from disk")
 	}
 }
 
@@ -433,9 +485,9 @@ func TestResetDropsMemoryKeepsDisk(t *testing.T) {
 }
 
 // TestConcurrentMixed drives many goroutines across overlapping keys
-// with the disk tier on — byte entries, memory-only entries, and pushed
-// payloads that peeks serve and lookups claim and decode; run under
-// -race this is the cache's thread-safety gate.
+// with the disk tier on — byte entries, memory-only entries, and
+// decoded entries that go through the codec; run under -race this is
+// the cache's thread-safety gate.
 func TestConcurrentMixed(t *testing.T) {
 	dir := t.TempDir()
 	c := New(16)
@@ -465,14 +517,9 @@ func TestConcurrentMixed(t *testing.T) {
 					t.Errorf("object: %v", err)
 					return
 				}
-				c.PutBytes(keyN(200+k), []byte("v:"+want))
-				if data, ok := c.PeekBytes(keyN(200 + k)); ok && string(data) != "v:"+want {
-					t.Errorf("peek pushed: %q", data)
-					return
-				}
 				pv, err := c.GetCtx(context.Background(), keyN(200+k), sc.codec(), func() (any, error) { return want, nil })
 				if err != nil || pv != want {
-					t.Errorf("pushed key: %v, %v", pv, err)
+					t.Errorf("decoded key: %v, %v", pv, err)
 					return
 				}
 			}

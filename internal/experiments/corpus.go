@@ -13,12 +13,11 @@ package experiments
 // and what the expected-cost policy would decide about them across the
 // whole θ grid.
 //
-// Determinism contract, extended to the fleet: per-file results carry
-// only integer tallies, the aggregate is a pointwise integer sum
-// (order-independent), and every float in the report is derived from
-// summed integers at render time — so the report bytes are identical
-// whether the corpus ran on one process or was sharded across N specd
-// workers, cold or warm.
+// Determinism contract: per-file results carry only integer tallies,
+// the aggregate is a pointwise integer sum (order-independent), and
+// every float in the report is derived from summed integers at render
+// time — so the report bytes are identical at any worker count, cold
+// or warm.
 
 import (
 	"context"
@@ -146,7 +145,7 @@ type PolicyCount struct {
 
 // CorpusPatternStats are one alias pattern's integer tallies. All
 // fields sum pointwise across files (AggregateCorpus), which is what
-// makes the fleet report order-independent.
+// makes the report order-independent.
 type CorpusPatternStats struct {
 	// Sites counts the static reference sites of this pattern.
 	Sites uint64 `json:"sites"`
@@ -228,8 +227,9 @@ func patternOf(kind string, set profile.LocSet) string {
 // profile-guided speculation (training inputs from the source's
 // directive comments), fold the counted alias profile into per-pattern
 // tallies, and run the build once on the reference input for the
-// check/miss counters. workers shapes scheduling only, never results.
-func RunCorpusFileCtx(ctx context.Context, file CorpusFile, workers int) (*CorpusFileResult, error) {
+// check/miss counters. It compiles serially: RunCorpusDirCtx already
+// runs one file per worker.
+func RunCorpusFileCtx(ctx context.Context, file CorpusFile) (*CorpusFileResult, error) {
 	profileArgs, err := corpusArgs(file.Source, "profile-args")
 	if err != nil {
 		return nil, err
@@ -238,7 +238,7 @@ func RunCorpusFileCtx(ctx context.Context, file CorpusFile, workers int) (*Corpu
 	if err != nil {
 		return nil, err
 	}
-	cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: profileArgs, Workers: workers}
+	cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: profileArgs, Workers: 1}
 	c, err := compile(ctx, file.Source, cfg)
 	if err != nil {
 		return nil, err
@@ -298,31 +298,9 @@ func RunCorpusFileCtx(ctx context.Context, file CorpusFile, workers int) (*Corpu
 	return out, nil
 }
 
-// MarshalCorpusFile renders one file result as canonical indented JSON
-// with a trailing newline — the exact bytes specd's /corpus endpoint
-// returns, so the coordinator can fold server responses and local runs
-// interchangeably.
-func MarshalCorpusFile(res *CorpusFileResult) ([]byte, error) {
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// UnmarshalCorpusFile parses MarshalCorpusFile's bytes.
-func UnmarshalCorpusFile(data []byte) (*CorpusFileResult, error) {
-	var res CorpusFileResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("experiments: corpus result: %w", err)
-	}
-	return &res, nil
-}
-
 // CorpusFailure records one file the corpus run could not analyze; the
-// rest of the corpus still aggregates. Error strings are produced by
-// the same code path on every node, so failures too are byte-identical
-// between single-node and fleet runs.
+// rest of the corpus still aggregates. Error strings come from the
+// pipeline itself, so failures too are byte-identical from run to run.
 type CorpusFailure struct {
 	Name  string `json:"name"`
 	Error string `json:"error"`
@@ -342,8 +320,8 @@ type CorpusPatternAgg struct {
 	SpeculateFrac map[string]float64 `json:"speculateFrac"`
 }
 
-// CorpusReport is the corpus-wide aggregate (speccoord -corpus and
-// `experiments -exp corpus` emit it as JSON).
+// CorpusReport is the corpus-wide aggregate (`experiments -exp corpus
+// -json` emits it).
 type CorpusReport struct {
 	Files    int             `json:"files"`
 	Analyzed int             `json:"analyzed"`
@@ -429,24 +407,17 @@ func AggregateCorpus(results []*CorpusFileResult, failures []CorpusFailure) *Cor
 	return rep
 }
 
-// RunCorpusDirCtx is the single-node corpus run: load the directory,
-// analyze every file (bounded by workers), aggregate. The fleet
-// coordinator produces the same report from the same per-file results,
-// just computed elsewhere.
+// RunCorpusDirCtx is the corpus run: load the directory, analyze every
+// file (bounded by workers), aggregate.
 func RunCorpusDirCtx(ctx context.Context, dir string, workers int) (*CorpusReport, error) {
 	files, err := LoadCorpusDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	return RunCorpusFilesCtx(ctx, files, workers)
-}
-
-// RunCorpusFilesCtx analyzes an explicit file list and aggregates.
-func RunCorpusFilesCtx(ctx context.Context, files []CorpusFile, workers int) (*CorpusReport, error) {
 	results := make([]*CorpusFileResult, len(files))
 	fails := make([]*CorpusFailure, len(files))
-	err := par.EachCtx(ctx, workers, len(files), func(i int) error {
-		res, err := RunCorpusFileCtx(ctx, files[i], 1)
+	err = par.EachCtx(ctx, workers, len(files), func(i int) error {
+		res, err := RunCorpusFileCtx(ctx, files[i])
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err() // a cancelled run is cancelled, not a per-file failure
@@ -474,8 +445,8 @@ func RunCorpusFilesCtx(ctx context.Context, files []CorpusFile, workers int) (*C
 }
 
 // MarshalCorpusReport renders the aggregate report as canonical
-// indented JSON with a trailing newline — the bytes the fleet-vs-
-// single-node identity is asserted over.
+// indented JSON with a trailing newline — the bytes the cold-vs-warm
+// and worker-count identities are asserted over.
 func MarshalCorpusReport(rep *CorpusReport) ([]byte, error) {
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

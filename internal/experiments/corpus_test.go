@@ -6,12 +6,13 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // TestCorpusRunDeterministic pins the corpus determinism contract at
 // the single-node level: the aggregate report bytes are identical at
-// any worker count, which is the foundation the fleet extends to any
-// worker-process count.
+// any worker count.
 func TestCorpusRunDeterministic(t *testing.T) {
 	ctx := context.Background()
 	rep1, err := RunCorpusDirCtx(ctx, "testdata/corpus", 1)
@@ -46,9 +47,51 @@ func TestCorpusRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestCorpusWarmDiskRecomputesNothing runs the corpus cold with a
+// cache dir, drops the memory tier and runs it again: the warm report
+// is byte-identical and the warm pass runs no profiling interpreter.
+func TestCorpusWarmDiskRecomputesNothing(t *testing.T) {
+	ctx := context.Background()
+	if err := repro.SetCacheDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	repro.ResetCaches()
+	defer func() {
+		if err := repro.SetCacheDir(""); err != nil {
+			t.Error(err)
+		}
+		repro.ResetCaches()
+	}()
+	run := func() ([]byte, uint64) {
+		t.Helper()
+		runs0 := repro.ProfilingRuns()
+		rep, err := RunCorpusDirCtx(ctx, "testdata/corpus", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := MarshalCorpusReport(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, repro.ProfilingRuns() - runs0
+	}
+	cold, coldRuns := run()
+	repro.ResetCaches()
+	warm, warmRuns := run()
+	if coldRuns == 0 {
+		t.Fatal("the cold pass ran no profiling: the test measures nothing")
+	}
+	if warmRuns != 0 {
+		t.Errorf("the warm pass ran %d profiling runs, want 0", warmRuns)
+	}
+	if !bytes.Equal(cold, warm) {
+		t.Fatalf("warm corpus report differs from the cold one:\n%s\nvs\n%s", cold, warm)
+	}
+}
+
 // TestCorpusAggregateOrderIndependent shuffles per-file results before
-// aggregation and asserts identical bytes — the property that lets the
-// fleet coordinator fold worker responses in completion order.
+// aggregation and asserts identical bytes: the report depends only on
+// which results it folds, not on the order they finish in.
 func TestCorpusAggregateOrderIndependent(t *testing.T) {
 	files, err := LoadCorpusDir("testdata/corpus")
 	if err != nil {
@@ -57,7 +100,7 @@ func TestCorpusAggregateOrderIndependent(t *testing.T) {
 	var results []*CorpusFileResult
 	var fails []CorpusFailure
 	for _, f := range files {
-		res, err := RunCorpusFileCtx(context.Background(), f, 1)
+		res, err := RunCorpusFileCtx(context.Background(), f)
 		if err != nil {
 			fails = append(fails, CorpusFailure{Name: f.Name, Error: err.Error()})
 			continue
@@ -81,49 +124,6 @@ func TestCorpusAggregateOrderIndependent(t *testing.T) {
 		if !bytes.Equal(base, got) {
 			t.Fatalf("aggregate depends on result order (trial %d)", trial)
 		}
-	}
-}
-
-// TestCorpusFileRoundTrip pins the per-file wire format: marshaling and
-// unmarshaling a result must not change what it aggregates to, since
-// the coordinator folds results that crossed HTTP next to ones computed
-// locally.
-func TestCorpusFileRoundTrip(t *testing.T) {
-	files, err := LoadCorpusDir("testdata/corpus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f *CorpusFile
-	for i := range files {
-		if files[i].Name == "ptrsum.c" {
-			f = &files[i]
-		}
-	}
-	if f == nil {
-		t.Fatal("ptrsum.c missing from testdata corpus")
-	}
-	res, err := RunCorpusFileCtx(context.Background(), *f, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := MarshalCorpusFile(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalCorpusFile(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := MarshalCorpusReport(AggregateCorpus([]*CorpusFileResult{res}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MarshalCorpusReport(AggregateCorpus([]*CorpusFileResult{back}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("corpus file result changed across the wire format")
 	}
 }
 

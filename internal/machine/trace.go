@@ -303,7 +303,7 @@ func corruptTrace(format string, a ...any) error {
 
 // UnmarshalTrace reverses Marshal. Corrupt input returns an error (the
 // cache layer treats that as a miss and re-records). Traces arrive from
-// the disk tier and from peers, so the decoder also rejects a header
+// the disk tier, so the decoder also rejects a header
 // that contradicts its own streams: the class counts the ALAT event
 // stream determines (checks, stores, advanced-load inserts) must match
 // it, because replay sizes its per-check outcome table from them.

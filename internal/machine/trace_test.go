@@ -68,12 +68,12 @@ func TestReplayRejectsEditedSteps(t *testing.T) {
 }
 
 // FuzzUnmarshalTrace feeds arbitrary bytes to the trace decoder — the
-// boundary the disk tier and peer cache PUTs cross — and replays every
-// trace it accepts under one serial and one pipelined config against
-// every zoo program, matching or not. Any outcome but a panic or a hang
-// is fine: errors are the expected answer to corrupt input. The seed
-// corpus (testdata/fuzz/FuzzUnmarshalTrace) holds the two regression
-// inputs above; the zoo's own traces are added here.
+// boundary the disk tier crosses — and replays every trace it accepts
+// under one serial and one pipelined config against every zoo program,
+// matching or not. Any outcome but a panic or a hang is fine: errors
+// are the expected answer to corrupt input. The seed corpus
+// (testdata/fuzz/FuzzUnmarshalTrace) holds the two regression inputs
+// above; the zoo's own traces are added here.
 func FuzzUnmarshalTrace(f *testing.F) {
 	progs := ReplayPrograms()
 	names := make([]string, 0, len(progs))

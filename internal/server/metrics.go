@@ -220,26 +220,23 @@ func (m *metrics) write(w io.Writer) {
 		{"specd_cache_mem_misses_total", "In-memory cache tier misses.", cs.MemMisses},
 		{"specd_cache_disk_hits_total", "On-disk cache tier hits.", cs.DiskHits},
 		{"specd_cache_disk_misses_total", "On-disk cache tier misses.", cs.DiskMisses},
-		{"specd_cache_remote_hits_total", "Remote (peer) cache tier hits.", cs.RemoteHits},
-		{"specd_cache_remote_misses_total", "Remote (peer) cache tier misses.", cs.RemoteMisses},
-		{"specd_cache_remote_puts_total", "Computed entries pushed to the remote (peer) tier.", cs.RemotePuts},
 		{"specd_cache_computes_total", "Cache compute functions actually run.", cs.Computes},
 		{"specd_cache_evictions_total", "In-memory cache entries evicted.", cs.Evictions},
-		{"specd_cache_corrupt_total", "Disk entries and peer payloads (fetched or pushed) discarded as corrupt or undecodable.", cs.Corrupt},
+		{"specd_cache_corrupt_total", "Disk cache entries discarded as corrupt or undecodable.", cs.Corrupt},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v)
 	}
 
-	// profiling interpreter runs actually executed (cache misses): the
-	// fleet smoke test asserts a warm corpus re-run leaves this flat on
-	// every worker — zero recomputation fleet-wide.
+	// profiling interpreter runs actually executed (cache misses): a
+	// warm-started server leaves this flat for programs it has profiled
+	// before.
 	fmt.Fprintf(w, "# HELP specd_profiling_runs_total Profiling interpreter runs actually executed (profile-cache misses).\n")
 	fmt.Fprintf(w, "# TYPE specd_profiling_runs_total counter\n")
 	fmt.Fprintf(w, "specd_profiling_runs_total %d\n", repro.ProfilingRuns())
 
 	// compilation pipeline runs (build-cache misses, plus the adaptive
-	// recompiles and corpus analyses that compile directly): a repeated
-	// /evaluate, /sweep or /compile leaves this flat
+	// recompiles that compile directly): a repeated /evaluate, /sweep or
+	// /compile leaves this flat
 	fmt.Fprintf(w, "# HELP specd_builds_compiled_total Compilation pipeline runs (build-cache misses and direct compiles).\n")
 	fmt.Fprintf(w, "# TYPE specd_builds_compiled_total counter\n")
 	fmt.Fprintf(w, "specd_builds_compiled_total %d\n", repro.BuildsCompiled())

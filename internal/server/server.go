@@ -42,7 +42,6 @@ import (
 
 	"repro"
 	"repro/internal/adaptive"
-	"repro/internal/cache"
 	"repro/internal/experiments"
 	"repro/internal/harden"
 	"repro/internal/machine"
@@ -124,12 +123,9 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /workloads", s.handleWorkloads)
-	s.mux.HandleFunc("GET /cache/{key}", s.handleCacheGet)
-	s.mux.HandleFunc("PUT /cache/{key}", s.handleCachePut)
 	s.mux.HandleFunc("POST /compile", s.job("compile", s.handleCompile))
 	s.mux.HandleFunc("POST /evaluate", s.job("evaluate", s.handleEvaluate))
 	s.mux.HandleFunc("POST /sweep", s.job("sweep", s.handleSweep))
-	s.mux.HandleFunc("POST /corpus", s.job("corpus", s.handleCorpus))
 	return s
 }
 
@@ -171,14 +167,17 @@ func (s *Server) writeError(w http.ResponseWriter, id string, code int, err erro
 }
 
 // statusFor maps a job error to an HTTP status: bad input is the
-// client's fault, an expired per-request deadline is 504, everything
-// else — including a cancelled upstream — is reported as 500.
+// client's fault (400, or 413 for an oversized body), an expired
+// per-request deadline is 504, everything else — including a cancelled
+// upstream — is reported as 500.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, errBadRequest):
 		return http.StatusBadRequest
+	case errors.Is(err, errTooLarge):
+		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusInternalServerError
 	}
@@ -186,6 +185,9 @@ func statusFor(err error) int {
 
 // errBadRequest marks malformed or semantically invalid request bodies.
 var errBadRequest = errors.New("bad request")
+
+// errTooLarge marks a request body over maxBodyBytes.
+var errTooLarge = errors.New("request body too large")
 
 func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{errBadRequest}, args...)...)
@@ -294,13 +296,30 @@ func (s *Server) runBody(ctx context.Context, id string, r *http.Request, body f
 	return body(ctx, r)
 }
 
+// maxBodyBytes bounds a JSON request body.
+const maxBodyBytes = 16 << 20
+
+// decodeJSON decodes the request body into v. The body must hold
+// exactly one JSON value with no unknown fields (400 otherwise) and fit
+// in maxBodyBytes (413 otherwise).
 func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequestf("decoding body: %v", err)
+	err := dec.Decode(v)
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		err = fmt.Errorf("trailing data after the body: %w", err)
 	}
-	return nil
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return fmt.Errorf("%w: over %d bytes", errTooLarge, maxBodyBytes)
+	}
+	return badRequestf("decoding body: %v", err)
 }
 
 // --- endpoints ---
@@ -539,82 +558,4 @@ func (s *Server) handleSweep(ctx context.Context, r *http.Request) (any, error) 
 		s.metrics.addSpec(0, 0, p.FailedChecks)
 	}
 	return &SweepResponse{Workload: req.Workload, Points: points}, nil
-}
-
-// CorpusRequest is POST /corpus's body: one MiniC source file from a
-// corpus sweep, analyzed into the per-file speculation statistics the
-// coordinator aggregates (see experiments.AggregateCorpus). Name is an
-// opaque label echoed into the result; the analysis is keyed by content.
-type CorpusRequest struct {
-	Name    string `json:"name"`
-	Source  string `json:"source"`
-	Workers int    `json:"workers,omitempty"`
-}
-
-func (s *Server) handleCorpus(ctx context.Context, r *http.Request) (any, error) {
-	var req CorpusRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return nil, err
-	}
-	// No pre-validation of the source: an unparseable file must fail
-	// with the pipeline's own error so the coordinator's failure
-	// records match a single-node run byte for byte.
-	res, err := experiments.RunCorpusFileCtx(ctx, experiments.CorpusFile{Name: req.Name, Source: req.Source}, req.Workers)
-	if err != nil {
-		return nil, err
-	}
-	// MarshalCorpusFile, not a local encoder: the coordinator diffs
-	// fleet output against single-node bytes.
-	return experiments.MarshalCorpusFile(res)
-}
-
-// --- cache peer endpoints ---
-//
-// GET/PUT /cache/{key} serve the remote cache tier to fleet peers.
-// They intentionally bypass the job admission queue: a worker whose
-// slots are all busy computing must still answer peer lookups (the
-// busy jobs may themselves be waiting on peer caches — admission here
-// would deadlock the fleet), and a draining worker keeps serving reads
-// so its warm entries stay reachable while it finishes. Both are
-// cheap, compute-free paths: a peek never runs a compute function and
-// never consults this process's own remote tier.
-
-// maxCachePut bounds an uploaded cache entry, mirroring the remote
-// tier's own response cap.
-const maxCachePut = 64 << 20
-
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	key, err := cache.ParseKey(r.PathValue("key"))
-	if err != nil {
-		s.metrics.countRequest("cacheGet", http.StatusBadRequest)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	data, ok := repro.CachePeekBytes(key)
-	if !ok {
-		s.metrics.countRequest("cacheGet", http.StatusNotFound)
-		http.Error(w, "no such entry", http.StatusNotFound)
-		return
-	}
-	s.metrics.countRequest("cacheGet", http.StatusOK)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(data)
-}
-
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	key, err := cache.ParseKey(r.PathValue("key"))
-	if err != nil {
-		s.metrics.countRequest("cachePut", http.StatusBadRequest)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxCachePut+1))
-	if err != nil || len(data) > maxCachePut {
-		s.metrics.countRequest("cachePut", http.StatusRequestEntityTooLarge)
-		http.Error(w, "entry too large or unreadable", http.StatusRequestEntityTooLarge)
-		return
-	}
-	repro.CachePutBytes(key, data)
-	s.metrics.countRequest("cachePut", http.StatusNoContent)
-	w.WriteHeader(http.StatusNoContent)
 }

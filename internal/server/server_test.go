@@ -304,6 +304,51 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRequestBodyBounds pins what a JSON request body may hold: one
+// value and nothing after it but whitespace (400 otherwise), within
+// maxBodyBytes (413 otherwise).
+func TestRequestBodyBounds(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	pad := strings.Repeat(" ", maxBodyBytes)
+	const src = `"int main() { print(1); return 0; }"`
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"evaluate trailing junk", "/evaluate", `{"workload":"equake"} junk`, http.StatusBadRequest},
+		{"evaluate second value", "/evaluate", `{"workload":"equake"} {}`, http.StatusBadRequest},
+		{"evaluate over the cap", "/evaluate", `{"workload":"equake"` + pad + `}`, http.StatusRequestEntityTooLarge},
+		{"evaluate trailing data over the cap", "/evaluate", `{"workload":"equake"}` + pad + `{}`, http.StatusRequestEntityTooLarge},
+		{"evaluate trailing whitespace", "/evaluate", `{"workload":"equake"}` + "\n\t ", http.StatusOK},
+		{"compile trailing junk", "/compile", `{"source":` + src + `} junk`, http.StatusBadRequest},
+		{"compile second value", "/compile", `{"source":` + src + `} {"source":""}`, http.StatusBadRequest},
+		{"compile over the cap", "/compile", `{"source":` + src + pad + `}`, http.StatusRequestEntityTooLarge},
+		{"compile trailing whitespace", "/compile", `{"source":` + src + "}\n", http.StatusOK},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			resp, err := ts.Client().Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := readAll(t, resp)
+			if resp.StatusCode != c.want {
+				t.Fatalf("POST %s = %d %.200q, want %d", c.path, resp.StatusCode, body, c.want)
+			}
+			if c.want == http.StatusOK {
+				return
+			}
+			var e errorBody
+			if err := json.Unmarshal(body, &e); err != nil || e.RequestID == "" {
+				t.Errorf("error envelope = %q (%v)", body, err)
+			}
+		})
+	}
+}
+
 // TestRequestTimeout proves the per-request deadline converts to a 504
 // instead of hanging the slot.
 func TestRequestTimeout(t *testing.T) {

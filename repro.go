@@ -236,9 +236,8 @@ type Compilation struct {
 // a pristine lowered program per source hash, the serialized alias/edge
 // profile per (source, options, training-args) key, BuildCtx's immutable
 // builds and the recorded machine traces. Profiles and traces carry a
-// codec, so the optional on-disk tier (SetCacheDir) and the peer tier
-// (SetCacheRemote) persist and share them; parses and builds stay in
-// memory. CompileCtx, CollectProfileCtx, Reference and ReuseLimitCtx all
+// codec, so the optional on-disk tier (SetCacheDir) persists them;
+// parses and builds stay in memory. CompileCtx, CollectProfileCtx, Reference and ReuseLimitCtx all
 // start from the same parse, and an experiment sweep re-compiles each
 // workload under many config variants, so N variants pay for one parse
 // and one profiling interpreter run instead of N of each. Masters in the
@@ -323,8 +322,8 @@ func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error)
 	return v.([]byte), nil
 }
 
-// profileCodec carries serialized profiles across the disk and peer
-// tiers as they are. Decode binds the payload against an empty program,
+// profileCodec carries serialized profiles to and from the disk tier as
+// they are. Decode binds the payload against an empty program,
 // which checks everything that does not depend on the program — the
 // JSON shape, the version, the site keys — so a payload that is not a
 // profile document never reaches a compile.
@@ -344,26 +343,6 @@ func ProfilingRuns() uint64 { return profilingRuns.Load() }
 
 // CacheStats snapshots the compilation cache's cumulative counters.
 func CacheStats() cache.Stats { return compCache.Stats() }
-
-// SetCacheRemote installs (or, with nil, removes) the peer/remote tier
-// of the compilation cache: serialized profiles and recorded traces
-// missing from memory and disk are fetched from fleet peers before being
-// computed, and computed ones are pushed to the key's owning peer, so a
-// program profiled on any node is profiled once fleet-wide. A peer's
-// payload that does not decode is counted corrupt and recomputed.
-func SetCacheRemote(r cache.Remote) { compCache.SetRemote(r) }
-
-// CachePeekBytes serves the peer side of the remote tier (specd's
-// GET /cache/{key}): the completed entry for key from the memory tier,
-// encoded, or from the disk tier — it never computes and never consults
-// this process's own remote tier, so peer lookups cannot recurse.
-func CachePeekBytes(key cache.Key) ([]byte, bool) { return compCache.PeekBytes(key) }
-
-// CachePutBytes serves the peer side of remote-tier stores (specd's
-// PUT /cache/{key}): the payload waits in the memory tier until the
-// first local lookup of key decodes it. Existing entries win; values
-// are content-addressed, so any copy is as good as the first.
-func CachePutBytes(key cache.Key, data []byte) { compCache.PutBytes(key, data) }
 
 // TraceCacheBytes reports the heap footprint of every
 // *machine.Trace resident in the in-memory cache tier, in bytes. The
@@ -663,9 +642,8 @@ func BuildsCompiled() uint64 { return buildsCompiled.Load() }
 // memoizes errors, so excluding them would poison larger-limit callers;
 // StackSlots additionally shifts concrete addresses (Replay refuses a
 // mismatch outright). A trace is one cache entry: the memory tier holds
-// the *machine.Trace as recorded (or as decoded from disk or a peer),
-// and traceCodec serializes it only when a disk or peer tier needs the
-// bytes.
+// the *machine.Trace as recorded (or as decoded from disk), and
+// traceCodec serializes it only when the disk tier needs the bytes.
 
 // traceCacheVersion stamps trace cache keys; bump it whenever the
 // trace format or the recorded event set changes.
@@ -704,7 +682,7 @@ func (b *Build) traceFor(ctx context.Context, args []int64, mcfg machine.Config)
 	return v.(*machine.Trace), nil
 }
 
-// traceCodec carries recorded traces across the disk and peer tiers.
+// traceCodec carries recorded traces to and from the disk tier.
 var traceCodec = &cache.Codec{
 	Encode: func(v any) []byte { return v.(*machine.Trace).Marshal() },
 	Decode: func(data []byte) (any, error) { return machine.UnmarshalTrace(data) },
