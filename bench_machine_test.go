@@ -41,7 +41,8 @@ func sweepTarget(b *testing.B) (*machine.Program, []int64) {
 // machine.Run per config ("direct": what a caller without batching
 // pays, K records and K one-lane replays) and as one Record plus one
 // ReplayBatch ("replay"), and emits BENCH_machine.json with the
-// per-sweep costs and speedups. Two grids are measured:
+// per-sweep costs and speedups, plus record_ns, the cost of one equake
+// Record at the reference input. Two grids are measured:
 // "serial" is the 12-config serial-model grid — the RunSensitivityCtx
 // shape, where replay takes the O(events) aggregate path — and "mixed"
 // is the full 24-config MachineSweepConfigs grid whose pipelined half
@@ -103,6 +104,25 @@ func BenchmarkMachineSweep(b *testing.B) {
 			"speedup":             speedups[grid.name],
 		}
 	}
+
+	// one functional run alone: what every cold evaluation pays before
+	// any re-timing, and the part of "direct" that replay pays once.
+	// Each iteration records several times so that a single-pass run
+	// (-benchtime 1x, as CI runs it) still averages over a few garbage
+	// collections instead of timing one record
+	const recordsPerOp = 10
+	var recordNs float64
+	b.Run("record", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < recordsPerOp; j++ {
+				if _, err := machine.Record(code, args, machine.Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		recordNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N*recordsPerOp)
+	})
+	out["record_ns"] = recordNs
 
 	// the headline number is the RunSensitivityCtx-shaped serial grid; the
 	// mixed grid is reported alongside

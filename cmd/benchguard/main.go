@@ -7,7 +7,9 @@
 //     DROP by more than the margin. A speedup is the cost of one
 //     machine.Run per config (K records and K one-lane replays, what a
 //     caller without batching pays) over one Record plus one
-//     ReplayBatch of the whole grid;
+//     ReplayBatch of the whole grid. The direct side pays Record K
+//     times, so a slower Record raises a speedup; record_ns, the cost
+//     of one Record, must therefore not RISE by more than the margin;
 //   - BENCH_compile.json: the compile path's allocs_per_compile and
 //     ns_per_compile must not RISE by more than the margin.
 //
@@ -45,17 +47,15 @@ type gate struct {
 }
 
 func main() {
+	machineBase := flag.String("baseline", "", "committed BENCH_machine.json to compare against (empty = skip the machine guards)")
+	machineFresh := flag.String("fresh", "BENCH_machine.json", "freshly generated BENCH_machine.json")
 	gates := []gate{
-		{
-			baseline:       flag.String("baseline", "", "committed BENCH_machine.json to compare against (empty = skip the machine guard)"),
-			fresh:          flag.String("fresh", "BENCH_machine.json", "freshly generated BENCH_machine.json"),
-			load:           loadSpeedups,
-			higherIsBetter: true,
-		},
+		{baseline: machineBase, fresh: machineFresh, load: loadSpeedups, higherIsBetter: true},
+		{baseline: machineBase, fresh: machineFresh, load: loadScalars("record_ns")},
 		{
 			baseline: flag.String("compile-baseline", "", "committed BENCH_compile.json to compare against (empty = skip the compile guard)"),
 			fresh:    flag.String("compile-fresh", "BENCH_compile.json", "freshly generated BENCH_compile.json"),
-			load:     loadCompileStats,
+			load:     loadScalars("allocs_per_compile", "ns_per_compile"),
 		},
 	}
 	maxRegress := flag.Float64("max-regress", 0.25, "maximum allowed fractional regression (0.25 = 25%)")
@@ -155,29 +155,29 @@ func loadSpeedups(path string) (map[string]float64, error) {
 	return out, nil
 }
 
-// compileGuardKeys are the BENCH_compile.json quantities the gate
-// watches; lower is better for both.
-var compileGuardKeys = []string{"allocs_per_compile", "ns_per_compile"}
-
-// loadCompileStats reads the guarded scalar fields of a
-// BENCH_compile.json file.
-func loadCompileStats(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := map[string]float64{}
-	for _, key := range compileGuardKeys {
-		if v, ok := raw[key].(float64); ok && v > 0 {
-			out[key] = v
+// loadScalars returns a loader for the named top-level numeric fields
+// of a benchmark file (e.g. BENCH_compile.json's allocs_per_compile and
+// ns_per_compile, or BENCH_machine.json's record_ns). Every key must be
+// present and positive.
+func loadScalars(keys ...string) func(path string) (map[string]float64, error) {
+	return func(path string) (map[string]float64, error) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
 		}
+		var raw map[string]any
+		if err := json.Unmarshal(data, &raw); err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		out := map[string]float64{}
+		for _, key := range keys {
+			if v, ok := raw[key].(float64); ok && v > 0 {
+				out[key] = v
+			}
+		}
+		if len(out) != len(keys) {
+			return nil, fmt.Errorf("%s: missing benchmark fields (want %v)", path, keys)
+		}
+		return out, nil
 	}
-	if len(out) != len(compileGuardKeys) {
-		return nil, fmt.Errorf("%s: missing compile stats (want %v)", path, compileGuardKeys)
-	}
-	return out, nil
 }

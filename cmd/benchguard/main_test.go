@@ -20,6 +20,11 @@ func writeJSON(t *testing.T, name, body string) *string {
 const machineBase = `{"benchmark": "MachineSweep", "serial": {"speedup": 10}, "mixed": {"speedup": 8}, "speedup": 10}`
 const compileBase = `{"benchmark": "CompileProfile", "allocs_per_compile": 8000, "ns_per_compile": 2000000}`
 
+var (
+	loadCompile = loadScalars("allocs_per_compile", "ns_per_compile")
+	loadRecord  = loadScalars("record_ns")
+)
+
 func TestGuard(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -51,15 +56,29 @@ func TestGuard(t *testing.T) {
 			name:   "compile cost falling passes",
 			base:   compileBase,
 			fresh:  `{"allocs_per_compile": 4000, "ns_per_compile": 2400000}`,
-			load:   loadCompileStats,
+			load:   loadCompile,
 			wantOK: true,
 		},
 		{
 			name:     "a compile cost rise beyond the margin fails",
 			base:     compileBase,
 			fresh:    `{"allocs_per_compile": 8000, "ns_per_compile": 2600000}`,
-			load:     loadCompileStats,
+			load:     loadCompile,
 			wantFail: "ns_per_compile",
+		},
+		{
+			name:   "record cost within the margin passes",
+			base:   `{"record_ns": 4000000, "serial": {"speedup": 10}}`,
+			fresh:  `{"record_ns": 4900000, "serial": {"speedup": 6}}`,
+			load:   loadRecord,
+			wantOK: true,
+		},
+		{
+			name:     "a record cost rise beyond the margin fails",
+			base:     `{"record_ns": 4000000, "serial": {"speedup": 10}}`,
+			fresh:    `{"record_ns": 5100000, "serial": {"speedup": 12}}`,
+			load:     loadRecord,
+			wantFail: "record_ns",
 		},
 		{
 			name:     "a grid missing from the fresh file fails",
@@ -73,7 +92,7 @@ func TestGuard(t *testing.T) {
 			name:      "a compile key missing from the fresh file is an error",
 			base:      compileBase,
 			fresh:     `{"allocs_per_compile": 8000}`,
-			load:      loadCompileStats,
+			load:      loadCompile,
 			wantError: true,
 		},
 	}

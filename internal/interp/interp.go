@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/ir"
+	"repro/internal/memimg"
 	"repro/internal/profile"
 )
 
@@ -82,12 +83,8 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		}
 		m.prof = opts.Profile
 	}
-	m.mem = make([]uint64, prog.GlobSize+stackCap)
-	for addr, v := range prog.GlobalInit {
-		m.mem[addr] = v
-	}
+	m.mem = memimg.New(prog.GlobSize+stackCap, prog.GlobSize, prog.GlobalInit)
 	m.stackTop = prog.GlobSize
-	m.heapBase = prog.GlobSize + stackCap
 	m.globals = append([]*ir.Sym(nil), prog.Globals...)
 	sort.Slice(m.globals, func(i, j int) bool { return m.globals[i].Addr < m.globals[j].Addr })
 
@@ -124,10 +121,8 @@ type machine struct {
 	opts     Options
 	out      io.Writer
 	prof     *profile.Profile
-	mem      []uint64
+	mem      memimg.Image
 	stackTop int
-	heapBase int
-	heapNext int // offset past heapBase
 	heap     []heapObj
 	globals  []*ir.Sym
 
@@ -154,13 +149,11 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 	nsyms := len(fn.Syms)
 	m.nextFrameID++
 	fr := &frame{fn: fn, regs: make([]uint64, nsyms), base: m.stackTop, id: m.nextFrameID}
-	if m.stackTop+fn.FrameSize > m.heapBase {
+	if m.stackTop+fn.FrameSize > m.mem.HeapBase() {
 		return 0, runtimeErr("stack overflow in %s", fn.Name)
 	}
 	// zero the frame memory (stack slots are reused across calls)
-	for i := 0; i < fn.FrameSize; i++ {
-		m.mem[fr.base+i] = 0
-	}
+	m.mem.Clear(fr.base, fn.FrameSize)
 	m.stackTop += fn.FrameSize
 	m.frames = append(m.frames, fr)
 	defer func() {
@@ -354,11 +347,7 @@ func (m *machine) execAssign(fr *frame, st *ir.Assign) error {
 		if sz < 0 {
 			return runtimeErr("negative allocation size %d", sz)
 		}
-		start := m.heapBase + m.heapNext
-		m.heapNext += sz
-		for len(m.mem) < m.heapBase+m.heapNext {
-			m.mem = append(m.mem, make([]uint64, 4096)...)
-		}
+		start := m.mem.Alloc(sz)
 		ctx := 0
 		if len(m.callSites) > 0 {
 			ctx = m.callSites[len(m.callSites)-1]
@@ -422,15 +411,16 @@ func (m *machine) execCall(fr *frame, st *ir.Call) error {
 // indirect-reference site id (0 for direct loads, which record through
 // recordDirectRef instead).
 func (m *machine) loadMem(addr int, site int) (uint64, error) {
-	if addr < 0 || addr >= len(m.mem) {
+	if !m.mem.Valid(addr) {
 		return 0, runtimeErr("load from invalid address %d", addr)
 	}
+	v := m.mem.Load(addr)
 	m.loads++
 	if m.opts.Reuse != nil {
-		m.opts.Reuse.access(site, addr, m.mem[addr], false, m.curFrameID())
+		m.opts.Reuse.access(site, addr, v, false, m.curFrameID())
 	}
 	if m.opts.MemTrace != nil {
-		m.opts.MemTrace.append(MemEvent{Site: site, Addr: addr, Val: m.mem[addr], Invocation: m.curFrameID()})
+		m.opts.MemTrace.append(MemEvent{Site: site, Addr: addr, Val: v, Invocation: m.curFrameID()})
 	}
 	if m.prof != nil && m.opts.CollectAlias {
 		// every execution counts toward the site total, even one whose
@@ -449,12 +439,12 @@ func (m *machine) loadMem(addr int, site int) (uint64, error) {
 			}
 		}
 	}
-	return m.mem[addr], nil
+	return v, nil
 }
 
 // storeMem writes a slot through an indirect store site.
 func (m *machine) storeMem(addr int, val uint64, site int) error {
-	if addr < 0 || addr >= len(m.mem) {
+	if !m.mem.Valid(addr) {
 		return runtimeErr("store to invalid address %d", addr)
 	}
 	m.stores++
@@ -478,14 +468,14 @@ func (m *machine) storeMem(addr int, val uint64, site int) error {
 			}
 		}
 	}
-	m.mem[addr] = val
+	m.mem.Store(addr, val)
 	return nil
 }
 
 // storeMemRaw writes a slot for a direct store (no site attribution; the
 // mod set attribution happens in recordDirectRef).
 func (m *machine) storeMemRaw(addr int, val uint64) error {
-	if addr < 0 || addr >= len(m.mem) {
+	if !m.mem.Valid(addr) {
 		return runtimeErr("store to invalid address %d", addr)
 	}
 	m.stores++
@@ -495,7 +485,7 @@ func (m *machine) storeMemRaw(addr int, val uint64) error {
 	if m.opts.MemTrace != nil {
 		m.opts.MemTrace.append(MemEvent{Addr: addr, Val: val, Invocation: m.curFrameID(), Store: true})
 	}
-	m.mem[addr] = val
+	m.mem.Store(addr, val)
 	return nil
 }
 
@@ -549,7 +539,7 @@ func (m *machine) locate(addr int) (profile.Loc, bool) {
 			return profile.Loc{Kind: profile.LocGlobal, Sym: g}, true
 		}
 		return profile.Loc{}, false
-	case addr < m.heapBase:
+	case addr < m.mem.HeapBase():
 		// stack: scan active frames (innermost first)
 		for i := len(m.frames) - 1; i >= 0; i-- {
 			fr := m.frames[i]

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -505,6 +506,24 @@ int main() { return infinite(1); }`)
 	}
 }
 
+// TestStackOverflowMessage pins the fault a frame that does not fit
+// below the heap raises: the third activation of big needs more than
+// the 1 Mi-slot stack region.
+func TestStackOverflowMessage(t *testing.T) {
+	prog := compile(t, `
+int big(int n) {
+	int arr[400000];
+	arr[0] = n;
+	if (n == 0) return 0;
+	return big(n - 1) + arr[0];
+}
+int main() { return big(5); }`)
+	_, err := Run(prog, Options{})
+	if err == nil || err.Error() != "interp: stack overflow in big" {
+		t.Fatalf("err = %v, want interp: stack overflow in big", err)
+	}
+}
+
 func TestInvalidAddressFaults(t *testing.T) {
 	for name, src := range map[string]string{
 		"wild load": `
@@ -521,6 +540,19 @@ int main() {
 		"negative alloc": `
 int main() {
 	int *p = (int*)malloc(0 - 5);
+	return 0;
+}`,
+		"load past an allocation": `
+int main() {
+	int *p = (int*)malloc(4);
+	p[0] = 7;
+	print(p[5]);
+	return 0;
+}`,
+		"store past an allocation": `
+int main() {
+	int *p = (int*)malloc(4);
+	p[4] = 7;
 	return 0;
 }`,
 	} {
@@ -568,4 +600,49 @@ int main() {
 	if sim2.PotentialReduction() < 0.3 {
 		t.Errorf("in-invocation reuse not detected: %.2f", sim2.PotentialReduction())
 	}
+}
+
+// TestRunAllocations guards the on-demand memory image: interpreting a
+// small program must not build the whole 1 Mi-slot stack region or copy
+// it on the first allocation.
+func TestRunAllocations(t *testing.T) {
+	prog := compile(t, `
+int sum(int *a, int n) {
+	int s = 0;
+	for (int i = 0; i < n; i++) s += a[i];
+	return s;
+}
+int main() {
+	int n = arg(0);
+	int *a = (int*)malloc(n);
+	for (int i = 0; i < n; i++) a[i] = i;
+	print(sum(a, n));
+	return 0;
+}`)
+	interpret := func() {
+		res, err := Run(prog, Options{Args: []int64{100}, CollectEdges: true, CollectAlias: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Output != "4950\n" {
+			t.Fatalf("output %q, want 4950", res.Output)
+		}
+	}
+	if got := bytesPerRun(10, interpret); got >= 1<<20 {
+		t.Errorf("Run allocates %d bytes per call, want under 1 MiB", got)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one
+// call of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

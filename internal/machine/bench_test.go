@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -101,4 +102,33 @@ func BenchmarkRecordVsRunVsReplay(b *testing.B) {
 			}
 		}
 	})
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one
+// call of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestRecordAllocations guards the on-demand memory image: recording a
+// small program must not build the whole reserved stack region (8 MiB
+// at the default StackSlots) or copy it on the first allocation.
+func TestRecordAllocations(t *testing.T) {
+	tc := ReplayPrograms()["alatLoop"]
+	got := bytesPerRun(10, func() {
+		if _, err := Record(tc.Prog, tc.Args, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got >= 1<<20 {
+		t.Errorf("Record(alatLoop) allocates %d bytes per call, want under 1 MiB", got)
+	}
 }

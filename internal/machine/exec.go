@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"strings"
+
+	"repro/internal/memimg"
 )
 
 // The functional engine: it interprets instructions, computes values,
@@ -19,10 +21,8 @@ type vm struct {
 	cfg  Config
 	out  strings.Builder
 
-	mem      []uint64
+	mem      memimg.Image
 	stackTop int
-	heapBase int
-	heapNext int
 
 	alat *alat
 
@@ -66,12 +66,8 @@ func Record(prog *Program, args []int64, cfg Config) (*Trace, error) {
 	cfg = cfg.withDefaults()
 	t := &Trace{}
 	m := &vm{prog: prog, cfg: cfg, args: args, trace: t}
-	m.mem = make([]uint64, prog.GlobSize+cfg.StackSlots)
-	for a, v := range prog.GlobalInit {
-		m.mem[a] = v
-	}
+	m.mem = memimg.New(prog.GlobSize+cfg.StackSlots, prog.GlobSize, prog.GlobalInit)
 	m.stackTop = prog.GlobSize
-	m.heapBase = prog.GlobSize + cfg.StackSlots
 	m.alat = newALAT(cfg.ALATSize)
 
 	mainFn, ok := prog.Funcs["main"]
@@ -92,10 +88,6 @@ func Record(prog *Program, args []int64, cfg Config) (*Trace, error) {
 
 func (m *vm) fault(format string, a ...any) error {
 	return fmt.Errorf("machine: %s", fmt.Sprintf(format, a...))
-}
-
-func (m *vm) validAddr(a int) bool {
-	return a >= 0 && a < len(m.mem) && (a < m.heapBase || a < m.heapBase+m.heapNext)
 }
 
 func boolToU64(b bool) uint64 {
@@ -132,7 +124,7 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 	if m.depth >= m.cfg.MaxCallDepth {
 		return 0, false, m.fault("call depth exceeded in %s", f.Name)
 	}
-	if m.stackTop+f.FrameSize > m.heapBase {
+	if m.stackTop+f.FrameSize > m.mem.HeapBase() {
 		return 0, false, m.fault("stack overflow in %s", f.Name)
 	}
 	m.depth++
@@ -146,9 +138,7 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 	}
 	counts := &t.counts
 	base := m.stackTop
-	for i := 0; i < f.FrameSize; i++ {
-		m.mem[base+i] = 0
-	}
+	m.mem.Clear(base, f.FrameSize)
 	m.stackTop += f.FrameSize
 	defer func() {
 		m.stackTop = base
@@ -269,10 +259,10 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 
 		case OpLd, OpLdF, OpLdA, OpLdFA:
 			addr := int(int64(regs[ins.Rs]))
-			if !m.validAddr(addr) {
+			if !m.mem.Valid(addr) {
 				return 0, false, m.fault("load from invalid address %d in %s", addr, f.Name)
 			}
-			regs[ins.Rd] = m.mem[addr]
+			regs[ins.Rd] = m.mem.Load(addr)
 			nat[ins.Rd] = false
 			if ins.Op == OpLdF || ins.Op == OpLdFA {
 				counts[cFPLoad]++
@@ -296,10 +286,10 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 			// a hit leaves the register alone: it already holds the
 			// current value
 			if !m.alat.check(myFrame, ins.Rd, addr) {
-				if !m.validAddr(addr) {
+				if !m.mem.Valid(addr) {
 					return 0, false, m.fault("check load from invalid address %d in %s", addr, f.Name)
 				}
-				regs[ins.Rd] = m.mem[addr]
+				regs[ins.Rd] = m.mem.Load(addr)
 				nat[ins.Rd] = false
 				m.alat.insert(myFrame, ins.Rd, addr)
 			}
@@ -307,7 +297,7 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 		case OpLdS, OpLdFS, OpLdSA, OpLdFSA:
 			addr := int(int64(regs[ins.Rs]))
 			counts[cSpec]++
-			deferred := !m.validAddr(addr) || nat[ins.Rs]
+			deferred := !m.mem.Valid(addr) || nat[ins.Rs]
 			t.bits.append(deferred)
 			if deferred {
 				// deferred fault: NaT, consumed only on paths where the
@@ -316,7 +306,7 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 				nat[ins.Rd] = true
 				counts[cSpecFault]++
 			} else {
-				regs[ins.Rd] = m.mem[addr]
+				regs[ins.Rd] = m.mem.Load(addr)
 				nat[ins.Rd] = false
 				if ins.Op == OpLdSA || ins.Op == OpLdFSA {
 					counts[cAdv]++
@@ -332,11 +322,11 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 
 		case OpSt, OpStF:
 			addr := int(int64(regs[ins.Rd])) // Rd holds the address register
-			if !m.validAddr(addr) {
+			if !m.mem.Valid(addr) {
 				return 0, false, m.fault("store to invalid address %d in %s", addr, f.Name)
 			}
 			t.ops.append(alatOp{kind: opInval, addr: int64(addr), fn: fnID})
-			m.mem[addr] = regs[ins.Rs]
+			m.mem.Store(addr, regs[ins.Rs])
 			m.alat.invalidate(addr)
 			counts[cStore]++
 
@@ -345,12 +335,7 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 			if n < 0 {
 				return 0, false, m.fault("negative allocation %d", n)
 			}
-			start := m.heapBase + m.heapNext
-			m.heapNext += n
-			for len(m.mem) < m.heapBase+m.heapNext {
-				m.mem = append(m.mem, make([]uint64, 4096)...)
-			}
-			regs[ins.Rd] = uint64(start)
+			regs[ins.Rd] = uint64(m.mem.Alloc(n))
 
 		case OpBr:
 			pc = ins.Target

@@ -13,7 +13,7 @@ type ZooProgram struct {
 // ReplayPrograms builds a small zoo of programs exercising every
 // trace-relevant behavior: branches, calls/recursion, advanced loads
 // with hits/misses/evictions, speculative loads with deferred faults,
-// and plain arithmetic.
+// the edges of the memory image, and plain arithmetic.
 func ReplayPrograms() map[string]ZooProgram {
 	// loop with ALAT traffic: ld.a / conflicting stores / ld.c inside a
 	// counted loop, enough iterations to exercise capacity at small sizes
@@ -131,7 +131,76 @@ func ReplayPrograms() map[string]ZooProgram {
 		"alatLoop":  {alatLoop, nil},
 		"alatOrder": {alatOrder, nil},
 		"fib":       {fib, nil},
+		"image":     {imageProg(OpLdS), nil},
 		"spec":      {spec, nil},
+	}
+}
+
+// ImageFaultProgram is the zoo's "image" program with its final
+// speculative load one past the heap made a plain load, so the run
+// faults there.
+func ImageFaultProgram() ZooProgram {
+	return ZooProgram{imageProg(OpLd), nil}
+}
+
+// imageProg walks the edges of the memory image under the default
+// layout (heapBase = GlobSize + Defaults().StackSlots): it reads a
+// never-written slot in the middle of the stack region, stores to the
+// last stack slot (far above the stack's high-water mark) and reads it
+// and its never-written neighbour back, recurses four frames deep and
+// then reads two slots of the popped frames (stale values, as in a flat
+// image), and finally loads the last slot of a heap allocation and,
+// with pastEnd, the slot one past it.
+func imageProg(pastEnd Opcode) *Program {
+	const globSize = 4
+	heapBase := int64(globSize + Defaults().StackSlots)
+	return &Program{
+		Funcs: map[string]*FuncCode{
+			"main": {Name: "main", NumRegs: 18, FrameSize: 2, Instrs: []Instr{
+				{Op: OpMovI, Rd: 0, Imm: heapBase / 2},
+				{Op: OpLd, Rd: 1, Rs: 0}, // never written: 0
+				{Op: OpMovI, Rd: 2, Imm: heapBase - 1},
+				{Op: OpMovI, Rd: 3, Imm: 42},
+				{Op: OpSt, Rd: 2, Rs: 3},
+				{Op: OpLd, Rd: 4, Rs: 2}, // 42
+				{Op: OpMovI, Rd: 5, Imm: heapBase - 2},
+				{Op: OpLd, Rd: 6, Rs: 5}, // never written: 0
+				{Op: OpMovI, Rd: 7, Imm: 3},
+				{Op: OpCall, Rd: 8, Fn: "down", ArgRegs: []int{7}},
+				// frames sit at globSize+2 (main is 2 slots), 2 slots each
+				{Op: OpMovI, Rd: 9, Imm: globSize + 2 + 3*2},
+				{Op: OpLd, Rd: 10, Rs: 9}, // down(0)'s slot: 100
+				{Op: OpMovI, Rd: 9, Imm: globSize + 2 + 1*2},
+				{Op: OpLd, Rd: 11, Rs: 9}, // down(2)'s slot: 102
+				{Op: OpMovI, Rd: 12, Imm: 3},
+				{Op: OpAlloc, Rd: 13, Rs: 12},
+				{Op: OpMovI, Rd: 12, Imm: 2},
+				{Op: OpAdd, Rd: 14, Rs: 13, Rt: 12}, // last slot
+				{Op: OpSt, Rd: 14, Rs: 3},
+				{Op: OpLd, Rd: 15, Rs: 14}, // 42
+				{Op: OpMovI, Rd: 12, Imm: 1},
+				{Op: OpAdd, Rd: 16, Rs: 14, Rt: 12}, // one past the end
+				{Op: pastEnd, Rd: 17, Rs: 16},
+				{Op: OpPrint, ArgRegs: []int{1, 4, 6, 10, 11, 15}, FloatRs: make([]bool, 6)},
+				{Op: OpAdd, Rd: 4, Rs: 4, Rt: 11},
+				{Op: OpRet, Rs: 4},
+			}},
+			// down(n) stores 100+n in its frame slot, then recurses to 0
+			"down": {Name: "down", NumRegs: 6, NumParams: 1, FrameSize: 2, Instrs: []Instr{
+				{Op: OpLEA, Rd: 1, Imm: 0, IsFrame: true},
+				{Op: OpMovI, Rd: 2, Imm: 100},
+				{Op: OpAdd, Rd: 2, Rs: 2, Rt: 0},
+				{Op: OpSt, Rd: 1, Rs: 2},
+				{Op: OpBnez, Rs: 0, Target: 6},
+				{Op: OpRet, Rs: 0},
+				{Op: OpMovI, Rd: 3, Imm: 1},
+				{Op: OpSub, Rd: 4, Rs: 0, Rt: 3},
+				{Op: OpCall, Rd: 5, Fn: "down", ArgRegs: []int{4}},
+				{Op: OpRet, Rs: 5},
+			}},
+		},
+		GlobSize:   globSize,
+		GlobalInit: map[int]uint64{1: 5},
 	}
 }
 

@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -161,5 +162,51 @@ func TestReplayOutputWriter(t *testing.T) {
 	}
 	if dres.Output != "" || rres.Output != "" {
 		t.Errorf("Result.Output must be empty with an explicit writer: %q %q", dres.Output, rres.Output)
+	}
+}
+
+// TestImageEdges pins the zoo's "image" program to the flat-image
+// answers — an unwritten stack slot reads 0, a store at the last stack
+// slot reads back, popped frames keep their values, the last heap slot
+// loads and the slot past it defers a speculative load — and checks that
+// a plain load past the heap faults identically in Record, Run and the
+// oracle under every sweep config.
+func TestImageEdges(t *testing.T) {
+	tc := machine.ReplayPrograms()["image"]
+	want := mustOracle(t, "image", tc, machine.Config{})
+	if want.Output != "0 42 0 100 102 42\n" || want.Ret != 144 || want.Counters.SpecLoadFaults != 1 {
+		t.Fatalf("image: output %q, ret %d, spec faults %d; want %q, 144, 1",
+			want.Output, want.Ret, want.Counters.SpecLoadFaults, "0 42 0 100 102 42\n")
+	}
+
+	bad := machine.ImageFaultProgram()
+	_, recErr := machine.Record(bad.Prog, bad.Args, machine.Config{})
+	if recErr == nil || !strings.Contains(recErr.Error(), "load from invalid address") {
+		t.Fatalf("record of a load past the heap: %v, want an invalid-address fault", recErr)
+	}
+	for _, cfg := range machine.ReplaySweep() {
+		_, oracleErr := oracle.Run(bad.Prog, bad.Args, cfg)
+		_, runErr := machine.Run(bad.Prog, bad.Args, cfg, nil)
+		if oracleErr == nil || runErr == nil || runErr.Error() != oracleErr.Error() || runErr.Error() != recErr.Error() {
+			t.Errorf("%+v: run fault %v, oracle fault %v, record fault %v", cfg, runErr, oracleErr, recErr)
+		}
+	}
+}
+
+// TestStackOverflowParity pins where the stack region ends: fib(12)
+// nests twelve 2-slot frames, so it fits in 24 stack slots and
+// overflows in 23, with the oracle's error.
+func TestStackOverflowParity(t *testing.T) {
+	tc := machine.ReplayPrograms()["fib"]
+	for _, slots := range []int{1, 23, 24} {
+		cfg := machine.Config{StackSlots: slots}
+		_, oracleErr := oracle.Run(tc.Prog, tc.Args, cfg)
+		_, runErr := machine.Run(tc.Prog, tc.Args, cfg, nil)
+		if overflow := slots < 24; overflow != (runErr != nil) || fmt.Sprint(runErr) != fmt.Sprint(oracleErr) {
+			t.Errorf("StackSlots %d: run %v, oracle %v", slots, runErr, oracleErr)
+		}
+		if runErr != nil && runErr.Error() != "machine: stack overflow in fib" {
+			t.Errorf("StackSlots %d: run %v, want a stack overflow in fib", slots, runErr)
+		}
 	}
 }
