@@ -180,6 +180,37 @@ func TestBuildCtxErrorsMemoized(t *testing.T) {
 	}
 }
 
+// TestInvalidConfigRejected: CompileCtx and BuildCtx reject a config
+// naming a mode, a hardening policy or a function that does not exist
+// with ErrInvalidConfig, and BuildCtx does so without compiling.
+func TestInvalidConfigRejected(t *testing.T) {
+	const src = "int main() { print(1); return 0; }"
+	cases := map[string]repro.Config{
+		"spec too high":            {Spec: 7},
+		"spec negative":            {Spec: -1},
+		"unknown harden":           {Spec: repro.SpecProfile, Harden: "bogus"},
+		"FnSpec unknown function":  {Spec: repro.SpecProfile, FnSpec: map[string]repro.FnSpec{"nosuchfn": {}}},
+		"FnSpec spec out of range": {Spec: repro.SpecProfile, FnSpec: map[string]repro.FnSpec{"main": {Spec: 9}}},
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, err := repro.CompileCtx(context.Background(), src, cfg); !errors.Is(err, repro.ErrInvalidConfig) {
+				t.Errorf("CompileCtx: err = %v, want ErrInvalidConfig", err)
+			}
+			if _, err := repro.BuildCtx(context.Background(), src, cfg); !errors.Is(err, repro.ErrInvalidConfig) {
+				t.Errorf("BuildCtx: err = %v, want ErrInvalidConfig", err)
+			}
+		})
+	}
+	n0 := repro.BuildsCompiled()
+	if _, err := repro.BuildCtx(context.Background(), src, repro.Config{Spec: 7}); err == nil {
+		t.Fatal("Spec 7 accepted")
+	}
+	if repro.BuildsCompiled() != n0 {
+		t.Error("an out-of-range Spec reached the pipeline")
+	}
+}
+
 // TestRunEvalBytesAcrossBuildCache: RunEvalCtx's reply bytes are the
 // same with the cache off (the oracle), cold and warm, at 1 and 8
 // workers, and a warm repeat compiles nothing.

@@ -170,9 +170,8 @@ func run() error {
 
 	// per-function speculation counters: compile under the profile just
 	// collected and execute the training input once, attributing each
-	// advanced load, check and mis-speculation to its function — the
-	// same quantities the adaptive tier monitor folds into failure-rate
-	// windows, shown here per function instead of program-summed
+	// advanced load, check and mis-speculation to its function, shown
+	// here per function instead of program-summed
 	c, err := repro.CompileCtx(ctx, src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: args, ProfileJSON: data})
 	if err != nil {
 		return err

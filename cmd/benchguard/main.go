@@ -18,8 +18,8 @@
 // any runner, and only a real algorithmic regression (e.g. the batched
 // replay walk falling back to per-config replays, or a per-site
 // allocation sneaking into the flag-assignment loop) moves them that
-// much. Deterministic artifacts (BENCH_adaptive.json, BENCH_harden.json)
-// are not gated here: CI diffs them byte for byte.
+// much. The deterministic artifact BENCH_harden.json is not gated here:
+// CI diffs it byte for byte.
 //
 // Usage:
 //

@@ -10,16 +10,13 @@
 //	                            # one (workload, config) point as JSON —
 //	                            # byte-identical to specd's POST /evaluate
 //	experiments -exp eval -workload drift -fn-tiers hot=none -json
-//	                            # the same point with functions pinned to
-//	                            # adaptive tiers — byte-identical to an
-//	                            # adaptive specd serving that assignment
+//	                            # the same point with a per-function
+//	                            # speculation override — byte-identical
+//	                            # to specd's POST /evaluate with fnTiers
 //	experiments -exp eval -workload mcf -harden hoist -json
 //	                            # the same point hardened against
 //	                            # speculative leaks — byte-identical to
 //	                            # specd's hardened POST /evaluate
-//	experiments -exp adaptive -json
-//	                            # the drifting-workload run of the adaptive
-//	                            # tiering runtime (BENCH_adaptive.json)
 //	experiments -exp harden -json
 //	                            # the security-vs-speed tradeoff: seeded
 //	                            # speculative leaks closed under the fence
@@ -60,10 +57,10 @@ import (
 func main() { cli.Main("experiments", run) }
 
 func run() error {
-	exp := flag.String("exp", "all", "experiment to run: all|smvp|fig10|fig11|fig12|heur|sensitivity|ablation|machine|threshold|adaptive|harden|eval|corpus")
+	exp := flag.String("exp", "all", "experiment to run: all|smvp|fig10|fig11|fig12|heur|sensitivity|ablation|machine|threshold|harden|eval|corpus")
 	workload := flag.String("workload", "equake", "workload for -exp eval")
 	evalArgs := flag.String("args", "", "comma-separated program input for -exp eval (default: the workload's reference input)")
-	fnTiers := flag.String("fn-tiers", "", "comma-separated fn=tier overrides for -exp eval (tiers: aggressive|cautious|profile|none), e.g. hot=none")
+	fnTiers := flag.String("fn-tiers", "", "comma-separated fn=tier per-function speculation overrides for -exp eval (tiers: aggressive|cautious|profile|none), e.g. hot=none")
 	hardenPol := flag.String("harden", "", "for -exp eval: close speculative leaks post-codegen (fence|hoist)")
 	corpusDir := flag.String("corpus", "", "directory of MiniC sources for -exp corpus")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of a table (-exp eval and -exp corpus)")
@@ -162,22 +159,6 @@ func run() error {
 				experiments.PrintThresholdSweep(os.Stdout, s)
 			}
 		}
-	case "adaptive":
-		// the drifting-workload run of the adaptive tiering runtime:
-		// serve traffic whose alias behaviour drifts away from the
-		// training profile, let the tier ladder demote and re-promote,
-		// and compare total cycles against both fixed extremes
-		var res *experiments.AdaptiveResult
-		res, err = experiments.RunAdaptiveCtx(ctx, *workers)
-		if err == nil && *jsonOut {
-			var data []byte
-			data, err = experiments.MarshalAdaptive(res)
-			if err == nil {
-				_, err = os.Stdout.Write(data)
-			}
-		} else if err == nil {
-			experiments.PrintAdaptive(os.Stdout, res)
-		}
 	case "harden":
 		// the security-vs-speed tradeoff: seed an output-neutral
 		// speculative leak at every unchecked speculative load of every
@@ -232,10 +213,10 @@ func run() error {
 
 // evalOne runs a single (workload, default profile-guided config)
 // evaluation and renders it as JSON or a short table. args overrides
-// the workload's reference input; fnTiers pins functions to adaptive
-// tiers ("hot=none,aux=cautious"), reproducing the exact build — and
-// with -json the exact bytes — an adaptive server served under that
-// assignment; hardenPol runs the speculative-leak mitigation pass, the
+// the workload's reference input; fnTiers overrides speculation per
+// function ("hot=none,aux=cautious"), reproducing the exact build — and
+// with -json the exact bytes — specd serves for the same fnTiers;
+// hardenPol runs the speculative-leak mitigation pass, the
 // CLI twin of the server's "harden" request field.
 func evalOne(ctx context.Context, name, args, fnTiers, hardenPol string, workers int, jsonOut bool) error {
 	req := experiments.EvalRequest{Workload: name, Workers: workers, Harden: hardenPol}

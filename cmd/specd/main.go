@@ -13,12 +13,6 @@
 //	-timeout         per-request deadline (default 60s)
 //	-cache-dir       persist profiles/traces under this directory
 //	-cache-max-bytes prune the disk cache to this budget on shutdown (0 = unbounded)
-//	-adaptive        enable the online tier-management runtime: served
-//	                 evaluations feed a per-function mis-speculation
-//	                 monitor, functions whose check-failure rate crosses
-//	                 the threshold are demoted down a tier ladder
-//	                 (recompiled, specheck-verified, and hot-swapped),
-//	                 and clean traffic re-promotes them
 //	-pprof           serve net/http/pprof on a separate address (off by default)
 //
 // Endpoints: POST /compile, POST /evaluate, POST /sweep, GET /workloads,
@@ -57,7 +51,6 @@ func run() error {
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline (negative = none)")
 	cacheDir := flag.String("cache-dir", "", "persist profiles/traces under this directory across runs")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "prune the disk cache to this many bytes on shutdown (0 = unbounded)")
-	adaptiveOn := flag.Bool("adaptive", false, "enable online tier management: monitor served evaluations, demote mis-speculating functions, re-promote on clean traffic")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -71,11 +64,10 @@ func run() error {
 	}
 	logger := log.New(os.Stderr, "specd ", log.LstdFlags|log.Lmsgprefix)
 	s := server.New(server.Config{
-		Workers:  *workers,
-		Queue:    *queue,
-		Timeout:  *timeout,
-		Logger:   logger,
-		Adaptive: *adaptiveOn,
+		Workers: *workers,
+		Queue:   *queue,
+		Timeout: *timeout,
+		Logger:  logger,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
 
@@ -96,7 +88,7 @@ func run() error {
 
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (workers=%d queue=%d timeout=%s adaptive=%v)", *addr, *workers, *queue, *timeout, *adaptiveOn)
+		logger.Printf("listening on %s (workers=%d queue=%d timeout=%s)", *addr, *workers, *queue, *timeout)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

@@ -148,7 +148,6 @@ func TestEntryPointsCancelled(t *testing.T) {
 		{"RunThresholdSweepCtx", func() error { _, err := experiments.RunThresholdSweepCtx(ctx, "mcf", nil, 1); return err }},
 		{"RunThresholdSweepsCtx", func() error { _, err := experiments.RunThresholdSweepsCtx(ctx, 1); return err }},
 		{"RunHardenCtx", func() error { _, err := experiments.RunHardenCtx(ctx, 1); return err }},
-		{"RunAdaptiveCtx", func() error { _, err := experiments.RunAdaptiveCtx(ctx, 1); return err }},
 		{"RunEvalCtx", func() error {
 			_, err := experiments.RunEvalCtx(ctx, experiments.EvalRequest{Workload: "mcf", Workers: 1})
 			return err

@@ -120,8 +120,8 @@ func AliasProb(count, total uint64) float64 {
 }
 
 // FnOverride re-tiers one function: its chi/mu flags are assigned under
-// its own mode and policy instead of the program-wide ones. This is the
-// compile-side half of adaptive tiering — flag assignment is purely a
+// its own mode and policy instead of the program-wide ones (the
+// explicit repro.Config.FnSpec override). Flag assignment is purely a
 // per-symbol decision baked into the IR before the speculative use-def
 // walk runs, and the walk's behavior depends only on those flags, so a
 // per-function mode swap is sound without touching the global pipeline

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"repro"
-	"repro/internal/adaptive"
 	"repro/internal/harden"
 	"repro/internal/machine"
 	"repro/internal/par"
@@ -592,12 +591,12 @@ type EvalRequest struct {
 	// fails the request. Like Workers it is a diagnostic knob, so it is
 	// normalized out of the echoed config to keep response bytes stable.
 	Verify bool `json:"verify,omitempty"`
-	// FnTiers pins named functions to adaptive tiers ("aggressive",
-	// "cautious", "profile", "none"); the mapped repro.Config.FnSpec
-	// overrides land in the echoed config, so a response produced under
-	// a tier assignment names the exact build that served it and the
-	// CLI can reproduce the bytes with -fn-tiers. Mutually exclusive
-	// with Config.FnSpec (FnTiers wins).
+	// FnTiers overrides speculation per function by tier name
+	// ("aggressive", "cautious", "profile", "none"; see FnSpecs); the
+	// mapped repro.Config.FnSpec overrides land in the echoed config, so
+	// a response names the exact build that served it and the CLI can
+	// reproduce the bytes with -fn-tiers. Mutually exclusive with
+	// Config.FnSpec (FnTiers wins).
 	FnTiers map[string]string `json:"fnTiers,omitempty"`
 	// Harden applies a speculative-leak mitigation policy ("fence" or
 	// "hoist", see internal/harden) to the generated code. It is a
@@ -606,6 +605,44 @@ type EvalRequest struct {
 	// mitigation report rides along in EvalResult.Harden. Overrides
 	// Config.Harden when both are set.
 	Harden string `json:"harden,omitempty"`
+}
+
+// HighThreshold is the SpecCost recovery weighting of the "cautious"
+// tier: recovery cycles count 16x, so only sites whose training alias
+// probability sits far below the θ=1 break-even keep speculating.
+const HighThreshold = 16
+
+// tierSpecs maps each FnTiers tier name to the repro.FnSpec override it
+// stands for. "aggressive" needs none: the function compiles under the
+// request's own config.
+var tierSpecs = map[string]*repro.FnSpec{
+	"aggressive": nil,
+	"cautious":   {Spec: repro.SpecCost, SpecThreshold: HighThreshold},
+	"profile":    {Spec: repro.SpecProfile},
+	"none":       {}, // zero value: SpecOff
+}
+
+// FnSpecs converts an FnTiers map (function name -> tier name) into the
+// repro.Config.FnSpec override map. "aggressive" entries are dropped,
+// and an empty result is nil, so the config marshals identically to one
+// without overrides. An unknown tier name is an error wrapping
+// repro.ErrInvalidConfig.
+func FnSpecs(tiers map[string]string) (map[string]repro.FnSpec, error) {
+	var out map[string]repro.FnSpec
+	for fn, name := range tiers {
+		fs, ok := tierSpecs[name]
+		if !ok {
+			return nil, fmt.Errorf("experiments: %w: unknown tier %q for function %q", repro.ErrInvalidConfig, name, fn)
+		}
+		if fs == nil {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]repro.FnSpec)
+		}
+		out[fn] = *fs
+	}
+	return out, nil
 }
 
 // EvalResult is the JSON shape of one evaluation: the request echoed in
@@ -639,7 +676,7 @@ func RunEvalCtx(ctx context.Context, req EvalRequest) (*EvalResult, error) {
 		cfg.ProfileArgs = w.ProfileArgs
 	}
 	if len(req.FnTiers) > 0 {
-		fnSpec, err := adaptive.FnSpecs(req.FnTiers)
+		fnSpec, err := FnSpecs(req.FnTiers)
 		if err != nil {
 			return nil, err
 		}

@@ -148,6 +148,12 @@ func RunHardenCtx(ctx context.Context, workers int) (*HardenResult, error) {
 	return out, nil
 }
 
+// SpeedupCell wraps a speedup ratio in a top-level JSON object, the
+// shape BENCH_harden.json uses for its headline ratios.
+type SpeedupCell struct {
+	Speedup float64 `json:"speedup"`
+}
+
 // MarshalHarden renders the result as canonical indented JSON
 // (BENCH_harden.json). Besides the rows, every workload contributes
 // "<name>_fence" and "<name>_hoist" top-level cells holding the

@@ -162,8 +162,8 @@ type Counters struct {
 }
 
 // FuncCounters are the per-function speculation counters of one run:
-// the slice of Counters that online tier policy needs attributed to a
-// function rather than program-summed. ALAT hits are
+// the slice of Counters that attributes mis-speculation to a function
+// rather than summing it over the program. ALAT hits are
 // CheckLoads−FailedChecks, so the pair carries the full hit/miss
 // split; AdvLoads counts the table inserts those checks validate.
 type FuncCounters struct {

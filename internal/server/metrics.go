@@ -25,11 +25,6 @@ type metrics struct {
 	requests   map[reqKey]uint64     // (endpoint, code) -> count
 	phases     map[string]*histogram // phase -> latency histogram
 	specPolicy map[string]uint64     // speculation mode -> compilations
-	tierTrans  map[tierEdge]uint64   // adaptive (from, to) -> published transitions
-
-	// deopts counts published demotions (a transition toward a less
-	// speculative tier): the adaptive runtime giving speculation back.
-	deopts atomic.Int64
 
 	specLoadsRetired atomic.Int64
 	specCheckLoads   atomic.Int64
@@ -55,17 +50,11 @@ type reqKey struct {
 	code     int
 }
 
-// tierEdge labels one tier_transitions_total series.
-type tierEdge struct {
-	from, to string
-}
-
 func newMetrics() *metrics {
 	return &metrics{
 		requests:   map[reqKey]uint64{},
 		phases:     map[string]*histogram{},
 		specPolicy: map[string]uint64{},
-		tierTrans:  map[tierEdge]uint64{},
 	}
 }
 
@@ -117,18 +106,6 @@ func (m *metrics) countSpecPolicy(mode repro.SpecMode) {
 	m.mu.Unlock()
 }
 
-// countTierTransition records one published adaptive tier change;
-// demotions (toward a less speculative tier) also bump the deopt
-// counter.
-func (m *metrics) countTierTransition(from, to string, demotion bool) {
-	m.mu.Lock()
-	m.tierTrans[tierEdge{from, to}]++
-	m.mu.Unlock()
-	if demotion {
-		m.deopts.Add(1)
-	}
-}
-
 func (m *metrics) addSpec(loadsRetired, checkLoads, failedChecks int64) {
 	m.specLoadsRetired.Add(loadsRetired)
 	m.specCheckLoads.Add(checkLoads)
@@ -171,22 +148,6 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE specd_spec_policy_total counter\n")
 	for _, k := range policyKeys {
 		fmt.Fprintf(w, "specd_spec_policy_total{mode=%q} %d\n", k, m.specPolicy[k])
-	}
-
-	edgeKeys := make([]tierEdge, 0, len(m.tierTrans))
-	for k := range m.tierTrans {
-		edgeKeys = append(edgeKeys, k)
-	}
-	sort.Slice(edgeKeys, func(i, j int) bool {
-		if edgeKeys[i].from != edgeKeys[j].from {
-			return edgeKeys[i].from < edgeKeys[j].from
-		}
-		return edgeKeys[i].to < edgeKeys[j].to
-	})
-	fmt.Fprintf(w, "# HELP specd_tier_transitions_total Adaptive tier transitions published, by source and destination tier.\n")
-	fmt.Fprintf(w, "# TYPE specd_tier_transitions_total counter\n")
-	for _, k := range edgeKeys {
-		fmt.Fprintf(w, "specd_tier_transitions_total{from=%q,to=%q} %d\n", k.from, k.to, m.tierTrans[k])
 	}
 
 	phaseKeys := make([]string, 0, len(m.phases))
@@ -234,9 +195,9 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE specd_profiling_runs_total counter\n")
 	fmt.Fprintf(w, "specd_profiling_runs_total %d\n", repro.ProfilingRuns())
 
-	// compilation pipeline runs (build-cache misses, plus the adaptive
-	// recompiles that compile directly): a repeated /evaluate, /sweep or
-	// /compile leaves this flat
+	// compilation pipeline runs (build-cache misses, plus any direct
+	// CompileCtx call): a repeated /evaluate, /sweep or /compile leaves
+	// this flat
 	fmt.Fprintf(w, "# HELP specd_builds_compiled_total Compilation pipeline runs (build-cache misses and direct compiles).\n")
 	fmt.Fprintf(w, "# TYPE specd_builds_compiled_total counter\n")
 	fmt.Fprintf(w, "specd_builds_compiled_total %d\n", repro.BuildsCompiled())
@@ -258,7 +219,6 @@ func (m *metrics) write(w io.Writer) {
 		{"specd_spec_failed_checks_total", "Failed speculation checks across all served evaluations.", m.specFailedChecks.Load()},
 		{"specd_specheck_verified_total", "Compilations that ran the speculation-soundness checker and passed.", m.specheckVerified.Load()},
 		{"specd_specheck_violations_total", "Speculation-soundness violations reported by verify-enabled compilations (nonzero means the pipeline produced unsound speculation).", m.specheckViolations.Load()},
-		{"specd_deopt_total", "Published adaptive demotions: functions moved to a less speculative tier after observed mis-speculation.", m.deopts.Load()},
 		{"specd_leaks_found_total", "Speculative leaks found (and closed) by the Layer 3 taint analysis across hardened requests.", m.leaksFound.Load()},
 		{"specd_fences_inserted_total", "Fences inserted by the hardening pass across hardened requests.", m.fencesInserted.Load()},
 	} {

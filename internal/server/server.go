@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/adaptive"
 	"repro/internal/experiments"
 	"repro/internal/harden"
 	"repro/internal/machine"
@@ -64,16 +63,6 @@ type Config struct {
 	Timeout time.Duration
 	// Logger receives the request log (nil = log.Default()).
 	Logger *log.Logger
-	// Adaptive enables the online tier-management runtime: evaluations
-	// that name neither a config nor explicit fnTiers are served under
-	// the workload's published tier assignment, their per-function
-	// speculation counters feed the mis-speculation monitor, and tier
-	// changes (verified by specheck before publication) show up in the
-	// specd_tier_transitions_total and specd_deopt_total metrics.
-	Adaptive bool
-	// AdaptivePolicy tunes the monitor's windows and hysteresis; the
-	// zero value uses the adaptive package defaults.
-	AdaptivePolicy adaptive.Policy
 }
 
 // Server handles the specd endpoints. Create with New, serve
@@ -90,11 +79,6 @@ type Server struct {
 	drainOnce sync.Once
 	drain     chan struct{} // closed when draining begins
 	reqSeq    atomic.Uint64
-
-	// adaptiveMgrs lazily holds one tier manager per served workload
-	// (workload name -> *adaptive.Manager); only populated when
-	// Config.Adaptive is set.
-	adaptiveMgrs sync.Map
 }
 
 // New builds a Server from cfg.
@@ -166,15 +150,16 @@ func (s *Server) writeError(w http.ResponseWriter, id string, code int, err erro
 	w.Write(append(data, '\n'))
 }
 
-// statusFor maps a job error to an HTTP status: bad input is the
-// client's fault (400, or 413 for an oversized body), an expired
+// statusFor maps a job error to an HTTP status: bad input — a malformed
+// body or a config the pipeline rejects as invalid — is the client's
+// fault (400, or 413 for an oversized body), an expired
 // per-request deadline is 504, everything else — including a cancelled
 // upstream — is reported as 500.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, errBadRequest):
+	case errors.Is(err, errBadRequest), errors.Is(err, repro.ErrInvalidConfig):
 		return http.StatusBadRequest
 	case errors.Is(err, errTooLarge):
 		return http.StatusRequestEntityTooLarge
@@ -417,13 +402,13 @@ func (s *Server) handleCompile(ctx context.Context, r *http.Request) (any, error
 		cfg.VerifyPasses = true
 	}
 	if req.Harden != "" {
-		if _, err := harden.ParsePolicy(req.Harden); err != nil {
-			return nil, badRequestf("%v", err)
-		}
 		cfg.Harden = req.Harden
 	}
-	s.metrics.countSpecPolicy(cfg.Spec)
 	b, err := repro.BuildCtx(ctx, req.Source, cfg)
+	if errors.Is(err, repro.ErrInvalidConfig) {
+		return nil, err // rejected before compiling: count nothing
+	}
+	s.metrics.countSpecPolicy(cfg.Spec)
 	if cfg.VerifyPasses {
 		s.countSpecheck(err)
 	}
@@ -452,31 +437,6 @@ func knownWorkload(name string) error {
 	return nil
 }
 
-// adaptiveManager returns (creating on first use) the tier manager for
-// one workload. The manager's build config mirrors RunEvalCtx's
-// default, so the artifact its recompiler verifies is exactly the one
-// a config-less evaluation is served from.
-func (s *Server) adaptiveManager(w workloads.Workload) *adaptive.Manager {
-	if m, ok := s.adaptiveMgrs.Load(w.Name); ok {
-		return m.(*adaptive.Manager)
-	}
-	m := adaptive.NewManager(adaptive.Config{
-		Source: w.Src,
-		Build:  repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs},
-		Policy: s.cfg.AdaptivePolicy,
-		Logger: s.log,
-		OnTransition: func(tr adaptive.Transition) {
-			s.metrics.countTierTransition(tr.From.String(), tr.To.String(), tr.To > tr.From)
-			s.log.Printf("adaptive: %s %s", w.Name, tr)
-		},
-	})
-	if prev, loaded := s.adaptiveMgrs.LoadOrStore(w.Name, m); loaded {
-		m.Close() // lost the creation race
-		return prev.(*adaptive.Manager)
-	}
-	return m
-}
-
 func (s *Server) handleEvaluate(ctx context.Context, r *http.Request) (any, error) {
 	var req experiments.EvalRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -485,23 +445,9 @@ func (s *Server) handleEvaluate(ctx context.Context, r *http.Request) (any, erro
 	if err := knownWorkload(req.Workload); err != nil {
 		return nil, err
 	}
-	for fn, tier := range req.FnTiers {
-		if _, ok := adaptive.TierByName(tier); !ok {
-			return nil, badRequestf("unknown tier %q for function %q", tier, fn)
-		}
-	}
-	// An evaluation that pins neither a config nor explicit tiers is
-	// adaptive traffic: serve it under the workload's published
-	// assignment and feed its counters back into the monitor. Requests
-	// that pin either are reproductions of a specific build and bypass
-	// both sides of the loop.
-	var mgr *adaptive.Manager
-	var asn *adaptive.Assignment
-	if s.cfg.Adaptive && req.Config == nil && req.FnTiers == nil {
-		w, _ := workloads.Resolve(req.Workload)
-		mgr = s.adaptiveManager(w)
-		asn = mgr.Snapshot()
-		req.FnTiers = asn.Tiers
+	res, err := experiments.RunEvalCtx(ctx, req)
+	if errors.Is(err, repro.ErrInvalidConfig) {
+		return nil, err // rejected before compiling: count nothing
 	}
 	// mirror RunEvalCtx's config defaulting for the policy counter
 	mode := repro.SpecProfile
@@ -509,15 +455,11 @@ func (s *Server) handleEvaluate(ctx context.Context, r *http.Request) (any, erro
 		mode = req.Config.Spec
 	}
 	s.metrics.countSpecPolicy(mode)
-	res, err := experiments.RunEvalCtx(ctx, req)
 	if req.Verify || (req.Config != nil && req.Config.VerifyPasses) {
 		s.countSpecheck(err)
 	}
 	if err != nil {
 		return nil, err
-	}
-	if mgr != nil {
-		mgr.Observe(asn.Version, res.Result.PerFunc)
 	}
 	s.countHarden(res.Harden)
 	s.metrics.addSpec(res.Result.Counters.LoadsRetired, res.Result.Counters.CheckLoads, res.Result.Counters.FailedChecks)

@@ -278,6 +278,7 @@ func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
+	const src = `"int main() { print(1); return 0; }"`
 	cases := []struct {
 		path string
 		body string
@@ -287,6 +288,21 @@ func TestBadRequests(t *testing.T) {
 		{"/evaluate", `{not json`},
 		{"/evaluate", `{"workload":"equake","bogusField":1}`},
 		{"/compile", `{"source":""}`},
+		// configs naming a mode, policy, tier or function that does not exist
+		{"/evaluate", `{"workload":"equake","config":{"Spec":7}}`},
+		{"/evaluate", `{"workload":"equake","config":{"Spec":-1}}`},
+		{"/evaluate", `{"workload":"equake","harden":"bogus"}`},
+		{"/evaluate", `{"workload":"equake","config":{"Spec":1,"Harden":"bogus"}}`},
+		{"/evaluate", `{"workload":"drift","fnTiers":{"nosuchfn":"none"}}`},
+		{"/evaluate", `{"workload":"drift","fnTiers":{"hot":"turbo"}}`},
+		{"/evaluate", `{"workload":"drift","config":{"Spec":1,"FnSpec":{"nosuchfn":{}}}}`},
+		{"/evaluate", `{"workload":"drift","config":{"Spec":1,"FnSpec":{"hot":{"Spec":9}}}}`},
+		{"/compile", `{"source":` + src + `,"config":{"Spec":7}}`},
+		{"/compile", `{"source":` + src + `,"config":{"Spec":-1}}`},
+		{"/compile", `{"source":` + src + `,"harden":"bogus"}`},
+		{"/compile", `{"source":` + src + `,"config":{"Harden":"bogus"}}`},
+		{"/compile", `{"source":` + src + `,"config":{"FnSpec":{"nosuchfn":{}}}}`},
+		{"/compile", `{"source":` + src + `,"config":{"FnSpec":{"main":{"Spec":-3}}}}`},
 	}
 	for _, c := range cases {
 		resp, err := ts.Client().Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
@@ -300,6 +316,12 @@ func TestBadRequests(t *testing.T) {
 		var e errorBody
 		if err := json.Unmarshal(body, &e); err != nil || e.RequestID == "" {
 			t.Errorf("POST %s: error envelope = %q (%v)", c.path, body, err)
+		}
+	}
+	// a rejected config is never counted, so no "specmode?" label appears
+	for key, v := range scrape(t, ts) {
+		if strings.HasPrefix(key, "specd_spec_policy_total") {
+			t.Errorf("rejected request counted as a compilation: %s = %g", key, v)
 		}
 	}
 }
@@ -493,6 +515,39 @@ func TestEvaluateHardenedByteIdentical(t *testing.T) {
 		} else if got != want {
 			t.Errorf("%s = %g, want %g", name, got, want)
 		}
+	}
+}
+
+// TestEvaluateExplicitFnTiers: explicit fnTiers land in the echoed
+// config and reproduce the CLI's bytes; an unknown tier name is the
+// client's fault.
+func TestEvaluateExplicitFnTiers(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := experiments.EvalRequest{Workload: "drift", FnTiers: map[string]string{"hot": "none"}}
+	resp := postJSON(t, ts, "/evaluate", req)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate = %d %s", resp.StatusCode, body)
+	}
+	want, err := experiments.RunEvalCtx(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := experiments.MarshalEval(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != string(wantBytes) {
+		t.Errorf("explicit-tier response differs from CLI bytes:\n got %s\nwant %s", body, wantBytes)
+	}
+
+	resp = postJSON(t, ts, "/evaluate", experiments.EvalRequest{Workload: "drift", FnTiers: map[string]string{"hot": "turbo"}})
+	readAll(t, resp)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown tier name = %d, want 400", resp.StatusCode)
 	}
 }
 

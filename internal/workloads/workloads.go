@@ -45,16 +45,17 @@ func ByName(name string) (Workload, bool) {
 
 // Hidden returns the kernels that are servable by name but excluded
 // from All(), so the §5 report tables and the server's workload listing
-// keep their published shape. drift is the adaptive-tiering exercise
-// kernel: its alias behaviour is an input parameter, which makes it
-// useless for the paper's figures and ideal for mis-speculation drift.
+// keep their published shape. drift is the input-controlled
+// mis-speculation kernel: its alias behaviour is an input parameter,
+// which makes it useless for the paper's figures and ideal for
+// exercising per-function overrides and mis-speculation recovery.
 func Hidden() []Workload {
 	return []Workload{drift()}
 }
 
 // Resolve returns the named kernel, searching the published set first
 // and the hidden set second. Every by-name consumer (the eval API, the
-// machine sweep, the adaptive server) resolves through here.
+// machine sweep, the server) resolves through here.
 func Resolve(name string) (Workload, bool) {
 	if w, ok := ByName(name); ok {
 		return w, true
@@ -67,9 +68,9 @@ func Resolve(name string) (Workload, bool) {
 	return Workload{}, false
 }
 
-// drift is the adaptive-tiering kernel: the second argument (mod)
-// controls how often the hot function's stores collide with the
-// promoted global, so serving traffic can drift arbitrarily far from
+// drift is the input-controlled mis-speculation kernel: the second
+// argument (mod) controls how often the hot function's stores collide
+// with the promoted global, so an input can drift arbitrarily far from
 // the training input. hot carries a site that aliases 1/mod of the
 // time (1/16 under training) plus a site the training run never sees
 // alias but that collides on half the iterations once mod drops below
@@ -78,7 +79,7 @@ func Resolve(name string) (Workload, bool) {
 func drift() Workload {
 	return Workload{
 		Name:        "drift",
-		Description: "alias drift kernel for the adaptive tiering runtime (hidden from report tables)",
+		Description: "input-controlled alias drift kernel (hidden from report tables)",
 		Src: `
 int acc = 0;
 int scratch = 0;

@@ -180,7 +180,7 @@ func contains(s, sub string) bool {
 // TestHiddenWorkloads checks the hidden set stays out of the published
 // inventory (report tables and the server's workload listing depend on
 // its shape) while remaining servable through Resolve, and that drift
-// delivers the alias behaviour the adaptive runtime is tuned around:
+// delivers its input-controlled alias behaviour:
 // correct output everywhere, a low failure rate on the training shape,
 // and heavy mis-speculation once the input drifts.
 func TestHiddenWorkloads(t *testing.T) {
@@ -227,7 +227,7 @@ func TestHiddenWorkloads(t *testing.T) {
 		t.Errorf("training-shape failure rate %.3f too high", rates[16])
 	}
 	if rates[2] < 0.25 {
-		t.Errorf("drifted failure rate %.3f too low to trigger demotion", rates[2])
+		t.Errorf("drifted failure rate %.3f too low to show mis-speculation", rates[2])
 	}
 	if rates[64] > 0.05 {
 		t.Errorf("recovered failure rate %.3f should look clean", rates[64])

@@ -76,6 +76,49 @@ func (m SpecMode) String() string {
 	return "specmode?"
 }
 
+func (m SpecMode) valid() bool { return m >= SpecOff && m <= SpecCost }
+
+// ErrInvalidConfig marks a Config that names something the pipeline
+// does not have: an out-of-range Spec or FnSpec[*].Spec, an unknown
+// Harden policy, or an FnSpec key that names no function of the
+// program. CompileCtx and BuildCtx wrap it, so a caller can tell a bad
+// request from a failed compilation (specd answers it with 400).
+var ErrInvalidConfig = errors.New("invalid config")
+
+func invalidConfigf(format string, args ...any) error {
+	return fmt.Errorf("repro: %w: "+format, append([]any{ErrInvalidConfig}, args...)...)
+}
+
+// check rejects the config errors visible without the program; the
+// FnSpec keys are checked against the program by checkFnSpec.
+func (cfg *Config) check() error {
+	if !cfg.Spec.valid() {
+		return invalidConfigf("Spec %d out of range", int(cfg.Spec))
+	}
+	for name, fs := range cfg.FnSpec {
+		if !fs.Spec.valid() {
+			return invalidConfigf("FnSpec[%q].Spec %d out of range", name, int(fs.Spec))
+		}
+	}
+	if cfg.Harden != "" {
+		if _, err := harden.ParsePolicy(cfg.Harden); err != nil {
+			return invalidConfigf("%v", err)
+		}
+	}
+	return nil
+}
+
+// checkFnSpec rejects an FnSpec key that names no function of prog: an
+// override that silently applies to nothing is a caller's mistake.
+func (cfg *Config) checkFnSpec(prog *ir.Program) error {
+	for name := range cfg.FnSpec {
+		if prog.FuncMap[name] == nil {
+			return invalidConfigf("FnSpec names no function %q", name)
+		}
+	}
+	return nil
+}
+
 // isCtxErr reports whether err is a context cancellation or deadline.
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
@@ -125,7 +168,7 @@ type Config struct {
 	// the training input at compile time — the paper's separate
 	// profile-then-recompile feedback workflow.
 	ProfileJSON []byte
-	// Rounds overrides the number of PRE rounds (default 2).
+	// Rounds overrides the number of PRE rounds (<=0 means 8).
 	Rounds int
 	// Schedule enables the latency-driven list scheduler (the
 	// instruction-scheduling client of the paper's Fig. 3). Its effect
@@ -163,17 +206,17 @@ type Config struct {
 	// means no hardening. The mitigation changes generated code, so it
 	// participates in trace fingerprints and cache keys automatically.
 	Harden string `json:",omitempty"`
-	// FnSpec overrides the speculation tier per function (keyed by
+	// FnSpec overrides the speculation mode per function (keyed by
 	// function name): the named function's chi/mu flags are assigned
 	// under its own mode and threshold instead of the program-wide Spec
-	// and SpecThreshold. This is the compile side of adaptive tiering —
-	// the server demotes a mis-speculating function here without
-	// touching the rest of the program. Flag assignment is a per-symbol
-	// decision baked into the IR before the speculative walk runs, so
-	// the override is sound under any profile-guided global Spec; under
-	// SpecOff or SpecHeuristic the global walk mode ignores profile
-	// flags and overrides have no effect. Functions absent from the map
-	// compile at the program-wide tier.
+	// and SpecThreshold, so one function can be pinned to less (or no)
+	// speculation without touching the rest of the program. Every key
+	// must name a function of the program. Flag assignment is a
+	// per-symbol decision baked into the IR before the speculative walk
+	// runs, so the override is sound under any profile-guided global
+	// Spec; under SpecOff or SpecHeuristic the global walk mode ignores
+	// profile flags and overrides have no effect. Functions absent from
+	// the map compile at the program-wide mode.
 	FnSpec map[string]FnSpec `json:",omitempty"`
 }
 
@@ -381,9 +424,13 @@ func ResetCaches() { compCache.Reset() }
 // pipeline checks ctx at every phase boundary — refinement, profiling,
 // SSAPRE, verification, scheduling, code generation — so a dropped
 // client or an expired deadline stops the compilation at the next phase
-// instead of running it to completion.
+// instead of running it to completion. A config that fails validation
+// returns an error wrapping ErrInvalidConfig before the pipeline runs.
 func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	buildsCompiled.Add(1)
@@ -391,6 +438,9 @@ func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, erro
 	// IR stays pristine and the optimizer works on a detached clone
 	ref, err := frontendCtx(ctx, src)
 	if err != nil {
+		return nil, err
+	}
+	if err := cfg.checkFnSpec(ref); err != nil {
 		return nil, err
 	}
 	prog := ir.Clone(ref)
@@ -603,8 +653,12 @@ func buildKey(src string, cfg Config) (key cache.Key, ok bool) {
 // memoized like results; context errors never are, so a cancelled
 // caller cannot poison the key. SetCacheEnabled(false) makes every call
 // compile, and ResetCaches drops every build. Callers that need the IR,
-// the alias result or the profile use CompileCtx.
+// the alias result or the profile use CompileCtx. An invalid config
+// is rejected (ErrInvalidConfig) as CompileCtx rejects it.
 func BuildCtx(ctx context.Context, src string, cfg Config) (*Build, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err // before the lookup: a bad config takes no cache entry
+	}
 	compute := func() (any, error) {
 		c, err := CompileCtx(ctx, src, cfg)
 		if err != nil {
