@@ -34,11 +34,18 @@ func TestEvaluateCtxCancelMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// a wide grid so the sweep is still mid-flight when we cancel
+	// a wide grid so the sweep is still mid-flight when we cancel: each
+	// config also has a pipelined twin with a load latency of its own, so
+	// the walk advances 64 scoreboard lanes (ReplayBatch walks one lane
+	// per distinct pipelined clock) even when the trace and its ALAT
+	// walks are already cached
 	var cfgs []machine.Config
 	for i := 0; i < 64; i++ {
 		m := machine.Defaults()
 		m.ALATSize = 4 + i
+		cfgs = append(cfgs, m)
+		m.IntLoadLat = 2 + i
+		m.Pipelined = true
 		cfgs = append(cfgs, m)
 	}
 

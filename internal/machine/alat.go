@@ -3,7 +3,7 @@ package machine
 // The Advanced Load Address Table, shared by the functional engine
 // (exec.go) and the timing engine's per-capacity event walk (alatWalk
 // in replay.go). Itanium's ALAT is fully associative; this
-// implementation indexes the fixed slot array two ways — by
+// implementation indexes the slot array two ways — by
 // (activation, register) for insert/check and by address for store
 // invalidation — so every operation is O(1) in the table size. The old
 // linear scans made alatInvalidate, which runs on every dynamic store,
@@ -17,7 +17,8 @@ package machine
 //   - an advanced load to a register that already owns an entry
 //     refreshes that entry in place (the slot does not move);
 //   - otherwise the entry goes into the most recently freed slot
-//     (LIFO over invalidated slots; initially slots fill 0, 1, 2, …);
+//     (LIFO over invalidated slots) or, with none freed, into the
+//     lowest never-used slot (slots fill 0, 1, 2, …);
 //   - when no slot is free, the victim cursor evicts slots in strict
 //     round-robin slot order (0, 1, …, size-1, 0, …), advancing only
 //     when it evicts;
@@ -57,11 +58,23 @@ func makeALATKey(frameID int64, reg int) alatKey {
 // two; the filter is indexed by the address's low bits).
 const alatFilterSize = 1 << 10
 
+// alatMapHint caps the capacity hint of the table's maps: the maps grow
+// with live entries like the slots do, never with the configured
+// capacity, which nothing bounds.
+const alatMapHint = 64
+
+// alat is the table. Its storage grows with use rather than with the
+// configured capacity: slots holds only the slots ever taken, so a
+// table of 2^40 entries costs what its live entries cost. The order in
+// which slots are taken is exactly the documented one — invalidated
+// slots LIFO first, then never-used slots in increasing order, then
+// round-robin eviction once all size slots are in use.
 type alat struct {
-	slots  []alatEntry
+	size   int             // capacity in entries
+	slots  []alatEntry     // the slots taken so far, at most size
 	byKey  map[alatKey]int // (frameID, reg) -> slot of its valid entry
 	byAddr map[int][]int   // address -> slots with valid entries for it
-	free   []int           // LIFO stack of invalid slots
+	free   []int           // LIFO stack of invalidated slots
 	victim int             // round-robin eviction cursor
 	// evictions counts capacity evictions (Counters.ALATEvictions).
 	evictions int64
@@ -73,16 +86,13 @@ type alat struct {
 }
 
 func newALAT(size int) *alat {
-	a := &alat{
-		slots:  make([]alatEntry, size),
-		byKey:  make(map[alatKey]int, size),
-		byAddr: make(map[int][]int, size),
-		free:   make([]int, size),
+	hint := min(size, alatMapHint)
+	return &alat{
+		size:   size,
+		slots:  make([]alatEntry, 0, hint),
+		byKey:  make(map[alatKey]int, hint),
+		byAddr: make(map[int][]int, hint),
 	}
-	for i := range a.free {
-		a.free[i] = size - 1 - i // pop order: slot 0 first
-	}
-	return a
 }
 
 // unindexAddr removes slot i from addr's slot list.
@@ -125,10 +135,13 @@ func (a *alat) insert(frameID int64, reg, addr int) {
 	if n := len(a.free); n > 0 {
 		i = a.free[n-1]
 		a.free = a.free[:n-1]
+	} else if len(a.slots) < a.size {
+		i = len(a.slots)
+		a.slots = append(a.slots, alatEntry{})
 	} else {
 		i = a.victim
 		a.victim++
-		if a.victim == len(a.slots) {
+		if a.victim == a.size {
 			a.victim = 0
 		}
 		e := &a.slots[i]

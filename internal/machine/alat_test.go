@@ -86,7 +86,7 @@ func TestALATInvalidateDropsAllEntriesAtAddress(t *testing.T) {
 		t.Error("entry at addr 8 must survive")
 	}
 	// slot 3 was never used, and invalidation freed the two addr-7 slots
-	if len(a.free) != 3 {
-		t.Errorf("free list = %v, want 3 slots", a.free)
+	if len(a.free) != 2 || len(a.slots) != 3 {
+		t.Errorf("free list = %v with %d of %d slots taken, want 2 freed and slot 3 unused", a.free, len(a.slots), a.size)
 	}
 }

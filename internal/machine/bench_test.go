@@ -132,3 +132,29 @@ func TestRecordAllocations(t *testing.T) {
 		t.Errorf("Record(alatLoop) allocates %d bytes per call, want under 1 MiB", got)
 	}
 }
+
+// TestHugeALATAllocations guards the use-grown ALAT: nothing bounds
+// Config.ALATSize, so a table that allocated its configured capacity
+// let one request for 2^40 entries run the process out of memory.
+// Recording and re-timing a program must allocate about as much at that
+// capacity as at the default one.
+func TestHugeALATAllocations(t *testing.T) {
+	tc := ReplayPrograms()["alatOrder"]
+	at := func(size int) uint64 {
+		cfgs := []Config{{ALATSize: size}, {ALATSize: size, Pipelined: true}}
+		return bytesPerRun(5, func() {
+			tr, err := Record(tc.Prog, tc.Args, cfgs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReplayBatch(tc.Prog, tr, cfgs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// the table's share of either figure is a few KB; twice the default
+	// figure leaves room for noise and none for capacity-sized storage
+	if base, huge := at(32), at(1<<40); huge > 2*base {
+		t.Errorf("Record+ReplayBatch(alatOrder) allocates %d bytes per call at ALATSize 2^40, %d at 32", huge, base)
+	}
+}

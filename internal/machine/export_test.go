@@ -4,6 +4,14 @@ package machine
 // whose differential tests import the oracle — an import package
 // machine's own tests cannot make without a cycle.
 
+// WalkedLanes re-times t under cfgs exactly as ReplayBatch does and
+// reports how many scoreboard lanes the pipelined walk advanced: one per
+// distinct pipelined clock, never one per config.
+func WalkedLanes(prog *Program, t *Trace, cfgs []Config) (int, error) {
+	_, lanes, err := replayBatch(prog, t, cfgs)
+	return lanes, err
+}
+
 // ZooProgram is one replay-zoo entry: a program and its input.
 type ZooProgram struct {
 	Prog *Program

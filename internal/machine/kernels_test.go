@@ -1,0 +1,127 @@
+package machine_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"sort"
+	"testing"
+
+	"repro"
+	"repro/internal/experiments"
+	"repro/internal/machine"
+	"repro/internal/workloads"
+)
+
+// buildKernel compiles one paper kernel under spec, trained on the
+// kernel's profiling input; a sweep times the SpecProfile build.
+func buildKernel(t *testing.T, w workloads.Workload, spec repro.SpecMode) *repro.Build {
+	t.Helper()
+	b, err := repro.BuildCtx(context.Background(), w.Src, repro.Config{Spec: spec, ProfileArgs: w.ProfileArgs})
+	if err != nil {
+		t.Fatalf("%s %v: build: %v", w.Name, spec, err)
+	}
+	return b
+}
+
+// TestReplayBatchWalksDistinctClocks pins the lane collapse on the
+// paper kernels, so that a fall back to walking one lane per config
+// fails a test and not only a benchmark. At reference input six kernels
+// give one miss stream at every capacity of the standard grid, so its
+// 12 pipelined configs walk as 3 lanes (one per latency point); equake
+// has two streams (4 | 8, 32, 128) and twolf three (4 | 8 | 32, 128).
+// Every collapsed lane must still equal its one-lane replay.
+func TestReplayBatchWalksDistinctClocks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and records every kernel")
+	}
+	want := map[string]int{"gzip": 3, "vpr": 3, "mcf": 3, "art": 3, "ammp": 3, "bzip2": 3, "equake": 6, "twolf": 9}
+	grid := experiments.MachineSweepConfigs()
+	for _, w := range workloads.All() {
+		b := buildKernel(t, w, repro.SpecProfile)
+		tr, err := machine.Record(b.Code, w.RefArgs, machine.Config{})
+		if err != nil {
+			t.Fatalf("%s: record: %v", w.Name, err)
+		}
+		lanes, err := machine.WalkedLanes(b.Code, tr, grid)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if lanes != want[w.Name] {
+			t.Errorf("%s: the standard grid walked %d lanes, want %d", w.Name, lanes, want[w.Name])
+		}
+		batch, err := machine.ReplayBatch(b.Code, tr, grid)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		for i, cfg := range grid {
+			single, err := machine.Replay(b.Code, tr, cfg, nil)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", w.Name, cfg, err)
+			}
+			if single.Counters != batch[i].Counters {
+				t.Errorf("%s %+v: batch %+v, one-lane replay %+v", w.Name, cfg, batch[i].Counters, single.Counters)
+			}
+		}
+	}
+}
+
+// oldDisassembly is Program.String as it was, building the text by
+// string concatenation.
+func oldDisassembly(p *machine.Program) string {
+	var names []string
+	for name := range p.Funcs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	s := ""
+	for _, name := range names {
+		f := p.Funcs[name]
+		s += fmt.Sprintf("func %s (regs=%d frame=%d):\n", name, f.NumRegs, f.FrameSize)
+		for i, ins := range f.Instrs {
+			s += fmt.Sprintf("  %4d: %s\n", i, ins)
+		}
+	}
+	return s
+}
+
+// oldFingerprint is Program.Fingerprint as it was when it hashed the
+// concatenated disassembly. Trace cache keys and disk entries hold its
+// bytes, so the streaming Fingerprint must hash exactly the same text.
+func oldFingerprint(p *machine.Program) [sha256.Size]byte {
+	h := sha256.New()
+	fmt.Fprintf(h, "globsize %d\n", p.GlobSize)
+	addrs := make([]int, 0, len(p.GlobalInit))
+	for a := range p.GlobalInit {
+		addrs = append(addrs, a)
+	}
+	sort.Ints(addrs)
+	for _, a := range addrs {
+		fmt.Fprintf(h, "init %d %d\n", a, p.GlobalInit[a])
+	}
+	h.Write([]byte(oldDisassembly(p)))
+	var fp [sha256.Size]byte
+	h.Sum(fp[:0])
+	return fp
+}
+
+// TestFingerprintUnchanged recomputes the disassembly and fingerprint of
+// every kernel build under every speculation mode the old way: a change
+// to the hashed bytes would orphan every trace cache key and disk-tier
+// entry.
+func TestFingerprintUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles every kernel")
+	}
+	for _, w := range workloads.All() {
+		for _, spec := range []repro.SpecMode{repro.SpecOff, repro.SpecProfile, repro.SpecHeuristic, repro.SpecCost} {
+			code := buildKernel(t, w, spec).Code
+			if code.String() != oldDisassembly(code) {
+				t.Errorf("%s %v: String differs from the concatenated disassembly", w.Name, spec)
+			}
+			if got, want := code.Fingerprint(), oldFingerprint(code); got != want {
+				t.Errorf("%s %v: fingerprint %x, the concatenated disassembly hashes to %x", w.Name, spec, got, want)
+			}
+		}
+	}
+}

@@ -11,7 +11,9 @@ package machine
 
 import (
 	"fmt"
+	"io"
 	"sort"
+	"strings"
 )
 
 // Opcode enumerates VM instructions.
@@ -193,20 +195,26 @@ type Program struct {
 // String disassembles the program deterministically (functions sorted by
 // name).
 func (p *Program) String() string {
-	var names []string
+	var b strings.Builder
+	p.disassemble(&b)
+	return b.String()
+}
+
+// disassemble writes the program's String text to w one line at a time,
+// so Fingerprint can hash it without building the string.
+func (p *Program) disassemble(w io.Writer) {
+	names := make([]string, 0, len(p.Funcs))
 	for name := range p.Funcs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	s := ""
 	for _, name := range names {
 		f := p.Funcs[name]
-		s += fmt.Sprintf("func %s (regs=%d frame=%d):\n", name, f.NumRegs, f.FrameSize)
+		fmt.Fprintf(w, "func %s (regs=%d frame=%d):\n", name, f.NumRegs, f.FrameSize)
 		for i, ins := range f.Instrs {
-			s += fmt.Sprintf("  %4d: %s\n", i, ins)
+			fmt.Fprintf(w, "  %4d: %s\n", i, ins.String())
 		}
 	}
-	return s
 }
 
 // Clone deep-copies the program: instruction slices, per-instruction

@@ -86,7 +86,8 @@ type alatSummary struct {
 	// pipelined walk needs each check's outcome to pick that event's
 	// latency, and reading a precomputed bit is far cheaper than
 	// re-simulating a table per distinct capacity inside the
-	// instruction walk.
+	// instruction walk. Capacities with equal bitstreams share one
+	// stream in that walk (planLanes).
 	missBits []uint64
 	checks   int64
 
@@ -102,10 +103,6 @@ type fnTally struct {
 	checks int64
 	failed int64
 	adv    int64
-}
-
-func (s *alatSummary) miss(ord int64) bool {
-	return s.missBits[ord>>6]&(1<<uint(ord&63)) != 0
 }
 
 // alatWalk replays just the recorded ALAT event stream against a table

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 )
 
 // ReplayBatch re-times one recorded trace under every Config in cfgs,
@@ -13,30 +14,31 @@ import (
 // Every Counters field except Cycles is a function of the recorded class
 // counts and the capacity-determined check outcomes, so replaySerial
 // computes all of them for every lane — and the serial lanes' cycles in
-// closed form. The pipelined lanes share ONE walk over the trace
-// (batchWalk), so a K-point grid pays for one instruction walk instead
-// of K; the walk computes only the per-lane clocks.
-//
-// The batched walk keeps K scoreboards in struct-of-arrays layout — one
-// ready-time lane per config per register, one clock per config — and
-// advances all of them from a single shared instruction/branch-bit
-// cursor. ALAT outcomes are deduplicated by capacity: table contents
-// after any event prefix are a pure function of (event stream,
-// capacity), so one event walk per DISTINCT ALATSize serves every
-// config of that size — configs with different ALAT sizes cannot share
-// one, since different capacities evict different entries. Those walks
-// are the per-capacity walks replaySerial memoizes on the trace (with a
-// per-check miss bitstream), so the instruction walk simulates no tables
-// at all: each check event reads its precomputed outcome at a shared
-// ordinal.
+// closed form — from the per-capacity ALAT walk memoized on the trace
+// (alatWalk, which also records each check's outcome in a miss
+// bitstream). The pipelined lanes share ONE walk over the trace
+// (batchWalk), which computes only clocks, and that walk advances one
+// scoreboard lane per DISTINCT pipelined clock (planLanes): the walk
+// reads a config only through its timing fields and its capacity's miss
+// stream, so configs that agree on both end on the same clock. Capacities
+// whose miss streams are bit-identical share a stream, which is the
+// common case on a capacity sweep — on the standard grid the paper
+// kernels' 12 pipelined configs walk as 3 to 9 lanes.
 func ReplayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, error) {
+	results, _, err := replayBatch(prog, t, cfgs)
+	return results, err
+}
+
+// replayBatch is ReplayBatch that also reports how many scoreboard lanes
+// the pipelined walk advanced.
+func replayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, int, error) {
 	results := make([]*Result, len(cfgs))
-	var piped []Config // normalized pipelined configs, in lane order
+	var piped []Config // normalized pipelined configs, in input order
 	var pipedIdx []int
 	for i, cfg := range cfgs {
 		cfg = cfg.withDefaults()
 		if err := t.fits(cfg); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		results[i] = &Result{Ret: t.Ret, Output: t.Output, Counters: replaySerial(t, cfg), PerFunc: t.perFuncAt(cfg.ALATSize)}
 		if cfg.Pipelined {
@@ -45,21 +47,84 @@ func ReplayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, error) {
 		}
 	}
 	if len(piped) == 0 {
-		return results, nil
+		return results, 0, nil
 	}
-	clocks, err := batchWalk(prog, t, piped)
+	plan := planLanes(t, piped)
+	clocks, err := batchWalk(prog, t, plan)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for j, i := range pipedIdx {
-		results[i].Counters.Cycles = clocks[j]
+		results[i].Counters.Cycles = clocks[plan.laneOf[j]]
 	}
-	return results, nil
+	return results, len(plan.lanes), nil
+}
+
+// lanePlan is the set of distinct scoreboard lanes one pipelined batch
+// walks. The walk reads a lane's config in exactly two ways: its timing
+// fields (every latency, penalty and overhead) and, at each check, the
+// hit/miss outcome of its ALAT capacity. Two configs that agree on both
+// start from the same state (all clocks and ready times zero) and apply
+// the same update at every step, so they end on the same clock; the plan
+// walks one lane for them and copies the clock back to each.
+type lanePlan struct {
+	lanes   []Config   // one per distinct lane: the first config on it
+	streams [][]uint64 // distinct per-check miss bitstreams
+	stream  []int      // lane -> index into streams
+	laneOf  []int      // input config -> lane
+}
+
+// laneKey identifies a distinct lane: the config with every field the
+// walk does not read cleared, plus its miss stream. Clearing names the
+// unread fields rather than copying the read ones, so a timing field
+// added to Config later is part of the key and never merged by mistake.
+type laneKey struct {
+	timing Config
+	stream int
+}
+
+// planLanes collapses cfgs (pipelined, normalized, fitting t) into their
+// distinct lanes. Capacities are first deduplicated by miss stream: the
+// memoized summary of each distinct ALATSize is compared bit for bit
+// (O(checks/64)) with the streams already kept, because many capacities
+// of a sweep produce exactly the same outcomes — eviction counts may
+// differ, but those come from each config's own summary in replaySerial,
+// never from the walk.
+func planLanes(t *Trace, cfgs []Config) *lanePlan {
+	p := &lanePlan{laneOf: make([]int, len(cfgs))}
+	bySize := map[int]int{} // ALATSize -> stream index
+	byKey := map[laneKey]int{}
+	for j, cfg := range cfgs {
+		si, ok := bySize[cfg.ALATSize]
+		if !ok {
+			// memoized on the trace: a sweep's serial half (or a prior
+			// batch) has usually already paid for this walk
+			bits := t.alatWalk(cfg.ALATSize).missBits
+			si = slices.IndexFunc(p.streams, func(s []uint64) bool { return slices.Equal(s, bits) })
+			if si < 0 {
+				si = len(p.streams)
+				p.streams = append(p.streams, bits)
+			}
+			bySize[cfg.ALATSize] = si
+		}
+		timing := cfg
+		timing.ALATSize, timing.MaxSteps, timing.MaxCallDepth, timing.StackSlots = 0, 0, 0, 0
+		key := laneKey{timing, si}
+		li, ok := byKey[key]
+		if !ok {
+			li = len(p.lanes)
+			byKey[key] = li
+			p.lanes = append(p.lanes, cfg)
+			p.stream = append(p.stream, si)
+		}
+		p.laneOf[j] = li
+	}
+	return p
 }
 
 // batchFrame is one activation on the batched walker's call stack. The
 // scoreboard holds K lanes per register, register-major: lane k of
-// register r is ready[r*K+k], so the inner per-config loop of one
+// register r is ready[r*K+k], so the inner per-lane loop of one
 // register walks contiguous memory.
 type batchFrame struct {
 	f     *FuncCode
@@ -67,33 +132,40 @@ type batchFrame struct {
 	ready []int64
 }
 
-// batchWalker carries the shared cursors and the per-config timing
-// lanes of one batched pipelined walk.
+// Latency classes: indexes of the walker's per-lane latency tables.
+const (
+	latUnit = iota // the default class
+	latIntMul
+	latIntDiv
+	latFPArith
+	latFPDiv
+	latIntLoad
+	latFPLoad
+	latStore
+	latFence
+	numLatClasses
+)
+
+// batchWalker carries the shared cursors and the per-lane timing state
+// of one batched pipelined walk.
 type batchWalker struct {
 	prog *Program
 	bits bitReader
-	k    int // number of configs (lanes)
+	k    int // number of lanes
 
-	// per-lane latency tables, precomputed from the configs
-	latUnit    []int64 // all ones; the default class
-	latIntMul  []int64
-	latIntDiv  []int64
-	latFPArith []int64
-	latFPDiv   []int64
-	latIntLoad []int64
-	latFPLoad  []int64
-	latCheck   []int64 // scratch: per-lane check latency, filled per event
-	latStore   []int64
-	latFence   []int64
-	callOv     []int64
+	// per-lane tables, precomputed from the lanes' configs
+	lat       [numLatClasses][]int64
+	checkHit  []int64    // a check that hits
+	checkMiss [2][]int64 // a check that misses: reload plus penalty; [1] is FP
+	latCheck  []int64    // scratch: per-lane check latency, filled per event
+	callOv    []int64
 
-	// ALAT outcomes, deduplicated by capacity: one memoized summary
-	// (with its per-check miss bitstream) per distinct ALATSize. The
-	// walk never simulates a table — it reads each check's precomputed
-	// outcome at the shared check ordinal.
-	sums     []alatSummary
-	cfgAlat  []int  // lane -> index into sums
-	hit      []bool // scratch: per-distinct-size outcome of one check
+	// ALAT outcomes: one memoized miss bitstream per distinct stream.
+	// The walk never simulates a table — it reads each check's
+	// precomputed outcome at the shared check ordinal.
+	streams  [][]uint64
+	stream   []int  // lane -> index into streams
+	hit      []bool // scratch: per-stream outcome of one check
 	checkOrd int64  // ordinal of the next check event
 	nChecks  int64  // total recorded check events
 
@@ -104,60 +176,49 @@ type batchWalker struct {
 	maxDepth int // the recorded run's deepest nesting
 }
 
-// batchWalk runs the shared pipelined walk for cfgs (all pipelined, all
-// fitting the trace) and returns the final per-config clocks. The walk
-// retires exactly t.Steps instructions within t.MaxDepth nested calls
-// on a well-formed trace; any other count is a corrupt trace, which this
-// check turns into an error instead of a silently wrong result (and
-// which bounds the walk).
-func batchWalk(prog *Program, t *Trace, cfgs []Config) ([]int64, error) {
-	k := len(cfgs)
+// batchWalk runs the shared pipelined walk over plan's lanes and returns
+// the final per-lane clocks. The walk retires exactly t.Steps
+// instructions within t.MaxDepth nested calls on a well-formed trace;
+// any other count is a corrupt trace, which this check turns into an
+// error instead of a silently wrong result (and which bounds the walk).
+func batchWalk(prog *Program, t *Trace, plan *lanePlan) ([]int64, error) {
+	k := len(plan.lanes)
 	w := &batchWalker{
-		prog: prog,
-		bits: bitReader{t: &t.bits},
-		k:    k,
-
-		latUnit:    make([]int64, k),
-		latIntMul:  make([]int64, k),
-		latIntDiv:  make([]int64, k),
-		latFPArith: make([]int64, k),
-		latFPDiv:   make([]int64, k),
-		latIntLoad: make([]int64, k),
-		latFPLoad:  make([]int64, k),
-		latCheck:   make([]int64, k),
-		latStore:   make([]int64, k),
-		latFence:   make([]int64, k),
-		callOv:     make([]int64, k),
-
-		cfgAlat: make([]int, k),
-		clocks:  make([]int64, k),
-		issue:   make([]int64, k),
+		prog:     prog,
+		bits:     bitReader{t: &t.bits},
+		k:        k,
+		checkHit: make([]int64, k),
+		latCheck: make([]int64, k),
+		callOv:   make([]int64, k),
+		streams:  plan.streams,
+		stream:   plan.stream,
+		hit:      make([]bool, len(plan.streams)),
+		nChecks:  t.counts[cCheckInt] + t.counts[cCheckFP],
+		clocks:   make([]int64, k),
+		issue:    make([]int64, k),
+		maxDepth: t.MaxDepth,
 	}
-	sizeIdx := map[int]int{}
-	for i, cfg := range cfgs {
-		w.latUnit[i] = 1
-		w.latIntMul[i] = int64(cfg.IntMulLat)
-		w.latIntDiv[i] = int64(cfg.IntDivLat)
-		w.latFPArith[i] = int64(cfg.FPArithLat)
-		w.latFPDiv[i] = int64(cfg.FPDivLat)
-		w.latIntLoad[i] = int64(cfg.IntLoadLat)
-		w.latFPLoad[i] = int64(cfg.FPLoadLat)
-		w.latStore[i] = int64(cfg.StoreLat)
-		w.latFence[i] = int64(cfg.FenceLat)
+	for c := range w.lat {
+		w.lat[c] = make([]int64, k)
+	}
+	for fp := range w.checkMiss {
+		w.checkMiss[fp] = make([]int64, k)
+	}
+	for i, cfg := range plan.lanes {
+		w.lat[latUnit][i] = 1
+		w.lat[latIntMul][i] = int64(cfg.IntMulLat)
+		w.lat[latIntDiv][i] = int64(cfg.IntDivLat)
+		w.lat[latFPArith][i] = int64(cfg.FPArithLat)
+		w.lat[latFPDiv][i] = int64(cfg.FPDivLat)
+		w.lat[latIntLoad][i] = int64(cfg.IntLoadLat)
+		w.lat[latFPLoad][i] = int64(cfg.FPLoadLat)
+		w.lat[latStore][i] = int64(cfg.StoreLat)
+		w.lat[latFence][i] = int64(cfg.FenceLat)
+		w.checkHit[i] = int64(cfg.CheckHitLat)
+		w.checkMiss[0][i] = int64(cfg.IntLoadLat + cfg.CheckMissPen)
+		w.checkMiss[1][i] = int64(cfg.FPLoadLat + cfg.CheckMissPen)
 		w.callOv[i] = int64(cfg.CallOverhead)
-		si, ok := sizeIdx[cfg.ALATSize]
-		if !ok {
-			si = len(w.sums)
-			sizeIdx[cfg.ALATSize] = si
-			// memoized on the trace: a sweep's serial half (or a prior
-			// batch) has usually already paid for this walk
-			w.sums = append(w.sums, t.alatWalk(cfg.ALATSize))
-		}
-		w.cfgAlat[i] = si
 	}
-	w.hit = make([]bool, len(w.sums))
-	w.nChecks = t.counts[cCheckInt] + t.counts[cCheckFP]
-	w.maxDepth = t.MaxDepth
 	mainFn, ok := prog.Funcs["main"]
 	if !ok {
 		return nil, fmt.Errorf("machine: no main function")
@@ -165,7 +226,7 @@ func batchWalk(prog *Program, t *Trace, cfgs []Config) ([]int64, error) {
 	if err := w.push(mainFn); err != nil {
 		return nil, err
 	}
-	steps, err := w.walk(cfgs, t.Steps)
+	steps, err := w.walk(t.Steps)
 	if err != nil {
 		return nil, err
 	}
@@ -195,11 +256,72 @@ func (w *batchWalker) push(f *FuncCode) error {
 	return nil
 }
 
-// issueAt fills w.issue with the per-lane issue time of ins: the
-// lane's clock maxed with the lane's ready times of the instruction's
-// source registers (a fence waits on every register: a scoreboard
-// drain). The opcode switch runs once and the per-lane loops walk
-// contiguous scoreboard lanes.
+// Fused shapes: the instructions the walk retires in one pass over the
+// lanes, by their number of source registers. Every fused shape writes
+// a destination register.
+const (
+	shapeGeneral = iota // the general path: issueAt, then retirement
+	shapeSrc0           // rd <- imm
+	shapeSrc1           // rd <- f(rs)
+	shapeSrc2           // rd <- f(rs, rt)
+)
+
+// fusedOp is an opcode's fused shape and latency class.
+type fusedOp struct{ shape, lat uint8 }
+
+// fusedOps classifies the opcodes the walk fuses; every other opcode
+// (the zero value, or past the end) takes the general path. Advanced
+// loads' ALAT inserts are part of the memoized event walk, so the walk
+// charges them only the load latency.
+var fusedOps = [...]fusedOp{
+	OpMovI: {shapeSrc0, latUnit},
+	OpLEA:  {shapeSrc0, latUnit},
+
+	OpMov:   {shapeSrc1, latUnit},
+	OpNeg:   {shapeSrc1, latUnit},
+	OpNot:   {shapeSrc1, latUnit},
+	OpI2F:   {shapeSrc1, latUnit},
+	OpF2I:   {shapeSrc1, latUnit},
+	OpAlloc: {shapeSrc1, latUnit},
+	OpFNeg:  {shapeSrc1, latFPArith},
+	OpLd:    {shapeSrc1, latIntLoad},
+	OpLdA:   {shapeSrc1, latIntLoad},
+	OpLdF:   {shapeSrc1, latFPLoad},
+	OpLdFA:  {shapeSrc1, latFPLoad},
+
+	OpAdd:    {shapeSrc2, latUnit},
+	OpSub:    {shapeSrc2, latUnit},
+	OpAnd:    {shapeSrc2, latUnit},
+	OpOr:     {shapeSrc2, latUnit},
+	OpXor:    {shapeSrc2, latUnit},
+	OpShl:    {shapeSrc2, latUnit},
+	OpShr:    {shapeSrc2, latUnit},
+	OpMul:    {shapeSrc2, latIntMul},
+	OpDiv:    {shapeSrc2, latIntDiv},
+	OpMod:    {shapeSrc2, latIntDiv},
+	OpFAdd:   {shapeSrc2, latFPArith},
+	OpFSub:   {shapeSrc2, latFPArith},
+	OpFMul:   {shapeSrc2, latFPArith},
+	OpFDiv:   {shapeSrc2, latFPDiv},
+	OpCmpEQ:  {shapeSrc2, latUnit},
+	OpCmpNE:  {shapeSrc2, latUnit},
+	OpCmpLT:  {shapeSrc2, latUnit},
+	OpCmpLE:  {shapeSrc2, latUnit},
+	OpCmpGT:  {shapeSrc2, latUnit},
+	OpCmpGE:  {shapeSrc2, latUnit},
+	OpFCmpEQ: {shapeSrc2, latUnit},
+	OpFCmpNE: {shapeSrc2, latUnit},
+	OpFCmpLT: {shapeSrc2, latUnit},
+	OpFCmpLE: {shapeSrc2, latUnit},
+	OpFCmpGT: {shapeSrc2, latUnit},
+	OpFCmpGE: {shapeSrc2, latUnit},
+}
+
+// issueAt fills w.issue with the per-lane issue time of an instruction
+// on the general path: the lane's clock maxed with the lane's ready
+// times of the instruction's source registers (a fence waits on every
+// register: a scoreboard drain). The opcode switch runs once and the
+// per-lane loops walk contiguous scoreboard lanes.
 func (w *batchWalker) issueAt(ins *Instr, ready []int64) {
 	k := w.k
 	issue := w.issue
@@ -213,7 +335,7 @@ func (w *batchWalker) issueAt(ins *Instr, ready []int64) {
 		}
 	}
 	switch ins.Op {
-	case OpMovI, OpLEA, OpNop, OpHalt, OpBr:
+	case OpNop, OpHalt, OpBr:
 	case OpFence:
 		// scoreboard drain: every register's lanes gate the issue time
 		for reg := 0; reg < len(ready)/k; reg++ {
@@ -233,10 +355,9 @@ func (w *batchWalker) issueAt(ins *Instr, ready []int64) {
 		if ins.Rs >= 0 {
 			maxReg(ins.Rs)
 		}
-	case OpMov, OpNeg, OpNot, OpI2F, OpF2I, OpFNeg,
-		OpLd, OpLdF, OpLdA, OpLdFA, OpLdS, OpLdFS, OpLdSA, OpLdFSA, OpAlloc:
+	case OpLdS, OpLdFS, OpLdSA, OpLdFSA:
 		maxReg(ins.Rs)
-	default: // three-register ALU
+	default: // any other opcode: the three-register shape
 		maxReg(ins.Rs)
 		maxReg(ins.Rt)
 	}
@@ -250,9 +371,9 @@ func (w *batchWalker) nextBit() (bool, error) {
 	return bit, nil
 }
 
-// nextCheck returns the per-distinct-size hit/miss outcomes of the next
-// check event in w.hit, reading the memoized miss bitstreams at the
-// shared check ordinal. Checks occur in the same program order in the
+// nextCheck returns the per-stream hit/miss outcomes of the next check
+// event in w.hit, reading the memoized miss bitstreams at the shared
+// check ordinal. Checks occur in the same program order in the
 // instruction walk and in the recorded event stream, so one ordinal
 // serves every capacity.
 func (w *batchWalker) nextCheck() error {
@@ -261,77 +382,100 @@ func (w *batchWalker) nextCheck() error {
 		return errTraceUnderrun
 	}
 	w.checkOrd++
-	for si := range w.sums {
-		w.hit[si] = !w.sums[si].miss(ord)
+	for si, bits := range w.streams {
+		w.hit[si] = bits[ord>>6]&(1<<uint(ord&63)) == 0
 	}
 	return nil
 }
 
 // walk is the shared instruction walk: one opcode dispatch, one
-// branch-bit/ALAT-event consumption, then a per-lane inner loop that
-// advances each config's clock and scoreboard. It follows the
-// functional engine's control flow through the recorded branch bits and
-// returns the number of instructions it retired, stopping with an error
-// past maxSteps. The differential tests pin it against the test-only
-// oracle (internal/machine/oracle).
+// branch-bit/ALAT-event consumption, then per-lane inner loops that
+// advance each lane's clock and scoreboard. The dominant shapes
+// (two-source ALU ops, one-source moves and conversions, plain and
+// advanced loads) retire in one fused pass over the lanes; every other
+// instruction takes the general path — issueAt, then a retirement pass.
+// It follows the functional engine's control flow through the recorded
+// branch bits and returns the number of instructions it retired,
+// stopping with an error past maxSteps. The differential tests pin it
+// against the test-only oracle (internal/machine/oracle).
 //
 // The pipelined model: one instruction issues per cycle, once its
 // source registers are ready; its result is ready lat cycles after
 // issue. A call charges CallOverhead and starts the callee with every
 // register ready; the call's result is ready when the callee returns.
 // Branches, calls and returns take one issue slot; halt takes none.
-func (w *batchWalker) walk(cfgs []Config, maxSteps int64) (int64, error) {
+func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 	k := w.k
 	clocks := w.clocks
 	issue := w.issue
+	// the current activation, cached in locals; written back to its
+	// frame on a call and reloaded on a return
+	fr := &w.frames[len(w.frames)-1]
+	f, ready, pc := fr.f, fr.ready, fr.pc
 	var steps int64
 	for {
-		fr := &w.frames[len(w.frames)-1]
-		f := fr.f
 		steps++
 		if steps > maxSteps {
 			return 0, corruptTrace("replay exceeds the recorded %d steps", maxSteps)
 		}
-		if fr.pc < 0 || fr.pc >= len(f.Instrs) {
+		if pc < 0 || pc >= len(f.Instrs) {
 			return 0, fmt.Errorf("machine: pc out of range in %s", f.Name)
 		}
-		ins := &f.Instrs[fr.pc]
-		w.issueAt(ins, fr.ready)
-		lats := w.latUnit
-		switch ins.Op {
-		case OpMul:
-			lats = w.latIntMul
-		case OpDiv, OpMod:
-			lats = w.latIntDiv
-		case OpFAdd, OpFSub, OpFMul, OpFNeg:
-			lats = w.latFPArith
-		case OpFDiv:
-			lats = w.latFPDiv
-		case OpFence:
-			lats = w.latFence
-
-		case OpLd, OpLdF, OpLdA, OpLdFA:
-			// advanced-load ALAT inserts are part of the memoized event
-			// walk; the batched walk charges only the load latency
-			if ins.Op == OpLdF || ins.Op == OpLdFA {
-				lats = w.latFPLoad
-			} else {
-				lats = w.latIntLoad
+		ins := &f.Instrs[pc]
+		var fo fusedOp
+		if uint(ins.Op) < uint(len(fusedOps)) {
+			fo = fusedOps[ins.Op]
+		}
+		if fo.shape != shapeGeneral {
+			// the fused pass: issue at the lane's clock maxed with its
+			// sources' ready times, publish the destination lat cycles
+			// later, and let the next instruction issue one cycle later
+			lats := w.lat[fo.lat][:len(clocks)]
+			dst := ready[ins.Rd*k : ins.Rd*k+k][:len(clocks)]
+			switch fo.shape {
+			case shapeSrc0:
+				for i, x := range clocks {
+					dst[i] = x + lats[i]
+					clocks[i] = x + 1
+				}
+			case shapeSrc1:
+				a := ready[ins.Rs*k : ins.Rs*k+k][:len(clocks)]
+				for i, c := range clocks {
+					x := max(c, a[i])
+					dst[i] = x + lats[i]
+					clocks[i] = x + 1
+				}
+			default:
+				a := ready[ins.Rs*k : ins.Rs*k+k][:len(clocks)]
+				b := ready[ins.Rt*k : ins.Rt*k+k][:len(clocks)]
+				for i, c := range clocks {
+					x := max(c, a[i], b[i])
+					dst[i] = x + lats[i]
+					clocks[i] = x + 1
+				}
 			}
+			pc++
+			continue
+		}
+		w.issueAt(ins, ready)
+		lats := w.lat[latUnit]
+		switch ins.Op {
+		case OpFence:
+			lats = w.lat[latFence]
 
 		case OpLdC, OpLdFC:
 			if err := w.nextCheck(); err != nil {
 				return 0, err
 			}
-			loadLat := w.latIntLoad
+			miss := w.checkMiss[0]
 			if ins.Op == OpLdFC {
-				loadLat = w.latFPLoad
+				miss = w.checkMiss[1]
 			}
 			for i := 0; i < k; i++ {
-				if w.hit[w.cfgAlat[i]] {
-					w.latCheck[i] = int64(cfgs[i].CheckHitLat)
+				if w.hit[w.stream[i]] {
+					w.latCheck[i] = w.checkHit[i]
 				} else {
-					w.latCheck[i] = loadLat[i] + int64(cfgs[i].CheckMissPen)
+					w.latCheck[i] = miss[i]
 				}
 			}
 			lats = w.latCheck
@@ -344,19 +488,19 @@ func (w *batchWalker) walk(cfgs []Config, maxSteps int64) (int64, error) {
 				return 0, err
 			}
 			if ins.Op == OpLdFS || ins.Op == OpLdFSA {
-				lats = w.latFPLoad
+				lats = w.lat[latFPLoad]
 			} else {
-				lats = w.latIntLoad
+				lats = w.lat[latIntLoad]
 			}
 
 		case OpSt, OpStF:
-			lats = w.latStore
+			lats = w.lat[latStore]
 
 		case OpBr:
 			for i := 0; i < k; i++ {
 				clocks[i] = issue[i] + 1
 			}
-			fr.pc = ins.Target
+			pc = ins.Target
 			continue
 
 		case OpBeqz, OpBnez:
@@ -368,9 +512,9 @@ func (w *batchWalker) walk(cfgs []Config, maxSteps int64) (int64, error) {
 				clocks[i] = issue[i] + 1
 			}
 			if taken {
-				fr.pc = ins.Target
+				pc = ins.Target
 			} else {
-				fr.pc++
+				pc++
 			}
 			continue
 
@@ -382,10 +526,12 @@ func (w *batchWalker) walk(cfgs []Config, maxSteps int64) (int64, error) {
 			for i := 0; i < k; i++ {
 				clocks[i] = issue[i] + 1
 			}
-			fr.pc++ // resume point after the callee returns
+			fr.pc = pc + 1 // resume point after the callee returns
 			if err := w.push(callee); err != nil {
 				return 0, err
 			}
+			fr = &w.frames[len(w.frames)-1]
+			f, ready, pc = fr.f, fr.ready, fr.pc
 			continue
 
 		case OpRet, OpHalt:
@@ -398,18 +544,19 @@ func (w *batchWalker) walk(cfgs []Config, maxSteps int64) (int64, error) {
 			if len(w.frames) == 0 {
 				return steps, nil
 			}
-			caller := &w.frames[len(w.frames)-1]
-			// caller.pc was advanced past its call instruction
-			callIns := &caller.f.Instrs[caller.pc-1]
+			fr = &w.frames[len(w.frames)-1]
+			f, ready, pc = fr.f, fr.ready, fr.pc
+			// pc was advanced past the caller's call instruction
+			callIns := &f.Instrs[pc-1]
 			if callIns.Rd >= 0 {
-				copy(caller.ready[callIns.Rd*k:(callIns.Rd+1)*k], clocks)
+				copy(ready[callIns.Rd*k:(callIns.Rd+1)*k], clocks)
 			}
 			continue
 		}
 		// common retirement: advance each lane's clock and publish the
 		// destination's ready time
 		if d := instrDst(ins); d >= 0 {
-			lanes := fr.ready[d*k : (d+1)*k]
+			lanes := ready[d*k : (d+1)*k]
 			for i := 0; i < k; i++ {
 				lanes[i] = issue[i] + lats[i]
 				clocks[i] = issue[i] + 1
@@ -419,7 +566,7 @@ func (w *batchWalker) walk(cfgs []Config, maxSteps int64) (int64, error) {
 				clocks[i] = issue[i] + 1
 			}
 		}
-		fr.pc++
+		pc++
 	}
 }
 

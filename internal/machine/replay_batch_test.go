@@ -3,45 +3,85 @@ package machine_test
 import (
 	"errors"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/machine"
 )
 
 // TestReplayBatchMatchesReplay is the machine-level differential test
-// for the batched timing engine: for every program in the replay zoo,
-// every lane of one ReplayBatch over the whole sweep grid must equal the
-// oracle field for field — regardless of how the batch mixes serial and
-// pipelined points or duplicates configs — and so must the one-lane
-// Replay of the same config.
+// for the batched timing engine: every lane of one ReplayBatch must
+// equal the oracle field for field — regardless of how the batch mixes
+// serial and pipelined points, duplicates configs or collapses lanes —
+// and so must the one-lane Replay of the same config. Each case also
+// pins how many scoreboard lanes the walk advances: lanes collapse only
+// when they share every timing field and the per-check miss stream.
 func TestReplayBatchMatchesReplay(t *testing.T) {
-	for name, tc := range machine.ReplayPrograms() {
-		tr, err := machine.Record(tc.Prog, tc.Args, machine.Config{})
-		if err != nil {
-			t.Fatalf("%s: record: %v", name, err)
-		}
-		cfgs := machine.ReplaySweep()
-		// duplicate a pipelined config: identical lanes must not perturb
-		// each other's scoreboards
-		cfgs = append(cfgs, machine.Config{Pipelined: true}, machine.Config{Pipelined: true})
-		batch, err := machine.ReplayBatch(tc.Prog, tr, cfgs)
-		if err != nil {
-			t.Fatalf("%s: batch: %v", name, err)
-		}
-		if len(batch) != len(cfgs) {
-			t.Fatalf("%s: %d results for %d configs", name, len(batch), len(cfgs))
-		}
-		for i, cfg := range cfgs {
-			want := mustOracle(t, name, tc, cfg)
-			if !reflect.DeepEqual(want, batch[i]) {
-				t.Errorf("%s %+v:\noracle %+v\nbatch  %+v", name, cfg, want, batch[i])
+	// duplicate a pipelined config: identical lanes must not perturb
+	// each other's scoreboards
+	sweep := append(machine.ReplaySweep(), machine.Config{Pipelined: true}, machine.Config{Pipelined: true})
+	// alatOrder's miss streams: 13, 12 and 5 failed checks at capacities
+	// 2, 4 and 5 (three streams), none from 6 up (one shared stream)
+	var streams []machine.Config
+	for _, size := range []int{2, 4, 5, 6, 8, 16} {
+		streams = append(streams, machine.Config{ALATSize: size, CheckMissPen: 40, Pipelined: true})
+	}
+	cases := []struct {
+		name  string
+		progs []string // nil: the whole zoo
+		cfgs  []machine.Config
+		lanes int // pipelined lanes the walk advances; 0: not pinned
+	}{
+		{"sweep", nil, sweep, 0},
+		{"shared timing, distinct miss streams", []string{"alatOrder"}, streams, 4},
+		// lanes that differ in one field the walk reads must not merge,
+		// even where the field costs nothing (no zoo program fences)
+		{"one field apart", nil, []machine.Config{
+			{Pipelined: true},
+			{CheckMissPen: 9, Pipelined: true},
+			{FenceLat: 3, Pipelined: true},
+			{Pipelined: true},
+		}, 3},
+	}
+	zoo := machine.ReplayPrograms()
+	for _, c := range cases {
+		names := c.progs
+		if names == nil {
+			for name := range zoo {
+				names = append(names, name)
 			}
-			single, err := machine.Replay(tc.Prog, tr, cfg, nil)
+		}
+		for _, name := range names {
+			tc := zoo[name]
+			tr, err := machine.Record(tc.Prog, tc.Args, machine.Config{})
 			if err != nil {
-				t.Fatalf("%s %+v: replay: %v", name, cfg, err)
+				t.Fatalf("%s: record: %v", name, err)
 			}
-			if !reflect.DeepEqual(want, single) {
-				t.Errorf("%s %+v:\noracle %+v\nreplay %+v", name, cfg, want, single)
+			batch, err := machine.ReplayBatch(tc.Prog, tr, c.cfgs)
+			if err != nil {
+				t.Fatalf("%s/%s: batch: %v", c.name, name, err)
+			}
+			if len(batch) != len(c.cfgs) {
+				t.Fatalf("%s/%s: %d results for %d configs", c.name, name, len(batch), len(c.cfgs))
+			}
+			if c.lanes > 0 {
+				if lanes, err := machine.WalkedLanes(tc.Prog, tr, c.cfgs); err != nil || lanes != c.lanes {
+					t.Errorf("%s/%s: walked %d lanes (%v), want %d", c.name, name, lanes, err, c.lanes)
+				}
+			}
+			for i, cfg := range c.cfgs {
+				want := mustOracle(t, name, tc, cfg)
+				if !reflect.DeepEqual(want, batch[i]) {
+					t.Errorf("%s/%s %+v:\noracle %+v\nbatch  %+v", c.name, name, cfg, want, batch[i])
+				}
+				single, err := machine.Replay(tc.Prog, tr, cfg, nil)
+				if err != nil {
+					t.Fatalf("%s/%s %+v: replay: %v", c.name, name, cfg, err)
+				}
+				if !reflect.DeepEqual(want, single) {
+					t.Errorf("%s/%s %+v:\noracle %+v\nreplay %+v", c.name, name, cfg, want, single)
+				}
 			}
 		}
 	}
@@ -83,4 +123,112 @@ func TestReplayBatchFaultParity(t *testing.T) {
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty batch: %v, %d results", err, len(res))
 	}
+}
+
+// fuzzGrid decodes fuzz bytes into a grid of 1 to 16 machine configs.
+// The first byte sets the lane count; each lane then reads an opcode
+// byte choosing how the lane is made: fresh (13 bytes: ALATSize 1–64,
+// the eleven timing fields from {Free, default, 1–12} and Pipelined),
+// a duplicate of an earlier lane, or an earlier lane with one field
+// changed. Bytes past the end read as zero, so every input decodes.
+func fuzzGrid(data []byte) []machine.Config {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := int(data[0])
+		data = data[1:]
+		return b
+	}
+	// set assigns field f (mod 13) of c from byte b
+	set := func(c *machine.Config, f, b int) {
+		timing := []*int{&c.IntLoadLat, &c.FPLoadLat, &c.CheckHitLat, &c.CheckMissPen,
+			&c.StoreLat, &c.IntMulLat, &c.IntDivLat, &c.FPArithLat, &c.FPDivLat,
+			&c.FenceLat, &c.CallOverhead}
+		switch f %= 13; f {
+		case 11:
+			c.ALATSize = 1 + b%64
+		case 12:
+			c.Pipelined = b&1 == 1
+		default:
+			*timing[f] = b%14 - 1 // -1 is Free, 0 the default
+		}
+	}
+	cfgs := make([]machine.Config, 1+next()%16)
+	for i := range cfgs {
+		switch op := next(); {
+		case i > 0 && op%3 == 1:
+			cfgs[i] = cfgs[next()%i]
+		case i > 0 && op%3 == 2:
+			cfgs[i] = cfgs[next()%i]
+			set(&cfgs[i], next(), next())
+		default:
+			for f := 0; f < 13; f++ {
+				set(&cfgs[i], f, next())
+			}
+		}
+	}
+	return cfgs
+}
+
+// FuzzReplayBatch re-times every zoo program under a fuzzed grid of
+// lanes — mixed models, capacities and latencies, duplicates and lanes
+// one field apart, the inputs of the lane collapse — and requires every
+// lane to equal the oracle field for field. The seed corpus lives in
+// testdata/fuzz/FuzzReplayBatch.
+func FuzzReplayBatch(f *testing.F) {
+	zoo := machine.ReplayPrograms()
+	names := make([]string, 0, len(zoo))
+	for name := range zoo {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	traces := make([]*machine.Trace, len(names))
+	for i, name := range names {
+		tr, err := machine.Record(zoo[name].Prog, zoo[name].Args, machine.Config{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		traces[i] = tr
+	}
+	// The oracle builds the whole stack image per run, which would
+	// dominate every input; a mutated input shares most of its lanes
+	// with its parent, so oracle results are memoized (bounded).
+	type memoKey struct {
+		prog int
+		cfg  machine.Config
+	}
+	var mu sync.Mutex
+	memo := map[memoKey]*machine.Result{}
+	oracleRun := func(t *testing.T, i int, cfg machine.Config) *machine.Result {
+		key := memoKey{i, cfg.Normalized()}
+		mu.Lock()
+		want, ok := memo[key]
+		mu.Unlock()
+		if !ok {
+			want = mustOracle(t, names[i], zoo[names[i]], cfg)
+			mu.Lock()
+			if len(memo) >= 1<<14 {
+				clear(memo)
+			}
+			memo[key] = want
+			mu.Unlock()
+		}
+		return want
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfgs := fuzzGrid(data)
+		for i, name := range names {
+			tc := zoo[name]
+			batch, err := machine.ReplayBatch(tc.Prog, traces[i], cfgs)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for j, cfg := range cfgs {
+				if want := oracleRun(t, i, cfg); !reflect.DeepEqual(want, batch[j]) {
+					t.Errorf("%s %+v:\noracle %+v\nbatch  %+v", name, cfg, want, batch[j])
+				}
+			}
+		}
+	})
 }

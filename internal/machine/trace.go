@@ -450,7 +450,7 @@ func (p *Program) Fingerprint() [sha256.Size]byte {
 	for _, a := range addrs {
 		fmt.Fprintf(h, "init %d %d\n", a, p.GlobalInit[a])
 	}
-	h.Write([]byte(p.String()))
+	p.disassemble(h)
 	var fp [sha256.Size]byte
 	h.Sum(fp[:0])
 	return fp

@@ -47,17 +47,15 @@ func Each(workers, n int, fn func(i int) error) error {
 // claiming new items and EachCtx returns ctx.Err() without waiting for
 // items already in flight (those finish on their own goroutines, which
 // then exit — nothing leaks, the caller just isn't held hostage to a
-// long-running item). With an un-cancellable ctx the behavior and the
-// surfaced error are identical to Each, including the workers==1 serial
-// oracle (which checks ctx between items and never spawns a goroutine).
+// long-running item — even when n is 1). With an un-cancellable ctx the
+// behavior and the surfaced error are identical to Each, including the
+// workers==1 serial oracle (which checks ctx between items and never
+// spawns a goroutine).
 func EachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
 	w := Workers(workers)
-	if w > n {
-		w = n
-	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -69,6 +67,9 @@ func EachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
+	// even one item runs on a goroutine of its own, so a cancelled ctx
+	// returns without waiting for it
+	w = min(w, n)
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup

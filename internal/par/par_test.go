@@ -151,6 +151,34 @@ func TestEachCtxCancelStopsClaiming(t *testing.T) {
 	}
 }
 
+// TestEachCtxCancelSingleItem: with more than one worker, a lone item
+// still runs off the calling goroutine, so cancelling returns promptly
+// instead of waiting for it (a whole sweep group is one item).
+func TestEachCtxCancelSingleItem(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	release := make(chan struct{})
+	defer close(release)
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- EachCtx(ctx, 2, 1, func(int) error {
+			close(started)
+			<-release
+			return nil
+		})
+	}()
+	<-started
+	cancel()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("EachCtx waited for its in-flight item after cancel")
+	}
+}
+
 func TestEachCtxSerialChecksBetweenItems(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0

@@ -692,6 +692,46 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestSweepHugeALAT is the regression test for a /sweep that killed the
+// process: the ALAT allocated its full configured capacity up front, so
+// an ALATSize of 2^40 ran the runtime out of memory, which no recover
+// can catch. The table now grows with use, so the request answers 200,
+// and with far fewer live entries than either capacity it times exactly
+// as the same sweep at ALATSize 4096.
+func TestSweepHugeALAT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and times a workload")
+	}
+	s := newTestServer(t, Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	sweep := func(body string) experiments.MachinePoint {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %q", body, resp.StatusCode, data)
+		}
+		var sr SweepResponse
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if len(sr.Points) != 1 {
+			t.Fatalf("%s: %d points", body, len(sr.Points))
+		}
+		return sr.Points[0]
+	}
+	huge := sweep(`{"workload":"twolf","configs":[{"ALATSize":1099511627776}]}`)
+	ref := sweep(`{"workload":"twolf","configs":[{"ALATSize":4096}]}`)
+	if huge.Cycles != ref.Cycles || huge.FailedChecks != ref.FailedChecks || huge.Evictions != ref.Evictions {
+		t.Errorf("ALATSize 2^40 = %+v, ALATSize 4096 = %+v", huge, ref)
+	}
+}
+
 // TestSweepCancellation is the acceptance criterion in service form:
 // POST /sweep with a client that disconnects mid-flight must observe the
 // cancellation promptly (the handler returns; the slot frees) rather

@@ -767,27 +767,29 @@ func (b *Build) RunCtx(ctx context.Context, args []int64) (*machine.Result, erro
 // EvaluateCtx re-times the compiled program on args under every machine
 // configuration in cfgs — the paper's §5 sensitivity-style sweeps. The
 // program executes functionally once per distinct (args, limits,
-// layout) key and each Config costs only a trace walk; replays fan out
-// across workers sharing the recorded trace read-only.
+// layout) key and each Config costs only a trace walk; groups re-time
+// in parallel across workers sharing their recorded traces read-only.
 // Results are index-aligned with cfgs.
 //
-// Cancellation is threaded through the batched fan-out (internal/par)
-// and the trace cache's singleflight: when ctx is done, idle workers
-// stop claiming batches, waiters blocked on another caller's recording
+// Cancellation is threaded through the fan-out (internal/par) and the
+// trace cache's singleflight: when ctx is done, idle workers stop
+// claiming groups, waiters blocked on another caller's recording
 // return, and EvaluateCtx itself returns ctx.Err() promptly without
 // waiting for replays already in flight (which finish and are dropped).
 //
-// The grid is grouped by the non-timing part of each Config — normalized (StackSlots, MaxSteps, MaxCallDepth), which
-// is exactly the trace cache key — and every group re-times through one
+// The grid is grouped by the non-timing part of each Config —
+// normalized (StackSlots, MaxSteps, MaxCallDepth), which is exactly the
+// trace cache key — and each group re-times whole through one
 // machine.ReplayBatch call on the group's shared trace, so all the
-// pipelined points of a sweep cost one instruction walk instead of one
-// each. Groups are split into up to `workers` sub-batches to keep the
-// fan-out parallel; per-config results are independent of batch
-// composition (pinned by the differential tests), so worker count never
-// changes the output. Because the grouping key equals the trace key,
-// every config fits its own group's trace — a config whose limits fault
-// does so during recording, inside traceFor, exactly as on the
-// unbatched path.
+// pipelined points of a group cost one instruction walk that advances
+// one lane per distinct pipelined clock. A group is never split: every
+// piece would walk the full instruction stream again, and pieces that
+// share a clock could no longer collapse onto one lane. Per-config
+// results are independent of batch composition (pinned by the
+// differential tests), so worker count never changes the output.
+// Because the grouping key equals the trace key, every config fits its
+// own group's trace — a config whose limits fault does so during
+// recording, inside traceFor, exactly as on the unbatched path.
 func (b *Build) EvaluateCtx(ctx context.Context, args []int64, cfgs []machine.Config, workers int) ([]*machine.Result, error) {
 	results := make([]*machine.Result, len(cfgs))
 	type traceKey struct {
@@ -805,23 +807,8 @@ func (b *Build) EvaluateCtx(ctx context.Context, args []int64, cfgs []machine.Co
 		}
 		groups[k] = append(groups[k], i)
 	}
-	// split each group into up to `workers` contiguous sub-batches so a
-	// single-group grid still spreads across the pool
-	w := par.Workers(workers)
-	var units [][]int
-	for _, k := range order {
-		idxs := groups[k]
-		nu := w
-		if nu > len(idxs) {
-			nu = len(idxs)
-		}
-		for u := 0; u < nu; u++ {
-			lo, hi := u*len(idxs)/nu, (u+1)*len(idxs)/nu
-			units = append(units, idxs[lo:hi])
-		}
-	}
-	if err := par.EachCtx(ctx, workers, len(units), func(u int) error {
-		idxs := units[u]
+	if err := par.EachCtx(ctx, workers, len(order), func(g int) error {
+		idxs := groups[order[g]]
 		tr, err := b.traceFor(ctx, args, cfgs[idxs[0]])
 		if err != nil {
 			// the recording run faulted under these limits
