@@ -3,7 +3,6 @@ package repro_test
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -14,10 +13,9 @@ import (
 
 // The tests in this file pin the profile-once contract of the
 // compilation cache: a cold sweep runs the profiling interpreter exactly
-// once per (source, training-args) pair, a warm-started run with a
-// persistent cache dir runs it zero times, and the rendered experiment
-// report is byte-identical with the cache disabled, cold, warm,
-// persistent, and at any worker count.
+// once per (source, training-args) pair, a repeated sweep runs it zero
+// times, and the rendered experiment report is byte-identical with the
+// cache disabled, cold, warm, and at any worker count.
 
 // TestSweepProfilesOncePerPair asserts via the cache counters that a
 // cold RunAllCtx performs one profiling interpreter run per workload (all
@@ -75,51 +73,9 @@ func TestSweepProfilesOncePerPair(t *testing.T) {
 	}
 }
 
-// TestWarmStartSkipsProfiling models the cross-process warm start: with
-// a persistent cache dir, dropping the in-memory tier (a new process)
-// and re-running a workload performs zero profiling interpreter runs and
-// produces identical measurements.
-func TestWarmStartSkipsProfiling(t *testing.T) {
-	w, ok := workloads.ByName("equake")
-	if !ok {
-		t.Fatal("equake not registered")
-	}
-	if err := repro.SetCacheDir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := repro.SetCacheDir(""); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	repro.ResetCaches()
-	cold, err := experiments.RunOneCtx(context.Background(), w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	runs0 := repro.ProfilingRuns()
-	stats0 := repro.CacheStats()
-	repro.ResetCaches() // "new process": memory tier gone, disk tier stays
-	warm, err := experiments.RunOneCtx(context.Background(), w, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := repro.ProfilingRuns() - runs0; got != 0 {
-		t.Errorf("warm start ran the profiling interpreter %d times, want 0", got)
-	}
-	if got := repro.CacheStats().DiskHits - stats0.DiskHits; got == 0 {
-		t.Error("warm start should have hit the persistent tier")
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Errorf("warm-start measurements differ from cold:\n%+v\nvs\n%+v", cold, warm)
-	}
-}
-
 // TestReportByteIdenticalAcrossCacheModes renders the full experiment
-// report with memoization disabled (the oracle), cold, warm, against a
-// persistent dir, warm-started from that dir, and with 8 workers — all
-// six byte strings must be identical.
+// report with memoization disabled (the oracle), cold, warm, and with 8
+// workers — all four byte strings must be identical.
 func TestReportByteIdenticalAcrossCacheModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the full report repeatedly")
@@ -141,16 +97,6 @@ func TestReportByteIdenticalAcrossCacheModes(t *testing.T) {
 	variants := map[string]string{
 		"cold":        render("cold", 1),
 		"warm-memory": render("warm-memory", 1),
-	}
-	if err := repro.SetCacheDir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	repro.ResetCaches()
-	variants["persistent"] = render("persistent", 1)
-	repro.ResetCaches()
-	variants["warm-disk"] = render("warm-disk", 1)
-	if err := repro.SetCacheDir(""); err != nil {
-		t.Fatal(err)
 	}
 	variants["workers-8"] = render("workers-8", 8)
 

@@ -5,14 +5,13 @@
 // side-effect sets per call site, and the hottest blocks — the
 // information §3.2.1 of the paper feeds back into the compiler.
 //
-// Profiling goes through the compilation cache: with -cache-dir a
-// repeated invocation on the same source and inputs (or a later
-// `experiments -cache-dir` sweep) reuses the persisted profile instead
-// of re-interpreting the program.
+// With -o the serialized profile is written out; a later compile reads
+// it back through Config.ProfileJSON (specc -profile prof.json) instead of
+// re-interpreting the program.
 //
 // Usage:
 //
-//	aliasprof [-args 1,2,3] [-o prof.json] [-cache-dir DIR] file.mc
+//	aliasprof [-args 1,2,3] [-o prof.json] file.mc
 package main
 
 import (
@@ -37,7 +36,6 @@ func main() { cli.Main("aliasprof", run) }
 func run() error {
 	progArgs := flag.String("args", "", "comma-separated program input (arg(i) values)")
 	outFile := flag.String("o", "", "write the serialized profile (JSON) to this file")
-	cacheDir := flag.String("cache-dir", "", "reuse/persist profiles under this directory across runs")
 	flag.Parse()
 	ctx := context.Background()
 	if flag.NArg() != 1 {
@@ -58,12 +56,6 @@ func run() error {
 			args = append(args, v)
 		}
 	}
-	if *cacheDir != "" {
-		if err := repro.SetCacheDir(*cacheDir); err != nil {
-			return err
-		}
-	}
-
 	// the canonical cached profiling computation — identical site ids to
 	// what CompileCtx consumes via Config.ProfileJSON
 	data, err := repro.CollectProfileCtx(ctx, src, args)

@@ -25,15 +25,12 @@
 //	experiments -exp corpus -corpus dir/ -json
 //	                            # per-alias-pattern speculation statistics
 //	                            # over a directory of MiniC sources
-//	experiments -cache-dir DIR  # persist profiles; warm runs skip profiling
-//	experiments -cache-max-bytes N
-//	                            # prune the disk cache to N bytes before exit
 //	experiments -workers 1      # serial oracle (output is identical)
 //	experiments -cpuprofile f   # write a pprof CPU profile to f
 //	experiments -memprofile f   # write a pprof heap profile to f
 //
 // The report bytes are identical at any -workers value and with the
-// cache cold, warm, or absent; -cache-stats prints the cache counters to
+// cache cold, warm, or disabled; -cache-stats prints the cache counters to
 // stderr so observability never perturbs the report itself.
 package main
 
@@ -48,10 +45,8 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/cache"
 	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/workloads"
 )
 
 func main() { cli.Main("experiments", run) }
@@ -65,8 +60,6 @@ func run() error {
 	corpusDir := flag.String("corpus", "", "directory of MiniC sources for -exp corpus")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of a table (-exp eval and -exp corpus)")
 	workers := flag.Int("workers", 0, "max concurrent compilations (0 = all cores, 1 = serial oracle)")
-	cacheDir := flag.String("cache-dir", "", "persist profiles/compilation artifacts under this directory across runs")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "prune the disk cache to this many bytes before exit (0 = unbounded)")
 	cacheStats := flag.Bool("cache-stats", false, "print compilation-cache hit/miss counters to stderr when done")
 	verify := flag.Bool("verify-passes", false, "run the speculation-soundness checker after every pipeline stage of every compilation")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -74,14 +67,8 @@ func run() error {
 	flag.Parse()
 	ctx := context.Background()
 
-	if *cacheDir != "" {
-		if err := repro.SetCacheDir(*cacheDir); err != nil {
-			return err
-		}
-	}
 	if *verify {
 		experiments.SetVerifyPasses(true)
-		verifyPasses = true
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -125,7 +112,7 @@ func run() error {
 			experiments.PrintSensitivity(os.Stdout, rows)
 		}
 	case "ablation":
-		err = ablation(ctx, os.Stdout, *workers)
+		err = experiments.ReportAblationCtx(ctx, os.Stdout, *workers)
 	case "machine":
 		// hardware sensitivity sweeps on the ablation kernels — the
 		// showcase of the record-and-replay path (one functional run
@@ -202,11 +189,6 @@ func run() error {
 	}
 	if *cacheStats {
 		fmt.Fprintln(os.Stderr, "cache:", repro.CacheStats(), "| profiling runs:", repro.ProfilingRuns())
-	}
-	if err == nil && *cacheDir != "" && *cacheMaxBytes > 0 {
-		if _, perr := cache.Prune(*cacheDir, *cacheMaxBytes); perr != nil {
-			return perr
-		}
 	}
 	return err
 }
@@ -289,82 +271,4 @@ func writeMemProfile(path string) error {
 	defer f.Close()
 	runtime.GC()
 	return pprof.WriteHeapProfile(f)
-}
-
-// verifyPasses mirrors -verify-passes for the ablation sweep's direct
-// repro.CompileCtx calls (the table experiments go through
-// experiments.SetVerifyPasses instead).
-var verifyPasses bool
-
-// compile wraps repro.CompileCtx and refuses a compilation whose training
-// run faulted (the silent StaticEstimate fallback would skew the
-// ablation numbers).
-func compile(ctx context.Context, src string, cfg repro.Config) (*repro.Compilation, error) {
-	cfg.VerifyPasses = verifyPasses
-	c, err := repro.CompileCtx(ctx, src, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if c.ProfileErr != nil {
-		return nil, c.ProfileErr
-	}
-	return c, nil
-}
-
-// ablation sweeps the design choices DESIGN.md calls out on equake and
-// mcf: data speculation off, control speculation off, arithmetic PRE off
-// (promotion only), and ALAT capacity.
-func ablation(ctx context.Context, out *os.File, workers int) error {
-	kernels := []string{"equake", "mcf"}
-	type cfgCase struct {
-		name string
-		cfg  repro.Config
-	}
-	for _, name := range kernels {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			return fmt.Errorf("unknown workload %s", name)
-		}
-		fmt.Fprintf(out, "ablation on %s (cycles on ref input):\n", name)
-		cases := []cfgCase{
-			{"full (profile+control spec)", repro.Config{Spec: repro.SpecProfile}},
-			{"no data speculation", repro.Config{Spec: repro.SpecOff}},
-			{"no control speculation", repro.Config{Spec: repro.SpecProfile, NoControlSpec: true}},
-			{"loads only (no arith PRE)", repro.Config{Spec: repro.SpecProfile, NoArith: true}},
-			{"no PRE at all", repro.Config{OptimizeOff: true}},
-		}
-		for _, c := range cases {
-			c.cfg.ProfileArgs = w.ProfileArgs
-			c.cfg.Workers = workers
-			comp, err := compile(ctx, w.Src, c.cfg)
-			if err != nil {
-				return err
-			}
-			res, err := comp.RunCtx(ctx, w.RefArgs)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  %-28s %10d cycles, %8d plain loads, %6d checks (%d failed)\n",
-				c.name, res.Counters.Cycles,
-				res.Counters.LoadsRetired-res.Counters.CheckLoads,
-				res.Counters.CheckLoads, res.Counters.FailedChecks)
-		}
-		// ALAT capacity sweep
-		for _, size := range []int{4, 8, 32, 128} {
-			cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs, Workers: workers}
-			cfg.Machine.ALATSize = size
-			comp, err := compile(ctx, w.Src, cfg)
-			if err != nil {
-				return err
-			}
-			res, err := comp.RunCtx(ctx, w.RefArgs)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "  ALAT %3d entries: %10d cycles, %6d failed checks, %6d evictions\n",
-				size, res.Counters.Cycles, res.Counters.FailedChecks, res.Counters.ALATEvictions)
-		}
-		fmt.Fprintln(out)
-	}
-	return nil
 }

@@ -7,20 +7,18 @@
 //
 //	specd [flags]
 //
-//	-addr            listen address (default :8080)
-//	-workers         max jobs executing concurrently (0 = one per core)
-//	-queue           max admitted jobs waiting beyond the workers (0 = workers)
-//	-timeout         per-request deadline (default 60s)
-//	-cache-dir       persist profiles/traces under this directory
-//	-cache-max-bytes prune the disk cache to this budget on shutdown (0 = unbounded)
-//	-pprof           serve net/http/pprof on a separate address (off by default)
+//	-addr    listen address (default :8080)
+//	-workers max jobs executing concurrently (0 = one per core)
+//	-queue   max admitted jobs waiting beyond the workers (0 = workers)
+//	-timeout per-request deadline (default 60s)
+//	-pprof   serve net/http/pprof on a separate address (off by default)
 //
 // Endpoints: POST /compile, POST /evaluate, POST /sweep, GET /workloads,
 // GET /healthz, GET /metrics.
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting
 // work (new and queued jobs get 503), finishes jobs already executing,
-// prunes the disk cache to its budget, and exits 0.
+// and exits 0.
 package main
 
 import (
@@ -36,8 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
-	"repro/internal/cache"
 	"repro/internal/cli"
 	"repro/internal/server"
 )
@@ -49,19 +45,12 @@ func run() error {
 	workers := flag.Int("workers", 0, "max jobs executing concurrently (0 = one per core)")
 	queue := flag.Int("queue", 0, "max admitted jobs waiting for a worker slot (0 = workers)")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request deadline (negative = none)")
-	cacheDir := flag.String("cache-dir", "", "persist profiles/traces under this directory across runs")
-	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "prune the disk cache to this many bytes on shutdown (0 = unbounded)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		return cli.Usagef("unexpected arguments: %v", flag.Args())
 	}
 
-	if *cacheDir != "" {
-		if err := repro.SetCacheDir(*cacheDir); err != nil {
-			return err
-		}
-	}
 	logger := log.New(os.Stderr, "specd ", log.LstdFlags|log.Lmsgprefix)
 	s := server.New(server.Config{
 		Workers: *workers,
@@ -101,7 +90,7 @@ func run() error {
 	}
 
 	// graceful drain: reject new and queued work, finish in-flight jobs
-	// (Shutdown waits for active handlers), then flush the disk tier
+	// (Shutdown waits for active handlers)
 	logger.Printf("signal received, draining")
 	s.BeginDrain()
 	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -111,13 +100,6 @@ func run() error {
 	}
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
-	}
-	if *cacheDir != "" && *cacheMaxBytes > 0 {
-		freed, err := cache.Prune(*cacheDir, *cacheMaxBytes)
-		if err != nil {
-			return fmt.Errorf("cache prune: %w", err)
-		}
-		logger.Printf("pruned disk cache to %d bytes budget (freed %d bytes)", *cacheMaxBytes, freed)
 	}
 	logger.Printf("drained, exiting")
 	return nil

@@ -47,21 +47,12 @@ func TestCorpusRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestCorpusWarmDiskRecomputesNothing runs the corpus cold with a
-// cache dir, drops the memory tier and runs it again: the warm report
-// is byte-identical and the warm pass runs no profiling interpreter.
-func TestCorpusWarmDiskRecomputesNothing(t *testing.T) {
+// TestCorpusWarmPassRecomputesNothing runs the corpus cold, then again
+// in the same process: the warm report is byte-identical and the warm
+// pass runs no profiling interpreter.
+func TestCorpusWarmPassRecomputesNothing(t *testing.T) {
 	ctx := context.Background()
-	if err := repro.SetCacheDir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
 	repro.ResetCaches()
-	defer func() {
-		if err := repro.SetCacheDir(""); err != nil {
-			t.Error(err)
-		}
-		repro.ResetCaches()
-	}()
 	run := func() ([]byte, uint64) {
 		t.Helper()
 		runs0 := repro.ProfilingRuns()
@@ -76,7 +67,6 @@ func TestCorpusWarmDiskRecomputesNothing(t *testing.T) {
 		return data, repro.ProfilingRuns() - runs0
 	}
 	cold, coldRuns := run()
-	repro.ResetCaches()
 	warm, warmRuns := run()
 	if coldRuns == 0 {
 		t.Fatal("the cold pass ran no profiling: the test measures nothing")

@@ -39,9 +39,6 @@ func plainLoads(r *machine.Result) int64 {
 	return r.Counters.LoadsRetired - r.Counters.CheckLoads
 }
 
-// compile wraps repro.CompileCtx and fails loudly when the training run
-// faulted: a silent StaticEstimate fallback would skew every
-// profile-guided number in the tables while looking plausible.
 // verifyPasses, when set (SetVerifyPasses / `experiments
 // -verify-passes`), turns the speculation-soundness checker on for
 // every compilation the experiments run. It only adds verification —
@@ -53,6 +50,9 @@ var verifyPasses atomic.Bool
 // speculation-soundness checker (repro.Config.VerifyPasses).
 func SetVerifyPasses(on bool) { verifyPasses.Store(on) }
 
+// compile wraps repro.CompileCtx and fails loudly when the training run
+// faulted: a silent StaticEstimate fallback would skew every
+// profile-guided number in the tables while looking plausible.
 func compile(ctx context.Context, src string, cfg repro.Config) (*repro.Compilation, error) {
 	if verifyPasses.Load() {
 		cfg.VerifyPasses = true

@@ -86,8 +86,8 @@ func oldDisassembly(p *machine.Program) string {
 }
 
 // oldFingerprint is Program.Fingerprint as it was when it hashed the
-// concatenated disassembly. Trace cache keys and disk entries hold its
-// bytes, so the streaming Fingerprint must hash exactly the same text.
+// concatenated disassembly. Trace cache keys hold its bytes, so the
+// streaming Fingerprint must hash exactly the same text.
 func oldFingerprint(p *machine.Program) [sha256.Size]byte {
 	h := sha256.New()
 	fmt.Fprintf(h, "globsize %d\n", p.GlobSize)
@@ -107,8 +107,7 @@ func oldFingerprint(p *machine.Program) [sha256.Size]byte {
 
 // TestFingerprintUnchanged recomputes the disassembly and fingerprint of
 // every kernel build under every speculation mode the old way: a change
-// to the hashed bytes would orphan every trace cache key and disk-tier
-// entry.
+// to the hashed bytes would change every trace cache key.
 func TestFingerprintUnchanged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles every kernel")

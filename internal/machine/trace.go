@@ -252,9 +252,8 @@ func (t *Trace) Bytes() int64 {
 // format).
 const traceMagic = "reprotrace v4"
 
-// Marshal serializes the trace for spilling through internal/cache
-// (ALAT events are varint-encoded with activation ids delta-coded; the
-// bitstream is stored raw).
+// Marshal serializes the trace (ALAT events are varint-encoded with
+// activation ids delta-coded; the bitstream is stored raw).
 func (t *Trace) Marshal() []byte {
 	buf := make([]byte, 0, 128+len(t.Output)+int(t.bits.n/8)+int(t.ops.n)*5)
 	buf = append(buf, traceMagic...)
@@ -301,10 +300,9 @@ func corruptTrace(format string, a ...any) error {
 	return fmt.Errorf("machine: corrupt trace: %s", fmt.Sprintf(format, a...))
 }
 
-// UnmarshalTrace reverses Marshal. Corrupt input returns an error (the
-// cache layer treats that as a miss and re-records). Traces arrive from
-// the disk tier, so the decoder also rejects a header
-// that contradicts its own streams: the class counts the ALAT event
+// UnmarshalTrace reverses Marshal. Corrupt input returns an error, never
+// a panic or a trace replay would misread, so the decoder also rejects a
+// header that contradicts its own streams: the class counts the ALAT event
 // stream determines (checks, stores, advanced-load inserts) must match
 // it, because replay sizes its per-check outcome table from them.
 func UnmarshalTrace(data []byte) (*Trace, error) {

@@ -67,8 +67,8 @@ func TestReplayRejectsEditedSteps(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalTrace feeds arbitrary bytes to the trace decoder — the
-// boundary the disk tier crosses — and replays every trace it accepts
+// FuzzUnmarshalTrace feeds arbitrary bytes to the trace decoder and
+// replays every trace it accepts
 // under one serial and one pipelined config against every zoo program,
 // matching or not. Any outcome but a panic or a hang is fine: errors
 // are the expected answer to corrupt input. The seed corpus

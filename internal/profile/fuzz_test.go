@@ -46,9 +46,9 @@ func equakeProfile(tb testing.TB) (*ir.Program, []byte) {
 }
 
 // FuzzProfileUnmarshal feeds arbitrary bytes to the profile decoder —
-// the boundary the disk tier and a request's profileJSON cross — bound
-// against equake's program and against an empty one (what the cache's
-// profile codec checks). The decoder must never panic, and any profile
+// the boundary a request's profileJSON crosses — bound against equake's
+// program and against an empty one (only the program-independent
+// checks: JSON shape, version, site keys). The decoder must never panic, and any profile
 // it accepts must round-trip: Marshal's bytes decode to an equal profile
 // and re-marshal to the same bytes. The seed corpus
 // (testdata/fuzz/FuzzProfileUnmarshal) holds equake's real profile.

@@ -14,7 +14,7 @@ import (
 // entries with no totals.
 const Version = 2
 
-// serialized is the on-disk JSON form of a version-2 profile. Reference
+// serialized is the JSON form of a version-2 profile. Reference
 // sites are keyed by their program-unique site ids and blocks by
 // "func:Bn"; both are stable across compiles of identical source
 // (lowering is deterministic). Each site maps encoded LOCs to their

@@ -179,18 +179,14 @@ func (m *metrics) write(w io.Writer) {
 	}{
 		{"specd_cache_mem_hits_total", "In-memory cache tier hits.", cs.MemHits},
 		{"specd_cache_mem_misses_total", "In-memory cache tier misses.", cs.MemMisses},
-		{"specd_cache_disk_hits_total", "On-disk cache tier hits.", cs.DiskHits},
-		{"specd_cache_disk_misses_total", "On-disk cache tier misses.", cs.DiskMisses},
 		{"specd_cache_computes_total", "Cache compute functions actually run.", cs.Computes},
 		{"specd_cache_evictions_total", "In-memory cache entries evicted.", cs.Evictions},
-		{"specd_cache_corrupt_total", "Disk cache entries discarded as corrupt or undecodable.", cs.Corrupt},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", c.name, c.help, c.name, c.name, c.v)
 	}
 
 	// profiling interpreter runs actually executed (cache misses): a
-	// warm-started server leaves this flat for programs it has profiled
-	// before.
+	// server leaves this flat for programs it has already profiled.
 	fmt.Fprintf(w, "# HELP specd_profiling_runs_total Profiling interpreter runs actually executed (profile-cache misses).\n")
 	fmt.Fprintf(w, "# TYPE specd_profiling_runs_total counter\n")
 	fmt.Fprintf(w, "specd_profiling_runs_total %d\n", repro.ProfilingRuns())
@@ -203,8 +199,8 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "specd_builds_compiled_total %d\n", repro.BuildsCompiled())
 
 	// resident size of the traces the record-and-replay path
-	// keeps in the memory tier (a gauge: eviction and Reset shrink it)
-	fmt.Fprintf(w, "# HELP specd_trace_bytes Machine traces resident in the in-memory cache tier, in bytes.\n")
+	// keeps in the cache (a gauge: eviction and Reset shrink it)
+	fmt.Fprintf(w, "# HELP specd_trace_bytes Machine traces resident in the compilation cache, in bytes.\n")
 	fmt.Fprintf(w, "# TYPE specd_trace_bytes gauge\n")
 	fmt.Fprintf(w, "specd_trace_bytes %d\n", repro.TraceCacheBytes())
 

@@ -278,9 +278,8 @@ type Compilation struct {
 // The compilation cache (internal/cache) holds one entry per artifact:
 // a pristine lowered program per source hash, the serialized alias/edge
 // profile per (source, options, training-args) key, BuildCtx's immutable
-// builds and the recorded machine traces. Profiles and traces carry a
-// codec, so the optional on-disk tier (SetCacheDir) persists them;
-// parses and builds stay in memory. CompileCtx, CollectProfileCtx, Reference and ReuseLimitCtx all
+// builds and the recorded machine traces, all in memory for the life of
+// the process. CompileCtx, CollectProfileCtx, Reference and ReuseLimitCtx all
 // start from the same parse, and an experiment sweep re-compiles each
 // workload under many config variants, so N variants pay for one parse
 // and one profiling interpreter run instead of N of each. Masters in the
@@ -299,7 +298,7 @@ var (
 // ctx.
 func frontendCtx(ctx context.Context, src string) (*ir.Program, error) {
 	key := cache.KeyOf([]byte("frontend"), []byte(src))
-	v, err := compCache.GetCtx(ctx, key, nil, func() (any, error) {
+	v, err := compCache.GetCtx(ctx, key, func() (any, error) {
 		f, err := source.Parse(src)
 		if err != nil {
 			return nil, err
@@ -312,17 +311,11 @@ func frontendCtx(ctx context.Context, src string) (*ir.Program, error) {
 	return ir.Clone(v.(*ir.Program)), nil
 }
 
-// profileCacheVersion stamps every profile cache key; bump it whenever
-// the meaning of the computation changes (refinement, the interpreter's
-// collection semantics, or the serialization), which invalidates stale
-// persistent entries by construction.
-const profileCacheVersion = 2
-
 // profileKey is the content-addressed key of a profiling run: source
 // text, the options that shape reference-site ids and set contents
-// (refinement pipeline version, TBAA flag), and the training input.
+// (the TBAA flag), and the training input.
 func profileKey(src string, cfg Config) cache.Key {
-	opts := fmt.Sprintf("v%d tbaa=%t", profileCacheVersion, !cfg.NoTypeBasedAA)
+	opts := fmt.Sprintf("tbaa=%t", !cfg.NoTypeBasedAA)
 	args := make([]byte, 8*len(cfg.ProfileArgs))
 	for i, a := range cfg.ProfileArgs {
 		binary.LittleEndian.PutUint64(args[i*8:], uint64(a))
@@ -331,15 +324,15 @@ func profileKey(src string, cfg Config) cache.Key {
 }
 
 // profileDataCtx returns the serialized alias/edge profile for (src,
-// options, training args), memoized in memory and — when a cache dir is
-// set — persisted on disk. The computation is canonical: frontend, the
-// same flow-sensitive refinement CompileCtx applies (so reference-site
-// ids line up), one profiling interpreter run, profile.Marshal.
+// options, training args), memoized in memory. The computation is
+// canonical: frontend, the same flow-sensitive refinement CompileCtx
+// applies (so reference-site ids line up), one profiling interpreter
+// run, profile.Marshal.
 // CompileCtx, CollectProfileCtx and every experiment variant share it,
 // so a sweep pays for one interpreter run per key no matter how many
-// variants it compiles, and a warm-started process pays for none.
+// variants it compiles.
 func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error) {
-	v, err := compCache.GetCtx(ctx, profileKey(src, cfg), profileCodec, func() (any, error) {
+	v, err := compCache.GetCtx(ctx, profileKey(src, cfg), func() (any, error) {
 		// the cache runs its owner's compute even under a done ctx; a
 		// context error is never memoized, so refusing here is free
 		if err := ctx.Err(); err != nil {
@@ -365,21 +358,6 @@ func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error)
 	return v.([]byte), nil
 }
 
-// profileCodec carries serialized profiles to and from the disk tier as
-// they are. Decode binds the payload against an empty program,
-// which checks everything that does not depend on the program — the
-// JSON shape, the version, the site keys — so a payload that is not a
-// profile document never reaches a compile.
-var profileCodec = &cache.Codec{
-	Encode: func(v any) []byte { return v.([]byte) },
-	Decode: func(data []byte) (any, error) {
-		if _, err := profile.Unmarshal(&ir.Program{}, data); err != nil {
-			return nil, err
-		}
-		return data, nil
-	},
-}
-
 // ProfilingRuns counts the profiling interpreter runs actually executed
 // (cache misses); sweeps assert "profile once" against its deltas.
 func ProfilingRuns() uint64 { return profilingRuns.Load() }
@@ -388,7 +366,7 @@ func ProfilingRuns() uint64 { return profilingRuns.Load() }
 func CacheStats() cache.Stats { return compCache.Stats() }
 
 // TraceCacheBytes reports the heap footprint of every
-// *machine.Trace resident in the in-memory cache tier, in bytes. The
+// *machine.Trace resident in the compilation cache, in bytes. The
 // specd /metrics endpoint exposes it as the specd_trace_bytes gauge so
 // operators can see what record-and-replay reuse costs in memory.
 func TraceCacheBytes() int64 {
@@ -400,21 +378,15 @@ func TraceCacheBytes() int64 {
 	})
 }
 
-// SetCacheDir enables the persistent on-disk cache tier under dir
-// (serialized profiles survive the process; a later run warm-starts
-// from them), or disables it when dir is empty. Corrupt or stale
-// entries are discarded and recomputed, never surfaced as errors.
-func SetCacheDir(dir string) error { return compCache.SetDir(dir) }
-
 // SetCacheEnabled turns compilation-pipeline memoization off or back on
 // (default on). With the cache off every CompileCtx and BuildCtx
 // re-parses, re-profiles and re-compiles from scratch — the oracle for
 // cache-transparency tests.
 func SetCacheEnabled(on bool) { compCache.SetEnabled(on) }
 
-// ResetCaches drops the whole in-memory cache tier (parses, profiles,
-// builds and traces); the persistent tier, if configured, stays. Tests and
-// benchmarks use it to measure cold starts.
+// ResetCaches drops the whole compilation cache (parses, profiles,
+// builds and traces). Tests and benchmarks use it to measure cold
+// starts.
 func ResetCaches() { compCache.Reset() }
 
 // CompileCtx runs the full pipeline on MiniC source. A ctx that is
@@ -623,11 +595,6 @@ func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, erro
 	return c, nil
 }
 
-// buildCacheVersion stamps every build cache key; bump it whenever the
-// pipeline's output for an unchanged (source, config) pair changes
-// meaning in a way the key cannot see.
-const buildCacheVersion = 1
-
 // buildKey is the content-addressed key of a build: the source and every
 // field of cfg except Workers, which shapes scheduling only. Every
 // semantic input — speculation mode and threshold, machine model,
@@ -642,7 +609,7 @@ func buildKey(src string, cfg Config) (key cache.Key, ok bool) {
 	if err != nil {
 		return cache.Key{}, false
 	}
-	return cache.KeyOf([]byte("build"), fmt.Appendf(nil, "v%d", buildCacheVersion), []byte(src), opts), true
+	return cache.KeyOf([]byte("build"), []byte(src), opts), true
 }
 
 // BuildCtx compiles src under cfg and returns the lean, IR-free Build —
@@ -670,7 +637,7 @@ func BuildCtx(ctx context.Context, src string, cfg Config) (*Build, error) {
 	var v any
 	var err error
 	if ok {
-		v, err = compCache.GetCtx(ctx, key, nil, compute)
+		v, err = compCache.GetCtx(ctx, key, compute)
 	} else {
 		v, err = compute()
 	}
@@ -695,13 +662,8 @@ func BuildsCompiled() uint64 { return buildsCompiled.Load() }
 // change what the run does: a smaller limit faults, and the cache
 // memoizes errors, so excluding them would poison larger-limit callers;
 // StackSlots additionally shifts concrete addresses (Replay refuses a
-// mismatch outright). A trace is one cache entry: the memory tier holds
-// the *machine.Trace as recorded (or as decoded from disk), and
-// traceCodec serializes it only when the disk tier needs the bytes.
-
-// traceCacheVersion stamps trace cache keys; bump it whenever the
-// trace format or the recorded event set changes.
-const traceCacheVersion = 4
+// mismatch outright). A trace is one cache entry, the *machine.Trace as
+// recorded.
 
 // fingerprint returns the compiled program's content hash, computed
 // once per Build.
@@ -724,22 +686,15 @@ func (b *Build) traceFor(ctx context.Context, args []int64, mcfg machine.Config)
 	for i, a := range args {
 		binary.LittleEndian.PutUint64(argb[i*8:], uint64(a))
 	}
-	lim := fmt.Sprintf("v%d slots=%d steps=%d depth=%d",
-		traceCacheVersion, n.StackSlots, n.MaxSteps, n.MaxCallDepth)
+	lim := fmt.Sprintf("slots=%d steps=%d depth=%d", n.StackSlots, n.MaxSteps, n.MaxCallDepth)
 	key := cache.KeyOf([]byte("trace"), fp[:], argb, []byte(lim))
-	v, err := compCache.GetCtx(ctx, key, traceCodec, func() (any, error) {
+	v, err := compCache.GetCtx(ctx, key, func() (any, error) {
 		return machine.Record(b.Code, args, n)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*machine.Trace), nil
-}
-
-// traceCodec carries recorded traces to and from the disk tier.
-var traceCodec = &cache.Codec{
-	Encode: func(v any) []byte { return v.(*machine.Trace).Marshal() },
-	Decode: func(data []byte) (any, error) { return machine.UnmarshalTrace(data) },
 }
 
 // runMachine executes the compiled program under mcfg: the cached
