@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"sort"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/experiments"
@@ -37,97 +39,136 @@ func sweepTarget(b *testing.B) (*machine.Program, []int64) {
 	return c.Code, w.RefArgs
 }
 
-// BenchmarkMachineSweep times one sweep grid per iteration, as one
+// BenchmarkMachineSweep times one sweep grid per leg, as one
 // machine.Run per config ("direct": what a caller without batching
 // pays, K records and K one-lane replays) and as one Record plus one
 // ReplayBatch ("replay"), and emits BENCH_machine.json with the
 // per-sweep costs and speedups, plus record_ns, the cost of one equake
-// Record at the reference input. Two grids are measured:
-// "serial" is the 12-config serial-model grid — the RunSensitivityCtx
-// shape, where replay takes the O(events) aggregate path — and "mixed"
-// is the full 24-config MachineSweepConfigs grid whose pipelined half
-// needs the per-instruction scoreboard walk.
+// Record at the reference input, and walk_ns, one warm ReplayBatch of
+// the grid's pipelined half on a recorded trace: the pipelined walk
+// alone. Two grids are measured: "serial" is the 12-config serial-model
+// grid — the RunSensitivityCtx shape, where replay takes the O(events)
+// aggregate path — and "mixed" is the full 24-config
+// MachineSweepConfigs grid whose pipelined half needs the scoreboard
+// walk. Each iteration runs every leg once per pass, over
+// machineSweepPasses interleaved passes, and every figure written is
+// the median of its passes, so that one noisy pass (CI runs
+// -benchtime 1x) does not move a gated number.
 func BenchmarkMachineSweep(b *testing.B) {
 	code, args := sweepTarget(b)
 	all := experiments.MachineSweepConfigs()
-	var serial []machine.Config
+	var serial, piped []machine.Config
 	for _, cfg := range all {
-		if !cfg.Pipelined {
+		if cfg.Pipelined {
+			piped = append(piped, cfg)
+		} else {
 			serial = append(serial, cfg)
 		}
 	}
+	// the walk leg re-times a trace whose per-capacity ALAT walks are
+	// already memoized, as on a warm /sweep
+	warm, err := machine.Record(code, args, machine.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := machine.ReplayBatch(code, warm, piped); err != nil {
+		b.Fatal(err)
+	}
 
-	grids := []struct {
+	direct := func(cfgs []machine.Config) func() error {
+		return func() error {
+			for _, cfg := range cfgs {
+				if _, err := machine.Run(code, args, cfg, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	replay := func(cfgs []machine.Config) func() error {
+		return func() error {
+			// recording is paid inside the timed region: this is the
+			// honest cold-sweep cost, not the cached steady state
+			tr, err := machine.Record(code, args, machine.Config{})
+			if err != nil {
+				return err
+			}
+			_, err = machine.ReplayBatch(code, tr, cfgs)
+			return err
+		}
+	}
+	// one functional run alone: what every cold evaluation pays before
+	// any re-timing, and the part of "direct" that replay pays once. The
+	// leg records several times so that one pass still averages over a
+	// few garbage collections instead of timing one record
+	const recordsPerOp = 10
+	legs := []struct {
 		name string
-		cfgs []machine.Config
-	}{{"serial", serial}, {"mixed", all}}
-	speedups := map[string]float64{}
+		ops  int // units of work per run, each timed as run time / ops
+		run  func() error
+	}{
+		{"serial/direct", 1, direct(serial)},
+		{"serial/replay", 1, replay(serial)},
+		{"mixed/direct", 1, direct(all)},
+		{"mixed/replay", 1, replay(all)},
+		{"record", recordsPerOp, func() error {
+			for j := 0; j < recordsPerOp; j++ {
+				if _, err := machine.Record(code, args, machine.Config{}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"walk", 1, func() error {
+			_, err := machine.ReplayBatch(code, warm, piped)
+			return err
+		}},
+	}
+	var ns map[string][]float64 // leg -> one sample per pass
+	for i := 0; i < b.N; i++ {
+		ns = map[string][]float64{}
+		for pass := 0; pass < machineSweepPasses; pass++ {
+			for _, leg := range legs {
+				start := time.Now()
+				if err := leg.run(); err != nil {
+					b.Fatalf("%s: %v", leg.name, err)
+				}
+				ns[leg.name] = append(ns[leg.name], float64(time.Since(start).Nanoseconds())/float64(leg.ops))
+			}
+		}
+	}
+
 	out := map[string]any{
 		"benchmark": "MachineSweep",
 		"workload":  "equake",
+		"passes":    machineSweepPasses,
+		"record_ns": median(ns["record"]),
+		"walk_ns":   median(ns["walk"]),
 	}
-	for _, grid := range grids {
-		var directNs, replayNs float64
-		b.Run(grid.name+"/direct", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, cfg := range grid.cfgs {
-					if _, err := machine.Run(code, args, cfg, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			directNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
-		b.Run(grid.name+"/replay", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// recording is paid inside the timed region: this is the
-				// honest cold-sweep cost, not the cached steady state
-				tr, err := machine.Record(code, args, machine.Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				// the batched walk re-times every pipelined config of the
-				// grid in one pass over the trace
-				if _, err := machine.ReplayBatch(code, tr, grid.cfgs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			replayNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-		})
-		if directNs > 0 && replayNs > 0 {
-			speedups[grid.name] = directNs / replayNs
+	speedups := map[string]float64{}
+	for _, grid := range []struct {
+		name string
+		cfgs []machine.Config
+	}{{"serial", serial}, {"mixed", all}} {
+		directNs, replayNs := ns[grid.name+"/direct"], ns[grid.name+"/replay"]
+		ratios := make([]float64, len(directNs))
+		for p := range ratios {
+			ratios[p] = directNs[p] / replayNs[p]
 		}
+		speedups[grid.name] = median(ratios)
 		out[grid.name] = map[string]any{
 			"configs":             len(grid.cfgs),
-			"direct_ns_per_sweep": directNs,
-			"replay_ns_per_sweep": replayNs,
+			"direct_ns_per_sweep": median(directNs),
+			"replay_ns_per_sweep": median(replayNs),
 			"speedup":             speedups[grid.name],
 		}
 	}
-
-	// one functional run alone: what every cold evaluation pays before
-	// any re-timing, and the part of "direct" that replay pays once.
-	// Each iteration records several times so that a single-pass run
-	// (-benchtime 1x, as CI runs it) still averages over a few garbage
-	// collections instead of timing one record
-	const recordsPerOp = 10
-	var recordNs float64
-	b.Run("record", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < recordsPerOp; j++ {
-				if _, err := machine.Record(code, args, machine.Config{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		recordNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N*recordsPerOp)
-	})
-	out["record_ns"] = recordNs
 
 	// the headline number is the RunSensitivityCtx-shaped serial grid; the
 	// mixed grid is reported alongside
 	b.ReportMetric(speedups["serial"], "serial_sweep_speedup")
 	b.ReportMetric(speedups["mixed"], "mixed_sweep_speedup")
+	b.ReportMetric(median(ns["walk"]), "walk_ns")
 	out["speedup"] = speedups["serial"]
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -136,6 +177,18 @@ func BenchmarkMachineSweep(b *testing.B) {
 	if err := os.WriteFile("BENCH_machine.json", append(data, '\n'), 0o644); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// machineSweepPasses is how many interleaved passes BenchmarkMachineSweep
+// takes the median of.
+const machineSweepPasses = 5
+
+// median returns the median of xs (the mean of the middle two when
+// their number is even), sorting xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	return (xs[(n-1)/2] + xs[n/2]) / 2
 }
 
 // BenchmarkEvaluate measures the public sweep API end to end (trace

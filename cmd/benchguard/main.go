@@ -9,16 +9,20 @@
 //     caller without batching pays) over one Record plus one
 //     ReplayBatch of the whole grid. The direct side pays Record K
 //     times, so a slower Record raises a speedup; record_ns, the cost
-//     of one Record, must therefore not RISE by more than the margin;
+//     of one Record, must therefore not RISE by more than the margin,
+//     and neither may walk_ns, one warm ReplayBatch of the grid's
+//     pipelined half (the scoreboard walk alone, which the replay leg
+//     dilutes with a Record);
 //   - BENCH_compile.json: the compile path's allocs_per_compile and
 //     ns_per_compile must not RISE by more than the margin.
 //
-// Single-pass CI benchmark numbers are noisy, so the default margin is
+// CI benchmark numbers are noisy (BENCH_machine.json's figures are
+// medians of five interleaved passes), so the default margin is
 // deliberately wide (25%); the guarded quantities sit far inside it on
 // any runner, and only a real algorithmic regression (e.g. the batched
-// replay walk falling back to per-config replays, or a per-site
-// allocation sneaking into the flag-assignment loop) moves them that
-// much. The deterministic artifact BENCH_harden.json is not gated here:
+// replay walk falling back to per-config replays or to per-instruction
+// walking, or a per-site allocation sneaking into the flag-assignment
+// loop) moves them that much. The deterministic artifact BENCH_harden.json is not gated here:
 // CI diffs it byte for byte.
 //
 // Usage:
@@ -51,7 +55,7 @@ func main() {
 	machineFresh := flag.String("fresh", "BENCH_machine.json", "freshly generated BENCH_machine.json")
 	gates := []gate{
 		{baseline: machineBase, fresh: machineFresh, load: loadSpeedups, higherIsBetter: true},
-		{baseline: machineBase, fresh: machineFresh, load: loadScalars("record_ns")},
+		{baseline: machineBase, fresh: machineFresh, load: loadScalars("record_ns", "walk_ns")},
 		{
 			baseline: flag.String("compile-baseline", "", "committed BENCH_compile.json to compare against (empty = skip the compile guard)"),
 			fresh:    flag.String("compile-fresh", "BENCH_compile.json", "freshly generated BENCH_compile.json"),
@@ -157,8 +161,8 @@ func loadSpeedups(path string) (map[string]float64, error) {
 
 // loadScalars returns a loader for the named top-level numeric fields
 // of a benchmark file (e.g. BENCH_compile.json's allocs_per_compile and
-// ns_per_compile, or BENCH_machine.json's record_ns). Every key must be
-// present and positive.
+// ns_per_compile, or BENCH_machine.json's record_ns and walk_ns). Every
+// key must be present and positive.
 func loadScalars(keys ...string) func(path string) (map[string]float64, error) {
 	return func(path string) (map[string]float64, error) {
 		data, err := os.ReadFile(path)

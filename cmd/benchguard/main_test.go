@@ -23,6 +23,7 @@ const compileBase = `{"benchmark": "CompileProfile", "allocs_per_compile": 8000,
 var (
 	loadCompile = loadScalars("allocs_per_compile", "ns_per_compile")
 	loadRecord  = loadScalars("record_ns")
+	loadMachine = loadScalars("record_ns", "walk_ns")
 )
 
 func TestGuard(t *testing.T) {
@@ -79,6 +80,20 @@ func TestGuard(t *testing.T) {
 			fresh:    `{"record_ns": 5100000, "serial": {"speedup": 12}}`,
 			load:     loadRecord,
 			wantFail: "record_ns",
+		},
+		{
+			name:     "a walk cost rise beyond the margin fails",
+			base:     `{"record_ns": 4000000, "walk_ns": 2000000}`,
+			fresh:    `{"record_ns": 3000000, "walk_ns": 2600000}`,
+			load:     loadMachine,
+			wantFail: "walk_ns",
+		},
+		{
+			name:      "a baseline without walk_ns is an error",
+			base:      `{"record_ns": 4000000, "serial": {"speedup": 10}}`,
+			fresh:     `{"record_ns": 4000000, "walk_ns": 2000000}`,
+			load:      loadMachine,
+			wantError: true,
 		},
 		{
 			name:     "a grid missing from the fresh file fails",

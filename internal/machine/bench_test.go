@@ -158,3 +158,33 @@ func TestHugeALATAllocations(t *testing.T) {
 		t.Errorf("Record+ReplayBatch(alatOrder) allocates %d bytes per call at ALATSize 2^40, %d at 32", huge, base)
 	}
 }
+
+// TestMemoBounded guards the block memo's bound. On noRepeat, whose
+// block entry states never repeat under an FPDivLat longer than the run,
+// the memo must give up instead of growing with the run: re-timing 8
+// pipelined lanes must allocate about as much at 10^5 iterations as at
+// 10^4.
+func TestMemoBounded(t *testing.T) {
+	prog := noRepeatProg()
+	cfgs := make([]Config, 8)
+	for i := range cfgs {
+		cfgs[i] = Config{FPDivLat: 1_000_000_000 + i, Pipelined: true}
+	}
+	at := func(iters int64) uint64 {
+		tr, err := Record(prog, []int64{iters}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, stats, err := replayBatch(prog, tr, cfgs); err != nil || stats.transitions != 0 {
+			t.Fatalf("%d iterations: the memo kept %d transitions (%v), want it to give up", iters, stats.transitions, err)
+		}
+		return bytesPerRun(3, func() {
+			if _, err := ReplayBatch(prog, tr, cfgs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := at(10_000), at(100_000); large > 2*small {
+		t.Errorf("ReplayBatch(noRepeat) allocates %d bytes at 10^5 iterations, %d at 10^4", large, small)
+	}
+}

@@ -8,8 +8,16 @@ package machine
 // reports how many scoreboard lanes the pipelined walk advanced: one per
 // distinct pipelined clock, never one per config.
 func WalkedLanes(prog *Program, t *Trace, cfgs []Config) (int, error) {
-	_, lanes, err := replayBatch(prog, t, cfgs)
-	return lanes, err
+	_, stats, err := replayBatch(prog, t, cfgs)
+	return stats.lanes, err
+}
+
+// MemoTransitions re-times t under cfgs exactly as ReplayBatch does and
+// reports how many block transitions the pipelined walk's memo held at
+// the end: 0 when the memo gave up and the walk ran per instruction.
+func MemoTransitions(prog *Program, t *Trace, cfgs []Config) (int, error) {
+	_, stats, err := replayBatch(prog, t, cfgs)
+	return stats.transitions, err
 }
 
 // ZooProgram is one replay-zoo entry: a program and its input.
@@ -136,12 +144,116 @@ func ReplayPrograms() map[string]ZooProgram {
 	}, 23, 4)
 
 	return map[string]ZooProgram{
-		"alatLoop":  {alatLoop, nil},
-		"alatOrder": {alatOrder, nil},
-		"fib":       {fib, nil},
-		"image":     {imageProg(OpLdS), nil},
-		"spec":      {spec, nil},
+		"alatLoop":   {alatLoop, nil},
+		"alatOrder":  {alatOrder, nil},
+		"fib":        {fib, nil},
+		"image":      {imageProg(OpLdS), nil},
+		"latJoin":    {latJoinProg(), nil},
+		"manyChecks": {manyChecksProg(), nil},
+		"noRepeat":   {noRepeatProg(), []int64{10_000}},
+		"spec":       {spec, nil},
 	}
+}
+
+// noRepeatProg issues one fdiv whose result is never read, then runs
+// a loop of args[0] iterations. While the fdiv is in flight every block
+// entry sees it one iteration closer to ready, so under an FPDivLat
+// longer than the run no block entry state repeats: the memo's worst
+// case.
+func noRepeatProg() *Program {
+	return buildProg([]Instr{
+		{Op: OpMovI, Rd: 0, Imm: 0},
+		{Op: OpArg, Rd: 1, Rs: 0}, // n = args[0]
+		{Op: OpMovI, Rd: 2, Imm: 1},
+		{Op: OpMovI, Rd: 3, Imm: 3},
+		{Op: OpI2F, Rd: 4, Rs: 2},
+		{Op: OpI2F, Rd: 5, Rs: 3},
+		{Op: OpFDiv, Rd: 6, Rs: 4, Rt: 5}, // in flight, never read
+		{Op: OpMovI, Rd: 7, Imm: 0},       // i
+		{Op: OpSub, Rd: 8, Rs: 7, Rt: 1},  // 8 L: i-n
+		{Op: OpBeqz, Rs: 8, Target: 12},
+		{Op: OpAdd, Rd: 7, Rs: 7, Rt: 2}, // i++
+		{Op: OpBr, Target: 8},
+		{Op: OpRet, Rs: 7}, // 12
+	}, 9, 4)
+}
+
+// manyChecksProg runs a loop whose body is one block holding 72
+// checks, three in a row on each of 24 advanced loads from 7 addresses
+// (1 to 6 loads each), after a store that invalidates one address per
+// iteration, in a cycle of 8: a repeated check waits on the previous
+// one's reload, so the number of misses, which varies by iteration and
+// capacity, sets the block's cycles, and the block's outcomes span two
+// 64-bit words.
+func manyChecksProg() *Program {
+	code := []Instr{
+		{Op: OpMovI, Rd: 0, Imm: 0},  // i
+		{Op: OpMovI, Rd: 1, Imm: 16}, // n
+		{Op: OpMovI, Rd: 2, Imm: 1},
+		{Op: OpMovI, Rd: 3, Imm: 7},
+		{Op: OpSub, Rd: 4, Rs: 0, Rt: 1}, // 4 L: i-n
+		{Op: OpBeqz, Rs: 4},              // to the return, patched below
+		{Op: OpAnd, Rd: 5, Rs: 0, Rt: 3}, // the store's address: i & 7
+	}
+	var addrs []int
+	for a, loads := range []int{1, 2, 3, 4, 5, 6, 3} {
+		for ; loads > 0; loads-- {
+			addrs = append(addrs, a)
+		}
+	}
+	for a := 0; a < 8; a++ {
+		code = append(code, Instr{Op: OpLEA, Rd: 8 + a, Imm: int64(a)})
+	}
+	for j, a := range addrs {
+		code = append(code, Instr{Op: OpLdA, Rd: 16 + j, Rs: 8 + a})
+	}
+	code = append(code, Instr{Op: OpSt, Rd: 5, Rs: 0})
+	for j, a := range addrs {
+		for range 3 {
+			code = append(code, Instr{Op: OpLdC, Rd: 16 + j, Rs: 8 + a})
+		}
+	}
+	code = append(code,
+		Instr{Op: OpAdd, Rd: 0, Rs: 0, Rt: 2}, // i++
+		Instr{Op: OpBr, Target: 4},
+		Instr{Op: OpRet, Rs: 0},
+	)
+	code[5].Target = len(code) - 1
+	return buildProg(code, 40, 8)
+}
+
+// latJoinProg alternates two paths of equal shape back to the loop
+// head, whose first instruction reads r6: even iterations write r10 and
+// r6 with fmuls, odd ones r10 with an fdiv and r6 with an integer
+// divide, and only the exit reads r10. Under FPArithLat 2^32 and
+// IntDivLat = FPDivLat = 2^33 the loop head sees both registers'
+// distances to ready differ by exactly 2^32 between the paths, which a
+// key keeping fewer bits would confuse. Under short FPArithLat and
+// IntDivLat the even path overwrites an fdiv still in flight, which a
+// replayed block must retire before the exit reads r10.
+func latJoinProg() *Program {
+	return buildProg([]Instr{
+		{Op: OpMovI, Rd: 0, Imm: 0}, // i
+		{Op: OpMovI, Rd: 1, Imm: 7}, // n
+		{Op: OpMovI, Rd: 2, Imm: 1},
+		{Op: OpMovI, Rd: 3, Imm: 3},
+		{Op: OpI2F, Rd: 4, Rs: 2},
+		{Op: OpI2F, Rd: 5, Rs: 3},
+		{Op: OpFAdd, Rd: 9, Rs: 6, Rt: 6}, // 6 L: waits for r6
+		{Op: OpSub, Rd: 7, Rs: 0, Rt: 1},  // i-n
+		{Op: OpBeqz, Rs: 7, Target: 18},
+		{Op: OpAnd, Rd: 8, Rs: 0, Rt: 2}, // i & 1
+		{Op: OpAdd, Rd: 0, Rs: 0, Rt: 2}, // i++
+		{Op: OpBnez, Rs: 8, Target: 15},
+		{Op: OpFMul, Rd: 10, Rs: 4, Rt: 5},
+		{Op: OpFMul, Rd: 6, Rs: 4, Rt: 5},
+		{Op: OpBr, Target: 6},
+		{Op: OpFDiv, Rd: 10, Rs: 4, Rt: 5}, // 15
+		{Op: OpDiv, Rd: 6, Rs: 2, Rt: 3},
+		{Op: OpBr, Target: 6},
+		{Op: OpFAdd, Rd: 11, Rs: 10, Rt: 10}, // 18
+		{Op: OpRet, Rs: 11},
+	}, 12, 4)
 }
 
 // ImageFaultProgram is the zoo's "image" program with its final

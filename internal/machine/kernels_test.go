@@ -24,18 +24,22 @@ func buildKernel(t *testing.T, w workloads.Workload, spec repro.SpecMode) *repro
 	return b
 }
 
-// TestReplayBatchWalksDistinctClocks pins the lane collapse on the
-// paper kernels, so that a fall back to walking one lane per config
+// TestReplayBatchWalksDistinctClocks pins the lane collapse and the
+// block memo on the paper kernels, so that a fall back to walking one
+// lane per config, or to walking every block an instruction at a time,
 // fails a test and not only a benchmark. At reference input six kernels
 // give one miss stream at every capacity of the standard grid, so its
 // 12 pipelined configs walk as 3 lanes (one per latency point); equake
 // has two streams (4 | 8, 32, 128) and twolf three (4 | 8 | 32, 128).
-// Every collapsed lane must still equal its one-lane replay.
+// Each kernel's 5,383 to 105,057 block entries replay from 22 to 36
+// memoized transitions. Every collapsed lane must still equal its
+// one-lane replay.
 func TestReplayBatchWalksDistinctClocks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and records every kernel")
 	}
 	want := map[string]int{"gzip": 3, "vpr": 3, "mcf": 3, "art": 3, "ammp": 3, "bzip2": 3, "equake": 6, "twolf": 9}
+	wantTransitions := map[string]int{"gzip": 29, "vpr": 25, "mcf": 33, "art": 36, "ammp": 23, "bzip2": 22, "equake": 34, "twolf": 36}
 	grid := experiments.MachineSweepConfigs()
 	for _, w := range workloads.All() {
 		b := buildKernel(t, w, repro.SpecProfile)
@@ -49,6 +53,13 @@ func TestReplayBatchWalksDistinctClocks(t *testing.T) {
 		}
 		if lanes != want[w.Name] {
 			t.Errorf("%s: the standard grid walked %d lanes, want %d", w.Name, lanes, want[w.Name])
+		}
+		transitions, err := machine.MemoTransitions(b.Code, tr, grid)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if transitions != wantTransitions[w.Name] {
+			t.Errorf("%s: the standard grid's walk memoized %d block transitions, want %d", w.Name, transitions, wantTransitions[w.Name])
 		}
 		batch, err := machine.ReplayBatch(b.Code, tr, grid)
 		if err != nil {

@@ -1,0 +1,184 @@
+package machine
+
+import "slices"
+
+// Block memoization for the pipelined walk (DESIGN.md §13), after
+// Schnarr and Larus (ASPLOS 1998). A basic block runs from its entry pc
+// up to and including its branch, call, return or halt. Issue at
+// max(clock, ready) is clock + max(0, ready−clock), clocks only rise and
+// a fence maxes over every register, so all ready times at or before the
+// clock behave alike: given each in-flight register's distance to ready
+// and the block's check outcomes, a block's effect is a clock delta per
+// lane and a new in-flight set, stored once and replayed on a hit. The
+// memo lives for one batchWalk call and gives up, leaving the walk per
+// instruction, once a block has memoBlockStates transitions or all hold
+// memoMaxWords words: a run whose states never repeat stays bounded.
+const (
+	memoBlockStates = 64
+	memoMaxWords    = 1 << 20
+)
+
+// memoBlock is the block starting at one pc: its static counts, by
+// which a hit advances the shared cursors, and its transitions.
+type memoBlock struct {
+	n      int64 // instructions, terminator included; 0: not yet scanned, -1: no terminator
+	skip   int64 // speculative-load bits read before the terminator
+	checks int64 // check events
+	trans  []transition
+}
+
+// transition is one memoized block execution. Its key is the block's
+// check outcomes, one bit per (check, stream) packed into words, then
+// (register, per-lane ready−clock) for each register in flight at entry,
+// ascending. regs are the registers in flight at entry or exit,
+// ascending; a hit sets each to the new clock plus its exit distance (0
+// for one no longer in flight).
+type transition struct {
+	key    []int64
+	dclock []int64 // per lane
+	regs   []int
+	exit   []int64 // register-major, like the scoreboard
+}
+
+// blockMemo is one walk's memo. Each frame keeps the registers that may
+// be in flight (batchFrame.live): a register leaves the in-flight set
+// only as clocks rise and enters it only when a block writes it, so the
+// registers in flight at a block's entry or exit cover it afterwards.
+type blockMemo struct {
+	off    bool
+	blocks map[*FuncCode][]memoBlock // indexed by entry pc
+	words  int
+	count  int
+
+	// scratch for the block a miss walks
+	key    []int64
+	entry  []int // registers in flight at entry
+	clock0 []int64
+}
+
+// enter looks up the block at pc. On a hit it returns the block and the
+// transition to replay; on a miss, the block alone, its entry state
+// kept for record. It returns neither when the memo is off or the block
+// cannot be replayed whole — it has no terminator, or the trace's
+// steps, bits or checks end inside it — so that the per-instruction
+// walk raises the corrupt-trace error where it always did.
+func (m *blockMemo) enter(w *batchWalker, fr *batchFrame, pc int, steps, maxSteps int64) (*memoBlock, *transition) {
+	if m.off || uint(pc) >= uint(len(fr.blocks)) {
+		return nil, nil
+	}
+	blk := &fr.blocks[pc]
+	if blk.n == 0 {
+		blk.n, blk.skip, blk.checks = scanBlock(fr.f.Instrs[pc:])
+	}
+	if blk.n < 0 || steps+blk.n > maxSteps || w.bits.pos+blk.skip > w.bits.t.n || w.checkOrd+blk.checks > w.nChecks {
+		return nil, nil
+	}
+	key := m.key[:0]
+	var word int64
+	nb := 0
+	for ord := w.checkOrd; ord < w.checkOrd+blk.checks; ord++ {
+		for _, bits := range w.streams {
+			if bits[ord>>6]&(1<<uint(ord&63)) != 0 {
+				word |= 1 << nb
+			}
+			if nb++; nb == 64 {
+				key, word, nb = append(key, word), 0, 0
+			}
+		}
+	}
+	if nb > 0 {
+		key = append(key, word)
+	}
+	k, clocks := w.k, w.clocks
+	entry := m.entry[:0]
+	for _, r := range fr.live {
+		mark := len(key)
+		key = append(key, int64(r))
+		for i, v := range fr.ready[r*k : r*k+k][:len(clocks)] {
+			key = append(key, max(v, clocks[i])-clocks[i])
+		}
+		if slices.ContainsFunc(key[mark+1:], func(d int64) bool { return d != 0 }) {
+			entry = append(entry, r)
+		} else {
+			key = key[:mark]
+		}
+	}
+	m.key, m.entry = key, entry
+	for j := range blk.trans {
+		if t := &blk.trans[j]; slices.Equal(t.key, key) {
+			return blk, t
+		}
+	}
+	copy(m.clock0, clocks)
+	return blk, nil
+}
+
+// apply replays a hit: every lane's clock advances by its delta, and the
+// registers in flight take their exit ready times.
+func (t *transition) apply(w *batchWalker, fr *batchFrame) {
+	k, clocks := w.k, w.clocks
+	for i, d := range t.dclock {
+		clocks[i] += d
+	}
+	for j, r := range t.regs {
+		lanes, exit := fr.ready[r*k : r*k+k][:len(clocks)], t.exit[j*k : j*k+k][:len(clocks)]
+		for i, c := range clocks {
+			lanes[i] = c + exit[i]
+		}
+	}
+	fr.live = t.regs
+}
+
+// record stores the transition the per-instruction walk just made
+// through blk from the state enter saw, or turns the memo off when that
+// would pass a bound.
+func (m *blockMemo) record(w *batchWalker, fr *batchFrame, blk *memoBlock) {
+	k, clocks := w.k, w.clocks
+	var regs []int
+	entry := m.entry
+	for r := 0; r < len(fr.ready)/k; r++ {
+		inFlight := len(entry) > 0 && entry[0] == r
+		if inFlight {
+			entry = entry[1:]
+		}
+		for i, v := range fr.ready[r*k : r*k+k][:len(clocks)] {
+			inFlight = inFlight || v > clocks[i]
+		}
+		if inFlight {
+			regs = append(regs, r)
+		}
+	}
+	fr.live = regs
+	size := len(m.key) + k + len(regs)*(k+1)
+	if len(blk.trans) >= memoBlockStates || m.words+size > memoMaxWords {
+		m.off, m.blocks = true, nil
+		return
+	}
+	t := transition{key: slices.Clone(m.key), dclock: make([]int64, k), regs: regs, exit: make([]int64, len(regs)*k)}
+	for i, c := range clocks {
+		t.dclock[i] = c - m.clock0[i]
+		for j, r := range regs {
+			t.exit[j*k+i] = max(fr.ready[r*k+i], c) - c
+		}
+	}
+	blk.trans = append(blk.trans, t)
+	m.words += size
+	m.count++
+}
+
+// scanBlock measures the block that starts at code[0]: its length (-1
+// when it has no terminator) and the speculative loads and checks before
+// its terminator.
+func scanBlock(code []Instr) (n, skip, checks int64) {
+	for j := range code {
+		switch code[j].Op {
+		case OpLdC, OpLdFC:
+			checks++
+		case OpLdS, OpLdFS, OpLdSA, OpLdFSA:
+			skip++
+		case OpBr, OpBeqz, OpBnez, OpCall, OpRet, OpHalt:
+			return int64(j + 1), skip, checks
+		}
+	}
+	return -1, skip, checks
+}

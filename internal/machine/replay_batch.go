@@ -29,16 +29,21 @@ func ReplayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, error) {
 	return results, err
 }
 
-// replayBatch is ReplayBatch that also reports how many scoreboard lanes
-// the pipelined walk advanced.
-func replayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, int, error) {
+// walkStats reports how a batch's pipelined walk ran: the scoreboard
+// lanes it advanced and the block transitions its memo held at the end
+// (0 when the memo gave up).
+type walkStats struct{ lanes, transitions int }
+
+// replayBatch is ReplayBatch that also reports how its pipelined walk
+// ran.
+func replayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, walkStats, error) {
 	results := make([]*Result, len(cfgs))
 	var piped []Config // normalized pipelined configs, in input order
 	var pipedIdx []int
 	for i, cfg := range cfgs {
 		cfg = cfg.withDefaults()
 		if err := t.fits(cfg); err != nil {
-			return nil, 0, err
+			return nil, walkStats{}, err
 		}
 		results[i] = &Result{Ret: t.Ret, Output: t.Output, Counters: replaySerial(t, cfg), PerFunc: t.perFuncAt(cfg.ALATSize)}
 		if cfg.Pipelined {
@@ -47,17 +52,21 @@ func replayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, int, error)
 		}
 	}
 	if len(piped) == 0 {
-		return results, 0, nil
+		return results, walkStats{}, nil
 	}
 	plan := planLanes(t, piped)
-	clocks, err := batchWalk(prog, t, plan)
+	w, err := batchWalk(prog, t, plan)
 	if err != nil {
-		return nil, 0, err
+		return nil, walkStats{}, err
 	}
 	for j, i := range pipedIdx {
-		results[i].Counters.Cycles = clocks[plan.laneOf[j]]
+		results[i].Counters.Cycles = w.clocks[plan.laneOf[j]]
 	}
-	return results, len(plan.lanes), nil
+	stats := walkStats{lanes: len(plan.lanes)}
+	if !w.memo.off {
+		stats.transitions = w.memo.count
+	}
+	return results, stats, nil
 }
 
 // lanePlan is the set of distinct scoreboard lanes one pipelined batch
@@ -130,6 +139,9 @@ type batchFrame struct {
 	f     *FuncCode
 	pc    int
 	ready []int64
+
+	blocks []memoBlock // the memo's blocks of f; nil once it is off
+	live   []int       // registers that may be in flight, ascending
 }
 
 // Latency classes: indexes of the walker's per-lane latency tables.
@@ -174,14 +186,17 @@ type batchWalker struct {
 
 	frames   []batchFrame
 	maxDepth int // the recorded run's deepest nesting
+
+	memo blockMemo
 }
 
 // batchWalk runs the shared pipelined walk over plan's lanes and returns
-// the final per-lane clocks. The walk retires exactly t.Steps
-// instructions within t.MaxDepth nested calls on a well-formed trace;
-// any other count is a corrupt trace, which this check turns into an
-// error instead of a silently wrong result (and which bounds the walk).
-func batchWalk(prog *Program, t *Trace, plan *lanePlan) ([]int64, error) {
+// the finished walker, holding the final per-lane clocks. The walk
+// retires exactly t.Steps instructions within t.MaxDepth nested calls
+// on a well-formed trace; any other count is a corrupt trace, which
+// this check turns into an error instead of a silently wrong result
+// (and which bounds the walk).
+func batchWalk(prog *Program, t *Trace, plan *lanePlan) (*batchWalker, error) {
 	k := len(plan.lanes)
 	w := &batchWalker{
 		prog:     prog,
@@ -197,6 +212,7 @@ func batchWalk(prog *Program, t *Trace, plan *lanePlan) ([]int64, error) {
 		clocks:   make([]int64, k),
 		issue:    make([]int64, k),
 		maxDepth: t.MaxDepth,
+		memo:     blockMemo{blocks: map[*FuncCode][]memoBlock{}, clock0: make([]int64, k)},
 	}
 	for c := range w.lat {
 		w.lat[c] = make([]int64, k)
@@ -233,7 +249,7 @@ func batchWalk(prog *Program, t *Trace, plan *lanePlan) ([]int64, error) {
 	if steps != t.Steps {
 		return nil, corruptTrace("replay retired %d steps, trace records %d", steps, t.Steps)
 	}
-	return w.clocks, nil
+	return w, nil
 }
 
 // push enters an activation in every lane at once: each lane charges
@@ -251,6 +267,12 @@ func (w *batchWalker) push(f *FuncCode) error {
 	fr.ready = make([]int64, f.NumRegs*k)
 	for r := 0; r < f.NumRegs; r++ {
 		copy(fr.ready[r*k:(r+1)*k], w.clocks)
+	}
+	if !w.memo.off {
+		if fr.blocks = w.memo.blocks[f]; fr.blocks == nil {
+			fr.blocks = make([]memoBlock, len(f.Instrs))
+			w.memo.blocks[f] = fr.blocks
+		}
 	}
 	w.frames = append(w.frames, fr)
 	return nil
@@ -388,16 +410,14 @@ func (w *batchWalker) nextCheck() error {
 	return nil
 }
 
-// walk is the shared instruction walk: one opcode dispatch, one
-// branch-bit/ALAT-event consumption, then per-lane inner loops that
-// advance each lane's clock and scoreboard. The dominant shapes
-// (two-source ALU ops, one-source moves and conversions, plain and
-// advanced loads) retire in one fused pass over the lanes; every other
-// instruction takes the general path — issueAt, then a retirement pass.
-// It follows the functional engine's control flow through the recorded
-// branch bits and returns the number of instructions it retired,
-// stopping with an error past maxSteps. The differential tests pin it
-// against the test-only oracle (internal/machine/oracle).
+// walk is the shared instruction walk. It follows the functional
+// engine's control flow through the recorded branch bits, one basic
+// block at a time: a block the memo has seen from the same state
+// replays in one step (memo.go), any other is walked an instruction at
+// a time (stepBlock) and recorded. It returns the number of
+// instructions it retired, stopping with an error past maxSteps. The
+// differential tests pin it against the test-only oracle
+// (internal/machine/oracle).
 //
 // The pipelined model: one instruction issues per cycle, once its
 // source registers are ready; its result is ready lat cycles after
@@ -407,19 +427,100 @@ func (w *batchWalker) nextCheck() error {
 func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 	k := w.k
 	clocks := w.clocks
-	issue := w.issue
 	// the current activation, cached in locals; written back to its
 	// frame on a call and reloaded on a return
 	fr := &w.frames[len(w.frames)-1]
 	f, ready, pc := fr.f, fr.ready, fr.pc
 	var steps int64
 	for {
+		if blk, t := w.memo.enter(w, fr, pc, steps, maxSteps); t != nil {
+			steps += blk.n
+			w.bits.pos += blk.skip
+			w.checkOrd += blk.checks
+			t.apply(w, fr)
+			pc += int(blk.n) - 1
+		} else {
+			var err error
+			if pc, steps, err = w.stepBlock(f, ready, pc, steps, maxSteps); err != nil {
+				return 0, err
+			}
+			if blk != nil {
+				w.memo.record(w, fr, blk)
+			}
+		}
+		// the terminator's control transfer; its issue slot is taken
+		switch ins := &f.Instrs[pc]; ins.Op {
+		case OpBr, OpBeqz, OpBnez:
+			var err error
+			if pc, err = w.branch(ins, pc); err != nil {
+				return 0, err
+			}
+
+		case OpCall:
+			callee, ok := w.prog.Funcs[ins.Fn]
+			if !ok {
+				return 0, fmt.Errorf("machine: call to unknown function %q", ins.Fn)
+			}
+			fr.pc = pc + 1 // resume point after the callee returns
+			if err := w.push(callee); err != nil {
+				return 0, err
+			}
+			fr = &w.frames[len(w.frames)-1]
+			f, ready, pc = fr.f, fr.ready, fr.pc
+
+		default: // OpRet, OpHalt
+			w.frames = w.frames[:len(w.frames)-1]
+			if len(w.frames) == 0 {
+				return steps, nil
+			}
+			fr = &w.frames[len(w.frames)-1]
+			f, ready, pc = fr.f, fr.ready, fr.pc
+			// pc was advanced past the caller's call instruction
+			callIns := &f.Instrs[pc-1]
+			if callIns.Rd >= 0 {
+				copy(ready[callIns.Rd*k:(callIns.Rd+1)*k], clocks)
+			}
+		}
+	}
+}
+
+// branch returns the pc the branch ins at pc transfers to, reading a
+// conditional branch's recorded direction.
+func (w *batchWalker) branch(ins *Instr, pc int) (int, error) {
+	if ins.Op == OpBr {
+		return ins.Target, nil
+	}
+	taken, err := w.nextBit()
+	if err != nil {
+		return 0, err
+	}
+	if taken {
+		return ins.Target, nil
+	}
+	return pc + 1, nil
+}
+
+// stepBlock walks the block at pc one instruction at a time: one opcode
+// dispatch, one branch-bit/ALAT-event consumption, then per-lane inner
+// loops that advance each lane's clock and scoreboard. The dominant
+// shapes (two-source ALU ops, one-source moves and conversions, plain
+// and advanced loads) retire in one fused pass over the lanes; every
+// other instruction takes the general path — issueAt, then a retirement
+// pass. It stops at the block's terminator once the terminator has
+// issued, returning its pc; the caller transfers control. Once the memo
+// is off it follows branches itself and stops only at calls, returns
+// and halts.
+func (w *batchWalker) stepBlock(f *FuncCode, ready []int64, pc int, steps, maxSteps int64) (int, int64, error) {
+	k := w.k
+	clocks := w.clocks
+	issue := w.issue
+	for {
 		steps++
 		if steps > maxSteps {
-			return 0, corruptTrace("replay exceeds the recorded %d steps", maxSteps)
+			return 0, 0, corruptTrace("replay exceeds the recorded %d steps", maxSteps)
 		}
 		if pc < 0 || pc >= len(f.Instrs) {
-			return 0, fmt.Errorf("machine: pc out of range in %s", f.Name)
+			return 0, 0, fmt.Errorf("machine: pc out of range in %s", f.Name)
 		}
 		ins := &f.Instrs[pc]
 		var fo fusedOp
@@ -465,7 +566,7 @@ func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 
 		case OpLdC, OpLdFC:
 			if err := w.nextCheck(); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			miss := w.checkMiss[0]
 			if ins.Op == OpLdFC {
@@ -485,7 +586,7 @@ func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 			// bit cursor aligned with branch directions; the ALAT insert
 			// it gates lives in the memoized event walk
 			if _, err := w.nextBit(); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			if ins.Op == OpLdFS || ins.Op == OpLdFSA {
 				lats = w.lat[latFPLoad]
@@ -496,60 +597,20 @@ func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 		case OpSt, OpStF:
 			lats = w.lat[latStore]
 
-		case OpBr:
+		case OpHalt:
+			return pc, steps, nil
+
+		case OpBr, OpBeqz, OpBnez, OpCall, OpRet:
 			for i := 0; i < k; i++ {
 				clocks[i] = issue[i] + 1
 			}
-			pc = ins.Target
-			continue
-
-		case OpBeqz, OpBnez:
-			taken, err := w.nextBit()
-			if err != nil {
-				return 0, err
+			if !w.memo.off || ins.Op == OpCall || ins.Op == OpRet {
+				return pc, steps, nil
 			}
-			for i := 0; i < k; i++ {
-				clocks[i] = issue[i] + 1
-			}
-			if taken {
-				pc = ins.Target
-			} else {
-				pc++
-			}
-			continue
-
-		case OpCall:
-			callee, ok := w.prog.Funcs[ins.Fn]
-			if !ok {
-				return 0, fmt.Errorf("machine: call to unknown function %q", ins.Fn)
-			}
-			for i := 0; i < k; i++ {
-				clocks[i] = issue[i] + 1
-			}
-			fr.pc = pc + 1 // resume point after the callee returns
-			if err := w.push(callee); err != nil {
-				return 0, err
-			}
-			fr = &w.frames[len(w.frames)-1]
-			f, ready, pc = fr.f, fr.ready, fr.pc
-			continue
-
-		case OpRet, OpHalt:
-			if ins.Op == OpRet {
-				for i := 0; i < k; i++ {
-					clocks[i] = issue[i] + 1
-				}
-			}
-			w.frames = w.frames[:len(w.frames)-1]
-			if len(w.frames) == 0 {
-				return steps, nil
-			}
-			fr = &w.frames[len(w.frames)-1]
-			f, ready, pc = fr.f, fr.ready, fr.pc
-			// pc was advanced past the caller's call instruction
-			callIns := &f.Instrs[pc-1]
-			if callIns.Rd >= 0 {
-				copy(ready[callIns.Rd*k:(callIns.Rd+1)*k], clocks)
+			// with the memo off no block boundary matters: branch here
+			var err error
+			if pc, err = w.branch(ins, pc); err != nil {
+				return 0, 0, err
 			}
 			continue
 		}

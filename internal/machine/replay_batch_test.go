@@ -128,9 +128,12 @@ func TestReplayBatchFaultParity(t *testing.T) {
 // fuzzGrid decodes fuzz bytes into a grid of 1 to 16 machine configs.
 // The first byte sets the lane count; each lane then reads an opcode
 // byte choosing how the lane is made: fresh (13 bytes: ALATSize 1–64,
-// the eleven timing fields from {Free, default, 1–12} and Pipelined),
-// a duplicate of an earlier lane, or an earlier lane with one field
-// changed. Bytes past the end read as zero, so every input decodes.
+// the eleven timing fields and Pipelined), a duplicate of an earlier
+// lane, or an earlier lane with one field changed. A timing byte below
+// 224 picks from {Free, default, 1–12}; one from 224 up picks a latency
+// of 2^32 to 2^37 cycles, so no part of the walk may keep a latency or
+// a ready-time distance in fewer bits. Bytes past the end read as zero,
+// so every input decodes.
 func fuzzGrid(data []byte) []machine.Config {
 	next := func() int {
 		if len(data) == 0 {
@@ -152,6 +155,9 @@ func fuzzGrid(data []byte) []machine.Config {
 			c.Pipelined = b&1 == 1
 		default:
 			*timing[f] = b%14 - 1 // -1 is Free, 0 the default
+			if b >= 224 {
+				*timing[f] = (b - 223) << 32
+			}
 		}
 	}
 	cfgs := make([]machine.Config, 1+next()%16)

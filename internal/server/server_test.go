@@ -735,12 +735,31 @@ func TestSweepHugeALAT(t *testing.T) {
 // TestSweepCancellation is the acceptance criterion in service form:
 // POST /sweep with a client that disconnects mid-flight must observe the
 // cancellation promptly (the handler returns; the slot frees) rather
-// than timing the whole grid.
+// than timing the whole grid. A warm sweep finishes in about a
+// millisecond, so the test serves the sweep through a route that holds
+// it in its worker slot until the client has gone: the disconnect falls
+// mid-flight by construction, not by a race against the sweep.
 func TestSweepCancellation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a workload")
 	}
 	s := newTestServer(t, Config{Workers: 1})
+	held := make(chan struct{})
+	swept := make(chan error, 1)
+	s.mux.HandleFunc("POST /held-sweep", s.job("sweep", func(ctx context.Context, r *http.Request) (any, error) {
+		// read the body while the client is still there, then wait for
+		// it to leave
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return nil, err
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		close(held)
+		<-ctx.Done()
+		res, err := s.handleSweep(ctx, r)
+		swept <- err
+		return res, err
+	}))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -749,7 +768,7 @@ func TestSweepCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/sweep", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/held-sweep", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -761,7 +780,11 @@ func TestSweepCancellation(t *testing.T) {
 		}
 		done <- err
 	}()
-	waitFor(t, func() bool { return s.metrics.inflight.Load() == 1 })
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sweep never took its worker slot")
+	}
 	cancel()
 	select {
 	case err := <-done:
@@ -770,6 +793,15 @@ func TestSweepCancellation(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled sweep did not return promptly")
+	}
+	// the sweep itself must see the cancellation, not time the grid
+	select {
+	case err := <-swept:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("sweep err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sweep did not observe the cancellation")
 	}
 	// the worker slot must come back so the next job runs
 	waitFor(t, func() bool { return s.metrics.inflight.Load() == 0 })
