@@ -32,11 +32,18 @@ func sweepTarget(b *testing.B) (*machine.Program, []int64) {
 	if !ok {
 		b.Fatal("equake not registered")
 	}
+	return compileKernel(b, w), w.RefArgs
+}
+
+// compileKernel compiles one paper kernel profile-guided, trained on its
+// profiling input.
+func compileKernel(b *testing.B, w workloads.Workload) *machine.Program {
+	b.Helper()
 	c, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return c.Code, w.RefArgs
+	return c.Code
 }
 
 // BenchmarkMachineSweep times one sweep grid per leg, as one
@@ -44,11 +51,12 @@ func sweepTarget(b *testing.B) (*machine.Program, []int64) {
 // pays, K records and K one-lane replays) and as one Record plus one
 // ReplayBatch ("replay"), and emits BENCH_machine.json with the
 // per-sweep costs and speedups, plus record_ns, the cost of one equake
-// Record at the reference input, and walk_ns, one warm ReplayBatch of
-// the grid's pipelined half on a recorded trace: the pipelined walk
-// alone. Two grids are measured: "serial" is the 12-config serial-model
-// grid — the RunSensitivityCtx shape, where replay takes the O(events)
-// aggregate path — and "mixed" is the full 24-config
+// Record at the reference input, walk_ns, one warm ReplayBatch of the
+// grid's pipelined half on a recorded trace: the pipelined walk alone,
+// and walk_all_ns, the same walk on every paper kernel at its reference
+// input, summed. Two grids are measured: "serial" is the 12-config
+// serial-model grid — the RunSensitivityCtx shape, where replay takes
+// the O(events) aggregate path — and "mixed" is the full 24-config
 // MachineSweepConfigs grid whose pipelined half needs the scoreboard
 // walk. Each iteration runs every leg once per pass, over
 // machineSweepPasses interleaved passes, and every figure written is
@@ -73,6 +81,22 @@ func BenchmarkMachineSweep(b *testing.B) {
 	}
 	if _, err := machine.ReplayBatch(code, warm, piped); err != nil {
 		b.Fatal(err)
+	}
+	type kernelTrace struct {
+		code  *machine.Program
+		trace *machine.Trace
+	}
+	var kernels []kernelTrace
+	for _, w := range workloads.All() {
+		kc := compileKernel(b, w)
+		tr, err := machine.Record(kc, w.RefArgs, machine.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := machine.ReplayBatch(kc, tr, piped); err != nil {
+			b.Fatal(err)
+		}
+		kernels = append(kernels, kernelTrace{kc, tr})
 	}
 
 	direct := func(cfgs []machine.Config) func() error {
@@ -123,6 +147,14 @@ func BenchmarkMachineSweep(b *testing.B) {
 			_, err := machine.ReplayBatch(code, warm, piped)
 			return err
 		}},
+		{"walk_all", 1, func() error {
+			for _, kt := range kernels {
+				if _, err := machine.ReplayBatch(kt.code, kt.trace, piped); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
 	}
 	var ns map[string][]float64 // leg -> one sample per pass
 	for i := 0; i < b.N; i++ {
@@ -139,11 +171,12 @@ func BenchmarkMachineSweep(b *testing.B) {
 	}
 
 	out := map[string]any{
-		"benchmark": "MachineSweep",
-		"workload":  "equake",
-		"passes":    machineSweepPasses,
-		"record_ns": median(ns["record"]),
-		"walk_ns":   median(ns["walk"]),
+		"benchmark":   "MachineSweep",
+		"workload":    "equake",
+		"passes":      machineSweepPasses,
+		"record_ns":   median(ns["record"]),
+		"walk_ns":     median(ns["walk"]),
+		"walk_all_ns": median(ns["walk_all"]),
 	}
 	speedups := map[string]float64{}
 	for _, grid := range []struct {
@@ -169,6 +202,7 @@ func BenchmarkMachineSweep(b *testing.B) {
 	b.ReportMetric(speedups["serial"], "serial_sweep_speedup")
 	b.ReportMetric(speedups["mixed"], "mixed_sweep_speedup")
 	b.ReportMetric(median(ns["walk"]), "walk_ns")
+	b.ReportMetric(median(ns["walk_all"]), "walk_all_ns")
 	out["speedup"] = speedups["serial"]
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

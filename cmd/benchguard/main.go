@@ -12,7 +12,8 @@
 //     of one Record, must therefore not RISE by more than the margin,
 //     and neither may walk_ns, one warm ReplayBatch of the grid's
 //     pipelined half (the scoreboard walk alone, which the replay leg
-//     dilutes with a Record);
+//     dilutes with a Record), or walk_all_ns, the same walk summed over
+//     every paper kernel;
 //   - BENCH_compile.json: the compile path's allocs_per_compile and
 //     ns_per_compile must not RISE by more than the margin.
 //
@@ -55,7 +56,7 @@ func main() {
 	machineFresh := flag.String("fresh", "BENCH_machine.json", "freshly generated BENCH_machine.json")
 	gates := []gate{
 		{baseline: machineBase, fresh: machineFresh, load: loadSpeedups, higherIsBetter: true},
-		{baseline: machineBase, fresh: machineFresh, load: loadScalars("record_ns", "walk_ns")},
+		{baseline: machineBase, fresh: machineFresh, load: loadScalars("record_ns", "walk_ns", "walk_all_ns")},
 		{
 			baseline: flag.String("compile-baseline", "", "committed BENCH_compile.json to compare against (empty = skip the compile guard)"),
 			fresh:    flag.String("compile-fresh", "BENCH_compile.json", "freshly generated BENCH_compile.json"),
@@ -161,8 +162,8 @@ func loadSpeedups(path string) (map[string]float64, error) {
 
 // loadScalars returns a loader for the named top-level numeric fields
 // of a benchmark file (e.g. BENCH_compile.json's allocs_per_compile and
-// ns_per_compile, or BENCH_machine.json's record_ns and walk_ns). Every
-// key must be present and positive.
+// ns_per_compile, or BENCH_machine.json's record_ns, walk_ns and
+// walk_all_ns). Every key must be present and positive.
 func loadScalars(keys ...string) func(path string) (map[string]float64, error) {
 	return func(path string) (map[string]float64, error) {
 		data, err := os.ReadFile(path)

@@ -188,3 +188,25 @@ func TestMemoBounded(t *testing.T) {
 		t.Errorf("ReplayBatch(noRepeat) allocates %d bytes at 10^5 iterations, %d at 10^4", large, small)
 	}
 }
+
+// TestCallScoreboardsReused guards the walk's per-depth scoreboards: a
+// pipelined re-timing must allocate as much for a run making ten times
+// as many calls, instead of one scoreboard per dynamic call.
+func TestCallScoreboardsReused(t *testing.T) {
+	prog := chainExitProg()
+	cfgs := []Config{{Pipelined: true}, {FPDivLat: 3, Pipelined: true}}
+	at := func(iters int64) float64 {
+		tr, err := Record(prog, []int64{iters}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ReplayBatch(prog, tr, cfgs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := at(100), at(1000); many != few {
+		t.Errorf("ReplayBatch(chainExit) makes %v allocations at 1000 iterations, %v at 100", many, few)
+	}
+}

@@ -20,6 +20,15 @@ func MemoTransitions(prog *Program, t *Trace, cfgs []Config) (int, error) {
 	return stats.transitions, err
 }
 
+// KeyedLookups re-times t under cfgs exactly as ReplayBatch does and
+// reports how many block entries the pipelined walk resolved by a keyed
+// memo lookup rather than by following a link from the transition
+// before: 0 when the memo gave up.
+func KeyedLookups(prog *Program, t *Trace, cfgs []Config) (int, error) {
+	_, stats, err := replayBatch(prog, t, cfgs)
+	return stats.keyed, err
+}
+
 // ZooProgram is one replay-zoo entry: a program and its input.
 type ZooProgram struct {
 	Prog *Program
@@ -146,12 +155,65 @@ func ReplayPrograms() map[string]ZooProgram {
 	return map[string]ZooProgram{
 		"alatLoop":   {alatLoop, nil},
 		"alatOrder":  {alatOrder, nil},
+		"chainExit":  {chainExitProg(), []int64{12}},
 		"fib":        {fib, nil},
 		"image":      {imageProg(OpLdS), nil},
 		"latJoin":    {latJoinProg(), nil},
 		"manyChecks": {manyChecksProg(), nil},
 		"noRepeat":   {noRepeatProg(), []int64{10_000}},
 		"spec":       {spec, nil},
+	}
+}
+
+// chainExitProg runs args[0] iterations of a loop that starts an fdiv
+// and an FP load, then calls a function: after the return a chain of
+// linked blocks starts with both still in flight. Its first block waits
+// for the load, its second overwrites the fdiv's register with a
+// 1-cycle op, and from the second iteration on the chain leaves, by an
+// edge not linked yet and then by a link, for a block whose call reads
+// that register, as does the block after the call. Only a scoreboard
+// settled before each call, from the chain's start, keeps the load's
+// ready time and retires the fdiv there.
+func chainExitProg() *Program {
+	return &Program{
+		Funcs: map[string]*FuncCode{
+			"main": {Name: "main", NumRegs: 14, Instrs: []Instr{
+				{Op: OpMovI, Rd: 0, Imm: 0}, // i
+				{Op: OpArg, Rd: 1, Rs: 0},   // n = args[0]
+				{Op: OpMovI, Rd: 2, Imm: 1},
+				{Op: OpMovI, Rd: 3, Imm: 3},
+				{Op: OpI2F, Rd: 4, Rs: 2},
+				{Op: OpI2F, Rd: 5, Rs: 3},
+				{Op: OpLEA, Rd: 13, Imm: 1},
+				{Op: OpSub, Rd: 7, Rs: 0, Rt: 1}, // 7 L: i-n
+				{Op: OpBeqz, Rs: 7, Target: 23},
+				{Op: OpFDiv, Rd: 6, Rs: 4, Rt: 5}, // in flight across the call
+				{Op: OpLdF, Rd: 11, Rs: 13},       // read after it
+				{Op: OpCall, Rd: 9, Fn: "nop"},    // a chain starts after it
+				{Op: OpAdd, Rd: 0, Rs: 0, Rt: 2},  // i++
+				{Op: OpAdd, Rd: 7, Rs: 11, Rt: 2}, // waits for the load
+				{Op: OpBr, Target: 15},
+				{Op: OpMovI, Rd: 6, Imm: 7}, // 15: overwrites the fdiv
+				{Op: OpBr, Target: 17},
+				{Op: OpShr, Rd: 8, Rs: 0, Rt: 2}, // 17: i >> 1
+				{Op: OpBnez, Rs: 8, Target: 20},  // from i = 2 on
+				{Op: OpBr, Target: 7},
+				{Op: OpCall, Rd: 10, Fn: "use", ArgRegs: []int{6}}, // 20
+				{Op: OpAdd, Rd: 12, Rs: 6, Rt: 10},
+				{Op: OpBr, Target: 7},
+				{Op: OpRet, Rs: 0}, // 23
+			}},
+			"nop": {Name: "nop", NumRegs: 1, Instrs: []Instr{
+				{Op: OpMovI, Rd: 0, Imm: 0},
+				{Op: OpRet, Rs: 0},
+			}},
+			"use": {Name: "use", NumRegs: 2, NumParams: 1, Instrs: []Instr{
+				{Op: OpAdd, Rd: 1, Rs: 0, Rt: 0},
+				{Op: OpRet, Rs: 1},
+			}},
+		},
+		GlobSize:   4,
+		GlobalInit: map[int]uint64{},
 	}
 }
 

@@ -32,14 +32,18 @@ func buildKernel(t *testing.T, w workloads.Workload, spec repro.SpecMode) *repro
 // 12 pipelined configs walk as 3 lanes (one per latency point); equake
 // has two streams (4 | 8, 32, 128) and twolf three (4 | 8 | 32, 128).
 // Each kernel's 5,383 to 105,057 block entries replay from 22 to 36
-// memoized transitions. Every collapsed lane must still equal its
-// one-lane replay.
+// memoized transitions, and all but 11 to 1,029 of them are reached by
+// following a link from the transition before, not by a keyed lookup.
+// Every collapsed lane must still equal its one-lane replay.
 func TestReplayBatchWalksDistinctClocks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and records every kernel")
 	}
 	want := map[string]int{"gzip": 3, "vpr": 3, "mcf": 3, "art": 3, "ammp": 3, "bzip2": 3, "equake": 6, "twolf": 9}
 	wantTransitions := map[string]int{"gzip": 29, "vpr": 25, "mcf": 33, "art": 36, "ammp": 23, "bzip2": 22, "equake": 34, "twolf": 36}
+	// every other block entry follows a link; gzip's keyed lookups are
+	// nearly all at its 516 calls' entries and returns
+	wantKeyed := map[string]int{"gzip": 1029, "vpr": 26, "mcf": 26, "art": 18, "ammp": 11, "bzip2": 21, "equake": 22, "twolf": 44}
 	grid := experiments.MachineSweepConfigs()
 	for _, w := range workloads.All() {
 		b := buildKernel(t, w, repro.SpecProfile)
@@ -60,6 +64,13 @@ func TestReplayBatchWalksDistinctClocks(t *testing.T) {
 		}
 		if transitions != wantTransitions[w.Name] {
 			t.Errorf("%s: the standard grid's walk memoized %d block transitions, want %d", w.Name, transitions, wantTransitions[w.Name])
+		}
+		keyed, err := machine.KeyedLookups(b.Code, tr, grid)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if keyed != wantKeyed[w.Name] {
+			t.Errorf("%s: the standard grid's walk resolved %d block entries by a keyed lookup, want %d", w.Name, keyed, wantKeyed[w.Name])
 		}
 		batch, err := machine.ReplayBatch(b.Code, tr, grid)
 		if err != nil {

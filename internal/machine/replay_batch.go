@@ -30,9 +30,10 @@ func ReplayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, error) {
 }
 
 // walkStats reports how a batch's pipelined walk ran: the scoreboard
-// lanes it advanced and the block transitions its memo held at the end
-// (0 when the memo gave up).
-type walkStats struct{ lanes, transitions int }
+// lanes it advanced, the block transitions its memo held at the end and
+// the block entries it resolved by a keyed lookup rather than a link
+// (both 0 when the memo gave up).
+type walkStats struct{ lanes, transitions, keyed int }
 
 // replayBatch is ReplayBatch that also reports how its pipelined walk
 // ran.
@@ -64,7 +65,7 @@ func replayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, walkStats, 
 	}
 	stats := walkStats{lanes: len(plan.lanes)}
 	if !w.memo.off {
-		stats.transitions = w.memo.count
+		stats.transitions, stats.keyed = w.memo.count, w.memo.keyed
 	}
 	return results, stats, nil
 }
@@ -180,22 +181,25 @@ type batchWalker struct {
 	hit      []bool // scratch: per-stream outcome of one check
 	checkOrd int64  // ordinal of the next check event
 	nChecks  int64  // total recorded check events
+	nBits    int64  // total recorded branch and speculative-load bits
 
 	clocks []int64 // per-lane pipeline clock
 	issue  []int64 // scratch: per-lane issue time of the current instruction
 
 	frames   []batchFrame
-	maxDepth int // the recorded run's deepest nesting
+	boards   [][]int64 // one scoreboard per call depth, reused across calls
+	maxDepth int       // the recorded run's deepest nesting
 
 	memo blockMemo
 }
 
 // batchWalk runs the shared pipelined walk over plan's lanes and returns
 // the finished walker, holding the final per-lane clocks. The walk
-// retires exactly t.Steps instructions within t.MaxDepth nested calls
-// on a well-formed trace; any other count is a corrupt trace, which
-// this check turns into an error instead of a silently wrong result
-// (and which bounds the walk).
+// retires exactly t.Steps instructions within t.MaxDepth nested calls,
+// reading every recorded branch bit and check event, on a well-formed
+// trace; any other count is a corrupt trace, which these checks turn
+// into an error instead of a silently wrong result (and which bounds
+// the walk).
 func batchWalk(prog *Program, t *Trace, plan *lanePlan) (*batchWalker, error) {
 	k := len(plan.lanes)
 	w := &batchWalker{
@@ -209,6 +213,7 @@ func batchWalk(prog *Program, t *Trace, plan *lanePlan) (*batchWalker, error) {
 		stream:   plan.stream,
 		hit:      make([]bool, len(plan.streams)),
 		nChecks:  t.counts[cCheckInt] + t.counts[cCheckFP],
+		nBits:    t.bits.n,
 		clocks:   make([]int64, k),
 		issue:    make([]int64, k),
 		maxDepth: t.MaxDepth,
@@ -249,14 +254,18 @@ func batchWalk(prog *Program, t *Trace, plan *lanePlan) (*batchWalker, error) {
 	if steps != t.Steps {
 		return nil, corruptTrace("replay retired %d steps, trace records %d", steps, t.Steps)
 	}
+	if w.bits.pos != w.nBits || w.checkOrd != w.nChecks {
+		return nil, corruptTrace("replay read %d branch bits and %d checks, trace records %d and %d", w.bits.pos, w.checkOrd, w.nBits, w.nChecks)
+	}
 	return w, nil
 }
 
 // push enters an activation in every lane at once: each lane charges
 // its own call overhead and initializes its scoreboard lanes to its own
-// clock.
+// clock, in the scoreboard kept for the new depth.
 func (w *batchWalker) push(f *FuncCode) error {
-	if len(w.frames) >= w.maxDepth {
+	depth := len(w.frames)
+	if depth >= w.maxDepth {
 		return corruptTrace("replay exceeds the recorded call depth %d", w.maxDepth)
 	}
 	fr := batchFrame{f: f}
@@ -264,7 +273,13 @@ func (w *batchWalker) push(f *FuncCode) error {
 	for i := 0; i < k; i++ {
 		w.clocks[i] += w.callOv[i]
 	}
-	fr.ready = make([]int64, f.NumRegs*k)
+	if depth == len(w.boards) {
+		w.boards = append(w.boards, nil)
+	}
+	if cap(w.boards[depth]) < f.NumRegs*k {
+		w.boards[depth] = make([]int64, f.NumRegs*k)
+	}
+	fr.ready = w.boards[depth][:f.NumRegs*k]
 	for r := 0; r < f.NumRegs; r++ {
 		copy(fr.ready[r*k:(r+1)*k], w.clocks)
 	}
@@ -385,10 +400,10 @@ func (w *batchWalker) issueAt(ins *Instr, ready []int64) {
 	}
 }
 
-func (w *batchWalker) nextBit() (bool, error) {
+func (w *batchWalker) nextBit() (int, error) {
 	bit, ok := w.bits.next()
 	if !ok {
-		return false, errTraceUnderrun
+		return 0, errTraceUnderrun
 	}
 	return bit, nil
 }
@@ -414,10 +429,13 @@ func (w *batchWalker) nextCheck() error {
 // engine's control flow through the recorded branch bits, one basic
 // block at a time: a block the memo has seen from the same state
 // replays in one step (memo.go), any other is walked an instruction at
-// a time (stepBlock) and recorded. It returns the number of
-// instructions it retired, stopping with an error past maxSteps. The
-// differential tests pin it against the test-only oracle
-// (internal/machine/oracle).
+// a time (stepBlock) and recorded. A replayed block is found by
+// following the link from the transition before it, or by a keyed
+// lookup where no link leads (a chain start); between the two the
+// scoreboard lags behind the clocks, and settle brings it up to date
+// before anything reads it. It returns the number of instructions it
+// retired, stopping with an error past maxSteps. The differential tests
+// pin it against the test-only oracle (internal/machine/oracle).
 //
 // The pipelined model: one instruction issues per cycle, once its
 // source registers are ready; its result is ready lat cycles after
@@ -432,34 +450,75 @@ func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 	fr := &w.frames[len(w.frames)-1]
 	f, ready, pc := fr.f, fr.ready, fr.pc
 	var steps int64
+	// last is the transition that brought the walk to pc, and dir the
+	// way its terminator went; nil where no link can lead on. The
+	// scoreboard may lag behind last.
+	var last *transition
+	dir := 0
 	for {
-		if blk, t := w.memo.enter(w, fr, pc, steps, maxSteps); t != nil {
-			steps += blk.n
-			w.bits.pos += blk.skip
-			w.checkOrd += blk.checks
-			t.apply(w, fr)
-			pc += int(blk.n) - 1
+		// a chained hit: the link from last that matches the block's
+		// check outcomes and fits the trace
+		var hit *transition
+		if last != nil && !w.memo.off {
+			if succ := last.next[dir]; len(succ) > 0 && succ[0].fits(w, steps, maxSteps) {
+				if hit = succ[0]; hit.checks > 0 {
+					hit = w.memo.pick(w, succ)
+				}
+			}
+		}
+		if hit != nil {
+			last = hit
 		} else {
-			var err error
-			if pc, steps, err = w.stepBlock(f, ready, pc, steps, maxSteps); err != nil {
-				return 0, err
+			// a chain start: settle the scoreboard, then look the block
+			// up by its full key or walk and record it, and link it
+			if last != nil {
+				w.settle(fr, last)
 			}
-			if blk != nil {
-				w.memo.record(w, fr, blk)
+			blk, t := w.memo.enter(w, fr, pc, steps, maxSteps)
+			if hit = t; t == nil {
+				var err error
+				if pc, steps, err = w.stepBlock(f, ready, pc, steps, maxSteps); err != nil {
+					return 0, err
+				}
+				if blk != nil {
+					t = w.memo.record(w, fr, blk)
+				}
 			}
+			w.memo.link(last, dir, t)
+			last = t
+		}
+		if hit != nil {
+			steps += hit.n
+			w.bits.pos += hit.skip
+			w.checkOrd += hit.checks
+			for i, d := range hit.dclock[:len(clocks)] {
+				clocks[i] += d
+			}
+			pc += int(hit.n) - 1
 		}
 		// the terminator's control transfer; its issue slot is taken
 		switch ins := &f.Instrs[pc]; ins.Op {
 		case OpBr, OpBeqz, OpBnez:
-			var err error
-			if pc, err = w.branch(ins, pc); err != nil {
-				return 0, err
+			// branch, inlined into the walk's hottest path and keeping
+			// the direction (an unconditional branch is taken); the pc
+			// is picked without a branch on dir
+			dir = 1
+			if ins.Op != OpBr {
+				var ok bool
+				if dir, ok = w.bits.next(); !ok {
+					return 0, errTraceUnderrun
+				}
 			}
+			pc = [2]int{pc + 1, ins.Target}[dir&1]
 
 		case OpCall:
 			callee, ok := w.prog.Funcs[ins.Fn]
 			if !ok {
 				return 0, fmt.Errorf("machine: call to unknown function %q", ins.Fn)
+			}
+			if last != nil {
+				w.settle(fr, last)
+				last = nil
 			}
 			fr.pc = pc + 1 // resume point after the callee returns
 			if err := w.push(callee); err != nil {
@@ -468,7 +527,8 @@ func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 			fr = &w.frames[len(w.frames)-1]
 			f, ready, pc = fr.f, fr.ready, fr.pc
 
-		default: // OpRet, OpHalt
+		default: // OpRet, OpHalt: the frame's scoreboard is dropped
+			last = nil
 			w.frames = w.frames[:len(w.frames)-1]
 			if len(w.frames) == 0 {
 				return steps, nil
@@ -485,19 +545,14 @@ func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 }
 
 // branch returns the pc the branch ins at pc transfers to, reading a
-// conditional branch's recorded direction.
-func (w *batchWalker) branch(ins *Instr, pc int) (int, error) {
+// conditional branch's recorded bit; ok is false when the trace has no
+// bit left.
+func (w *batchWalker) branch(ins *Instr, pc int) (next int, ok bool) {
 	if ins.Op == OpBr {
-		return ins.Target, nil
+		return ins.Target, true
 	}
-	taken, err := w.nextBit()
-	if err != nil {
-		return 0, err
-	}
-	if taken {
-		return ins.Target, nil
-	}
-	return pc + 1, nil
+	taken, ok := w.bits.next()
+	return [2]int{pc + 1, ins.Target}[taken&1], ok
 }
 
 // stepBlock walks the block at pc one instruction at a time: one opcode
@@ -608,9 +663,9 @@ func (w *batchWalker) stepBlock(f *FuncCode, ready []int64, pc int, steps, maxSt
 				return pc, steps, nil
 			}
 			// with the memo off no block boundary matters: branch here
-			var err error
-			if pc, err = w.branch(ins, pc); err != nil {
-				return 0, 0, err
+			var ok bool
+			if pc, ok = w.branch(ins, pc); !ok {
+				return 0, 0, errTraceUnderrun
 			}
 			continue
 		}

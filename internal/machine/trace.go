@@ -68,18 +68,26 @@ func (b *bitChunks) append(bit bool) {
 	b.n++
 }
 
-// bitReader is one replay's private cursor over a bitChunks stream.
+// bitReader is one replay's private cursor over a bitChunks stream. It
+// keeps the 64-bit word under the cursor in hand, so a read indexes the
+// chunks only when the cursor has moved past that word.
 type bitReader struct {
-	t   *bitChunks
-	pos int64
+	t    *bitChunks
+	pos  int64
+	word uint64
+	at   int64 // index of the word in hand, plus one; 0: none yet
 }
 
-func (r *bitReader) next() (bit, ok bool) {
+// next returns the bit under the cursor, 0 or 1, and advances past it;
+// ok is false at the end of the stream.
+func (r *bitReader) next() (bit int, ok bool) {
 	if r.pos >= r.t.n {
-		return false, false
+		return 0, false
 	}
-	word := int(r.pos >> 6)
-	bit = r.t.chunks[word/bitChunkWords][word%bitChunkWords]&(1<<uint(r.pos&63)) != 0
+	if i := r.pos >> 6; i+1 != r.at {
+		r.word, r.at = r.t.chunks[i/bitChunkWords][i%bitChunkWords], i+1
+	}
+	bit = int(r.word >> uint(r.pos&63) & 1)
 	r.pos++
 	return bit, true
 }

@@ -67,6 +67,33 @@ func TestReplayRejectsEditedSteps(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsSurplusEvents is the regression test for a trace
+// that holds more branch bits or check events than its instructions
+// read: the pipelined walk retired the recorded steps and returned a
+// result, leaving the surplus unread. It must end in a corrupt-trace
+// error instead.
+func TestReplayRejectsSurplusEvents(t *testing.T) {
+	tc := ReplayPrograms()["alatLoop"]
+	edits := map[string]func(*Trace){
+		"two surplus branch bits": func(tr *Trace) {
+			tr.bits.append(true)
+			tr.bits.append(false)
+		},
+		"one more check": func(tr *Trace) { tr.counts[cCheckInt]++ },
+	}
+	for name, edit := range edits {
+		tr, err := Record(tc.Prog, tc.Args, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(tr)
+		_, err = ReplayBatch(tc.Prog, tr, []Config{{}, {Pipelined: true}})
+		if err == nil || !strings.Contains(err.Error(), "corrupt trace") {
+			t.Errorf("%s: replay returned %v, want a corrupt-trace error", name, err)
+		}
+	}
+}
+
 // FuzzUnmarshalTrace feeds arbitrary bytes to the trace decoder and
 // replays every trace it accepts
 // under one serial and one pipelined config against every zoo program,

@@ -44,6 +44,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/harden"
 	"repro/internal/machine"
+	"repro/internal/source"
 	"repro/internal/specheck"
 	"repro/internal/ssapre"
 	"repro/internal/workloads"
@@ -151,15 +152,16 @@ func (s *Server) writeError(w http.ResponseWriter, id string, code int, err erro
 }
 
 // statusFor maps a job error to an HTTP status: bad input — a malformed
-// body or a config the pipeline rejects as invalid — is the client's
-// fault (400, or 413 for an oversized body), an expired
+// body, a config the pipeline rejects as invalid, or MiniC source the
+// frontend rejects — is the client's fault (400, or 413 for an
+// oversized body), an expired
 // per-request deadline is 504, everything else — including a cancelled
 // upstream — is reported as 500.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, errBadRequest), errors.Is(err, repro.ErrInvalidConfig):
+	case errors.Is(err, errBadRequest), errors.Is(err, repro.ErrInvalidConfig), errors.As(err, new(*source.Error)):
 		return http.StatusBadRequest
 	case errors.Is(err, errTooLarge):
 		return http.StatusRequestEntityTooLarge

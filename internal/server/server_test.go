@@ -326,6 +326,41 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestCompileSourceErrors pins that MiniC the frontend rejects is the
+// client's fault: a syntax error, and source nested far past the
+// parser's bound (which once overflowed specd's stack and killed it),
+// get a 400 naming the position, and the server still answers after.
+func TestCompileSourceErrors(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const depth = 1_000_000
+	for name, src := range map[string]string{
+		"syntax error":       "int main() { return 1 +; }",
+		"deep parentheses":   "int main() { return " + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "; }",
+		"long binary chain":  "int main() { return 1" + strings.Repeat("+1", depth) + "; }",
+		"deep nested blocks": "int main() " + strings.Repeat("{", depth) + strings.Repeat("}", depth),
+	} {
+		resp := postJSON(t, ts, "/compile", map[string]string{"source": src})
+		body := readAll(t, resp)
+		var e errorBody
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "minic:1:") {
+			t.Errorf("%s: error envelope = %.200q (%v), want a positioned MiniC error", name, body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: POST /compile = %d, want 400", name, resp.StatusCode)
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the rejected sources = %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestRequestBodyBounds pins what a JSON request body may hold: one
 // value and nothing after it but whitespace (400 otherwise), within
 // maxBodyBytes (413 otherwise).

@@ -10,7 +10,17 @@ type parser struct {
 	toks    []Token
 	pos     int
 	structs map[string]*ir.Type
+	depth   int // depth of the node being parsed in the tree being built
 }
+
+// maxNesting bounds the depth of the syntax tree the parser builds:
+// statements inside statements, each operator, operand, subscript,
+// call or parenthesis inside an expression, and each pointer star or
+// array dimension of a type. The parser recurses on most of that
+// nesting and every later pass on all of it, so an unbounded tree lets
+// one request overflow the stack. Left-deep chains, which the parser
+// builds in a loop (a+1+1…, a[0][0]…), count one level per link.
+const maxNesting = 1000
 
 // Parse lexes and parses MiniC source into a File.
 func Parse(src string) (*File, error) {
@@ -24,6 +34,19 @@ func Parse(src string) (*File, error) {
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
 func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+
+// nest enters one more level of the tree being built, refusing to go
+// past maxNesting. A parse function that nests defers leave with the
+// depth it started at.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+// leave restores the nesting depth a parse function started at.
+func (p *parser) leave(depth int) { p.depth = depth }
 
 func (p *parser) errf(format string, args ...any) error {
 	t := p.cur()
@@ -70,6 +93,7 @@ func (p *parser) typeStart() bool {
 // parseType parses a base type plus pointer stars: "int", "double",
 // "struct S**", etc.
 func (p *parser) parseType() (*ir.Type, error) {
+	defer p.leave(p.depth)
 	var t *ir.Type
 	switch {
 	case p.isKeyword("int"):
@@ -96,6 +120,9 @@ func (p *parser) parseType() (*ir.Type, error) {
 		return nil, p.errf("expected type, found %s", p.cur())
 	}
 	for p.acceptPunct("*") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		t = ir.PtrTo(t)
 	}
 	return t, nil
@@ -192,8 +219,12 @@ func (p *parser) structDecl() (*StructDecl, error) {
 // finishVarDecl parses the remainder of a variable declaration after the
 // base type and name: optional array suffixes and initializer.
 func (p *parser) finishVarDecl(t *ir.Type, name string, line int) (*VarDecl, error) {
+	defer p.leave(p.depth)
 	var dims []int
 	for p.acceptPunct("[") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		if p.cur().Kind != TokInt {
 			return nil, p.errf("array length must be an integer literal")
 		}
@@ -270,6 +301,10 @@ func (p *parser) blockStmt() (*BlockStmt, error) {
 }
 
 func (p *parser) stmt() (Stmt, error) {
+	defer p.leave(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	switch {
 	case p.isPunct("{"):
 		return p.blockStmt()
@@ -444,6 +479,7 @@ func (p *parser) forStmt() (Stmt, error) {
 
 // expr parses assignment expressions (right associative, lowest precedence).
 func (p *parser) expr() (Expr, error) {
+	defer p.leave(p.depth)
 	lhs, err := p.binary(0)
 	if err != nil {
 		return nil, err
@@ -454,6 +490,9 @@ func (p *parser) expr() (Expr, error) {
 		case "=", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=":
 			line := t.Line
 			p.pos++
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			rhs, err := p.expr()
 			if err != nil {
 				return nil, err
@@ -483,6 +522,7 @@ var precTable = map[string]int{
 }
 
 func (p *parser) binary(minPrec int) (Expr, error) {
+	defer p.leave(p.depth)
 	lhs, err := p.unary()
 	if err != nil {
 		return nil, err
@@ -497,6 +537,9 @@ func (p *parser) binary(minPrec int) (Expr, error) {
 			return lhs, nil
 		}
 		p.pos++
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		rhs, err := p.binary(prec + 1)
 		if err != nil {
 			return nil, err
@@ -506,11 +549,15 @@ func (p *parser) binary(minPrec int) (Expr, error) {
 }
 
 func (p *parser) unary() (Expr, error) {
+	defer p.leave(p.depth)
 	t := p.cur()
 	if t.Kind == TokPunct {
 		switch t.Text {
 		case "-", "!", "*", "&":
 			p.pos++
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			x, err := p.unary()
 			if err != nil {
 				return nil, err
@@ -528,6 +575,9 @@ func (p *parser) unary() (Expr, error) {
 				if err := p.expectPunct(")"); err != nil {
 					return nil, err
 				}
+				if err := p.nest(); err != nil {
+					return nil, err
+				}
 				x, err := p.unary()
 				if err != nil {
 					return nil, err
@@ -540,6 +590,7 @@ func (p *parser) unary() (Expr, error) {
 }
 
 func (p *parser) postfix() (Expr, error) {
+	defer p.leave(p.depth)
 	x, err := p.primary()
 	if err != nil {
 		return nil, err
@@ -548,6 +599,12 @@ func (p *parser) postfix() (Expr, error) {
 		t := p.cur()
 		if t.Kind != TokPunct {
 			return x, nil
+		}
+		switch t.Text {
+		case "[", ".", "->", "++", "--":
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 		}
 		switch t.Text {
 		case "[":
@@ -584,6 +641,7 @@ func (p *parser) postfix() (Expr, error) {
 }
 
 func (p *parser) primary() (Expr, error) {
+	defer p.leave(p.depth)
 	t := p.cur()
 	switch t.Kind {
 	case TokInt:
@@ -596,6 +654,9 @@ func (p *parser) primary() (Expr, error) {
 		p.pos++
 		if p.isPunct("(") {
 			p.pos++
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			var args []Expr
 			if !p.isPunct(")") {
 				for {
@@ -618,6 +679,9 @@ func (p *parser) primary() (Expr, error) {
 	case TokPunct:
 		if t.Text == "(" {
 			p.pos++
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			x, err := p.expr()
 			if err != nil {
 				return nil, err

@@ -1,6 +1,7 @@
 package source
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -513,6 +514,52 @@ int main() {
 	for _, g := range prog.Globals {
 		if g.Name == "grid" && g.Type.Size() != 12 {
 			t.Errorf("grid size = %d slots, want 12", g.Type.Size())
+		}
+	}
+}
+
+// TestNestingBounded pins the parser's depth bound: source nested far
+// past maxNesting, whether the parser recurses on it (parentheses,
+// unary operators, blocks, assignments) or builds it in a loop (binary
+// and subscript chains, pointer and array types), fails with a
+// positioned *Error instead of overflowing the stack, here or in a
+// later pass, or running a later pass for minutes (a type 10^6
+// pointers deep took almost five to fail type checking). Nesting
+// within the bound still compiles.
+func TestNestingBounded(t *testing.T) {
+	const deep = 100_000
+	rep := strings.Repeat
+	cases := map[string]string{
+		"parentheses":  "int main() { return " + rep("(", deep) + "1" + rep(")", deep) + "; }",
+		"unary chain":  "int main() { return " + rep("- ", deep) + "1; }",
+		"binary chain": "int main() { return 1" + rep("+1", deep) + "; }",
+		"blocks":       "int main() " + rep("{", deep) + rep("}", deep),
+		"if chain":     "int main() { int x; x = 0; " + rep("if (x) ", deep) + "x = 1; return x; }",
+		"assignments":  "int main() { int x; " + rep("x = ", deep) + "1; return x; }",
+		"subscripts":   "int a[4]; int main() { return a" + rep("[0]", deep) + "; }",
+		"pointer type": "int main() { int" + rep("*", deep) + " p; return 0; }",
+		"array type":   "int a" + rep("[1]", deep) + "; int main() { return 0; }",
+	}
+	for name, src := range cases {
+		_, err := Parse(src)
+		var e *Error
+		if !errors.As(err, &e) || e.Line != 1 || e.Col == 0 || !strings.Contains(e.Msg, "nesting") {
+			t.Errorf("%s: Parse = %v, want a positioned nesting error", name, err)
+		}
+	}
+	const ok = maxNesting / 2
+	for name, src := range map[string]string{
+		"parentheses":  "int main() { return " + rep("(", ok) + "1" + rep(")", ok) + "; }",
+		"binary chain": "int main() { return 1" + rep("+1", ok) + "; }",
+		"blocks":       "int main() " + rep("{", ok) + "return 0;" + rep("}", ok),
+	} {
+		f, err := Parse(src)
+		if err != nil {
+			t.Errorf("%s, %d deep: %v", name, ok, err)
+			continue
+		}
+		if _, err := Lower(f); err != nil {
+			t.Errorf("%s, %d deep: lower: %v", name, ok, err)
 		}
 	}
 }
