@@ -59,7 +59,7 @@ func compileKernel(b *testing.B, w workloads.Workload) *machine.Program {
 // the O(events) aggregate path — and "mixed" is the full 24-config
 // MachineSweepConfigs grid whose pipelined half needs the scoreboard
 // walk. Each iteration runs every leg once per pass, over
-// machineSweepPasses interleaved passes, and every figure written is
+// benchPasses interleaved passes, and every figure written is
 // the median of its passes, so that one noisy pass (CI runs
 // -benchtime 1x) does not move a gated number.
 func BenchmarkMachineSweep(b *testing.B) {
@@ -159,7 +159,7 @@ func BenchmarkMachineSweep(b *testing.B) {
 	var ns map[string][]float64 // leg -> one sample per pass
 	for i := 0; i < b.N; i++ {
 		ns = map[string][]float64{}
-		for pass := 0; pass < machineSweepPasses; pass++ {
+		for pass := 0; pass < benchPasses; pass++ {
 			for _, leg := range legs {
 				start := time.Now()
 				if err := leg.run(); err != nil {
@@ -173,7 +173,7 @@ func BenchmarkMachineSweep(b *testing.B) {
 	out := map[string]any{
 		"benchmark":   "MachineSweep",
 		"workload":    "equake",
-		"passes":      machineSweepPasses,
+		"passes":      benchPasses,
 		"record_ns":   median(ns["record"]),
 		"walk_ns":     median(ns["walk"]),
 		"walk_all_ns": median(ns["walk_all"]),
@@ -213,9 +213,9 @@ func BenchmarkMachineSweep(b *testing.B) {
 	}
 }
 
-// machineSweepPasses is how many interleaved passes BenchmarkMachineSweep
-// takes the median of.
-const machineSweepPasses = 5
+// benchPasses is how many interleaved passes BenchmarkMachineSweep and
+// BenchmarkCompileProfile take the median of.
+const benchPasses = 5
 
 // median returns the median of xs (the mean of the middle two when
 // their number is even), sorting xs in place.

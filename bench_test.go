@@ -240,54 +240,63 @@ func BenchmarkPipelineCompile(b *testing.B) {
 // optimizing compile path (every workload, profile-guided speculation)
 // and of the warm frontend-cache path (clone-dominated), and emits
 // BENCH_compile.json so CI can guard against allocation regressions the
-// same way BENCH_machine.json guards sweep speedups.
+// same way BENCH_machine.json guards sweep speedups. Each iteration
+// runs both legs once per pass, over benchPasses interleaved passes,
+// and every figure written is the median of its passes, so that one
+// noisy pass (CI runs -benchtime 1x) does not move a gated number.
 func BenchmarkCompileProfile(b *testing.B) {
 	b.ReportAllocs()
 	ws := workloads.All()
-	// warm every cache first so steady-state compiles are measured
-	for _, w := range ws {
-		if _, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var ms0, ms1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := ws[i%len(ws)]
-		if _, err := repro.CompileCtx(context.Background(), w.Src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	compileNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.StopTimer()
-	runtime.ReadMemStats(&ms1)
-	allocsPer := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-
-	// warm-cache compile with optimization off: parse+lower is served by
-	// a deep IR clone, so this approximates the clone cost itself
-	w, _ := workloads.ByName("equake")
-	cfg := repro.Config{OptimizeOff: true}
-	if _, err := repro.CompileCtx(context.Background(), w.Src, cfg); err != nil {
-		b.Fatal(err)
-	}
-	const cloneIters = 64
-	cloneStart := time.Now()
-	for i := 0; i < cloneIters; i++ {
+	compile := func(w workloads.Workload, cfg repro.Config) {
 		if _, err := repro.CompileCtx(context.Background(), w.Src, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
-	cloneNs := float64(time.Since(cloneStart).Nanoseconds()) / cloneIters
+	profiled := func(w workloads.Workload) repro.Config {
+		return repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}
+	}
+	// warm every cache first so steady-state compiles are measured
+	for _, w := range ws {
+		compile(w, profiled(w))
+	}
+	// warm-cache compile with optimization off: parse+lower is served by
+	// a deep IR clone, so this approximates the clone cost itself
+	equake, _ := workloads.ByName("equake")
+	cloneCfg := repro.Config{OptimizeOff: true}
+	compile(equake, cloneCfg)
+	const cloneIters = 16 // clone-leg compiles per pass
+	// one sample per pass
+	var compileNs, allocs, cloneNs []float64
+	for i := 0; i < b.N; i++ {
+		compileNs, allocs, cloneNs = nil, nil, nil
+		for pass := 0; pass < benchPasses; pass++ {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			start := time.Now()
+			for _, w := range ws {
+				compile(w, profiled(w))
+			}
+			compileNs = append(compileNs, float64(time.Since(start).Nanoseconds())/float64(len(ws)))
+			runtime.ReadMemStats(&ms1)
+			allocs = append(allocs, float64(ms1.Mallocs-ms0.Mallocs)/float64(len(ws)))
 
+			start = time.Now()
+			for j := 0; j < cloneIters; j++ {
+				compile(equake, cloneCfg)
+			}
+			cloneNs = append(cloneNs, float64(time.Since(start).Nanoseconds())/cloneIters)
+		}
+	}
+
+	allocsPer := median(allocs)
 	b.ReportMetric(allocsPer, "allocs/compile")
 	out := map[string]any{
 		"benchmark":          "CompileProfile",
 		"workloads":          len(ws),
+		"passes":             benchPasses,
 		"allocs_per_compile": allocsPer,
-		"ns_per_compile":     compileNs,
-		"clone_ns":           cloneNs,
+		"ns_per_compile":     median(compileNs),
+		"clone_ns":           median(cloneNs),
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -178,3 +178,61 @@ func TestEntryPointsCancelled(t *testing.T) {
 		})
 	}
 }
+
+// loopSrc counts to arg(0), one block step per iteration.
+const loopSrc = `int main() {
+	int n = arg(0);
+	int s = 0;
+	for (int i = 0; i < n; i++) {
+		s = s + i;
+	}
+	return s;
+}`
+
+// TestRunCtxDeadline runs a build whose run takes about 10^9 machine
+// steps under a 200 ms deadline: the recording looks at its context
+// every 2^16 steps, so the run stops with the deadline's error long
+// before it would finish or reach the step limit.
+func TestRunCtxDeadline(t *testing.T) {
+	b, err := repro.BuildCtx(context.Background(), loopSrc, repro.Config{Spec: repro.SpecOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = b.RunCtx(ctx, []int64{200_000_000})
+	if elapsed := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || elapsed > 1200*time.Millisecond {
+		t.Fatalf("RunCtx under a 200 ms deadline: %v after %v, want context.DeadlineExceeded within 1.2 s", err, elapsed)
+	}
+}
+
+// TestProfilingDeadlineNotMemoized stops a profiling run midway with a
+// deadline, then compiles the same source and training input with a
+// live context: the compile must succeed with a profile, running the
+// profiler exactly once more, so the deadline's error was not memoized.
+func TestProfilingDeadlineNotMemoized(t *testing.T) {
+	repro.ResetCaches()
+	// parse first, so that the deadline falls in the profiling run
+	if _, err := repro.CompileCtx(context.Background(), loopSrc, repro.Config{Spec: repro.SpecOff}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{3_000_000}}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	runs := repro.ProfilingRuns()
+	if _, err := repro.CompileCtx(ctx, loopSrc, cfg); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("CompileCtx under a 50 ms deadline = %v, want context.DeadlineExceeded", err)
+	}
+	if got := repro.ProfilingRuns() - runs; got != 1 {
+		t.Fatalf("the compile under a deadline started %d profiling runs, want 1", got)
+	}
+	runs = repro.ProfilingRuns()
+	c, err := repro.CompileCtx(context.Background(), loopSrc, cfg)
+	if err != nil || c.ProfileErr != nil {
+		t.Fatalf("CompileCtx with a live context: %v, profile error %v", err, c.ProfileErr)
+	}
+	if got := repro.ProfilingRuns() - runs; got != 1 {
+		t.Errorf("the live compile ran the profiler %d times, want 1", got)
+	}
+}

@@ -58,11 +58,11 @@ type HardenResult struct {
 // pipelined default machines through the batched replay path (one
 // functional recording, one ReplayBatch walk) and returns the two cycle
 // counts plus the program output for the cross-variant equality check.
-func hardenTimings(code *machine.Program, args []int64) (serial, pipelined int64, output string, err error) {
+func hardenTimings(ctx context.Context, code *machine.Program, args []int64) (serial, pipelined int64, output string, err error) {
 	base := machine.Defaults()
 	pipe := machine.Defaults()
 	pipe.Pipelined = true
-	trace, err := machine.Record(code, args, base)
+	trace, err := machine.RecordCtx(ctx, code, args, base)
 	if err != nil {
 		return 0, 0, "", err
 	}
@@ -106,7 +106,7 @@ func RunHardenCtx(ctx context.Context, workers int) (*HardenResult, error) {
 		out.TotalLeaks += row.LeaksFound
 
 		var baseOut string
-		row.SerialCycles, row.PipelinedCycles, baseOut, err = hardenTimings(leaky, w.RefArgs)
+		row.SerialCycles, row.PipelinedCycles, baseOut, err = hardenTimings(ctx, leaky, w.RefArgs)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: leaky baseline: %w", w.Name, err)
 		}
@@ -124,7 +124,7 @@ func RunHardenCtx(ctx context.Context, workers int) (*HardenResult, error) {
 			}
 			out.TotalResidual += cost.Residual
 			var hardOut string
-			cost.SerialCycles, cost.PipelinedCycles, hardOut, err = hardenTimings(hardened, w.RefArgs)
+			cost.SerialCycles, cost.PipelinedCycles, hardOut, err = hardenTimings(ctx, hardened, w.RefArgs)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s %s: %w", w.Name, pol, err)
 			}

@@ -7,6 +7,7 @@
 package interp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -58,13 +59,27 @@ type Result struct {
 // between the globals and the heap.
 const stackCap = 1 << 20
 
-// Run executes prog starting at main.
+// pollSteps is how many steps a run takes between two looks at its
+// context.
+const pollSteps = 1 << 16
+
+// Run is RunCtx under a context that is never done.
 func Run(prog *ir.Program, opts Options) (*Result, error) {
-	m := &machine{prog: prog, opts: opts}
+	return RunCtx(context.Background(), prog, opts)
+}
+
+// RunCtx executes prog starting at main. It looks at ctx every
+// pollSteps steps and returns ctx.Err() once ctx is done.
+func RunCtx(ctx context.Context, prog *ir.Program, opts Options) (*Result, error) {
+	m := &machine{prog: prog, opts: opts, ctx: ctx}
 	if opts.MaxSteps == 0 {
 		m.maxSteps = 1_000_000_000
 	} else {
 		m.maxSteps = opts.MaxSteps
+	}
+	m.limit = m.maxSteps
+	if ctx.Done() != nil {
+		m.limit = min(m.maxSteps, pollSteps)
 	}
 	m.maxDepth = opts.MaxCallDepth
 	if m.maxDepth == 0 {
@@ -129,8 +144,10 @@ type machine struct {
 	frames    []*frame
 	callSites []int // active call-site ids for mod/ref attribution
 
+	ctx         context.Context
 	steps       int64
 	maxSteps    int64
+	limit       int64 // steps past which poll runs: maxSteps, or sooner to look at ctx
 	maxDepth    int
 	loads       uint64
 	stores      uint64
@@ -140,6 +157,21 @@ type machine struct {
 // runtimeErr builds an execution error.
 func runtimeErr(format string, args ...any) error {
 	return fmt.Errorf("interp: %s", fmt.Sprintf(format, args...))
+}
+
+// poll runs when the step count passes m.limit: past the step limit it
+// fails the run, and otherwise it looks at the context and sets the
+// next threshold. Folding the context into the step-limit compare keeps
+// the per-step work of a run what it was without one.
+func (m *machine) poll() error {
+	if m.steps > m.maxSteps {
+		return runtimeErr("step limit exceeded (%d)", m.maxSteps)
+	}
+	if err := m.ctx.Err(); err != nil {
+		return err
+	}
+	m.limit = min(m.maxSteps, m.steps+pollSteps)
+	return nil
 }
 
 func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
@@ -169,8 +201,10 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 	var prev *ir.Block
 	for {
 		m.steps++
-		if m.steps > m.maxSteps {
-			return 0, runtimeErr("step limit exceeded (%d)", m.maxSteps)
+		if m.steps > m.limit {
+			if err := m.poll(); err != nil {
+				return 0, err
+			}
 		}
 		if m.prof != nil && m.opts.CollectEdges {
 			m.prof.BlockCount[b]++

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -34,7 +35,9 @@ type vm struct {
 
 	args []int64
 
+	ctx     context.Context
 	steps   int64
+	limit   int64 // steps past which poll runs: MaxSteps, or sooner to look at ctx
 	depth   int
 	frameID int64
 
@@ -58,14 +61,27 @@ func Run(prog *Program, args []int64, cfg Config, out io.Writer) (*Result, error
 	return Replay(prog, t, cfg, out)
 }
 
-// Record executes prog functionally under cfg (the limits, StackSlots
-// and ALATSize are honoured; timing fields are irrelevant) and returns
-// the architectural trace. A run that faults returns the engine's error
-// and no trace.
+// pollSteps is how many steps a recording takes between two looks at
+// its context.
+const pollSteps = 1 << 16
+
+// Record is RecordCtx under a context that is never done.
 func Record(prog *Program, args []int64, cfg Config) (*Trace, error) {
+	return RecordCtx(context.Background(), prog, args, cfg)
+}
+
+// RecordCtx executes prog functionally under cfg (the limits,
+// StackSlots and ALATSize are honoured; timing fields are irrelevant)
+// and returns the architectural trace. A run that faults returns the
+// engine's error and no trace. It looks at ctx every pollSteps steps
+// and returns ctx.Err() once ctx is done.
+func RecordCtx(ctx context.Context, prog *Program, args []int64, cfg Config) (*Trace, error) {
 	cfg = cfg.withDefaults()
 	t := &Trace{}
-	m := &vm{prog: prog, cfg: cfg, args: args, trace: t}
+	m := &vm{prog: prog, cfg: cfg, args: args, trace: t, ctx: ctx, limit: cfg.MaxSteps}
+	if ctx.Done() != nil {
+		m.limit = min(cfg.MaxSteps, pollSteps)
+	}
 	m.mem = memimg.New(prog.GlobSize+cfg.StackSlots, prog.GlobSize, prog.GlobalInit)
 	m.stackTop = prog.GlobSize
 	m.alat = newALAT(cfg.ALATSize)
@@ -88,6 +104,21 @@ func Record(prog *Program, args []int64, cfg Config) (*Trace, error) {
 
 func (m *vm) fault(format string, a ...any) error {
 	return fmt.Errorf("machine: %s", fmt.Sprintf(format, a...))
+}
+
+// poll runs when the step count passes m.limit: past MaxSteps it
+// faults, and otherwise it looks at the context and sets the next
+// threshold. Folding the context into the step-limit compare keeps the
+// per-step work of a recording what it was without one.
+func (m *vm) poll() error {
+	if m.steps > m.cfg.MaxSteps {
+		return m.fault("step limit exceeded")
+	}
+	if err := m.ctx.Err(); err != nil {
+		return err
+	}
+	m.limit = min(m.cfg.MaxSteps, m.steps+pollSteps)
+	return nil
 }
 
 func boolToU64(b bool) uint64 {
@@ -156,8 +187,10 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 	pc := 0
 	for {
 		m.steps++
-		if m.steps > m.cfg.MaxSteps {
-			return 0, false, m.fault("step limit exceeded")
+		if m.steps > m.limit {
+			if err := m.poll(); err != nil {
+				return 0, false, err
+			}
 		}
 		if pc < 0 || pc >= len(f.Instrs) {
 			return 0, false, m.fault("pc out of range in %s", f.Name)

@@ -29,6 +29,14 @@ func KeyedLookups(prog *Program, t *Trace, cfgs []Config) (int, error) {
 	return stats.keyed, err
 }
 
+// CycleSkips re-times t under cfgs exactly as ReplayBatch does and
+// reports how many block entries the pipelined walk resolved by
+// skipping the repeats of a cycle rather than one entry at a time.
+func CycleSkips(prog *Program, t *Trace, cfgs []Config) (int, error) {
+	_, stats, err := replayBatch(prog, t, cfgs)
+	return stats.skipped, err
+}
+
 // ZooProgram is one replay-zoo entry: a program and its input.
 type ZooProgram struct {
 	Prog *Program
@@ -153,16 +161,134 @@ func ReplayPrograms() map[string]ZooProgram {
 	}, 23, 4)
 
 	return map[string]ZooProgram{
-		"alatLoop":   {alatLoop, nil},
-		"alatOrder":  {alatOrder, nil},
-		"chainExit":  {chainExitProg(), []int64{12}},
-		"fib":        {fib, nil},
-		"image":      {imageProg(OpLdS), nil},
-		"latJoin":    {latJoinProg(), nil},
-		"manyChecks": {manyChecksProg(), nil},
-		"noRepeat":   {noRepeatProg(), []int64{10_000}},
-		"spec":       {spec, nil},
+		"alatLoop":    {alatLoop, nil},
+		"alatOrder":   {alatOrder, nil},
+		"chainExit":   {chainExitProg(), []int64{12}},
+		"fib":         {fib, nil},
+		"image":       {imageProg(OpLdS), nil},
+		"latJoin":     {latJoinProg(), nil},
+		"manyChecks":  {manyChecksProg(), nil},
+		"nestedConst": {nestedProg(), []int64{40, 9, 0}},
+		"nestedVary":  {nestedProg(), []int64{40, 9, 3}},
+		"noRepeat":    {noRepeatProg(), []int64{10_000}},
+		"period3Mid":  {periodProg(), []int64{60, 30}},
+		"period3Word": {periodProg(), []int64{60, 21}},
+		"spec":        {spec, nil},
+		"streamSplit": {streamSplitProg(), []int64{120}},
 	}
+}
+
+// periodProg runs args[0] iterations of a loop that reads three branch
+// bits: the loop test, whether i < args[1], and whether i is not a
+// multiple of 3 (below args[1]) or odd (from it on), which sends one
+// iteration in three, then one in two, through a multiply. So the bits
+// have a period of 9 until bit 3·args[1]+1, where they change: mid-word
+// at args[1] = 30 (bit 91) and exactly at a 64-bit word boundary at
+// args[1] = 21 (bit 64).
+func periodProg() *Program {
+	return buildProg([]Instr{
+		{Op: OpMovI, Rd: 0, Imm: 0}, // i
+		{Op: OpMovI, Rd: 9, Imm: 0},
+		{Op: OpArg, Rd: 1, Rs: 9}, // n = args[0]
+		{Op: OpMovI, Rd: 9, Imm: 1},
+		{Op: OpArg, Rd: 2, Rs: 9}, // p = args[1]
+		{Op: OpMovI, Rd: 3, Imm: 1},
+		{Op: OpMovI, Rd: 4, Imm: 2},
+		{Op: OpMovI, Rd: 5, Imm: 3},
+		{Op: OpMovI, Rd: 10, Imm: 0},     // acc
+		{Op: OpSub, Rd: 6, Rs: 0, Rt: 1}, // 9 L: i-n
+		{Op: OpBeqz, Rs: 6, Target: 22},
+		{Op: OpCmpLT, Rd: 7, Rs: 0, Rt: 2},
+		{Op: OpBnez, Rs: 7, Target: 15},
+		{Op: OpMod, Rd: 8, Rs: 0, Rt: 4}, // i % 2
+		{Op: OpBr, Target: 16},
+		{Op: OpMod, Rd: 8, Rs: 0, Rt: 5}, // 15: i % 3
+		{Op: OpBnez, Rs: 8, Target: 19},  // 16
+		{Op: OpMul, Rd: 10, Rs: 10, Rt: 4},
+		{Op: OpAdd, Rd: 10, Rs: 10, Rt: 3},
+		{Op: OpAdd, Rd: 0, Rs: 0, Rt: 3}, // 19: i++
+		{Op: OpAdd, Rd: 10, Rs: 10, Rt: 0},
+		{Op: OpBr, Target: 9},
+		{Op: OpRet, Rs: 10}, // 22
+	}, 11, 4)
+}
+
+// streamSplitProg runs args[0] iterations of a loop with one branch
+// bit per iteration. Each iteration advances r10, r11 and r12 to three
+// addresses, stores to r11's address or to a free one as a
+// pseudo-random bit picks, advances r13, checks r10 and reads it. With
+// 4 or more ALAT entries every check hits, so that miss stream repeats
+// with the branch bits; with 3, r13 takes r11's freed slot or evicts,
+// and which it is follows the store, so the smaller capacity's stream
+// breaks the period the other keeps.
+func streamSplitProg() *Program {
+	return buildProg([]Instr{
+		{Op: OpMovI, Rd: 0, Imm: 0}, // i
+		{Op: OpMovI, Rd: 9, Imm: 0},
+		{Op: OpArg, Rd: 1, Rs: 9}, // n = args[0]
+		{Op: OpMovI, Rd: 2, Imm: 1},
+		{Op: OpMovI, Rd: 3, Imm: 12345}, // x
+		{Op: OpMovI, Rd: 4, Imm: 1103515245},
+		{Op: OpMovI, Rd: 5, Imm: 16},
+		{Op: OpLEA, Rd: 14, Imm: 0},      // A
+		{Op: OpLEA, Rd: 15, Imm: 1},      // B
+		{Op: OpLEA, Rd: 16, Imm: 2},      // C
+		{Op: OpLEA, Rd: 17, Imm: 4},      // E
+		{Op: OpSub, Rd: 6, Rs: 0, Rt: 1}, // 11 L: i-n
+		{Op: OpBeqz, Rs: 6, Target: 29},
+		{Op: OpLdA, Rd: 10, Rs: 14},
+		{Op: OpLdA, Rd: 11, Rs: 15},
+		{Op: OpLdA, Rd: 12, Rs: 16},
+		{Op: OpMul, Rd: 3, Rs: 3, Rt: 4}, // x = x*a + c
+		{Op: OpMovI, Rd: 7, Imm: 12345},
+		{Op: OpAdd, Rd: 3, Rs: 3, Rt: 7},
+		{Op: OpShr, Rd: 7, Rs: 3, Rt: 5}, // bit 16 of x
+		{Op: OpAnd, Rd: 7, Rs: 7, Rt: 2},
+		{Op: OpAdd, Rd: 7, Rs: 7, Rt: 7},
+		{Op: OpAdd, Rd: 7, Rs: 7, Rt: 2}, // address 1 (B) or 3 (free)
+		{Op: OpSt, Rd: 7, Rs: 0},
+		{Op: OpLdA, Rd: 13, Rs: 17},
+		{Op: OpLdC, Rd: 10, Rs: 14},
+		{Op: OpAdd, Rd: 18, Rs: 18, Rt: 10}, // waits for a miss's reload
+		{Op: OpAdd, Rd: 0, Rs: 0, Rt: 2},    // i++
+		{Op: OpBr, Target: 11},
+		{Op: OpRet, Rs: 0}, // 29
+	}, 19, 8)
+}
+
+// nestedProg runs args[0] iterations of an outer loop around an inner
+// loop of args[1] + (j & args[2]) iterations, j the outer index: with
+// args[2] = 0 every inner loop has the same trip count, so the outer
+// loop repeats as a whole once its inner loops are skipped; with
+// args[2] = 3 the trip counts cycle through four values.
+func nestedProg() *Program {
+	return buildProg([]Instr{
+		{Op: OpMovI, Rd: 0, Imm: 0}, // j
+		{Op: OpMovI, Rd: 9, Imm: 0},
+		{Op: OpArg, Rd: 1, Rs: 9}, // outer trips
+		{Op: OpMovI, Rd: 9, Imm: 1},
+		{Op: OpArg, Rd: 2, Rs: 9}, // inner trips
+		{Op: OpMovI, Rd: 9, Imm: 2},
+		{Op: OpArg, Rd: 3, Rs: 9}, // inner trip mask
+		{Op: OpMovI, Rd: 4, Imm: 1},
+		{Op: OpMovI, Rd: 10, Imm: 0},     // acc
+		{Op: OpSub, Rd: 5, Rs: 0, Rt: 1}, // 9 outer: j-n
+		{Op: OpBeqz, Rs: 5, Target: 24},
+		{Op: OpAnd, Rd: 6, Rs: 0, Rt: 3},
+		{Op: OpAdd, Rd: 6, Rs: 6, Rt: 2}, // trips = m + (j & mask)
+		{Op: OpMovI, Rd: 7, Imm: 0},      // i
+		{Op: OpSub, Rd: 8, Rs: 7, Rt: 6}, // 14 inner: i-trips
+		{Op: OpBeqz, Rs: 8, Target: 20},
+		{Op: OpMul, Rd: 11, Rs: 7, Rt: 7},
+		{Op: OpAdd, Rd: 10, Rs: 10, Rt: 11},
+		{Op: OpAdd, Rd: 7, Rs: 7, Rt: 4}, // i++
+		{Op: OpBr, Target: 14},
+		{Op: OpMul, Rd: 10, Rs: 10, Rt: 4}, // 20
+		{Op: OpAdd, Rd: 0, Rs: 0, Rt: 4},   // j++
+		{Op: OpNop},
+		{Op: OpBr, Target: 9},
+		{Op: OpRet, Rs: 10}, // 24
+	}, 12, 4)
 }
 
 // chainExitProg runs args[0] iterations of a loop that starts an fdiv

@@ -33,8 +33,9 @@ func buildKernel(t *testing.T, w workloads.Workload, spec repro.SpecMode) *repro
 // has two streams (4 | 8, 32, 128) and twolf three (4 | 8 | 32, 128).
 // Each kernel's 5,383 to 105,057 block entries replay from 22 to 36
 // memoized transitions, and all but 11 to 1,029 of them are reached by
-// following a link from the transition before, not by a keyed lookup.
-// Every collapsed lane must still equal its one-lane replay.
+// following a link from the transition before, not by a keyed lookup;
+// 6% (twolf) to 99.8% (bzip2) of them are skipped as repeats of a
+// cycle. Every collapsed lane must still equal its one-lane replay.
 func TestReplayBatchWalksDistinctClocks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and records every kernel")
@@ -44,6 +45,8 @@ func TestReplayBatchWalksDistinctClocks(t *testing.T) {
 	// every other block entry follows a link; gzip's keyed lookups are
 	// nearly all at its 516 calls' entries and returns
 	wantKeyed := map[string]int{"gzip": 1029, "vpr": 26, "mcf": 26, "art": 18, "ammp": 11, "bzip2": 21, "equake": 22, "twolf": 44}
+	// the block entries resolved by skipping the repeats of a cycle
+	wantSkipped := map[string]int{"gzip": 96860, "vpr": 11062, "mcf": 3554, "art": 23468, "ammp": 2402, "bzip2": 81812, "equake": 11204, "twolf": 480}
 	grid := experiments.MachineSweepConfigs()
 	for _, w := range workloads.All() {
 		b := buildKernel(t, w, repro.SpecProfile)
@@ -71,6 +74,13 @@ func TestReplayBatchWalksDistinctClocks(t *testing.T) {
 		}
 		if keyed != wantKeyed[w.Name] {
 			t.Errorf("%s: the standard grid's walk resolved %d block entries by a keyed lookup, want %d", w.Name, keyed, wantKeyed[w.Name])
+		}
+		skipped, err := machine.CycleSkips(b.Code, tr, grid)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if skipped != wantSkipped[w.Name] {
+			t.Errorf("%s: the standard grid's walk skipped %d block entries, want %d", w.Name, skipped, wantSkipped[w.Name])
 		}
 		batch, err := machine.ReplayBatch(b.Code, tr, grid)
 		if err != nil {

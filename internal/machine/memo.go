@@ -48,6 +48,10 @@ type memoBlock struct {
 // state fixes the successor's in-flight part of the key, and the
 // direction fixes its block, so the successor's check outcomes alone
 // select among them.
+//
+// hold and arm serve cycle skipping (cycle.go): the steps before which
+// the walk does not try to skip a cycle through the transition, and its
+// state where it armed.
 type transition struct {
 	blockCounts
 	key    []int64
@@ -55,6 +59,9 @@ type transition struct {
 	regs   []int
 	exit   []int64 // register-major, like the scoreboard
 	next   [2][]*transition
+
+	hold int64
+	arm  *cycleArm
 }
 
 // blockMemo is one walk's memo. Each frame keeps the registers that may

@@ -32,8 +32,9 @@ func ReplayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, error) {
 // walkStats reports how a batch's pipelined walk ran: the scoreboard
 // lanes it advanced, the block transitions its memo held at the end and
 // the block entries it resolved by a keyed lookup rather than a link
-// (both 0 when the memo gave up).
-type walkStats struct{ lanes, transitions, keyed int }
+// (both 0 when the memo gave up), and the block entries it resolved by
+// skipping a cycle's repeats.
+type walkStats struct{ lanes, transitions, keyed, skipped int }
 
 // replayBatch is ReplayBatch that also reports how its pipelined walk
 // ran.
@@ -63,7 +64,7 @@ func replayBatch(prog *Program, t *Trace, cfgs []Config) ([]*Result, walkStats, 
 	for j, i := range pipedIdx {
 		results[i].Counters.Cycles = w.clocks[plan.laneOf[j]]
 	}
-	stats := walkStats{lanes: len(plan.lanes)}
+	stats := walkStats{lanes: len(plan.lanes), skipped: int(w.cyc.skipped)}
 	if !w.memo.off {
 		stats.transitions, stats.keyed = w.memo.count, w.memo.keyed
 	}
@@ -191,6 +192,7 @@ type batchWalker struct {
 	maxDepth int       // the recorded run's deepest nesting
 
 	memo blockMemo
+	cyc  cycleState
 }
 
 // batchWalk runs the shared pipelined walk over plan's lanes and returns
@@ -433,9 +435,11 @@ func (w *batchWalker) nextCheck() error {
 // following the link from the transition before it, or by a keyed
 // lookup where no link leads (a chain start); between the two the
 // scoreboard lags behind the clocks, and settle brings it up to date
-// before anything reads it. It returns the number of instructions it
-// retired, stopping with an error past maxSteps. The differential tests
-// pin it against the test-only oracle (internal/machine/oracle).
+// before anything reads it. Where a backward branch leads the chain
+// back to a loop head, the loop's repeats are skipped (cycle.go). It
+// returns the number of instructions it retired, stopping with an error
+// past maxSteps. The differential tests pin it against the test-only
+// oracle (internal/machine/oracle).
 //
 // The pipelined model: one instruction issues per cycle, once its
 // source registers are ready; its result is ready lat cycles after
@@ -455,6 +459,10 @@ func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 	// scoreboard may lag behind last.
 	var last *transition
 	dir := 0
+	// back is whether that terminator branched to a pc at or before its
+	// own; entries counts the block entries, skipped ones included
+	back := false
+	var entries int64
 	for {
 		// a chained hit: the link from last that matches the block's
 		// check outcomes and fits the trace
@@ -467,6 +475,15 @@ func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 			}
 		}
 		if hit != nil {
+			// a backward link may close a cycle: unless held off, skip
+			// its repeats and pick the link from last again
+			if back && steps >= hit.hold {
+				if n, e := w.skipCycle(hit, steps, maxSteps, entries); n > 0 {
+					steps += n
+					entries += e
+					continue
+				}
+			}
 			last = hit
 		} else {
 			// a chain start: settle the scoreboard, then look the block
@@ -474,6 +491,7 @@ func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 			if last != nil {
 				w.settle(fr, last)
 			}
+			w.cyc.base = steps
 			blk, t := w.memo.enter(w, fr, pc, steps, maxSteps)
 			if hit = t; t == nil {
 				var err error
@@ -496,6 +514,7 @@ func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 			}
 			pc += int(hit.n) - 1
 		}
+		entries++
 		// the terminator's control transfer; its issue slot is taken
 		switch ins := &f.Instrs[pc]; ins.Op {
 		case OpBr, OpBeqz, OpBnez:
@@ -509,7 +528,8 @@ func (w *batchWalker) walk(maxSteps int64) (int64, error) {
 					return 0, errTraceUnderrun
 				}
 			}
-			pc = [2]int{pc + 1, ins.Target}[dir&1]
+			next := [2]int{pc + 1, ins.Target}[dir&1]
+			back, pc = next <= pc, next
 
 		case OpCall:
 			callee, ok := w.prog.Funcs[ins.Fn]

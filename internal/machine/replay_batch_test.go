@@ -35,6 +35,9 @@ func TestReplayBatchMatchesReplay(t *testing.T) {
 	}{
 		{"sweep", nil, sweep, 0},
 		{"shared timing, distinct miss streams", []string{"alatOrder"}, streams, 4},
+		// the first stream repeats with the loop, the second does not:
+		// a cycle is skipped only where every stream repeats
+		{"one stream periodic", []string{"streamSplit"}, []machine.Config{{Pipelined: true}, {ALATSize: 3, Pipelined: true}}, 2},
 		// lanes that differ in one field the walk reads must not merge,
 		// even where the field costs nothing (no zoo program fences)
 		{"one field apart", nil, []machine.Config{

@@ -45,7 +45,10 @@ import (
 
 // bitChunkWords is the size of one bitstream chunk in 64-bit words
 // (32 KiB of bits per chunk).
-const bitChunkWords = 1 << 12
+const (
+	bitChunkShift = 12
+	bitChunkWords = 1 << bitChunkShift
+)
 
 // opChunkLen is the number of ALAT events per chunk.
 const opChunkLen = 1 << 12
@@ -67,6 +70,10 @@ func (b *bitChunks) append(bit bool) {
 	}
 	b.n++
 }
+
+// words returns the stream's words, for comparing them a word at a
+// time.
+func (b *bitChunks) words() wordStream { return wordStream{b.chunks, bitChunkShift} }
 
 // bitReader is one replay's private cursor over a bitChunks stream. It
 // keeps the 64-bit word under the cursor in hand, so a read indexes the

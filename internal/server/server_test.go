@@ -885,3 +885,27 @@ func TestConcurrentRequestIDsUnique(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// TestCompileInfiniteLoopTimesOut compiles a program that never ends
+// under a 1 s request timeout: the profiling run looks at the request's
+// context as it runs, so the compile answers 504 within the timeout
+// plus a second and frees its worker, and /healthz still answers 200.
+func TestCompileInfiniteLoopTimesOut(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, Timeout: time.Second})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	start := time.Now()
+	resp := postJSON(t, ts, "/compile", CompileRequest{Source: "int main() { int i = 0; while (1) { i = i + 1; } return i; }"})
+	body := readAll(t, resp)
+	if elapsed := time.Since(start); resp.StatusCode != http.StatusGatewayTimeout || elapsed > 2*time.Second {
+		t.Fatalf("compiling an infinite loop = %d %q after %v, want 504 within 2 s", resp.StatusCode, body, elapsed)
+	}
+	health, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readAll(t, health); health.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the timeout = %d, want 200", health.StatusCode)
+	}
+}

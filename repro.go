@@ -345,7 +345,7 @@ func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error)
 		}
 		alias.RefineWorkers(prog, cfg.Workers)
 		prof := profile.New()
-		if _, err := interp.Run(prog, interp.Options{
+		if _, err := interp.RunCtx(ctx, prog, interp.Options{
 			CollectEdges: true, CollectAlias: true, Profile: prof, Args: cfg.ProfileArgs,
 		}); err != nil {
 			return nil, err
@@ -676,9 +676,10 @@ func (b *Build) fingerprint() [32]byte {
 // under mcfg's memory layout and resource limits, recording it on the
 // first request. A run that faults yields the functional engine's error
 // (memoized like any other cache entry — sound because the limits are
-// part of the key). The trace is recorded under exactly the normalized
-// layout and limits it is keyed by, so it fits every Config sharing the
-// key and replay never refuses it.
+// part of the key); a recording ctx stops is not memoized. The trace is
+// recorded under exactly the normalized layout and limits it is keyed
+// by, so it fits every Config sharing the key and replay never refuses
+// it.
 func (b *Build) traceFor(ctx context.Context, args []int64, mcfg machine.Config) (*machine.Trace, error) {
 	n := mcfg.Normalized()
 	fp := b.fingerprint()
@@ -689,7 +690,7 @@ func (b *Build) traceFor(ctx context.Context, args []int64, mcfg machine.Config)
 	lim := fmt.Sprintf("slots=%d steps=%d depth=%d", n.StackSlots, n.MaxSteps, n.MaxCallDepth)
 	key := cache.KeyOf([]byte("trace"), fp[:], argb, []byte(lim))
 	v, err := compCache.GetCtx(ctx, key, func() (any, error) {
-		return machine.Record(b.Code, args, n)
+		return machine.RecordCtx(ctx, b.Code, args, n)
 	})
 	if err != nil {
 		return nil, err
@@ -788,12 +789,13 @@ func (b *Build) EvaluateCtx(ctx context.Context, args []int64, cfgs []machine.Co
 }
 
 // RunReferenceCtx interprets the unoptimized IR (the semantic oracle).
-// A done ctx stops the interpretation before it starts.
+// A done ctx stops the interpretation before it starts or, within 2^16
+// steps, while it runs.
 func (c *Compilation) RunReferenceCtx(ctx context.Context, args []int64) (*interp.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return interp.Run(c.Ref, interp.Options{Args: args})
+	return interp.RunCtx(ctx, c.Ref, interp.Options{Args: args})
 }
 
 // TotalStats sums optimizer statistics over all functions.
@@ -836,8 +838,9 @@ func Reference(src string, args []int64) (*interp.Result, error) {
 // (class, address), so shards are independent and the merged totals
 // match the serial walk exactly). A single worker (after par.Workers
 // resolution) runs the simulation inline during interpretation — the
-// serial path and the equivalence oracle. The frontend cache lookup honors ctx and a done ctx stops the
-// simulation before the interpreter run starts.
+// serial path and the equivalence oracle. The frontend cache lookup
+// honors ctx, and a done ctx stops the simulation before the
+// interpreter run starts or, within 2^16 steps, while it runs.
 func ReuseLimitCtx(ctx context.Context, src string, args []int64, workers int) (*interp.ReuseSim, error) {
 	prog, err := frontendCtx(ctx, src)
 	if err != nil {
@@ -859,13 +862,13 @@ func ReuseLimitCtx(ctx context.Context, src string, args []int64, workers int) (
 	}
 	if par.Workers(workers) <= 1 {
 		sim := interp.NewReuseSim(classes)
-		if _, err := interp.Run(prog, interp.Options{Args: args, Reuse: sim}); err != nil {
+		if _, err := interp.RunCtx(ctx, prog, interp.Options{Args: args, Reuse: sim}); err != nil {
 			return nil, err
 		}
 		return sim, nil
 	}
 	tr := &interp.MemTrace{}
-	if _, err := interp.Run(prog, interp.Options{Args: args, MemTrace: tr}); err != nil {
+	if _, err := interp.RunCtx(ctx, prog, interp.Options{Args: args, MemTrace: tr}); err != nil {
 		return nil, err
 	}
 	return interp.ShardedReuse(classes, tr, workers), nil
