@@ -1,6 +1,8 @@
 package ssapre
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/ir"
 )
@@ -71,6 +73,13 @@ func (w *web) codeMotion() {
 
 	fn := w.ssa.Fn
 	t := fn.NewTemp(w.ec.resType)
+	if w.opts.Verify {
+		// later classes of the round read the round's tables, which
+		// cannot see definitions of a variable they index
+		if _, tracked := w.scratch.reach.slot[t]; tracked {
+			panic(fmt.Sprintf("ssapre: new temp %s is a variable of this round's classes", t.Name))
+		}
+	}
 	w.temp = t
 	w.preTemp(t)
 	if hasChecks {

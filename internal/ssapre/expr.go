@@ -133,6 +133,7 @@ type occurrence struct {
 	spec   bool // renamed speculatively: reuse requires a check
 	reload bool // Finalize: replace computation with temp reuse
 	defOcc *defNode
+	node   *defNode // Finalize: the occurrence's own node as a value provider
 	inWeb  bool
 }
 
@@ -143,6 +144,7 @@ type exprClass struct {
 	occs []*occurrence
 
 	vars     []*ir.Sym  // operand variables whose versions identify the value
+	slots    []int32    // the round's reachTab slot of each of vars
 	vvSym    *ir.Sym    // virtual variable (indirect loads)
 	aTmpl    ir.Operand // canonical first operand template
 	bTmpl    ir.Operand // canonical second operand template (binary)

@@ -1,71 +1,75 @@
 package ssapre
 
-import (
-	"repro/internal/ir"
-)
-
 // nodeOf returns the unique defNode of a real occurrence.
 func (w *web) nodeOf(o *occurrence) *defNode {
 	if o.defOcc != nil && o.defOcc.real == o {
 		return o.defOcc
 	}
-	if w.occNodes == nil {
-		w.occNodes = map[*occurrence]*defNode{}
+	if o.node == nil {
+		o.node = w.newNode(defNode{real: o, class: o.class})
 	}
-	n := w.occNodes[o]
-	if n == nil {
-		n = w.newNode(defNode{real: o, class: o.class})
-		w.occNodes[o] = n
-	}
-	return n
+	return o.node
 }
 
-// finalize decides, in a dominator-tree walk, which occurrences reload
-// from the temporary and which Φ operands need insertions, tracking the
-// nearest available definition per class.
-func (w *web) finalize() {
-	availDef := map[int]*defNode{}
+// availUndo records the definition a class had available before a
+// finalize step at block blk replaced it.
+type availUndo struct {
+	blk   int32
+	class int
+	prev  *defNode
+}
 
-	var walk func(b *ir.Block)
-	walk = func(b *ir.Block) {
-		saved := map[int]*defNode{}
-		set := func(c int, n *defNode) {
-			if _, ok := saved[c]; !ok {
-				saved[c] = availDef[c]
-			}
-			availDef[c] = n
+// finalize decides which occurrences reload from the temporary and which
+// Φ operands need insertions. It revisits rename's items (Φs and real
+// occurrences, in dominator-tree preorder) tracking the nearest available
+// definition of each class; leaving a dominator subtree undoes the
+// subtree's updates.
+func (w *web) finalize() {
+	sc := w.scratch
+	if len(sc.availTop) < w.nextClass {
+		sc.availTop = make([]*defNode, w.nextClass)
+	}
+	avail := sc.availTop[:w.nextClass]
+	undo := sc.avail[:0]
+	set := func(bi int32, c int, n *defNode) {
+		undo = append(undo, availUndo{blk: bi, class: c, prev: avail[c]})
+		avail[c] = n
+	}
+	for _, it := range sc.items {
+		if it.occ == nil && it.j >= 0 {
+			continue // Φ operands are decided below
 		}
-		if p := w.phiAt[b]; p != nil && p.willBeAvail {
-			set(p.class, p.node)
+		bi := it.blk()
+		for len(undo) > 0 && !sc.dom.dominates(undo[len(undo)-1].blk, bi) {
+			u := undo[len(undo)-1]
+			avail[u.class] = u.prev
+			undo = undo[:len(undo)-1]
 		}
-		for _, st := range b.Stmts {
-			a, ok := st.(*ir.Assign)
-			if !ok {
-				continue
+		if it.occ == nil {
+			sc.blocks++
+			if p := it.phi; p.willBeAvail {
+				set(bi, p.class, p.node)
 			}
-			o := w.occSet[a]
-			if o == nil || !w.occStillValid(o) {
-				continue
-			}
-			if def := availDef[o.class]; def != nil && o.defOcc != nil {
-				o.reload = true
-				o.defOcc = def
-			} else {
-				// leader: this occurrence computes the value
-				o.reload = false
-				o.defOcc = nil
-				o.spec = false
-				set(o.class, w.nodeOf(o))
-			}
+			continue
 		}
-		for _, c := range w.ssa.DT.Children[b] {
-			walk(c)
+		sc.stmts++
+		o := it.occ
+		if !w.occStillValid(o) {
+			continue
 		}
-		for c, n := range saved {
-			availDef[c] = n
+		if def := avail[o.class]; def != nil && o.defOcc != nil {
+			o.reload = true
+			o.defOcc = def
+		} else {
+			// leader: this occurrence computes the value
+			o.reload = false
+			o.defOcc = nil
+			o.spec = false
+			set(bi, o.class, w.nodeOf(o))
 		}
 	}
-	walk(w.ssa.Fn.Entry)
+	clear(avail)
+	sc.avail = undo[:0]
 
 	// insertion decisions for will-be-available Φs
 	for _, p := range w.phis {

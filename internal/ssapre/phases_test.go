@@ -38,9 +38,11 @@ func buildWebs(t *testing.T, src string, mode core.Mode, controlSpec bool, profA
 	ssa := core.BuildSSA(fn, ar.FuncVirtuals[fn])
 	copies := buildResolver(fn, map[*ir.Sym]bool{})
 	classes := collectExprs(ssa, opts, nil, copies)
+	scratch := newWebScratch(ssa)
+	scratch.reach.build(classes)
 	var webs []*web
 	for _, ec := range classes {
-		w := newWeb(ssa, ec, opts, copies, &webScratch{})
+		w := newWeb(ssa, ec, opts, copies, scratch)
 		w.preTemps = map[*ir.Sym]bool{}
 		w.phiInsertion()
 		w.rename()

@@ -93,12 +93,13 @@ func runFunc(fn *ir.Func, opts Options, sites *siteAlloc) (*Stats, error) {
 	ssa := core.BuildSSA(fn, virtuals)
 	preTemps := map[*ir.Sym]bool{}
 	checkedTemps := map[*ir.Sym]bool{}
-	scratch := &webScratch{}
+	scratch := newWebScratch(ssa)
 
 	for round := 0; round < opts.Rounds; round++ {
 		copies := buildResolver(fn, checkedTemps)
 		classes := collectExprs(ssa, opts, synKeys, copies)
 		stats.ExprClasses += len(classes)
+		scratch.reach.build(classes)
 		any := false
 		for _, ec := range classes {
 			w := newWeb(ssa, ec, opts, copies, scratch)
@@ -130,6 +131,9 @@ func runFunc(fn *ir.Func, opts Options, sites *siteAlloc) (*Stats, error) {
 		if !any {
 			break
 		}
+	}
+	if countVisits != nil {
+		countVisits(scratch.blocks, scratch.stmts)
 	}
 	if !opts.NoStrength {
 		strengthReduce(ssa, stats)
