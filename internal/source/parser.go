@@ -35,6 +35,15 @@ func Parse(src string) (*File, error) {
 func (p *parser) cur() Token  { return p.toks[p.pos] }
 func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 
+// peek returns the token k positions ahead, or the final EOF token when
+// that runs past the end.
+func (p *parser) peek(k int) Token {
+	if i := p.pos + k; i < len(p.toks) {
+		return p.toks[i]
+	}
+	return p.toks[len(p.toks)-1]
+}
+
 // nest enters one more level of the tree being built, refusing to go
 // past maxNesting. A parse function that nests defers leave with the
 // depth it started at.
@@ -131,7 +140,7 @@ func (p *parser) parseType() (*ir.Type, error) {
 func (p *parser) file() (*File, error) {
 	f := &File{}
 	for p.cur().Kind != TokEOF {
-		if p.isKeyword("struct") && p.toks[p.pos+2].Kind == TokPunct && p.toks[p.pos+2].Text == "{" {
+		if p.isKeyword("struct") && p.peek(2).Kind == TokPunct && p.peek(2).Text == "{" {
 			sd, err := p.structDecl()
 			if err != nil {
 				return nil, err
@@ -565,7 +574,7 @@ func (p *parser) unary() (Expr, error) {
 			return &Unary{Op: t.Text, X: x, Line: t.Line}, nil
 		case "(":
 			// possibly a cast
-			nt := p.toks[p.pos+1]
+			nt := p.peek(1)
 			if nt.Kind == TokKeyword && (nt.Text == "int" || nt.Text == "double" || nt.Text == "struct") {
 				p.pos++ // (
 				ct, err := p.parseType()
