@@ -53,8 +53,11 @@ func compileKernel(b *testing.B, w workloads.Workload) *machine.Program {
 // per-sweep costs and speedups, plus record_ns, the cost of one equake
 // Record at the reference input, walk_ns, one warm ReplayBatch of the
 // grid's pipelined half on a recorded trace: the pipelined walk alone,
-// and walk_all_ns, the same walk on every paper kernel at its reference
-// input, summed. Two grids are measured: "serial" is the 12-config
+// walk_all_ns, the same walk on every paper kernel at its reference
+// input, summed, and record_all_ns, one Record plus its serial replay
+// on every paper kernel at its reference input, summed: the machine's
+// share of a cold evaluation. trace_bytes_all sums those kernels'
+// Trace.Bytes. Two grids are measured: "serial" is the 12-config
 // serial-model grid — the RunSensitivityCtx shape, where replay takes
 // the O(events) aggregate path — and "mixed" is the full 24-config
 // MachineSweepConfigs grid whose pipelined half needs the scoreboard
@@ -84,9 +87,11 @@ func BenchmarkMachineSweep(b *testing.B) {
 	}
 	type kernelTrace struct {
 		code  *machine.Program
+		args  []int64
 		trace *machine.Trace
 	}
 	var kernels []kernelTrace
+	var traceBytes int64
 	for _, w := range workloads.All() {
 		kc := compileKernel(b, w)
 		tr, err := machine.Record(kc, w.RefArgs, machine.Config{})
@@ -96,7 +101,8 @@ func BenchmarkMachineSweep(b *testing.B) {
 		if _, err := machine.ReplayBatch(kc, tr, piped); err != nil {
 			b.Fatal(err)
 		}
-		kernels = append(kernels, kernelTrace{kc, tr})
+		kernels = append(kernels, kernelTrace{kc, w.RefArgs, tr})
+		traceBytes += tr.Bytes()
 	}
 
 	direct := func(cfgs []machine.Config) func() error {
@@ -147,6 +153,18 @@ func BenchmarkMachineSweep(b *testing.B) {
 			_, err := machine.ReplayBatch(code, warm, piped)
 			return err
 		}},
+		{"record_all", 1, func() error {
+			for _, kt := range kernels {
+				tr, err := machine.Record(kt.code, kt.args, machine.Config{})
+				if err != nil {
+					return err
+				}
+				if _, err := machine.ReplayBatch(kt.code, tr, []machine.Config{{}}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
 		{"walk_all", 1, func() error {
 			for _, kt := range kernels {
 				if _, err := machine.ReplayBatch(kt.code, kt.trace, piped); err != nil {
@@ -171,12 +189,14 @@ func BenchmarkMachineSweep(b *testing.B) {
 	}
 
 	out := map[string]any{
-		"benchmark":   "MachineSweep",
-		"workload":    "equake",
-		"passes":      benchPasses,
-		"record_ns":   median(ns["record"]),
-		"walk_ns":     median(ns["walk"]),
-		"walk_all_ns": median(ns["walk_all"]),
+		"benchmark":       "MachineSweep",
+		"workload":        "equake",
+		"passes":          benchPasses,
+		"record_ns":       median(ns["record"]),
+		"walk_ns":         median(ns["walk"]),
+		"walk_all_ns":     median(ns["walk_all"]),
+		"record_all_ns":   median(ns["record_all"]),
+		"trace_bytes_all": traceBytes,
 	}
 	speedups := map[string]float64{}
 	for _, grid := range []struct {
@@ -203,6 +223,7 @@ func BenchmarkMachineSweep(b *testing.B) {
 	b.ReportMetric(speedups["mixed"], "mixed_sweep_speedup")
 	b.ReportMetric(median(ns["walk"]), "walk_ns")
 	b.ReportMetric(median(ns["walk_all"]), "walk_all_ns")
+	b.ReportMetric(median(ns["record_all"]), "record_all_ns")
 	out["speedup"] = speedups["serial"]
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -23,7 +23,7 @@ const compileBase = `{"benchmark": "CompileProfile", "allocs_per_compile": 8000,
 var (
 	loadCompile = loadScalars("allocs_per_compile", "ns_per_compile")
 	loadRecord  = loadScalars("record_ns")
-	loadMachine = loadScalars("record_ns", "walk_ns", "walk_all_ns")
+	loadMachine = loadScalars(machineScalars...)
 )
 
 func TestGuard(t *testing.T) {
@@ -83,29 +83,43 @@ func TestGuard(t *testing.T) {
 		},
 		{
 			name:     "a walk cost rise beyond the margin fails",
-			base:     `{"record_ns": 4000000, "walk_ns": 2000000, "walk_all_ns": 8000000}`,
-			fresh:    `{"record_ns": 3000000, "walk_ns": 2600000, "walk_all_ns": 8000000}`,
+			base:     `{"record_ns": 4000000, "walk_ns": 2000000, "walk_all_ns": 8000000, "record_all_ns": 30000000}`,
+			fresh:    `{"record_ns": 3000000, "walk_ns": 2600000, "walk_all_ns": 8000000, "record_all_ns": 30000000}`,
 			load:     loadMachine,
 			wantFail: "walk_ns",
 		},
 		{
 			name:     "an all-kernel walk cost rise beyond the margin fails",
-			base:     `{"record_ns": 4000000, "walk_ns": 2000000, "walk_all_ns": 8000000}`,
-			fresh:    `{"record_ns": 4000000, "walk_ns": 1600000, "walk_all_ns": 10400000}`,
+			base:     `{"record_ns": 4000000, "walk_ns": 2000000, "walk_all_ns": 8000000, "record_all_ns": 30000000}`,
+			fresh:    `{"record_ns": 4000000, "walk_ns": 1600000, "walk_all_ns": 10400000, "record_all_ns": 30000000}`,
 			load:     loadMachine,
 			wantFail: "walk_all_ns",
 		},
 		{
-			name:      "a baseline without walk_ns is an error",
-			base:      `{"record_ns": 4000000, "serial": {"speedup": 10}}`,
+			name:     "an all-kernel record cost rise beyond the margin fails",
+			base:     `{"record_ns": 4000000, "walk_ns": 2000000, "walk_all_ns": 8000000, "record_all_ns": 30000000}`,
+			fresh:    `{"record_ns": 4000000, "walk_ns": 2000000, "walk_all_ns": 8000000, "record_all_ns": 37600000}`,
+			load:     loadMachine,
+			wantFail: "record_all_ns",
+		},
+		{
+			name:      "a fresh file without record_all_ns is an error",
+			base:      `{"record_ns": 4000000, "walk_ns": 2000000, "walk_all_ns": 8000000, "record_all_ns": 30000000}`,
 			fresh:     `{"record_ns": 4000000, "walk_ns": 2000000, "walk_all_ns": 8000000}`,
 			load:      loadMachine,
 			wantError: true,
 		},
 		{
+			name:      "a baseline without walk_ns is an error",
+			base:      `{"record_ns": 4000000, "serial": {"speedup": 10}}`,
+			fresh:     `{"record_ns": 4000000, "walk_ns": 2000000, "walk_all_ns": 8000000, "record_all_ns": 30000000}`,
+			load:      loadMachine,
+			wantError: true,
+		},
+		{
 			name:      "a fresh file without walk_all_ns is an error",
-			base:      `{"record_ns": 4000000, "walk_ns": 2000000, "walk_all_ns": 8000000}`,
-			fresh:     `{"record_ns": 4000000, "walk_ns": 2000000}`,
+			base:      `{"record_ns": 4000000, "walk_ns": 2000000, "walk_all_ns": 8000000, "record_all_ns": 30000000}`,
+			fresh:     `{"record_ns": 4000000, "walk_ns": 2000000, "record_all_ns": 30000000}`,
 			load:      loadMachine,
 			wantError: true,
 		},

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -106,6 +107,31 @@ func TestCompileGolden(t *testing.T) {
 			if bad++; bad == 10 {
 				t.Fatal("more mismatches elided")
 			}
+		}
+	}
+}
+
+// TestProfileBytesPinned pins the SHA-256 of every paper kernel's
+// serialized profile at its training input. The profiling interpreter
+// may change how it counts, never what the profile says.
+func TestProfileBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"gzip":   "b357ea667aeb13b804cf1ef6ffb12c225529c47ca5166f1d3d93a295280eeb65",
+		"vpr":    "afaa39b2249cb47e2d538569447fa1a32bdbe05c4f06cef01fd66f1813361b9c",
+		"mcf":    "2951ebc6592a447f8d9dd06d1b0805ac3209ef8a4bc936f007ddf15136356120",
+		"equake": "2ac5862082a4e09b92b68a2b3380ad7721bc38762b4baeb7c9035bc5b7fb9e81",
+		"art":    "8bbe5c296fbd748b72c508be254af68b829cf30b6a63caefba554056f521060f",
+		"ammp":   "356a93acd09777685ffb25cf3aaf143e328dd585c2d7e7feee705ad712b6201d",
+		"bzip2":  "cd6aba886441583bb3db419ebd062e9cd2ddd00366119538971f191732259214",
+		"twolf":  "9ef805e97ab7d48b0adb68696a7872ef8084c38554d3fe05841f97aea64bb5d0",
+	}
+	for _, w := range workloads.All() {
+		data, err := repro.CollectProfileCtx(context.Background(), w.Src, w.ProfileArgs)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want[w.Name] {
+			t.Errorf("%s: profile SHA-256 %s, want %s", w.Name, got, want[w.Name])
 		}
 	}
 }

@@ -98,6 +98,15 @@ func RunCtx(ctx context.Context, prog *ir.Program, opts Options) (*Result, error
 		}
 		m.prof = opts.Profile
 	}
+	if m.prof != nil && opts.CollectAlias {
+		m.loadRuns.init(prog.NumSites(), m.prof.LoadSet)
+		m.storeRuns.init(prog.NumSites(), m.prof.StoreSet)
+		m.refRuns.init(prog.NumSites(), m.prof.RefSet)
+		m.modRuns.init(prog.NumSites(), m.prof.ModSet)
+		m.totals = make([]uint64, prog.NumSites()+1)
+		// a run that fails leaves the profile it had collected so far
+		defer m.flushProfile()
+	}
 	m.mem = memimg.New(prog.GlobSize+stackCap, prog.GlobSize, prog.GlobalInit)
 	m.stackTop = prog.GlobSize
 	m.globals = append([]*ir.Sym(nil), prog.Globals...)
@@ -152,6 +161,79 @@ type machine struct {
 	loads       uint64
 	stores      uint64
 	nextFrameID int64
+
+	// the alias profile, counted per site id and handed to prof by
+	// flushProfile: each reference site's executions, and each LOC set's
+	// pending runs
+	totals                                []uint64
+	loadRuns, storeRuns, refRuns, modRuns siteRuns
+}
+
+// locRun is n observations in a row of one location.
+type locRun struct {
+	loc profile.Loc
+	n   uint64
+}
+
+// siteRuns buffers one kind of LOC set — load, store, call ref or call
+// mod — per site id: the run of equal locations the site observed last.
+// A site mostly observes the location it observed before (a loop over
+// one array or one struct), so a compare replaces most map updates; a
+// different location flushes the run into the profile's set.
+type siteRuns struct {
+	runs []locRun // indexed by site id
+	set  func(site int) profile.LocSet
+}
+
+func (r *siteRuns) init(numSites int, set func(site int) profile.LocSet) {
+	r.runs, r.set = make([]locRun, numSites+1), set
+}
+
+// add records one observation of loc at site.
+func (r *siteRuns) add(site int, loc profile.Loc) {
+	if site >= len(r.runs) {
+		r.runs = append(r.runs, make([]locRun, site+1-len(r.runs))...)
+	}
+	run := &r.runs[site]
+	if run.n > 0 {
+		if run.loc == loc {
+			run.n++
+			return
+		}
+		r.set(site).AddN(run.loc, run.n)
+	}
+	*run = locRun{loc, 1}
+}
+
+// flush hands every pending run to the profile.
+func (r *siteRuns) flush() {
+	for site := range r.runs {
+		if run := &r.runs[site]; run.n > 0 {
+			r.set(site).AddN(run.loc, run.n)
+			run.n = 0
+		}
+	}
+}
+
+// countExec records one dynamic execution of a reference site.
+func (m *machine) countExec(site int) {
+	if site >= len(m.totals) {
+		m.totals = append(m.totals, make([]uint64, site+1-len(m.totals))...)
+	}
+	m.totals[site]++
+}
+
+// flushProfile hands the per-site counts to the profile.
+func (m *machine) flushProfile() {
+	for site, n := range m.totals {
+		if n > 0 {
+			m.prof.AddExecN(site, n)
+		}
+	}
+	m.totals = nil
+	for _, r := range []*siteRuns{&m.loadRuns, &m.storeRuns, &m.refRuns, &m.modRuns} {
+		r.flush()
+	}
 }
 
 // runtimeErr builds an execution error.
@@ -427,7 +509,7 @@ func (m *machine) execCall(fr *frame, st *ir.Call) error {
 		args[i] = v
 	}
 	if m.prof != nil && m.opts.CollectAlias && st.Site != 0 {
-		m.prof.AddExec(st.Site)
+		m.countExec(st.Site)
 	}
 	m.callSites = append(m.callSites, st.Site)
 	defer func() { m.callSites = m.callSites[:len(m.callSites)-1] }()
@@ -461,15 +543,15 @@ func (m *machine) loadMem(addr int, site int) (uint64, error) {
 		// address resolves to no nameable LOC — that keeps each LOC's
 		// count/total alias probability at most 1
 		if site != 0 {
-			m.prof.AddExec(site)
+			m.countExec(site)
 		}
 		loc, ok := m.locate(addr)
 		if ok {
 			if site != 0 {
-				m.prof.LoadSet(site).Add(loc)
+				m.loadRuns.add(site, loc)
 			}
 			for _, cs := range m.callSites {
-				m.prof.RefSet(cs).Add(loc)
+				m.refRuns.add(cs, loc)
 			}
 		}
 	}
@@ -490,15 +572,15 @@ func (m *machine) storeMem(addr int, val uint64, site int) error {
 	}
 	if m.prof != nil && m.opts.CollectAlias {
 		if site != 0 {
-			m.prof.AddExec(site)
+			m.countExec(site)
 		}
 		loc, ok := m.locate(addr)
 		if ok {
 			if site != 0 {
-				m.prof.StoreSet(site).Add(loc)
+				m.storeRuns.add(site, loc)
 			}
 			for _, cs := range m.callSites {
-				m.prof.ModSet(cs).Add(loc)
+				m.modRuns.add(cs, loc)
 			}
 		}
 	}
@@ -544,14 +626,12 @@ func (m *machine) recordDirectRef(s *ir.Sym, isMod bool) {
 		fr := m.frames[len(m.frames)-1]
 		loc = profile.Loc{Kind: profile.LocLocal, Sym: s, Fn: fr.fn}
 	}
+	runs := &m.refRuns
 	if isMod {
-		for _, cs := range m.callSites {
-			m.prof.ModSet(cs).Add(loc)
-		}
-	} else {
-		for _, cs := range m.callSites {
-			m.prof.RefSet(cs).Add(loc)
-		}
+		runs = &m.modRuns
+	}
+	for _, cs := range m.callSites {
+		runs.add(cs, loc)
 	}
 	if m.opts.Reuse != nil && len(m.frames) > 0 {
 		// direct refs participate in reuse tracking via loadMem/storeMem

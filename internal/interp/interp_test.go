@@ -355,6 +355,46 @@ int main() {
 	}
 }
 
+// TestAliasProfileCounts pins one store site's counted LOC multiset
+// and execution total through runs of one location broken by another,
+// and checks that a run that faults after the loop leaves the same
+// profile as one that finishes.
+func TestAliasProfileCounts(t *testing.T) {
+	prog := compile(t, `
+int a = 0;
+int b = 0;
+int main() {
+	int n = arg(0);
+	for (int i = 0; i < n; i++) {
+		int *p = &a;
+		if (i % 3 == 2) p = &b;
+		*p = i;
+	}
+	print(10 / arg(1));
+	return 0;
+}`)
+	for _, divisor := range []int64{1, 0} {
+		prof := profile.New()
+		_, err := Run(prog, Options{CollectEdges: true, CollectAlias: true, Profile: prof, Args: []int64{8, divisor}})
+		if (err != nil) != (divisor == 0) {
+			t.Fatalf("divisor %d: run error %v", divisor, err)
+		}
+		if len(prof.StoreLocs) != 1 {
+			t.Fatalf("divisor %d: %d store sites, want 1", divisor, len(prof.StoreLocs))
+		}
+		for site, locs := range prof.StoreLocs {
+			counts := map[string]uint64{}
+			for l, n := range locs {
+				counts[l.String()] = n
+			}
+			if counts["a"] != 6 || counts["b"] != 2 || len(counts) != 2 || prof.Total(site) != 8 {
+				t.Errorf("divisor %d: store site %d counts %v, total %d; want a:6 b:2, total 8",
+					divisor, site, counts, prof.Total(site))
+			}
+		}
+	}
+}
+
 func TestAliasProfileHeap(t *testing.T) {
 	prog := compile(t, `
 int main() {

@@ -26,6 +26,11 @@ type vm struct {
 	stackTop int
 
 	alat *alat
+	// armed is the set of addresses whose stores the trace must record
+	// (trace.go); sum is the ALAT summary at cfg.ALATSize, filled as the
+	// run goes and handed to the trace's memo.
+	armed armedSet
+	sum   alatSummary
 
 	// per-depth call scratch: activations nest strictly, so frame-local
 	// buffers (registers, NaT bits, outgoing args) are reused by depth
@@ -85,6 +90,8 @@ func RecordCtx(ctx context.Context, prog *Program, args []int64, cfg Config) (*T
 	m.mem = memimg.New(prog.GlobSize+cfg.StackSlots, prog.GlobSize, prog.GlobalInit)
 	m.stackTop = prog.GlobSize
 	m.alat = newALAT(cfg.ALATSize)
+	m.armed.heapBase = m.mem.HeapBase()
+	m.sum.missBits = []uint64{} // non-nil with no checks, as a walk's
 
 	mainFn, ok := prog.Funcs["main"]
 	if !ok {
@@ -99,6 +106,11 @@ func RecordCtx(ctx context.Context, prog *Program, args []int64, cfg Config) (*T
 	t.Steps = m.steps
 	t.StackSlots = cfg.StackSlots
 	t.Frames = m.frameID
+	// the recording ALAT ran at cfg.ALATSize on exactly the events, in
+	// the order, that alatWalk replays, so its outcome is that
+	// capacity's summary
+	m.sum.evictions = m.alat.evictions
+	t.alatMemo.Store(cfg.ALATSize, m.sum)
 	return t, nil
 }
 
@@ -150,6 +162,64 @@ func (s *callScratch) grow(n int) (regs []uint64, nat []bool) {
 	return s.regs, s.nat
 }
 
+// advance records and performs an advanced load's ALAT insert at a
+// valid address.
+func (m *vm) advance(frameID int64, reg, addr int, fnID int32) {
+	m.trace.counts[cAdv]++
+	m.trace.ops.append(alatOp{kind: opInsert, frameID: frameID, reg: int32(reg), addr: int64(addr), fn: fnID})
+	m.alat.insert(frameID, reg, addr)
+	m.armed.arm(addr)
+	m.sum.perFn[fnID].adv++
+}
+
+// armedSet is the set of armed addresses (trace.go): those at which an
+// insert or a check has been recorded since the last recorded store. It
+// keeps one bit per address in the two regions of the memory image
+// (memimg), each grown only as far as an armed address reaches: the
+// globals and the stack below heapBase, and the heap above it.
+type armedSet struct {
+	low      []uint64 // address a < heapBase is bit a
+	heap     []uint64 // address a ≥ heapBase is bit a−heapBase
+	heapBase int
+}
+
+// minArmedWords is the smallest length the low region grows to.
+const minArmedWords = 8
+
+// arm marks the valid address a.
+func (s *armedSet) arm(a int) {
+	if a >= s.heapBase {
+		s.heap = setBit(s.heap, a-s.heapBase, math.MaxInt)
+		return
+	}
+	s.low = setBit(s.low, a, (s.heapBase+63)>>6)
+}
+
+// setBit sets bit i of words, growing words by doubling, capped at
+// limit words (past i's word), when i lies past its end.
+func setBit(words []uint64, i, limit int) []uint64 {
+	if w := i >> 6; w >= len(words) {
+		n := min(max(2*len(words), w+1, minArmedWords), limit)
+		words = append(words, make([]uint64, n-len(words))...)
+	}
+	words[i>>6] |= 1 << uint(i&63)
+	return words
+}
+
+// take reports whether the valid address a is armed, and disarms it.
+func (s *armedSet) take(a int) bool {
+	words, i := s.low, a
+	if a >= s.heapBase {
+		words, i = s.heap, a-s.heapBase
+	}
+	w, bit := i>>6, uint64(1)<<uint(i&63)
+	if w >= len(words) || words[w]&bit == 0 {
+		return false
+	}
+	words[w] &^= bit
+	return true
+}
+
 // call runs one function activation and returns (value, hadValue).
 func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 	if m.depth >= m.cfg.MaxCallDepth {
@@ -164,6 +234,9 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 	t := m.trace
 	// fnID tags recorded ALAT events for per-function attribution
 	fnID := t.fnID(f)
+	if int(fnID) == len(m.sum.perFn) {
+		m.sum.perFn = append(m.sum.perFn, fnTally{})
+	}
 	if m.depth > t.MaxDepth {
 		t.MaxDepth = m.depth
 	}
@@ -184,18 +257,24 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 		regs[i] = args[i]
 	}
 
+	// the step count and its poll threshold live in locals, written
+	// back to m around a poll, a call and a return
+	steps, limit := m.steps, m.limit
+	code := f.Instrs
 	pc := 0
 	for {
-		m.steps++
-		if m.steps > m.limit {
+		steps++
+		if steps > limit {
+			m.steps = steps
 			if err := m.poll(); err != nil {
 				return 0, false, err
 			}
+			limit = m.limit
 		}
-		if pc < 0 || pc >= len(f.Instrs) {
+		if uint(pc) >= uint(len(code)) {
 			return 0, false, m.fault("pc out of range in %s", f.Name)
 		}
-		ins := &f.Instrs[pc]
+		ins := &code[pc]
 		switch ins.Op {
 		case OpNop:
 		case OpMovI:
@@ -303,9 +382,7 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 				counts[cIntLoad]++
 			}
 			if ins.Op == OpLdA || ins.Op == OpLdFA {
-				counts[cAdv]++
-				t.ops.append(alatOp{kind: opInsert, frameID: myFrame, reg: int32(ins.Rd), addr: int64(addr), fn: fnID})
-				m.alat.insert(myFrame, ins.Rd, addr)
+				m.advance(myFrame, ins.Rd, addr, fnID)
 			}
 
 		case OpLdC, OpLdFC:
@@ -316,6 +393,13 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 			}
 			counts[class]++
 			t.ops.append(alatOp{kind: kind, frameID: myFrame, reg: int32(ins.Rd), addr: int64(addr), fn: fnID})
+			s := &m.sum
+			ord := s.checks
+			s.checks++
+			if ord&63 == 0 {
+				s.missBits = append(s.missBits, 0)
+			}
+			s.perFn[fnID].checks++
 			// a hit leaves the register alone: it already holds the
 			// current value
 			if !m.alat.check(myFrame, ins.Rd, addr) {
@@ -325,7 +409,18 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 				regs[ins.Rd] = m.mem.Load(addr)
 				nat[ins.Rd] = false
 				m.alat.insert(myFrame, ins.Rd, addr)
+				s.missBits[ord>>6] |= 1 << uint(ord&63)
+				s.perFn[fnID].failed++
+				if kind == opCheckFP {
+					s.missFP++
+				} else {
+					s.missInt++
+				}
 			}
+			// a check arms its address, where it may miss and insert
+			// under another capacity. The address is valid: a hit found
+			// an entry, and only a valid load makes one
+			m.armed.arm(addr)
 
 		case OpLdS, OpLdFS, OpLdSA, OpLdFSA:
 			addr := int(int64(regs[ins.Rs]))
@@ -342,9 +437,7 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 				regs[ins.Rd] = m.mem.Load(addr)
 				nat[ins.Rd] = false
 				if ins.Op == OpLdSA || ins.Op == OpLdFSA {
-					counts[cAdv]++
-					t.ops.append(alatOp{kind: opInsert, frameID: myFrame, reg: int32(ins.Rd), addr: int64(addr), fn: fnID})
-					m.alat.insert(myFrame, ins.Rd, addr)
+					m.advance(myFrame, ins.Rd, addr, fnID)
 				}
 			}
 			if ins.Op == OpLdFS || ins.Op == OpLdFSA {
@@ -358,9 +451,13 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 			if !m.mem.Valid(addr) {
 				return 0, false, m.fault("store to invalid address %d in %s", addr, f.Name)
 			}
-			t.ops.append(alatOp{kind: opInval, addr: int64(addr), fn: fnID})
+			// a store to an unarmed address finds no entry at any
+			// capacity: only the count, which timing reads, records it
+			if m.armed.take(addr) {
+				t.ops.append(alatOp{kind: opInval, addr: int64(addr), fn: fnID})
+				m.alat.invalidate(addr)
+			}
 			m.mem.Store(addr, regs[ins.Rs])
-			m.alat.invalidate(addr)
 			counts[cStore]++
 
 		case OpAlloc:
@@ -399,10 +496,12 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 			for i, r := range ins.ArgRegs {
 				args[i] = regs[r]
 			}
+			m.steps = steps
 			v, _, err := m.call(callee, args)
 			if err != nil {
 				return 0, false, err
 			}
+			steps, limit = m.steps, m.limit
 			if ins.Rd >= 0 {
 				regs[ins.Rd] = v
 			}
@@ -428,12 +527,14 @@ func (m *vm) call(f *FuncCode, args []uint64) (uint64, bool, error) {
 			m.out.WriteByte('\n')
 
 		case OpRet:
+			m.steps = steps
 			if ins.Rs >= 0 {
 				return regs[ins.Rs], true, nil
 			}
 			return 0, false, nil
 
 		case OpHalt:
+			m.steps = steps
 			counts[cHalt]++
 			return 0, false, nil
 

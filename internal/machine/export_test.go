@@ -37,6 +37,30 @@ func CycleSkips(prog *Program, t *Trace, cfgs []Config) (int, error) {
 	return stats.skipped, err
 }
 
+// ALATSummaries returns the ALAT summary t's memo holds at capacity
+// size (nil when it holds none) and a fresh walk of t's events at that
+// capacity, which bypasses the memo.
+func ALATSummaries(t *Trace, size int) (memo, fresh any) {
+	if v, ok := t.alatMemo.Load(size); ok {
+		memo = v
+	}
+	return memo, t.walkALAT(size)
+}
+
+// StoreEvents counts the store invalidations t's ALAT event stream
+// holds.
+func StoreEvents(t *Trace) int {
+	n := 0
+	for _, kinds := range t.ops.kinds {
+		for _, k := range kinds {
+			if k == opInval {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // ZooProgram is one replay-zoo entry: a program and its input.
 type ZooProgram struct {
 	Prog *Program
@@ -160,6 +184,26 @@ func ReplayPrograms() map[string]ZooProgram {
 		{Op: OpRet, Rs: 0}, // 29
 	}, 23, 4)
 
+	// a store armed only by a check's miss: the first store empties A,
+	// so the first check misses and reloads, and that miss's entry is
+	// what the second store must invalidate for the second check to
+	// miss and read the second value. The last check arms A for one
+	// more store; the store after it finds A unarmed, so the trace keeps
+	// three of the four stores
+	storeRearm := buildProg([]Instr{
+		{Op: OpLEA, Rd: 0, Imm: 1}, // A
+		{Op: OpMovI, Rd: 1, Imm: 5},
+		{Op: OpMovI, Rd: 2, Imm: 9},
+		{Op: OpLdA, Rd: 3, Rs: 0},
+		{Op: OpSt, Rd: 0, Rs: 1},
+		{Op: OpLdC, Rd: 3, Rs: 0}, // misses: reads 5
+		{Op: OpSt, Rd: 0, Rs: 2},
+		{Op: OpLdC, Rd: 3, Rs: 0}, // misses: reads 9
+		{Op: OpSt, Rd: 0, Rs: 1},
+		{Op: OpSt, Rd: 0, Rs: 2}, // unarmed: left out
+		{Op: OpRet, Rs: 3},
+	}, 4, 4)
+
 	return map[string]ZooProgram{
 		"alatLoop":    {alatLoop, nil},
 		"alatOrder":   {alatOrder, nil},
@@ -174,6 +218,7 @@ func ReplayPrograms() map[string]ZooProgram {
 		"period3Mid":  {periodProg(), []int64{60, 30}},
 		"period3Word": {periodProg(), []int64{60, 21}},
 		"spec":        {spec, nil},
+		"storeRearm":  {storeRearm, nil},
 		"streamSplit": {streamSplitProg(), []int64{120}},
 	}
 }

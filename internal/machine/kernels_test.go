@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -153,6 +154,74 @@ func TestFingerprintUnchanged(t *testing.T) {
 			if got, want := code.Fingerprint(), oldFingerprint(code); got != want {
 				t.Errorf("%s %v: fingerprint %x, the concatenated disassembly hashes to %x", w.Name, spec, got, want)
 			}
+		}
+	}
+}
+
+// TestRecordSeedsALATSummary checks the ALAT summary Record leaves in
+// its trace's memo against a fresh walk of the trace's events at the
+// recording capacity, for every zoo program and every paper kernel at
+// its reference input, from a one-entry table to one too large to fill:
+// a seeded summary that differed from the walk would change every
+// replay at the recording capacity.
+func TestRecordSeedsALATSummary(t *testing.T) {
+	type run struct {
+		name string
+		code *machine.Program
+		args []int64
+	}
+	var runs []run
+	for name, tc := range machine.ReplayPrograms() {
+		runs = append(runs, run{name, tc.Prog, tc.Args})
+	}
+	if !testing.Short() {
+		for _, w := range workloads.All() {
+			runs = append(runs, run{w.Name, buildKernel(t, w, repro.SpecProfile).Code, w.RefArgs})
+		}
+	}
+	for _, r := range runs {
+		for _, size := range []int{1, 2, 4, 32, 1 << 40} {
+			tr, err := machine.Record(r.code, r.args, machine.Config{ALATSize: size})
+			if err != nil {
+				t.Fatalf("%s ALATSize %d: record: %v", r.name, size, err)
+			}
+			memo, fresh := machine.ALATSummaries(tr, size)
+			if memo == nil {
+				t.Errorf("%s ALATSize %d: Record seeded no summary", r.name, size)
+			} else if !reflect.DeepEqual(memo, fresh) {
+				t.Errorf("%s ALATSize %d: seeded summary\n%+v\nwalk of the events\n%+v", r.name, size, memo, fresh)
+			}
+		}
+	}
+}
+
+// TestRecordedStoreEvents pins how many store events a trace keeps:
+// only stores to an address an insert or a check has armed since the
+// last recorded store there. The zoo's storeRearm keeps three of its
+// four stores. At their reference inputs, bzip2 and vpr run no
+// advanced loads at all, and ammp's and equake's advanced addresses are
+// never stored to while armed.
+func TestRecordedStoreEvents(t *testing.T) {
+	tc := machine.ReplayPrograms()["storeRearm"]
+	tr, err := machine.Record(tc.Prog, tc.Args, machine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := machine.StoreEvents(tr); got != 3 {
+		t.Errorf("storeRearm: the trace holds %d store events, want 3", got)
+	}
+	if testing.Short() {
+		t.Skip("compiles and records every kernel")
+	}
+	want := map[string]int{"gzip": 5, "vpr": 0, "mcf": 20, "equake": 0, "art": 72, "ammp": 0, "bzip2": 0, "twolf": 14}
+	for _, w := range workloads.All() {
+		b := buildKernel(t, w, repro.SpecProfile)
+		tr, err := machine.Record(b.Code, w.RefArgs, machine.Config{})
+		if err != nil {
+			t.Fatalf("%s: record: %v", w.Name, err)
+		}
+		if got := machine.StoreEvents(tr); got != want[w.Name] {
+			t.Errorf("%s: the trace holds %d store events, want %d", w.Name, got, want[w.Name])
 		}
 	}
 }

@@ -105,12 +105,21 @@ type fnTally struct {
 	adv    int64
 }
 
-// alatWalk replays just the recorded ALAT event stream against a table
-// of the given capacity, memoized per capacity on the trace.
+// alatWalk returns the summary of the recorded ALAT event stream at the
+// given capacity, memoized per capacity on the trace. Record seeds the
+// memo at its own capacity, so only other capacities walk the events.
 func (t *Trace) alatWalk(size int) alatSummary {
 	if v, ok := t.alatMemo.Load(size); ok {
 		return v.(alatSummary)
 	}
+	s := t.walkALAT(size)
+	t.alatMemo.Store(size, s)
+	return s
+}
+
+// walkALAT replays just the recorded ALAT event stream against a table
+// of the given capacity.
+func (t *Trace) walkALAT(size int) alatSummary {
 	a := newALAT(size)
 	s := alatSummary{
 		missBits: make([]uint64, (t.counts[cCheckInt]+t.counts[cCheckFP]+63)/64),
@@ -153,7 +162,6 @@ func (t *Trace) alatWalk(size int) alatSummary {
 		}
 	}
 	s.evictions = a.evictions
-	t.alatMemo.Store(size, s)
 	return s
 }
 

@@ -52,7 +52,8 @@ func TestReplayMatchesDirectExecution(t *testing.T) {
 }
 
 // TestReplayMarshalRoundTrip runs the same differential through the
-// serialized form (the cache spill path).
+// serialized form, Marshal then UnmarshalTrace: a decoded trace has an
+// empty ALAT memo, so its replay walks the events Record kept.
 func TestReplayMarshalRoundTrip(t *testing.T) {
 	for name, tc := range machine.ReplayPrograms() {
 		tr, err := machine.Record(tc.Prog, tc.Args, machine.Config{})

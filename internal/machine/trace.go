@@ -14,12 +14,13 @@ import (
 // functional run (Record) captures everything timing depends on but
 // interpretation produces: conditional-branch directions,
 // speculative-load fault bits, the ALAT event stream (advanced-load
-// inserts, check loads, store invalidations — each with its owning
-// activation, register, and address), and per-latency-class retirement
-// counts. ReplayBatch (replay_batch.go) then re-times the trace under
-// any Config — serial or pipelined, any latencies, any ALAT size —
-// without a register file or memory image, so an N-config sensitivity
-// sweep costs one functional run plus N cheap re-timings.
+// inserts, check loads, and the store invalidations that can hit an
+// entry — each with its owning activation, register, and address), and
+// per-latency-class retirement counts. ReplayBatch (replay_batch.go)
+// then re-times the trace under any Config — serial or pipelined, any
+// latencies, any ALAT size — without a register file or memory image,
+// so an N-config sensitivity sweep costs one functional run plus N
+// cheap re-timings.
 //
 // Under the serial model the re-timing is O(ALAT events), not
 // O(instructions): serial cycles are a linear function of the class
@@ -27,6 +28,20 @@ import (
 // (much shorter) ALAT event stream. The pipelined scoreboard genuinely
 // depends on per-instruction operand availability, so that model walks
 // the full instruction stream, driven by the branch bits.
+//
+// The ALAT event stream holds only the stores that can change what
+// replay computes. An address is armed once an insert or a check at it
+// has been recorded and until a store to it is; only a store to an
+// armed address is recorded, and recording it disarms the address.
+// Under any capacity an entry at an address is made only by an insert
+// or a check miss there, so a store to an unarmed address finds no
+// entry at any capacity and would change nothing. The store count
+// (cStore) still counts every store: serial timing reads it.
+//
+// Record's own table runs at the recording capacity on exactly the
+// events, in the order, that the replay's ALAT walk re-simulates, so
+// Record leaves that capacity's summary (alatSummary) in the trace's
+// memo and a replay at the recording capacity walks no events.
 //
 // The trace deliberately does not record check-load hits or ALAT
 // evictions: both depend on Config.ALATSize, so replay re-simulates ALAT
@@ -104,7 +119,7 @@ const (
 	opInsert   uint8 = iota // ld.a / ldf.a / non-deferred ld.sa / ldf.sa
 	opCheckInt              // ld.c
 	opCheckFP               // ldf.c
-	opInval                 // st / stf (conflicting-store invalidation)
+	opInval                 // st / stf to an armed address (invalidation)
 )
 
 // alatOp is one recorded ALAT-relevant event. The owning activation and
@@ -317,9 +332,11 @@ func corruptTrace(format string, a ...any) error {
 
 // UnmarshalTrace reverses Marshal. Corrupt input returns an error, never
 // a panic or a trace replay would misread, so the decoder also rejects a
-// header that contradicts its own streams: the class counts the ALAT event
-// stream determines (checks, stores, advanced-load inserts) must match
-// it, because replay sizes its per-check outcome table from them.
+// header that contradicts its own streams: the check and advanced-load
+// counts must equal the ALAT event stream's, because replay sizes its
+// per-check outcome table from them, and the stream can hold no more
+// store events than the store count, which also counts the stores
+// Record leaves out.
 func UnmarshalTrace(data []byte) (*Trace, error) {
 	bad := func(what string) (*Trace, error) {
 		return nil, corruptTrace("%s", what)
@@ -443,7 +460,7 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 		kinds[kind]++
 	}
 	if kinds[opCheckInt] != t.counts[cCheckInt] || kinds[opCheckFP] != t.counts[cCheckFP] ||
-		kinds[opInval] != t.counts[cStore] || kinds[opInsert] != t.counts[cAdv] {
+		kinds[opInval] > t.counts[cStore] || kinds[opInsert] != t.counts[cAdv] {
 		return bad("class counts disagree with the ALAT event stream")
 	}
 	return t, nil

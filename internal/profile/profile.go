@@ -178,11 +178,14 @@ func (p *Profile) RefSet(site int) LocSet {
 }
 
 // AddExec records one dynamic execution of a reference site.
-func (p *Profile) AddExec(site int) {
+func (p *Profile) AddExec(site int) { p.AddExecN(site, 1) }
+
+// AddExecN records n dynamic executions of a reference site.
+func (p *Profile) AddExecN(site int, n uint64) {
 	if p.SiteTotal == nil {
 		p.SiteTotal = map[int]uint64{}
 	}
-	p.SiteTotal[site]++
+	p.SiteTotal[site] += n
 }
 
 // Total returns the dynamic execution count of a reference site (0 when

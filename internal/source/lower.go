@@ -891,6 +891,9 @@ func (lw *lowerer) call(x *CallExpr, stmtPos bool) (ir.Operand, error) {
 			args = append(args, v)
 		}
 		lw.emit(lw.fn.NewPrint(ir.Print{Args: args}))
+		if !stmtPos {
+			return nil, lw.errf(x.Line, "print used as a value")
+		}
 		return nil, nil
 	case "arg":
 		// arg(i): the i-th host-supplied input parameter (0 if absent).

@@ -283,6 +283,7 @@ func TestLowerRejects(t *testing.T) {
 		"undefined variable":     `int main() { return nosuch; }`,
 		"undefined function":     `int main() { return nosuch(); }`,
 		"void as value":          `void v() {} int main() { return v(); }`,
+		"print as value":         `int main() { int a = print(); return a; }`,
 		"pointer/int mix":        `int main() { int *p = 5; return 0; }`,
 		"aggregate assign":       `struct s { int a; int b; }; int main() { struct s x; struct s y; x = y; return 0; }`,
 		"arity mismatch":         `int f(int a) { return a; } int main() { return f(1, 2); }`,
