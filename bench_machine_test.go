@@ -265,24 +265,3 @@ func BenchmarkEvaluate(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkReuseLimitSharded compares the serial Fig. 12 reuse walk
-// against the sharded one.
-func BenchmarkReuseLimitSharded(b *testing.B) {
-	w, ok := workloads.ByName("equake")
-	if !ok {
-		b.Fatal("equake not registered")
-	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"sharded", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := repro.ReuseLimitCtx(context.Background(), w.Src, w.RefArgs, bc.workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -138,7 +138,7 @@ func run() error {
 	var hots []hot
 	for _, fn := range prog.Funcs {
 		for _, b := range fn.Blocks {
-			if c := prof.BlockCount[b]; c > 0 {
+			if c := prof.BlockCount(fn.Name, b.ID); c > 0 {
 				hots = append(hots, hot{fn.Name, b.ID, c})
 			}
 		}

@@ -1,8 +1,10 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/ssapre"
 	"repro/internal/workloads"
 )
 
@@ -132,6 +135,62 @@ func TestProfileBytesPinned(t *testing.T) {
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want[w.Name] {
 			t.Errorf("%s: profile SHA-256 %s, want %s", w.Name, got, want[w.Name])
+		}
+	}
+}
+
+// sameNamedSrc stores through one site into two address-taken locals
+// that share the name x (the inner one in a nested scope): 10 of the 40
+// stores hit the outer x, 30 the inner one.
+const sameNamedSrc = `int main() { int n = arg(0); int s = 0; int x = 0; int *p = &x; int *q; { int x = 5; q = &x; } for (int i = 0; i < n; i++) { int *r = q; if (i % 4 == 0) r = p; s += x; *r = i; s += x; } print(s); return 0; }`
+
+// TestSameNamedLocalsDeterministic pins how a profile names locals: by
+// function and variable name, so the two x's of sameNamedSrc are one
+// LOC whose count is the sum of their stores (40 of 40), and neither
+// the serialized profile nor the build it drives depends on map order.
+func TestSameNamedLocalsDeterministic(t *testing.T) {
+	ctx := context.Background()
+	train := []int64{40}
+	cfg := repro.Config{Spec: repro.SpecCost, SpecThreshold: 0.1, ProfileArgs: train}
+	var first []byte
+	var firstFP [32]byte
+	var firstStats ssapre.Stats
+	for i := 0; i < 30; i++ {
+		repro.ResetCaches()
+		data, err := repro.CollectProfileCtx(ctx, sameNamedSrc, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := repro.CompileCtx(ctx, sameNamedSrc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, stats := c.Code.Fingerprint(), c.TotalStats()
+		if i == 0 {
+			first, firstFP, firstStats = data, fp, stats
+			var prof struct {
+				Stores map[string]map[string]uint64 `json:"stores"`
+				Totals map[string]uint64            `json:"totals"`
+			}
+			if err := json.Unmarshal(data, &prof); err != nil {
+				t.Fatal(err)
+			}
+			if len(prof.Stores) != 1 {
+				t.Fatalf("store sites %v, want one", prof.Stores)
+			}
+			for site, locs := range prof.Stores {
+				if locs["l:main:x"] != 40 || prof.Totals[site] != 40 {
+					t.Errorf("store site %s: l:main:x %d of total %d, want 40 of 40 (%v)",
+						site, locs["l:main:x"], prof.Totals[site], locs)
+				}
+			}
+			continue
+		}
+		if !bytes.Equal(data, first) {
+			t.Fatalf("reset %d: serialized profile changed:\n%s\nvs\n%s", i, data, first)
+		}
+		if fp != firstFP || stats != firstStats {
+			t.Fatalf("reset %d: SpecCost build changed: stats %+v, first %+v", i, stats, firstStats)
 		}
 	}
 }

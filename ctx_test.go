@@ -140,7 +140,7 @@ func TestEntryPointsCancelled(t *testing.T) {
 		{"CompileCtx", func() error { _, err := repro.CompileCtx(ctx, w.Src, cfg); return err }},
 		{"BuildCtx", func() error { _, err := repro.BuildCtx(ctx, w.Src, cfg); return err }},
 		{"CollectProfileCtx", func() error { _, err := repro.CollectProfileCtx(ctx, w.Src, w.ProfileArgs); return err }},
-		{"ReuseLimitCtx", func() error { _, err := repro.ReuseLimitCtx(ctx, w.Src, w.RefArgs, 1); return err }},
+		{"ReuseLimitCtx", func() error { _, err := repro.ReuseLimitCtx(ctx, w.Src, w.RefArgs); return err }},
 		{"RunReferenceCtx", func() error { _, err := comp.RunReferenceCtx(ctx, w.RefArgs); return err }},
 		{"RunCtx", func() error { _, err := comp.RunCtx(ctx, w.RefArgs); return err }},
 		{"EvaluateCtx", func() error {

@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim, err := repro.ReuseLimitCtx(ctx, w.Src, w.RefArgs, 1)
+	sim, err := repro.ReuseLimitCtx(ctx, w.Src, w.RefArgs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,6 +55,9 @@ type Result struct {
 	FuncVirtuals map[*ir.Func][]*ir.Sym
 
 	funcSymSet map[*ir.Func]map[*ir.Sym]bool
+	// varSym resolves a variable's profile Loc to its memory-resident
+	// symbol (LocToSym).
+	varSym map[profile.Loc]*ir.Sym
 }
 
 // Analyze runs Steensgaard's analysis and derives alias classes, virtual
@@ -76,6 +79,7 @@ func Analyze(prog *ir.Program, opts Options) *Result {
 		RefSyms:      map[*ir.Func]map[*ir.Sym]bool{},
 		ModClasses:   map[*ir.Func]map[int]bool{},
 		RefClasses:   map[*ir.Func]map[int]bool{},
+		varSym:       map[profile.Loc]*ir.Sym{},
 	}
 
 	classOfRoot := map[*node]int{}
@@ -91,17 +95,21 @@ func Analyze(prog *ir.Program, opts Options) *Result {
 	}
 
 	// object storage: memory-resident symbols
+	member := func(f *ir.Func, sym *ir.Sym) {
+		id := classOf(s.obj(sym))
+		res.ClassOfSym[sym] = id
+		res.ClassMembers[id] = append(res.ClassMembers[id], sym)
+		if loc := profile.VarLoc(f, sym); res.varSym[loc] == nil {
+			res.varSym[loc] = sym
+		}
+	}
 	for _, g := range prog.Globals {
-		id := classOf(s.obj(g))
-		res.ClassOfSym[g] = id
-		res.ClassMembers[id] = append(res.ClassMembers[id], g)
+		member(nil, g)
 	}
 	for _, f := range prog.Funcs {
 		for _, sym := range f.Syms {
 			if sym.Kind != ir.SymVirtual && sym.Kind != ir.SymGlobal && sym.InMemory() {
-				id := classOf(s.obj(sym))
-				res.ClassOfSym[sym] = id
-				res.ClassMembers[id] = append(res.ClassMembers[id], sym)
+				member(f, sym)
 			}
 		}
 	}
@@ -320,14 +328,15 @@ func typeHasKind(t *ir.Type, wantFloat bool) bool {
 
 // LocToSym resolves a profiled abstract location to the chi/mu-list symbol
 // it corresponds to in function f (nil if it is invisible there, e.g. a
-// local of another function).
+// local of another function). A variable is matched by name: of several
+// same-named memory-resident locals, the first in f.Syms.
 func (r *Result) LocToSym(f *ir.Func, loc profile.Loc) *ir.Sym {
 	switch loc.Kind {
 	case profile.LocGlobal:
-		return loc.Sym
+		return r.varSym[loc]
 	case profile.LocLocal:
-		if loc.Fn == f {
-			return loc.Sym
+		if loc.Fn == f.Name {
+			return r.varSym[loc]
 		}
 		return nil
 	case profile.LocHeap:

@@ -1,6 +1,6 @@
 // Package cache is the content-addressed cache behind the compilation
 // pipeline's reuse. One lookup, GetCtx, serves every artifact — frontend
-// IR masters, builds, serialized profiles, recorded traces — from an
+// IR masters, builds, alias/edge profiles, recorded traces — from an
 // in-memory map that holds each artifact once, as the value callers
 // use. A sweep's config variants share one profiling run, and a repeated
 // request shares one build and one trace. The cache lives as long as the

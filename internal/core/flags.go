@@ -240,12 +240,6 @@ func SymFlag(f *ir.Func, sym *ir.Sym, locs profile.LocSet, total uint64, ar *ali
 	return symFlag(f, sym, locs, total, ar, mode, pol, fp)
 }
 
-// SymLoc builds the profile LOC naming a program variable in function f
-// (exported for internal/specheck's flag re-derivation).
-func SymLoc(f *ir.Func, sym *ir.Sym) profile.Loc {
-	return symLoc(f, sym)
-}
-
 // locsFor fetches the profiled LOC set for a reference site, or nil when
 // no profile applies.
 func locsFor(prof *profile.Profile, mode Mode, site int, isStore bool) profile.LocSet {
@@ -300,7 +294,7 @@ func symFlag(f *ir.Func, sym *ir.Sym, locs profile.LocSet, total uint64, ar *ali
 			}
 			return false // class virtual variable: always weak
 		}
-		return locs.Has(symLoc(f, sym))
+		return locs.Has(profile.VarLoc(f, sym))
 	case ModeCost:
 		var count uint64
 		if sym.Kind == ir.SymVirtual {
@@ -310,19 +304,11 @@ func symFlag(f *ir.Func, sym *ir.Sym, locs profile.LocSet, total uint64, ar *ali
 			}
 			count = locs.Count(profile.Loc{Kind: profile.LocHeap, Site: key.Site, Ctx: key.Ctx})
 		} else {
-			count = locs.Count(symLoc(f, sym))
+			count = locs.Count(profile.VarLoc(f, sym))
 		}
 		return !pol.Speculate(AliasProb(count, total), fp)
 	}
 	return true
-}
-
-// symLoc builds the profile LOC naming a program variable in function f.
-func symLoc(f *ir.Func, sym *ir.Sym) profile.Loc {
-	if sym.Kind == ir.SymGlobal {
-		return profile.Loc{Kind: profile.LocGlobal, Sym: sym}
-	}
-	return profile.Loc{Kind: profile.LocLocal, Sym: sym, Fn: f}
 }
 
 // addMissingChis appends chis for profiled LOCs absent from the

@@ -129,7 +129,7 @@ func TestCostModeFlagsByProbability(t *testing.T) {
 				for _, st := range blk.Stmts {
 					if is, ok := st.(*ir.IStore); ok {
 						if c.count > 0 {
-							prof.StoreSet(is.Site).AddN(profile.Loc{Kind: profile.LocGlobal, Sym: aSym}, c.count)
+							prof.StoreSet(is.Site).AddN(profile.VarLoc(nil, aSym), c.count)
 						}
 						prof.SiteTotal[is.Site] = 100
 					}
@@ -176,7 +176,7 @@ func TestCostModeDegradesToSetSemantics(t *testing.T) {
 		for _, blk := range main.Blocks {
 			for _, st := range blk.Stmts {
 				if is, ok := st.(*ir.IStore); ok {
-					prof.StoreSet(is.Site).Add(profile.Loc{Kind: profile.LocGlobal, Sym: aSym})
+					prof.StoreSet(is.Site).Add(profile.VarLoc(nil, aSym))
 				}
 			}
 		}

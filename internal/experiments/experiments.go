@@ -199,9 +199,7 @@ func RunOneCtx(ctx context.Context, w workloads.Workload, workers int) (Row, err
 	// independent; item len(variants) is the simulation
 	err := par.EachCtx(ctx, workers, len(variants)+1, func(i int) error {
 		if i == len(variants) {
-			// sharded by equivalence class; identical totals at any
-			// worker count, so the report bytes stay stable
-			sim, err := repro.ReuseLimitCtx(ctx, w.Src, w.RefArgs, workers)
+			sim, err := repro.ReuseLimitCtx(ctx, w.Src, w.RefArgs)
 			if err != nil {
 				return err
 			}

@@ -40,10 +40,6 @@ type Options struct {
 	// Reuse, if non-nil, receives every dynamic memory access for the
 	// Fig. 12 load-reuse limit simulation.
 	Reuse *ReuseSim
-	// MemTrace, if non-nil, records every dynamic memory access (the
-	// same stream Reuse observes) for later sharded replay through
-	// ShardedReuse.
-	MemTrace *MemTrace
 }
 
 // Result reports what a run produced.
@@ -98,6 +94,12 @@ func RunCtx(ctx context.Context, prog *ir.Program, opts Options) (*Result, error
 		}
 		m.prof = opts.Profile
 	}
+	if m.prof != nil && opts.CollectEdges {
+		m.edges = make(map[*ir.Func]*profile.FuncCounts, len(prog.Funcs))
+		for _, fn := range prog.Funcs {
+			m.edges[fn] = m.prof.Counts(fn)
+		}
+	}
 	if m.prof != nil && opts.CollectAlias {
 		m.loadRuns.init(prog.NumSites(), m.prof.LoadSet)
 		m.storeRuns.init(prog.NumSites(), m.prof.StoreSet)
@@ -145,6 +147,7 @@ type machine struct {
 	opts     Options
 	out      io.Writer
 	prof     *profile.Profile
+	edges    map[*ir.Func]*profile.FuncCounts // nil unless CollectEdges
 	mem      memimg.Image
 	stackTop int
 	heap     []heapObj
@@ -279,8 +282,8 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 			fr.regs[p.ID] = args[i]
 		}
 	}
+	counts := m.edges[fn]
 	b := fn.Entry
-	var prev *ir.Block
 	for {
 		m.steps++
 		if m.steps > m.limit {
@@ -288,10 +291,9 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 				return 0, err
 			}
 		}
-		if m.prof != nil && m.opts.CollectEdges {
-			m.prof.BlockCount[b]++
+		if counts != nil {
+			counts.Blocks[b.ID]++
 		}
-		_ = prev
 		for _, s := range b.Stmts {
 			if err := m.exec(fr, s); err != nil {
 				return 0, err
@@ -299,8 +301,8 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 		}
 		switch b.Term.Kind {
 		case ir.TermJump:
-			m.countEdge(b, 0)
-			prev, b = b, b.Succs[0]
+			countEdge(counts, b, 0)
+			b = b.Succs[0]
 		case ir.TermCond:
 			c, err := m.eval(fr, b.Term.Cond)
 			if err != nil {
@@ -310,8 +312,8 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 			if int64(c) != 0 {
 				idx = 0
 			}
-			m.countEdge(b, idx)
-			prev, b = b, b.Succs[idx]
+			countEdge(counts, b, idx)
+			b = b.Succs[idx]
 		case ir.TermRet:
 			if b.Term.Val == nil {
 				return 0, nil
@@ -323,16 +325,18 @@ func (m *machine) callFn(fn *ir.Func, args []uint64) (uint64, error) {
 	}
 }
 
-func (m *machine) countEdge(b *ir.Block, idx int) {
-	if m.prof == nil || !m.opts.CollectEdges {
+// countEdge counts one traversal of the edge b -> b.Succs[idx] into the
+// edge profile of b's function (nil when edges are not collected).
+func countEdge(counts *profile.FuncCounts, b *ir.Block, idx int) {
+	if counts == nil {
 		return
 	}
-	counts := m.prof.EdgeCount[b]
-	if counts == nil {
-		counts = make([]uint64, len(b.Succs))
-		m.prof.EdgeCount[b] = counts
+	e := counts.Edges[b.ID]
+	if e == nil {
+		e = make([]uint64, len(b.Succs))
+		counts.Edges[b.ID] = e
 	}
-	counts[idx]++
+	e[idx]++
 }
 
 // eval computes the value of a leaf operand.
@@ -535,9 +539,6 @@ func (m *machine) loadMem(addr int, site int) (uint64, error) {
 	if m.opts.Reuse != nil {
 		m.opts.Reuse.access(site, addr, v, false, m.curFrameID())
 	}
-	if m.opts.MemTrace != nil {
-		m.opts.MemTrace.append(MemEvent{Site: site, Addr: addr, Val: v, Invocation: m.curFrameID()})
-	}
 	if m.prof != nil && m.opts.CollectAlias {
 		// every execution counts toward the site total, even one whose
 		// address resolves to no nameable LOC — that keeps each LOC's
@@ -567,9 +568,6 @@ func (m *machine) storeMem(addr int, val uint64, site int) error {
 	if m.opts.Reuse != nil {
 		m.opts.Reuse.access(site, addr, val, true, m.curFrameID())
 	}
-	if m.opts.MemTrace != nil {
-		m.opts.MemTrace.append(MemEvent{Site: site, Addr: addr, Val: val, Invocation: m.curFrameID(), Store: true})
-	}
 	if m.prof != nil && m.opts.CollectAlias {
 		if site != 0 {
 			m.countExec(site)
@@ -598,9 +596,6 @@ func (m *machine) storeMemRaw(addr int, val uint64) error {
 	if m.opts.Reuse != nil {
 		m.opts.Reuse.access(0, addr, val, true, m.curFrameID())
 	}
-	if m.opts.MemTrace != nil {
-		m.opts.MemTrace.append(MemEvent{Addr: addr, Val: val, Invocation: m.curFrameID(), Store: true})
-	}
 	m.mem.Store(addr, val)
 	return nil
 }
@@ -619,22 +614,13 @@ func (m *machine) recordDirectRef(s *ir.Sym, isMod bool) {
 	if m.prof == nil || !m.opts.CollectAlias || len(m.callSites) == 0 {
 		return
 	}
-	var loc profile.Loc
-	if s.Kind == ir.SymGlobal {
-		loc = profile.Loc{Kind: profile.LocGlobal, Sym: s}
-	} else {
-		fr := m.frames[len(m.frames)-1]
-		loc = profile.Loc{Kind: profile.LocLocal, Sym: s, Fn: fr.fn}
-	}
+	loc := profile.VarLoc(m.frames[len(m.frames)-1].fn, s)
 	runs := &m.refRuns
 	if isMod {
 		runs = &m.modRuns
 	}
 	for _, cs := range m.callSites {
 		runs.add(cs, loc)
-	}
-	if m.opts.Reuse != nil && len(m.frames) > 0 {
-		// direct refs participate in reuse tracking via loadMem/storeMem
 	}
 }
 
@@ -650,7 +636,7 @@ func (m *machine) locate(addr int) (profile.Loc, bool) {
 		}
 		g := m.globals[i]
 		if addr < g.Addr+g.Type.Size() {
-			return profile.Loc{Kind: profile.LocGlobal, Sym: g}, true
+			return profile.VarLoc(nil, g), true
 		}
 		return profile.Loc{}, false
 	case addr < m.mem.HeapBase():
@@ -662,7 +648,7 @@ func (m *machine) locate(addr int) (profile.Loc, bool) {
 				for _, s := range fr.fn.Syms {
 					if s.Kind != ir.SymVirtual && s.Kind != ir.SymGlobal && s.InMemory() {
 						if off >= s.Addr && off < s.Addr+s.Type.Size() {
-							return profile.Loc{Kind: profile.LocLocal, Sym: s, Fn: fr.fn}, true
+							return profile.VarLoc(fr.fn, s), true
 						}
 					}
 				}

@@ -290,8 +290,10 @@ int main() {
 }`)
 	prof := runWithProfile(t, prog, nil)
 	total := uint64(0)
-	for _, c := range prof.BlockCount {
-		total += c
+	for _, c := range prof.Funcs {
+		for _, n := range c.Blocks {
+			total += n
+		}
 	}
 	if total == 0 {
 		t.Fatal("no block counts collected")
@@ -523,7 +525,7 @@ int main() {
 	slotLocs := map[profile.Loc]bool{}
 	for _, set := range prof.LoadLocs {
 		for l := range set {
-			if l.Kind == profile.LocLocal && l.Sym.Name == "slot" {
+			if l.Kind == profile.LocLocal && l.Name == "slot" {
 				slotLocs[l] = true
 			}
 		}

@@ -51,7 +51,8 @@ func equakeProfile(tb testing.TB) (*ir.Program, []byte) {
 // checks: JSON shape, version, site keys). The decoder must never panic, and any profile
 // it accepts must round-trip: Marshal's bytes decode to an equal profile
 // and re-marshal to the same bytes. The seed corpus
-// (testdata/fuzz/FuzzProfileUnmarshal) holds equake's real profile.
+// (testdata/fuzz/FuzzProfileUnmarshal) holds equake's real profile; the
+// version-1 seed is an input the decoder must reject.
 func FuzzProfileUnmarshal(f *testing.F) {
 	prog, data := equakeProfile(f)
 	f.Add(data)

@@ -31,25 +31,40 @@ const (
 	LocHeap
 )
 
-// Loc is an abstract memory location (storage name). Comparable; used as a
-// map key in LOC sets.
+// Loc is an abstract memory location (storage name), named the way the
+// serialized profile names it: a variable by its function and symbol
+// names, a heap object by its allocation site and context. Names, not
+// *ir.Sym pointers, make one collected profile valid on every ir.Clone
+// of the program it was collected on. Two same-named locals of one
+// function (legal in nested MiniC scopes) share one Loc, so their
+// observations merge by summing. Comparable; used as a map key in LOC
+// sets.
 type Loc struct {
 	Kind LocKind
-	Sym  *ir.Sym // for LocGlobal / LocLocal
-	Fn   *ir.Func
-	Site int // for LocHeap: allocation-site id
+	Fn   string // for LocLocal: the owning function's name
+	Name string // for LocGlobal / LocLocal: the variable's name
+	Site int    // for LocHeap: allocation-site id
 	// Ctx is the immediate caller's call-site id for heap objects
 	// allocated inside a callee (1-level call-path naming, the
 	// granularity of Chen et al. [4]); 0 for allocations in main.
 	Ctx int
 }
 
+// VarLoc names the program variable sym of function f (f is ignored for
+// a global).
+func VarLoc(f *ir.Func, sym *ir.Sym) Loc {
+	if sym.Kind == ir.SymGlobal {
+		return Loc{Kind: LocGlobal, Name: sym.Name}
+	}
+	return Loc{Kind: LocLocal, Fn: f.Name, Name: sym.Name}
+}
+
 func (l Loc) String() string {
 	switch l.Kind {
 	case LocGlobal:
-		return l.Sym.Name
+		return l.Name
 	case LocLocal:
-		return l.Fn.Name + ":" + l.Sym.Name
+		return l.Fn + ":" + l.Name
 	case LocHeap:
 		if l.Ctx != 0 {
 			return fmt.Sprintf("heap@%d/%d", l.Site, l.Ctx)
@@ -97,13 +112,23 @@ func (s LocSet) String() string {
 	return "{" + strings.Join(names, ", ") + "}"
 }
 
+// FuncCounts is one function's edge profile, indexed by Block.ID.
+type FuncCounts struct {
+	// Blocks[id] is the execution count of the block with that ID.
+	Blocks []uint64
+	// Edges[id][i] is the count of the edge from that block to its
+	// Succs[i]; nil for a block that never took an edge.
+	Edges [][]uint64
+}
+
 // Profile aggregates everything a profiling run of the interpreter
-// collects.
+// collects. It holds no IR pointers, so one profile applies to every
+// clone of the program it was collected on; a profile shared between
+// compiles is read-only.
 type Profile struct {
-	// BlockCount is the execution count of each basic block.
-	BlockCount map[*ir.Block]uint64
-	// EdgeCount[b][i] is the count of the edge b -> b.Succs[i].
-	EdgeCount map[*ir.Block][]uint64
+	// Funcs holds each function's block and edge counts, keyed by
+	// function name.
+	Funcs map[string]*FuncCounts
 
 	// LoadLocs maps an indirect-load site id to the LOCs it read.
 	LoadLocs map[int]LocSet
@@ -119,22 +144,45 @@ type Profile struct {
 	// of p(alias) = LocSet count / SiteTotal. It counts every execution,
 	// including ones whose address did not resolve to a nameable LOC, so
 	// the per-LOC probabilities never exceed 1 for load/store sites.
-	// Empty for profiles deserialized from version 1, which predates the
-	// counts; consumers treat a zero total as "no count information".
+	// Consumers treat a zero total as "no count information".
 	SiteTotal map[int]uint64
 }
 
 // New returns an empty profile.
 func New() *Profile {
 	return &Profile{
-		BlockCount: map[*ir.Block]uint64{},
-		EdgeCount:  map[*ir.Block][]uint64{},
-		LoadLocs:   map[int]LocSet{},
-		StoreLocs:  map[int]LocSet{},
-		CallMod:    map[int]LocSet{},
-		CallRef:    map[int]LocSet{},
-		SiteTotal:  map[int]uint64{},
+		Funcs:     map[string]*FuncCounts{},
+		LoadLocs:  map[int]LocSet{},
+		StoreLocs: map[int]LocSet{},
+		CallMod:   map[int]LocSet{},
+		CallRef:   map[int]LocSet{},
+		SiteTotal: map[int]uint64{},
 	}
+}
+
+// Counts returns (creating if needed) fn's block and edge counts. A new
+// entry is sized for every block ID of fn; a profile collects one
+// program.
+func (p *Profile) Counts(fn *ir.Func) *FuncCounts {
+	c := p.Funcs[fn.Name]
+	if c == nil {
+		n := 0
+		for _, b := range fn.Blocks {
+			n = max(n, b.ID+1)
+		}
+		c = &FuncCounts{Blocks: make([]uint64, n), Edges: make([][]uint64, n)}
+		p.Funcs[fn.Name] = c
+	}
+	return c
+}
+
+// BlockCount returns the execution count of block id of function fn (0
+// when unknown).
+func (p *Profile) BlockCount(fn string, id int) uint64 {
+	if c := p.Funcs[fn]; c != nil && id < len(c.Blocks) {
+		return c.Blocks[id]
+	}
+	return 0
 }
 
 // LoadSet returns (creating if needed) the LOC set for a load site.
@@ -189,7 +237,7 @@ func (p *Profile) AddExecN(site int, n uint64) {
 }
 
 // Total returns the dynamic execution count of a reference site (0 when
-// unknown, e.g. a version-1 profile).
+// unknown).
 func (p *Profile) Total(site int) uint64 { return p.SiteTotal[site] }
 
 // ApplyEdges writes the collected edge counts into the CFG's Freq/EdgeFreq
@@ -200,15 +248,16 @@ func (p *Profile) Total(site int) uint64 { return p.SiteTotal[site] }
 // frequency comparison the optimizer makes.
 func (p *Profile) ApplyEdges(prog *ir.Program) {
 	for _, fn := range prog.Funcs {
-		entry := float64(p.BlockCount[fn.Entry])
+		c := p.Funcs[fn.Name]
+		entry := float64(p.BlockCount(fn.Name, fn.Entry.ID))
 		for _, b := range fn.Blocks {
 			b.Freq = 0
-			counts := p.EdgeCount[b]
 			b.EdgeFreq = make([]float64, len(b.Succs))
-			if entry == 0 {
+			if entry == 0 || b.ID >= len(c.Blocks) {
 				continue
 			}
-			b.Freq = float64(p.BlockCount[b]) / entry
+			b.Freq = float64(c.Blocks[b.ID]) / entry
+			counts := c.Edges[b.ID]
 			for i := range b.Succs {
 				if i < len(counts) {
 					b.EdgeFreq[i] = float64(counts[i]) / entry

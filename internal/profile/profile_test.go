@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -17,8 +18,8 @@ func TestLocStringForms(t *testing.T) {
 		loc  Loc
 		want string
 	}{
-		{Loc{Kind: LocGlobal, Sym: g}, "glob"},
-		{Loc{Kind: LocLocal, Sym: l, Fn: f}, "fn:loc"},
+		{Loc{Kind: LocGlobal, Name: g.Name}, "glob"},
+		{Loc{Kind: LocLocal, Fn: f.Name, Name: l.Name}, "fn:loc"},
 		{Loc{Kind: LocHeap, Site: 7}, "heap@7"},
 		{Loc{Kind: LocHeap, Site: 7, Ctx: 3}, "heap@7/3"},
 	}
@@ -34,8 +35,8 @@ func TestLocSetOperations(t *testing.T) {
 	a := prog.NewGlobal("a", ir.IntType)
 	b := prog.NewGlobal("b", ir.IntType)
 	s := LocSet{}
-	la := Loc{Kind: LocGlobal, Sym: a}
-	lb := Loc{Kind: LocGlobal, Sym: b}
+	la := Loc{Kind: LocGlobal, Name: a.Name}
+	lb := Loc{Kind: LocGlobal, Name: b.Name}
 	s.Add(la)
 	if !s.Has(la) || s.Has(lb) {
 		t.Error("Add/Has broken")
@@ -85,13 +86,11 @@ func buildDiamond() (*ir.Program, *ir.Func, []*ir.Block) {
 }
 
 func TestApplyEdges(t *testing.T) {
-	prog, _, blocks := buildDiamond()
+	prog, f, blocks := buildDiamond()
 	p := New()
-	p.BlockCount[blocks[0]] = 100
-	p.BlockCount[blocks[1]] = 70
-	p.BlockCount[blocks[2]] = 30
-	p.BlockCount[blocks[3]] = 100
-	p.EdgeCount[blocks[0]] = []uint64{70, 30}
+	c := p.Counts(f)
+	c.Blocks = []uint64{100, 70, 30, 100}
+	c.Edges[0] = []uint64{70, 30}
 	p.ApplyEdges(prog)
 	// frequencies are per-entry: entry is 1 no matter how many times the
 	// training input called the function
@@ -131,15 +130,14 @@ func TestApplyEdgesNormalizesPerFunction(t *testing.T) {
 		join.Term = ir.Term{Kind: ir.TermRet}
 		return f, []*ir.Block{entry, left, right, join}
 	}
-	_, mb := mkDiamond("main")
-	_, hb := mkDiamond("helper")
+	mf, mb := mkDiamond("main")
+	hf, hb := mkDiamond("helper")
 
 	p := New()
 	// main runs once, helper 1000 times; both split 70/30 per entry
-	p.BlockCount[mb[0]], p.BlockCount[mb[1]], p.BlockCount[mb[2]], p.BlockCount[mb[3]] = 1, 1, 0, 1
-	p.EdgeCount[mb[0]] = []uint64{1, 0}
-	p.BlockCount[hb[0]], p.BlockCount[hb[1]], p.BlockCount[hb[2]], p.BlockCount[hb[3]] = 1000, 700, 300, 1000
-	p.EdgeCount[hb[0]] = []uint64{700, 300}
+	mc, hc := p.Counts(mf), p.Counts(hf)
+	mc.Blocks, mc.Edges[0] = []uint64{1, 1, 0, 1}, []uint64{1, 0}
+	hc.Blocks, hc.Edges[0] = []uint64{1000, 700, 300, 1000}, []uint64{700, 300}
 	p.ApplyEdges(prog)
 
 	if mb[0].Freq != 1 || hb[0].Freq != 1 {
@@ -248,7 +246,7 @@ func TestLocSetStringStable(t *testing.T) {
 	}
 	s := LocSet{}
 	for _, sym := range syms {
-		s.Add(Loc{Kind: LocGlobal, Sym: sym})
+		s.Add(Loc{Kind: LocGlobal, Name: sym.Name})
 	}
 	first := s.String()
 	for i := 0; i < 20; i++ {
@@ -262,18 +260,16 @@ func TestLocSetStringStable(t *testing.T) {
 }
 
 func TestProfileSerializationRoundTrip(t *testing.T) {
-	prog, fn, blocks := func() (*ir.Program, *ir.Func, []*ir.Block) {
-		return buildDiamondNamed()
-	}()
-	_ = fn
+	prog, fn, _ := buildDiamondNamed()
 	p := New()
-	p.BlockCount[blocks[0]] = 42
-	p.EdgeCount[blocks[0]] = []uint64{30, 12}
+	c := p.Counts(fn)
+	c.Blocks[0] = 42
+	c.Edges[0] = []uint64{30, 12}
 	g := prog.Globals[0]
-	p.LoadSet(5).Add(Loc{Kind: LocGlobal, Sym: g})
+	p.LoadSet(5).Add(Loc{Kind: LocGlobal, Name: g.Name})
 	p.LoadSet(5).Add(Loc{Kind: LocHeap, Site: 9, Ctx: 2})
-	p.StoreSet(6).Add(Loc{Kind: LocLocal, Sym: fnLocal(prog), Fn: prog.Funcs[0]})
-	p.ModSet(7).Add(Loc{Kind: LocGlobal, Sym: g})
+	p.StoreSet(6).Add(Loc{Kind: LocLocal, Fn: "main", Name: "lv"})
+	p.ModSet(7).Add(Loc{Kind: LocGlobal, Name: g.Name})
 	p.RefSet(8).Add(Loc{Kind: LocHeap, Site: 3, Ctx: 0})
 
 	data, err := Marshal(prog, p)
@@ -284,11 +280,8 @@ func TestProfileSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.BlockCount[blocks[0]] != 42 {
-		t.Errorf("block count lost: %v", p2.BlockCount)
-	}
-	if len(p2.EdgeCount[blocks[0]]) != 2 || p2.EdgeCount[blocks[0]][0] != 30 {
-		t.Errorf("edge counts lost: %v", p2.EdgeCount)
+	if !reflect.DeepEqual(p2.Funcs, p.Funcs) {
+		t.Errorf("block and edge counts = %+v, want %+v", p2.Funcs["main"], c)
 	}
 	if p.LoadLocs[5].String() != p2.LoadLocs[5].String() {
 		t.Errorf("load locs: %s != %s", p2.LoadLocs[5], p.LoadLocs[5])
@@ -306,23 +299,34 @@ func TestProfileSerializationRoundTrip(t *testing.T) {
 
 func TestUnmarshalToleratesStaleLocs(t *testing.T) {
 	prog, _, _ := buildDiamondNamed()
-	data := []byte(`{"version":1,"loads":{"5":["g:nosuchglobal","h:1/0"]}}`)
+	data := []byte(`{"version":2,
+		"blocks":{"main:B0":4,"main:B9":4,"gone:B0":4,"main:B00":4},
+		"loads":{"5":{"g:nosuchglobal":3,"l:main:nosuchlocal":2,"l:gone:lv":2,"h:1/0":1,"l:main:lv":5}}}`)
 	p, err := Unmarshal(prog, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.LoadLocs[5].Has(Loc{Kind: LocHeap, Site: 1}) {
-		t.Error("valid loc dropped alongside the stale one")
+	want := LocSet{{Kind: LocHeap, Site: 1}: 1, {Kind: LocLocal, Fn: "main", Name: "lv"}: 5}
+	if !reflect.DeepEqual(p.LoadLocs[5], want) {
+		t.Errorf("load locs = %v, want only the ones that resolve: %v", p.LoadLocs[5], want)
 	}
-	if len(p.LoadLocs[5]) != 1 {
-		t.Errorf("stale loc kept: %s", p.LoadLocs[5])
+	if got := p.Funcs["main"].Blocks; !reflect.DeepEqual(got, []uint64{4, 0, 0, 0}) || len(p.Funcs) != 1 {
+		t.Errorf("blocks = %v (%d funcs), want only main:B0", got, len(p.Funcs))
 	}
 }
 
+// TestUnmarshalRejectsBadVersionAndJSON: only version 2 is read; version
+// 1 (set-valued, no counts) is rejected like any unknown version.
 func TestUnmarshalRejectsBadVersionAndJSON(t *testing.T) {
 	prog, _, _ := buildDiamondNamed()
-	if _, err := Unmarshal(prog, []byte(`{"version":3}`)); err == nil {
-		t.Error("version 3 accepted")
+	for _, data := range []string{
+		`{"version":1,"loads":{"5":["g:gv","h:9/2"]},"stores":{"6":["l:main:lv"]}}`,
+		`{"version":3}`,
+		`{}`,
+	} {
+		if _, err := Unmarshal(prog, []byte(data)); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Errorf("%s: err = %v, want unsupported version", data, err)
+		}
 	}
 	if _, err := Unmarshal(prog, []byte(`{nonsense`)); err == nil {
 		t.Error("bad JSON accepted")
@@ -337,10 +341,10 @@ func TestSerializationKeepsCountsAndTotals(t *testing.T) {
 	prog, _, _ := buildDiamondNamed()
 	g := prog.Globals[0]
 	p := New()
-	p.LoadSet(5).AddN(Loc{Kind: LocGlobal, Sym: g}, 7)
+	p.LoadSet(5).AddN(Loc{Kind: LocGlobal, Name: g.Name}, 7)
 	p.LoadSet(5).Add(Loc{Kind: LocHeap, Site: 9, Ctx: 2})
 	p.SiteTotal[5] = 100
-	p.StoreSet(6).AddN(Loc{Kind: LocLocal, Sym: fnLocal(prog), Fn: prog.Funcs[0]}, 3)
+	p.StoreSet(6).AddN(Loc{Kind: LocLocal, Fn: "main", Name: "lv"}, 3)
 	p.SiteTotal[6] = 40
 
 	data, err := Marshal(prog, p)
@@ -351,7 +355,7 @@ func TestSerializationKeepsCountsAndTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p2.LoadLocs[5].Count(Loc{Kind: LocGlobal, Sym: g}); got != 7 {
+	if got := p2.LoadLocs[5].Count(Loc{Kind: LocGlobal, Name: g.Name}); got != 7 {
 		t.Errorf("load count = %d, want 7", got)
 	}
 	if got := p2.LoadLocs[5].Count(Loc{Kind: LocHeap, Site: 9, Ctx: 2}); got != 1 {
@@ -360,34 +364,8 @@ func TestSerializationKeepsCountsAndTotals(t *testing.T) {
 	if p2.Total(5) != 100 || p2.Total(6) != 40 {
 		t.Errorf("totals = %d, %d, want 100, 40", p2.Total(5), p2.Total(6))
 	}
-	if got := p2.StoreLocs[6].Count(Loc{Kind: LocLocal, Sym: fnLocal(prog), Fn: prog.Funcs[0]}); got != 3 {
+	if got := p2.StoreLocs[6].Count(Loc{Kind: LocLocal, Fn: "main", Name: "lv"}); got != 3 {
 		t.Errorf("store count = %d, want 3", got)
-	}
-}
-
-// TestUnmarshalVersion1Compat reads the pre-multiset format: plain loc
-// lists, no counts, no totals. Membership must be preserved (count 1
-// each) and totals stay zero, which degrades the cost policy to the old
-// observed/not-observed semantics.
-func TestUnmarshalVersion1Compat(t *testing.T) {
-	prog, _, _ := buildDiamondNamed()
-	data := []byte(`{"version":1,"loads":{"5":["g:gv","h:9/2"]},"stores":{"6":["l:main:lv"]}}`)
-	p, err := Unmarshal(prog, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := prog.Globals[0]
-	if !p.LoadLocs[5].Has(Loc{Kind: LocGlobal, Sym: g}) {
-		t.Error("v1 global load loc lost")
-	}
-	if got := p.LoadLocs[5].Count(Loc{Kind: LocGlobal, Sym: g}); got != 1 {
-		t.Errorf("v1 load count = %d, want 1", got)
-	}
-	if !p.StoreLocs[6].Has(Loc{Kind: LocLocal, Sym: fnLocal(prog), Fn: prog.Funcs[0]}) {
-		t.Error("v1 store loc lost")
-	}
-	if p.Total(5) != 0 || p.Total(6) != 0 {
-		t.Errorf("v1 totals = %d, %d, want 0, 0", p.Total(5), p.Total(6))
 	}
 }
 

@@ -3,22 +3,22 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/ir"
 )
 
-// Version is the serialization format written by Marshal. Version 2
-// carries counted LOC multisets plus per-site execution totals; version 1
-// (read-compatible) carried plain LOC sets, which deserialize as count-1
-// entries with no totals.
+// Version is the serialization format written by Marshal and the only
+// one Unmarshal reads: counted LOC multisets plus per-site execution
+// totals.
 const Version = 2
 
-// serialized is the JSON form of a version-2 profile. Reference
-// sites are keyed by their program-unique site ids and blocks by
-// "func:Bn"; both are stable across compiles of identical source
-// (lowering is deterministic). Each site maps encoded LOCs to their
-// observation counts, and Totals records the site's dynamic executions.
+// serialized is the JSON form of a profile. Reference sites are keyed by
+// their program-unique site ids and blocks by "func:Bn"; both are stable
+// across compiles of identical source (lowering is deterministic). Each
+// site maps encoded LOCs to their observation counts, and Totals records
+// the site's dynamic executions.
 type serialized struct {
 	Version int                          `json:"version"`
 	Blocks  map[string]uint64            `json:"blocks,omitempty"`
@@ -30,55 +30,30 @@ type serialized struct {
 	Totals  map[string]uint64            `json:"totals,omitempty"`
 }
 
-// serializedV1 is the legacy (set-valued) form, still accepted on read.
-type serializedV1 struct {
-	Blocks  map[string]uint64   `json:"blocks,omitempty"`
-	Edges   map[string][]uint64 `json:"edges,omitempty"`
-	Loads   map[string][]string `json:"loads,omitempty"`
-	Stores  map[string][]string `json:"stores,omitempty"`
-	CallMod map[string][]string `json:"callmod,omitempty"`
-	CallRef map[string][]string `json:"callref,omitempty"`
-}
-
 // encodeLoc renders a Loc as a stable string.
 func encodeLoc(l Loc) string {
 	switch l.Kind {
 	case LocGlobal:
-		return "g:" + l.Sym.Name
+		return "g:" + l.Name
 	case LocLocal:
-		return "l:" + l.Fn.Name + ":" + l.Sym.Name
+		return "l:" + l.Fn + ":" + l.Name
 	case LocHeap:
 		return fmt.Sprintf("h:%d/%d", l.Site, l.Ctx)
 	}
 	return ""
 }
 
-// decodeLoc parses an encoded Loc against a program's symbols.
-func decodeLoc(prog *ir.Program, s string) (Loc, error) {
+// decodeLoc parses an encoded Loc.
+func decodeLoc(s string) (Loc, error) {
 	switch {
 	case strings.HasPrefix(s, "g:"):
-		name := s[2:]
-		for _, g := range prog.Globals {
-			if g.Name == name {
-				return Loc{Kind: LocGlobal, Sym: g}, nil
-			}
-		}
-		return Loc{}, fmt.Errorf("profile: unknown global %q", name)
+		return Loc{Kind: LocGlobal, Name: s[2:]}, nil
 	case strings.HasPrefix(s, "l:"):
-		parts := strings.SplitN(s[2:], ":", 2)
-		if len(parts) != 2 {
+		fn, name, ok := strings.Cut(s[2:], ":")
+		if !ok {
 			return Loc{}, fmt.Errorf("profile: malformed local loc %q", s)
 		}
-		fn, ok := prog.FuncMap[parts[0]]
-		if !ok {
-			return Loc{}, fmt.Errorf("profile: unknown function %q", parts[0])
-		}
-		for _, sym := range fn.Syms {
-			if sym.Name == parts[1] {
-				return Loc{Kind: LocLocal, Sym: sym, Fn: fn}, nil
-			}
-		}
-		return Loc{}, fmt.Errorf("profile: unknown local %q in %q", parts[1], parts[0])
+		return Loc{Kind: LocLocal, Fn: fn, Name: name}, nil
 	case strings.HasPrefix(s, "h:"):
 		var site, ctx int
 		if _, err := fmt.Sscanf(s[2:], "%d/%d", &site, &ctx); err != nil {
@@ -89,19 +64,11 @@ func decodeLoc(prog *ir.Program, s string) (Loc, error) {
 	return Loc{}, fmt.Errorf("profile: malformed loc %q", s)
 }
 
-// blockKeys builds the stable name of every block.
-func blockKeys(prog *ir.Program) map[*ir.Block]string {
-	m := map[*ir.Block]string{}
-	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			m[b] = fmt.Sprintf("%s:B%d", f.Name, b.ID)
-		}
-	}
-	return m
-}
-
-// Marshal serializes a profile collected on prog (format Version).
-func Marshal(prog *ir.Program, p *Profile) ([]byte, error) {
+// Marshal serializes a profile (format Version). The profile names
+// everything by function, variable, block ID and site, so prog is not
+// consulted; it keeps the signature symmetric with Unmarshal. Blocks and
+// edges that never executed are left out.
+func Marshal(_ *ir.Program, p *Profile) ([]byte, error) {
 	out := serialized{
 		Version: Version,
 		Blocks:  map[string]uint64{},
@@ -112,15 +79,16 @@ func Marshal(prog *ir.Program, p *Profile) ([]byte, error) {
 		CallRef: map[string]map[string]uint64{},
 		Totals:  map[string]uint64{},
 	}
-	keys := blockKeys(prog)
-	for b, c := range p.BlockCount {
-		if k, ok := keys[b]; ok {
-			out.Blocks[k] = c
+	for fn, c := range p.Funcs {
+		for id, n := range c.Blocks {
+			if n > 0 {
+				out.Blocks[fmt.Sprintf("%s:B%d", fn, id)] = n
+			}
 		}
-	}
-	for b, counts := range p.EdgeCount {
-		if k, ok := keys[b]; ok {
-			out.Edges[k] = counts
+		for id, counts := range c.Edges {
+			if nonzero(counts) {
+				out.Edges[fmt.Sprintf("%s:B%d", fn, id)] = counts
+			}
 		}
 	}
 	encodeSets := func(dst map[string]map[string]uint64, src map[int]LocSet) {
@@ -131,7 +99,7 @@ func Marshal(prog *ir.Program, p *Profile) ([]byte, error) {
 			}
 			// map keys marshal sorted, so the output is stable for
 			// diffing and golden tests
-			dst[fmt.Sprint(site)] = locs
+			dst[strconv.Itoa(site)] = locs
 		}
 	}
 	encodeSets(out.Loads, p.LoadLocs)
@@ -139,15 +107,16 @@ func Marshal(prog *ir.Program, p *Profile) ([]byte, error) {
 	encodeSets(out.CallMod, p.CallMod)
 	encodeSets(out.CallRef, p.CallRef)
 	for site, n := range p.SiteTotal {
-		out.Totals[fmt.Sprint(site)] = n
+		out.Totals[strconv.Itoa(site)] = n
 	}
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// Unmarshal parses a serialized profile (version 2, or version 1 for
-// backward compatibility) against prog. Locations that no longer resolve
-// (the program changed since profiling) are dropped; an error is returned
-// only for structural corruption or an unsupported version, matching
+// Unmarshal parses a serialized profile (version 2) against prog: the
+// boundary an untrusted Config.ProfileJSON crosses. Blocks and locations
+// that do not resolve against prog (the program changed since profiling)
+// are dropped, as are zero counts; an error is returned only for
+// structural corruption or an unsupported version, matching
 // profile-feedback tolerance in real compilers.
 func Unmarshal(prog *ir.Program, data []byte) (*Profile, error) {
 	var probe struct {
@@ -156,51 +125,16 @@ func Unmarshal(prog *ir.Program, data []byte) (*Profile, error) {
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
-	switch probe.Version {
-	case 1:
-		return unmarshalV1(prog, data)
-	case 2:
-		return unmarshalV2(prog, data)
+	if probe.Version != Version {
+		return nil, fmt.Errorf("profile: unsupported version %d", probe.Version)
 	}
-	return nil, fmt.Errorf("profile: unsupported version %d", probe.Version)
-}
-
-// decodeBlocks fills BlockCount/EdgeCount from the (version-independent)
-// block and edge maps.
-func decodeBlocks(prog *ir.Program, p *Profile, inBlocks map[string]uint64, inEdges map[string][]uint64) {
-	blocks := map[string]*ir.Block{}
-	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			blocks[fmt.Sprintf("%s:B%d", f.Name, b.ID)] = b
-		}
-	}
-	for k, c := range inBlocks {
-		if b, ok := blocks[k]; ok {
-			p.BlockCount[b] = c
-		}
-	}
-	for k, counts := range inEdges {
-		if b, ok := blocks[k]; ok {
-			p.EdgeCount[b] = counts
-		}
-	}
-}
-
-func parseSite(s string) (int, error) {
-	var site int
-	if _, err := fmt.Sscanf(s, "%d", &site); err != nil {
-		return 0, fmt.Errorf("profile: bad site key %q", s)
-	}
-	return site, nil
-}
-
-func unmarshalV2(prog *ir.Program, data []byte) (*Profile, error) {
 	var in serialized
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
 	p := New()
 	decodeBlocks(prog, p, in.Blocks, in.Edges)
+	names := varNames(prog)
 	decodeSets := func(src map[string]map[string]uint64, get func(int) LocSet) error {
 		for siteStr, locs := range src {
 			site, err := parseSite(siteStr)
@@ -209,8 +143,8 @@ func unmarshalV2(prog *ir.Program, data []byte) (*Profile, error) {
 			}
 			set := get(site)
 			for ls, n := range locs {
-				loc, err := decodeLoc(prog, ls)
-				if err != nil {
+				loc, err := decodeLoc(ls)
+				if err != nil || (loc.Kind != LocHeap && !names[loc]) {
 					continue // stale entry: tolerate
 				}
 				set.AddN(loc, n)
@@ -240,44 +174,80 @@ func unmarshalV2(prog *ir.Program, data []byte) (*Profile, error) {
 	return p, nil
 }
 
-// unmarshalV1 reads the legacy set-valued format: every listed LOC gets
-// count 1 and no site totals are recorded, so probability-aware consumers
-// degrade to the set semantics the format carried.
-func unmarshalV1(prog *ir.Program, data []byte) (*Profile, error) {
-	var in serializedV1
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("profile: %w", err)
+// varNames is the set of variable Locs prog can resolve: every global and
+// every symbol of every function, by name.
+func varNames(prog *ir.Program) map[Loc]bool {
+	names := map[Loc]bool{}
+	for _, g := range prog.Globals {
+		names[Loc{Kind: LocGlobal, Name: g.Name}] = true
 	}
-	p := New()
-	decodeBlocks(prog, p, in.Blocks, in.Edges)
-	decodeSets := func(src map[string][]string, get func(int) LocSet) error {
-		for siteStr, locs := range src {
-			site, err := parseSite(siteStr)
-			if err != nil {
-				return err
-			}
-			set := get(site)
-			for _, ls := range locs {
-				loc, err := decodeLoc(prog, ls)
-				if err != nil {
-					continue // stale entry: tolerate
-				}
-				set.Add(loc)
-			}
+	for _, f := range prog.Funcs {
+		for _, s := range f.Syms {
+			names[Loc{Kind: LocLocal, Fn: f.Name, Name: s.Name}] = true
 		}
-		return nil
 	}
-	if err := decodeSets(in.Loads, p.LoadSet); err != nil {
-		return nil, err
+	return names
+}
+
+// decodeBlocks fills p.Funcs from the block and edge maps, keeping the
+// nonzero counts of blocks that exist in prog.
+func decodeBlocks(prog *ir.Program, p *Profile, inBlocks map[string]uint64, inEdges map[string][]uint64) {
+	ids := map[*ir.Func][]bool{} // per function, which block IDs name a block
+	resolve := func(key string) (*FuncCounts, int, bool) {
+		i := strings.LastIndex(key, ":B")
+		if i < 0 {
+			return nil, 0, false
+		}
+		fn := prog.FuncMap[key[:i]]
+		id, err := strconv.Atoi(key[i+2:])
+		if fn == nil || err != nil || strconv.Itoa(id) != key[i+2:] {
+			return nil, 0, false // only the canonical "func:Bn" names a block
+		}
+		known, ok := ids[fn]
+		if !ok {
+			for _, b := range fn.Blocks {
+				known = append(known, make([]bool, max(0, b.ID+1-len(known)))...)
+				known[b.ID] = true
+			}
+			ids[fn] = known
+		}
+		if id < 0 || id >= len(known) || !known[id] {
+			return nil, 0, false
+		}
+		return p.Counts(fn), id, true
 	}
-	if err := decodeSets(in.Stores, p.StoreSet); err != nil {
-		return nil, err
+	for k, n := range inBlocks {
+		if n == 0 {
+			continue
+		}
+		if c, id, ok := resolve(k); ok {
+			c.Blocks[id] = n
+		}
 	}
-	if err := decodeSets(in.CallMod, p.ModSet); err != nil {
-		return nil, err
+	for k, counts := range inEdges {
+		if !nonzero(counts) {
+			continue
+		}
+		if c, id, ok := resolve(k); ok {
+			c.Edges[id] = counts
+		}
 	}
-	if err := decodeSets(in.CallRef, p.RefSet); err != nil {
-		return nil, err
+}
+
+// nonzero reports whether any count is positive.
+func nonzero(counts []uint64) bool {
+	for _, n := range counts {
+		if n > 0 {
+			return true
+		}
 	}
-	return p, nil
+	return false
+}
+
+func parseSite(s string) (int, error) {
+	var site int
+	if _, err := fmt.Sscanf(s, "%d", &site); err != nil {
+		return 0, fmt.Errorf("profile: bad site key %q", s)
+	}
+	return site, nil
 }

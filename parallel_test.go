@@ -3,11 +3,13 @@ package repro_test
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro"
 	"repro/internal/experiments"
 	"repro/internal/machine"
+	"repro/internal/ssapre"
 	"repro/internal/workloads"
 )
 
@@ -124,12 +126,12 @@ func TestFrontendCacheDetached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refText := c1.Ref.String()
+	progText := c1.Prog.String()
 
-	// vandalize the first compilation's reference program, then compile
-	// the same source again — the new compile starts from the same cache
-	// master and must be untouched
-	for _, f := range c1.Ref.Funcs {
+	// vandalize the first compilation's program, then compile the same
+	// source again — the new compile starts from the same cache master
+	// and must be untouched
+	for _, f := range c1.Prog.Funcs {
 		for _, s := range f.Syms {
 			s.Name = "junk_" + s.Name
 		}
@@ -138,7 +140,7 @@ func TestFrontendCacheDetached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Ref.String() != refText {
+	if c2.Prog.String() != progText {
 		t.Fatal("mutating one compilation's IR leaked into a later compile of the same source")
 	}
 	res1, err := c1.RunCtx(context.Background(), w.RefArgs)
@@ -159,7 +161,82 @@ func TestFrontendCacheDetached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c3.Ref.String() != refText {
+	if c3.Prog.String() != progText {
 		t.Fatal("cold compile differs from cached compile")
+	}
+}
+
+// TestSharedProfileConcurrentCompiles compiles one (source, ProfileArgs)
+// from 8 goroutines under every flag source. All of them read the one
+// cached profile (one profiling run), which must stay read-only: under
+// -race a write from any compile is a reported race, and every build
+// must equal a serial compile made with the cache off.
+func TestSharedProfileConcurrentCompiles(t *testing.T) {
+	w, _ := workloads.ByName("mcf")
+	cfgs := []repro.Config{
+		{Spec: repro.SpecOff},
+		{Spec: repro.SpecProfile},
+		{Spec: repro.SpecHeuristic},
+		{Spec: repro.SpecCost},
+		{AggressivePromotion: true},
+	}
+	type result struct {
+		fp    [32]byte
+		stats ssapre.Stats
+	}
+	compile := func(cfg repro.Config) (result, error) {
+		cfg.ProfileArgs = w.ProfileArgs
+		c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
+		if err != nil {
+			return result{}, err
+		}
+		return result{c.Code.Fingerprint(), c.TotalStats()}, nil
+	}
+
+	repro.SetCacheEnabled(false)
+	want := make([]result, len(cfgs))
+	for i, cfg := range cfgs {
+		r, err := compile(cfg)
+		if err != nil {
+			repro.SetCacheEnabled(true)
+			t.Fatalf("serial %+v: %v", cfg, err)
+		}
+		want[i] = r
+	}
+	repro.SetCacheEnabled(true)
+
+	repro.ResetCaches()
+	runs := repro.ProfilingRuns()
+	const goroutines = 8
+	got := make([][]result, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = make([]result, len(cfgs))
+			// each goroutine starts at a different config
+			for k := range cfgs {
+				i := (g + k) % len(cfgs)
+				if got[g][i], errs[g] = compile(cfgs[i]); errs[g] != nil {
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i := range cfgs {
+			if got[g][i] != want[i] {
+				t.Errorf("goroutine %d, %+v: build differs from the serial compile", g, cfgs[i])
+			}
+		}
+	}
+	if n := repro.ProfilingRuns() - runs; n != 1 {
+		t.Errorf("%d profiling runs, want 1 shared by every compile", n)
 	}
 }

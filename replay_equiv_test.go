@@ -109,27 +109,3 @@ func TestRunUsesTracePathTransparently(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedReuseLimitMatchesSerial asserts the ROADMAP-item contract:
-// the sharded Fig. 12 reuse-limit simulation produces totals (and so
-// PotentialReduction) identical to the serial walk, for every workload.
-func TestShardedReuseLimitMatchesSerial(t *testing.T) {
-	for _, w := range workloads.All() {
-		serial, err := repro.ReuseLimitCtx(context.Background(), w.Src, w.RefArgs, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		sharded, err := repro.ReuseLimitCtx(context.Background(), w.Src, w.RefArgs, 8)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		if serial.Loads != sharded.Loads || serial.Reused != sharded.Reused {
-			t.Errorf("%s: sharded totals diverge: serial %d/%d, sharded %d/%d",
-				w.Name, serial.Reused, serial.Loads, sharded.Reused, sharded.Loads)
-		}
-		if serial.PotentialReduction() != sharded.PotentialReduction() {
-			t.Errorf("%s: PotentialReduction diverges: %v vs %v",
-				w.Name, serial.PotentialReduction(), sharded.PotentialReduction())
-		}
-	}
-}

@@ -166,7 +166,10 @@ type Config struct {
 	// ProfileJSON, when non-empty, supplies a previously collected
 	// profile (from CollectProfileCtx or `aliasprof -o`) instead of running
 	// the training input at compile time — the paper's separate
-	// profile-then-recompile feedback workflow.
+	// profile-then-recompile feedback workflow. It is untrusted input:
+	// CompileCtx decodes it with profile.Unmarshal, which drops blocks
+	// and variables that do not resolve against the program. A compile
+	// that profiles itself never serializes its profile.
 	ProfileJSON []byte
 	// Rounds overrides the number of PRE rounds (<=0 means 8).
 	Rounds int
@@ -263,28 +266,34 @@ type Build struct {
 }
 
 // Compilation is a Build plus the intermediate artifacts the experiments,
-// the linters and the tests inspect: the source, both IR programs, the
+// the linters and the tests inspect: the source, the optimized IR, the
 // alias analysis and the applied profile. Build's fields and methods
 // (RunCtx, EvaluateCtx, TotalStats, ...) are promoted.
 type Compilation struct {
 	*Build
-	Source  string
-	Prog    *ir.Program // optimized IR
-	Ref     *ir.Program // unoptimized reference IR (fresh compile)
+	Source string
+	Prog   *ir.Program // optimized IR
+	// Profile is the applied alias/edge profile (nil when profiling
+	// failed or the optimizer was off). A profile from the training
+	// run is the cache's entry, shared by every compile of its key:
+	// read-only.
 	Profile *profile.Profile
 	Alias   *alias.Result
 }
 
 // The compilation cache (internal/cache) holds one entry per artifact:
-// a pristine lowered program per source hash, the serialized alias/edge
-// profile per (source, options, training-args) key, BuildCtx's immutable
-// builds and the recorded machine traces, all in memory for the life of
-// the process. CompileCtx, CollectProfileCtx, Reference and ReuseLimitCtx all
-// start from the same parse, and an experiment sweep re-compiles each
-// workload under many config variants, so N variants pay for one parse
-// and one profiling interpreter run instead of N of each. Masters in the
-// cache are never mutated — every caller receives a deep ir.Clone —
-// which is what makes sharing across concurrent compiles sound.
+// a pristine lowered program per source hash, the collected alias/edge
+// profile (*profile.Profile) per (source, options, training-args) key,
+// BuildCtx's immutable builds and the recorded machine traces, all in
+// memory for the life of the process. CompileCtx, CollectProfileCtx,
+// Reference and ReuseLimitCtx all start from the same parse, and an
+// experiment sweep re-compiles each workload under many config variants,
+// so N variants pay for one parse and one profiling interpreter run
+// instead of N of each. Cached programs are never mutated — every caller
+// receives a deep ir.Clone — and a cached profile names blocks and
+// variables by name, not by pointer, so every compile of its key reads
+// the one profile as it is; that is what makes sharing across concurrent
+// compiles sound.
 const compCacheCap = 512
 
 var (
@@ -323,15 +332,14 @@ func profileKey(src string, cfg Config) cache.Key {
 	return cache.KeyOf([]byte("profile"), []byte(src), []byte(opts), args)
 }
 
-// profileDataCtx returns the serialized alias/edge profile for (src,
-// options, training args), memoized in memory. The computation is
-// canonical: frontend, the same flow-sensitive refinement CompileCtx
-// applies (so reference-site ids line up), one profiling interpreter
-// run, profile.Marshal.
-// CompileCtx, CollectProfileCtx and every experiment variant share it,
-// so a sweep pays for one interpreter run per key no matter how many
-// variants it compiles.
-func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error) {
+// profileDataCtx returns the alias/edge profile for (src, options,
+// training args), memoized in memory; callers must not modify it. The
+// computation is canonical: frontend, the same flow-sensitive refinement
+// CompileCtx applies (so reference-site ids line up), one profiling
+// interpreter run. CompileCtx, CollectProfileCtx and every experiment
+// variant share it, so a sweep pays for one interpreter run per key no
+// matter how many variants it compiles.
+func profileDataCtx(ctx context.Context, src string, cfg Config) (*profile.Profile, error) {
 	v, err := compCache.GetCtx(ctx, profileKey(src, cfg), func() (any, error) {
 		// the cache runs its owner's compute even under a done ctx; a
 		// context error is never memoized, so refusing here is free
@@ -350,12 +358,12 @@ func profileDataCtx(ctx context.Context, src string, cfg Config) ([]byte, error)
 		}); err != nil {
 			return nil, err
 		}
-		return profile.Marshal(prog, prof)
+		return prof, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.([]byte), nil
+	return v.(*profile.Profile), nil
 }
 
 // ProfilingRuns counts the profiling interpreter runs actually executed
@@ -406,21 +414,18 @@ func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, erro
 		return nil, err
 	}
 	buildsCompiled.Add(1)
-	// one frontend run (or cache hit) feeds both programs: the reference
-	// IR stays pristine and the optimizer works on a detached clone
-	ref, err := frontendCtx(ctx, src)
+	prog, err := frontendCtx(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.checkFnSpec(ref); err != nil {
+	if err := cfg.checkFnSpec(prog); err != nil {
 		return nil, err
 	}
-	prog := ir.Clone(ref)
 	norm := cfg
 	norm.Workers = 0
 	c := &Compilation{
 		Build:  &Build{Config: norm, Functions: len(prog.Funcs)},
-		Source: src, Prog: prog, Ref: ref,
+		Source: src, Prog: prog,
 	}
 
 	// verify surfaces specheck violations as a compile error; the
@@ -452,24 +457,21 @@ func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, erro
 
 		// a supplied profile, or the memoized training run: every
 		// variant of a sweep that shares (source, options, training
-		// args) reuses one interpreter run's serialized profile
-		data, from := cfg.ProfileJSON, ""
+		// args) reads one interpreter run's profile
+		var prof *profile.Profile
 		var perr error
-		if len(data) == 0 {
-			data, perr = profileDataCtx(ctx, src, cfg)
-			from = "cached profile: "
+		if len(cfg.ProfileJSON) > 0 {
+			if prof, err = profile.Unmarshal(prog, cfg.ProfileJSON); err != nil {
+				return nil, fmt.Errorf("repro: %w", err)
+			}
+		} else {
+			prof, perr = profileDataCtx(ctx, src, cfg)
 		}
 		if isCtxErr(perr) {
 			// cancellation is not a failed training run; surface it
 			return nil, perr
 		}
-		var prof *profile.Profile
 		if perr == nil {
-			p, err := profile.Unmarshal(prog, data)
-			if err != nil {
-				return nil, fmt.Errorf("repro: %s%w", from, err)
-			}
-			prof = p
 			prof.ApplyEdges(prog)
 			c.Profile = prof
 		} else {
@@ -795,7 +797,11 @@ func (c *Compilation) RunReferenceCtx(ctx context.Context, args []int64) (*inter
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return interp.RunCtx(ctx, c.Ref, interp.Options{Args: args})
+	prog, err := frontendCtx(ctx, c.Source)
+	if err != nil {
+		return nil, err
+	}
+	return interp.RunCtx(ctx, prog, interp.Options{Args: args})
 }
 
 // TotalStats sums optimizer statistics over all functions.
@@ -815,7 +821,11 @@ func (b *Build) TotalStats() ssapre.Stats {
 // compile with the same training args — and vice versa. The cache
 // lookup and any nested frontend wait honor ctx.
 func CollectProfileCtx(ctx context.Context, src string, args []int64) ([]byte, error) {
-	return profileDataCtx(ctx, src, Config{ProfileArgs: args})
+	prof, err := profileDataCtx(ctx, src, Config{ProfileArgs: args})
+	if err != nil {
+		return nil, err
+	}
+	return profile.Marshal(nil, prof)
 }
 
 // Reference interprets the unoptimized program and returns its result.
@@ -830,18 +840,11 @@ func Reference(src string, args []int64) (*interp.Result, error) {
 // ReuseLimitCtx runs the Fig. 12 simulation-based load-reuse limit study
 // on the unoptimized program: references with identical syntax trees form
 // equivalence classes and repeats of the same (class, address, value) are
-// counted as potential speculative reuses.
-//
-// The simulation is sharded by equivalence class across workers: one
-// interpreter run records the dynamic memory-access stream, then the
-// reuse walk partitions it per class shard (the state is keyed by
-// (class, address), so shards are independent and the merged totals
-// match the serial walk exactly). A single worker (after par.Workers
-// resolution) runs the simulation inline during interpretation — the
-// serial path and the equivalence oracle. The frontend cache lookup
-// honors ctx, and a done ctx stops the simulation before the
-// interpreter run starts or, within 2^16 steps, while it runs.
-func ReuseLimitCtx(ctx context.Context, src string, args []int64, workers int) (*interp.ReuseSim, error) {
+// counted as potential speculative reuses. The simulation runs inline
+// during one interpretation. The frontend cache lookup honors ctx, and a
+// done ctx stops the simulation before the interpreter run starts or,
+// within 2^16 steps, while it runs.
+func ReuseLimitCtx(ctx context.Context, src string, args []int64) (*interp.ReuseSim, error) {
 	prog, err := frontendCtx(ctx, src)
 	if err != nil {
 		return nil, err
@@ -860,18 +863,11 @@ func ReuseLimitCtx(ctx context.Context, src string, args []int64, workers int) (
 		}
 		classes[site] = id
 	}
-	if par.Workers(workers) <= 1 {
-		sim := interp.NewReuseSim(classes)
-		if _, err := interp.RunCtx(ctx, prog, interp.Options{Args: args, Reuse: sim}); err != nil {
-			return nil, err
-		}
-		return sim, nil
-	}
-	tr := &interp.MemTrace{}
-	if _, err := interp.RunCtx(ctx, prog, interp.Options{Args: args, MemTrace: tr}); err != nil {
+	sim := interp.NewReuseSim(classes)
+	if _, err := interp.RunCtx(ctx, prog, interp.Options{Args: args, Reuse: sim}); err != nil {
 		return nil, err
 	}
-	return interp.ShardedReuse(classes, tr, workers), nil
+	return sim, nil
 }
 
 // PipelinedMachine returns the default machine model with the pipelined

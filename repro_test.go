@@ -245,7 +245,7 @@ int main() {
 	print(sum);
 	return 0;
 }`
-	sim, err := ReuseLimitCtx(context.Background(), src, []int64{100}, 1)
+	sim, err := ReuseLimitCtx(context.Background(), src, []int64{100})
 	if err != nil {
 		t.Fatal(err)
 	}
