@@ -17,7 +17,11 @@
 //     replay summed over every paper kernel (the machine's share of a
 //     cold evaluation);
 //   - BENCH_compile.json: the compile path's allocs_per_compile and
-//     ns_per_compile must not RISE by more than the margin.
+//     ns_per_compile must not RISE by more than the margin, and
+//     builds_compiled and builds_reused, the full pipeline runs and the
+//     reused builds of a fixed seeded sequence of cold builds, must
+//     equal their baselines exactly (margin 0): they count, not time,
+//     so any change is a change in what the build cache reuses.
 //
 // CI benchmark numbers are noisy (BENCH_machine.json's figures are
 // medians of five interleaved passes), so the default margin is
@@ -51,19 +55,21 @@ type gate struct {
 	baseline, fresh *string
 	load            func(path string) (map[string]float64, error)
 	higherIsBetter  bool
+	// exact gates host-independent counts: any difference from the
+	// baseline, either way, fails, whatever the margin
+	exact bool
 }
 
 func main() {
 	machineBase := flag.String("baseline", "", "committed BENCH_machine.json to compare against (empty = skip the machine guards)")
 	machineFresh := flag.String("fresh", "BENCH_machine.json", "freshly generated BENCH_machine.json")
+	compileBase := flag.String("compile-baseline", "", "committed BENCH_compile.json to compare against (empty = skip the compile guard)")
+	compileFresh := flag.String("compile-fresh", "BENCH_compile.json", "freshly generated BENCH_compile.json")
 	gates := []gate{
 		{baseline: machineBase, fresh: machineFresh, load: loadSpeedups, higherIsBetter: true},
 		{baseline: machineBase, fresh: machineFresh, load: loadScalars(machineScalars...)},
-		{
-			baseline: flag.String("compile-baseline", "", "committed BENCH_compile.json to compare against (empty = skip the compile guard)"),
-			fresh:    flag.String("compile-fresh", "BENCH_compile.json", "freshly generated BENCH_compile.json"),
-			load:     loadScalars("allocs_per_compile", "ns_per_compile"),
-		},
+		{baseline: compileBase, fresh: compileFresh, load: loadScalars("allocs_per_compile", "ns_per_compile")},
+		{baseline: compileBase, fresh: compileFresh, load: loadScalars(compileCounts...), exact: true},
 	}
 	maxRegress := flag.Float64("max-regress", 0.25, "maximum allowed fractional regression (0.25 = 25%)")
 	flag.Parse()
@@ -95,7 +101,8 @@ func main() {
 // prints one line per quantity to w. A quantity fails when it is missing
 // from the fresh file or moved the wrong way by more than margin:
 // below baseline·(1−margin) when higher is better, above
-// baseline·(1+margin) when lower is.
+// baseline·(1+margin) when lower is. An exact gate's quantity fails on
+// any difference.
 func guard(w io.Writer, g gate, margin float64) (bool, error) {
 	base, err := g.load(*g.baseline)
 	if err != nil {
@@ -120,7 +127,10 @@ func guard(w io.Writer, g gate, margin float64) (bool, error) {
 			continue
 		}
 		limit, bad := baseV*(1+margin), freshV > baseV*(1+margin)
-		if g.higherIsBetter {
+		switch {
+		case g.exact:
+			limit, bad = baseV, freshV != baseV
+		case g.higherIsBetter:
 			limit, bad = baseV*(1-margin), freshV < baseV*(1-margin)
 		}
 		status := "ok"
@@ -161,6 +171,9 @@ func loadSpeedups(path string) (map[string]float64, error) {
 	}
 	return out, nil
 }
+
+// compileCounts are BENCH_compile.json's exactly gated counts.
+var compileCounts = []string{"builds_compiled", "builds_reused"}
 
 // machineScalars are BENCH_machine.json's gated costs.
 var machineScalars = []string{"record_ns", "record_all_ns", "walk_ns", "walk_all_ns"}

@@ -24,7 +24,10 @@ var (
 	loadCompile = loadScalars("allocs_per_compile", "ns_per_compile")
 	loadRecord  = loadScalars("record_ns")
 	loadMachine = loadScalars(machineScalars...)
+	loadCounts  = loadScalars(compileCounts...)
 )
+
+const countsBase = `{"builds_compiled": 10, "builds_reused": 54, "ns_per_compile": 2000000}`
 
 func TestGuard(t *testing.T) {
 	cases := []struct {
@@ -33,6 +36,7 @@ func TestGuard(t *testing.T) {
 		fresh     string
 		load      func(string) (map[string]float64, error)
 		higher    bool
+		exact     bool
 		wantOK    bool
 		wantFail  string // a key the output must report as FAIL
 		wantError bool
@@ -132,6 +136,38 @@ func TestGuard(t *testing.T) {
 			wantFail: "mixed",
 		},
 		{
+			name:   "equal build counts pass",
+			base:   countsBase,
+			fresh:  `{"builds_compiled": 10, "builds_reused": 54, "ns_per_compile": 2400000}`,
+			load:   loadCounts,
+			exact:  true,
+			wantOK: true,
+		},
+		{
+			name:     "one more full compile fails an exact gate",
+			base:     countsBase,
+			fresh:    `{"builds_compiled": 11, "builds_reused": 53}`,
+			load:     loadCounts,
+			exact:    true,
+			wantFail: "builds_compiled",
+		},
+		{
+			name:     "more reuse than the baseline fails an exact gate too",
+			base:     countsBase,
+			fresh:    `{"builds_compiled": 9, "builds_reused": 55}`,
+			load:     loadCounts,
+			exact:    true,
+			wantFail: "builds_reused",
+		},
+		{
+			name:      "a fresh file without builds_reused is an error",
+			base:      countsBase,
+			fresh:     `{"builds_compiled": 10}`,
+			load:      loadCounts,
+			exact:     true,
+			wantError: true,
+		},
+		{
 			name:      "a compile key missing from the fresh file is an error",
 			base:      compileBase,
 			fresh:     `{"allocs_per_compile": 8000}`,
@@ -146,6 +182,7 @@ func TestGuard(t *testing.T) {
 				fresh:          writeJSON(t, "fresh.json", tc.fresh),
 				load:           tc.load,
 				higherIsBetter: tc.higher,
+				exact:          tc.exact,
 			}
 			var out strings.Builder
 			ok, err := guard(&out, g, 0.25)

@@ -135,7 +135,15 @@ func Analyze(prog *ir.Program, opts Options) *Result {
 			}
 		}
 	}
-	for site, n := range s.heapOf {
+	// number heap classes in site order, so that class ids, and the
+	// virtual variables named after them, are the same in every run
+	sites := make([]int, 0, len(s.heapOf))
+	for site := range s.heapOf {
+		sites = append(sites, site)
+	}
+	sort.Ints(sites)
+	for _, site := range sites {
+		n := s.heapOf[site]
 		id := classOf(n)
 		ctxs := []int{0}
 		if f := allocFunc[site]; f != nil && f.Name != "main" {

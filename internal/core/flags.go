@@ -1,6 +1,12 @@
 package core
 
 import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
+	"slices"
+	"strings"
+
 	"repro/internal/alias"
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -323,10 +329,7 @@ func addMissingChis(f *ir.Func, chis []*ir.Chi, locs profile.LocSet, total uint6
 	for _, chi := range chis {
 		have[chi.Sym] = true
 	}
-	for loc, n := range locs {
-		if n == 0 {
-			continue // never observed: not a profiled LOC
-		}
+	for _, loc := range observed(locs) {
 		sym := ar.LocToSym(f, loc)
 		if sym != nil && !have[sym] {
 			have[sym] = true
@@ -334,6 +337,24 @@ func addMissingChis(f *ir.Func, chis []*ir.Chi, locs profile.LocSet, total uint6
 		}
 	}
 	return chis
+}
+
+// observed returns the locations of locs observed at least once, in a
+// fixed order (kind, function, name, site, context), so that the
+// entries addMissingChis and addMissingMus append, and the code built
+// from them, do not depend on map iteration order.
+func observed(locs profile.LocSet) []profile.Loc {
+	out := make([]profile.Loc, 0, len(locs))
+	for loc, n := range locs {
+		if n > 0 {
+			out = append(out, loc)
+		}
+	}
+	slices.SortFunc(out, func(a, b profile.Loc) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), strings.Compare(a.Fn, b.Fn), strings.Compare(a.Name, b.Name),
+			cmp.Compare(a.Site, b.Site), cmp.Compare(a.Ctx, b.Ctx))
+	})
+	return out
 }
 
 func addMissingMus(f *ir.Func, mus []*ir.Mu, locs profile.LocSet, total uint64, ar *alias.Result, mode Mode, pol Policy, fp bool) []*ir.Mu {
@@ -344,10 +365,7 @@ func addMissingMus(f *ir.Func, mus []*ir.Mu, locs profile.LocSet, total uint64, 
 	for _, mu := range mus {
 		have[mu.Sym] = true
 	}
-	for loc, n := range locs {
-		if n == 0 {
-			continue // never observed: not a profiled LOC
-		}
+	for _, loc := range observed(locs) {
 		sym := ar.LocToSym(f, loc)
 		if sym != nil && !have[sym] {
 			have[sym] = true
@@ -355,4 +373,53 @@ func addMissingMus(f *ir.Func, mus []*ir.Mu, locs profile.LocSet, total uint64, 
 		}
 	}
 	return mus
+}
+
+// FlagDigest hashes every chi/mu list of prog in program order: each
+// entry's symbol and its Spec flag. Flag assignment writes exactly these
+// lists (it sets the flags and may append entries for profiled
+// locations), so two programs lowered and annotated alike whose flag
+// assignments made the same decisions have equal digests.
+func FlagDigest(prog *ir.Program) [32]byte {
+	var buf []byte
+	sym := func(s *ir.Sym, spec bool) {
+		buf = append(buf, byte(s.Kind))
+		if spec {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+		buf = binary.AppendVarint(buf, int64(s.ID))
+		buf = binary.AppendVarint(buf, int64(s.Class))
+		buf = binary.AppendUvarint(buf, uint64(len(s.Name)))
+		buf = append(buf, s.Name...)
+	}
+	list := func(mus []*ir.Mu, chis []*ir.Chi) {
+		buf = binary.AppendUvarint(buf, uint64(len(mus)))
+		for _, mu := range mus {
+			sym(mu.Sym, mu.Spec)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(chis)))
+		for _, chi := range chis {
+			sym(chi.Sym, chi.Spec)
+		}
+	}
+	for _, f := range prog.Funcs {
+		buf = binary.AppendUvarint(buf, uint64(len(f.Name)))
+		buf = append(buf, f.Name...)
+		for _, b := range f.Blocks {
+			buf = binary.AppendUvarint(buf, uint64(b.ID))
+			for _, st := range b.Stmts {
+				switch t := st.(type) {
+				case *ir.Assign:
+					list(t.Mus, t.Chis)
+				case *ir.IStore:
+					list(nil, t.Chis)
+				case *ir.Call:
+					list(t.Mus, t.Chis)
+				}
+			}
+		}
+	}
+	return sha256.Sum256(buf)
 }

@@ -101,6 +101,7 @@ func RecordCtx(ctx context.Context, prog *Program, args []int64, cfg Config) (*T
 	if err != nil {
 		return nil, err
 	}
+	t.ops.seal()
 	t.Ret = int64(ret)
 	t.Output = m.out.String()
 	t.Steps = m.steps

@@ -147,23 +147,57 @@ type opChunks struct {
 	addrs  [][]int64
 	fns    [][]int32
 	n      int64
+
+	// open holds the columns of the chunk being appended to; the
+	// column slices above alias its arrays
+	open *opChunk
 }
 
+// opChunk is one chunk's columns, allocated together.
+type opChunk struct {
+	kinds  [opChunkLen]uint8
+	regs   [opChunkLen]int32
+	frames [opChunkLen]int64
+	addrs  [opChunkLen]int64
+	fns    [opChunkLen]int32
+}
+
+// append records one event: one chunk test and one index per event, the
+// columns written through the open chunk's arrays. The open chunk's
+// slices stay full length until seal.
 func (a *opChunks) append(op alatOp) {
-	ci := int(a.n) / opChunkLen
-	if ci == len(a.kinds) {
-		a.kinds = append(a.kinds, make([]uint8, 0, opChunkLen))
-		a.regs = append(a.regs, make([]int32, 0, opChunkLen))
-		a.frames = append(a.frames, make([]int64, 0, opChunkLen))
-		a.addrs = append(a.addrs, make([]int64, 0, opChunkLen))
-		a.fns = append(a.fns, make([]int32, 0, opChunkLen))
+	off := int(a.n) & (opChunkLen - 1)
+	if off == 0 {
+		c := new(opChunk)
+		a.open = c
+		a.kinds = append(a.kinds, c.kinds[:])
+		a.regs = append(a.regs, c.regs[:])
+		a.frames = append(a.frames, c.frames[:])
+		a.addrs = append(a.addrs, c.addrs[:])
+		a.fns = append(a.fns, c.fns[:])
 	}
-	a.kinds[ci] = append(a.kinds[ci], op.kind)
-	a.regs[ci] = append(a.regs[ci], op.reg)
-	a.frames[ci] = append(a.frames[ci], op.frameID)
-	a.addrs[ci] = append(a.addrs[ci], op.addr)
-	a.fns[ci] = append(a.fns[ci], op.fn)
+	c := a.open
+	c.kinds[off] = op.kind
+	c.regs[off] = op.reg
+	c.frames[off] = op.frameID
+	c.addrs[off] = op.addr
+	c.fns[off] = op.fn
 	a.n++
+}
+
+// seal trims the open chunk's slices to the events appended, so every
+// chunk's length is its event count. A trace is sealed once, when
+// recording or decoding ends, before any reader sees it.
+func (a *opChunks) seal() {
+	if last := len(a.kinds) - 1; last >= 0 {
+		m := int(a.n - int64(last)*opChunkLen)
+		a.kinds[last] = a.kinds[last][:m]
+		a.regs[last] = a.regs[last][:m]
+		a.frames[last] = a.frames[last][:m]
+		a.addrs[last] = a.addrs[last][:m]
+		a.fns[last] = a.fns[last][:m]
+	}
+	a.open = nil
 }
 
 // Instruction latency classes counted during recording. Every retired
@@ -459,6 +493,7 @@ func UnmarshalTrace(data []byte) (*Trace, error) {
 		t.ops.append(alatOp{kind: kind, reg: int32(reg), frameID: prevFrame, addr: addr, fn: int32(fn)})
 		kinds[kind]++
 	}
+	t.ops.seal()
 	if kinds[opCheckInt] != t.counts[cCheckInt] || kinds[opCheckFP] != t.counts[cCheckFP] ||
 		kinds[opInval] > t.counts[cStore] || kinds[opInsert] != t.counts[cAdv] {
 		return bad("class counts disagree with the ALAT event stream")

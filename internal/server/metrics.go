@@ -191,12 +191,19 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE specd_profiling_runs_total counter\n")
 	fmt.Fprintf(w, "specd_profiling_runs_total %d\n", repro.ProfilingRuns())
 
-	// compilation pipeline runs (build-cache misses, plus any direct
-	// CompileCtx call): a repeated /evaluate, /sweep or /compile leaves
-	// this flat
-	fmt.Fprintf(w, "# HELP specd_builds_compiled_total Compilation pipeline runs (build-cache misses and direct compiles).\n")
+	// full compilation pipeline runs (build-cache misses that reused no
+	// earlier build, plus any direct CompileCtx call): a repeated
+	// /evaluate, /sweep or /compile leaves this flat
+	fmt.Fprintf(w, "# HELP specd_builds_compiled_total Full compilation pipeline runs (build-cache misses that reused no earlier build, and direct compiles).\n")
 	fmt.Fprintf(w, "# TYPE specd_builds_compiled_total counter\n")
 	fmt.Fprintf(w, "specd_builds_compiled_total %d\n", repro.BuildsCompiled())
+
+	// build-cache misses answered by an earlier build whose flag
+	// decisions and control-speculation tests the new training input
+	// reproduced: the pipeline ran only up to flag assignment
+	fmt.Fprintf(w, "# HELP specd_builds_reused_total Build-cache misses that reused an earlier build compiled under the same profile decisions.\n")
+	fmt.Fprintf(w, "# TYPE specd_builds_reused_total counter\n")
+	fmt.Fprintf(w, "specd_builds_reused_total %d\n", repro.BuildsReused())
 
 	// resident size of the traces the record-and-replay path
 	// keeps in the cache (a gauge: eviction and Reset shrink it)

@@ -663,6 +663,70 @@ func TestRepeatedRequestsCompileNothing(t *testing.T) {
 	}
 }
 
+// TestEvaluateReusesBuild: two /evaluate requests that differ only in
+// config.profileArgs, whose training inputs make the same profile
+// decisions, share one build. The second moves
+// specd_builds_reused_total by one and leaves
+// specd_builds_compiled_total flat, and both replies are byte-identical
+// to the CLI path's with the compilation cache off.
+func TestEvaluateReusesBuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and times two workloads")
+	}
+	s := newTestServer(t, Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const compiled, reused = "specd_builds_compiled_total", "specd_builds_reused_total"
+	for _, tc := range []struct {
+		workload string
+		train    [2][]int64
+	}{
+		{"mcf", [2][]int64{{32, 3}, {40, 3, 1}}},
+		{"equake", [2][]int64{{32, 2}, {51, 2, 1}}},
+	} {
+		repro.ResetCaches()
+		for i, train := range tc.train {
+			req := experiments.EvalRequest{
+				Workload: tc.workload,
+				Config:   &repro.Config{Spec: repro.SpecProfile, ProfileArgs: train},
+			}
+			before := scrape(t, ts)
+			resp := postJSON(t, ts, "/evaluate", req)
+			body := readAll(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %v: %d %q", tc.workload, train, resp.StatusCode, body)
+			}
+			after := scrape(t, ts)
+			wantCompiled, wantReused := 1.0, 0.0
+			if i == 1 {
+				wantCompiled, wantReused = 0, 1
+			}
+			if d := after[compiled] - before[compiled]; d != wantCompiled {
+				t.Errorf("%s %v: %s moved by %g, want %g", tc.workload, train, compiled, d, wantCompiled)
+			}
+			if d := after[reused] - before[reused]; d != wantReused {
+				t.Errorf("%s %v: %s moved by %g, want %g", tc.workload, train, reused, d, wantReused)
+			}
+
+			repro.SetCacheEnabled(false)
+			res, err := experiments.RunEvalCtx(context.Background(), req)
+			repro.SetCacheEnabled(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := experiments.MarshalEval(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, want) {
+				t.Errorf("%s %v: server bytes differ from the cache-off CLI bytes:\nserver: %s\ncli:    %s",
+					tc.workload, train, body, want)
+			}
+		}
+	}
+}
+
 // TestCompileHarden checks the /compile surface of the hardening pass:
 // a bad policy is a 400, a good one returns the report in the response.
 func TestCompileHarden(t *testing.T) {

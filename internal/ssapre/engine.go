@@ -563,16 +563,19 @@ func (w *web) downSafety() {
 		if p.downSafe {
 			continue
 		}
+		// the terms are collected only for a FreqTest recorder; the sums
+		// are the same either way
+		record := w.opts.FreqTest != nil
+		var test FreqTest
 		var insFreq float64
 		for i, opnd := range p.opnds {
 			if opnd.def == nil {
 				if i < len(p.block.Preds) {
 					pred := p.block.Preds[i]
 					pi := pred.SuccIndex(p.block)
-					if pi >= 0 && pi < len(pred.EdgeFreq) {
-						insFreq += pred.EdgeFreq[pi]
-					} else {
-						insFreq += pred.Freq
+					insFreq += termFreq(pred, pi)
+					if record {
+						test.Ins = append(test.Ins, FreqTerm{Block: int32(pred.ID), Succ: int32(pi)})
 					}
 				}
 			}
@@ -580,13 +583,69 @@ func (w *web) downSafety() {
 		var useFreq float64
 		for _, o := range w.ec.occs {
 			if o.class == p.class {
-				useFreq += o.block.Freq
+				useFreq += termFreq(o.block, -1)
+				if record {
+					test.Use = append(test.Use, FreqTerm{Block: int32(o.block.ID), Succ: -1})
+				}
 			}
 		}
 		if useFreq > insFreq {
 			p.specDS = true
 		}
+		if record {
+			test.Speculate = p.specDS
+			w.opts.FreqTest(w.ssa.Fn, test)
+		}
 	}
+}
+
+// FreqTerm names one frequency a control-speculation test reads: the
+// frequency of the edge to Succs[Succ] of the block whose ID is Block,
+// or the block's own Freq when Succ is out of range (-1 for a use).
+type FreqTerm struct {
+	Block, Succ int32
+}
+
+// FreqTest is one control-speculation test the optimizer made at a
+// non-down-safe Φ: it speculates when the sum of the Use terms exceeds
+// the sum of the Ins terms, each summed in order from zero.
+type FreqTest struct {
+	Ins, Use  []FreqTerm
+	Speculate bool
+}
+
+// Holds reports whether the test comes out as recorded over the
+// frequencies of a function as it was before the optimizer ran; byID
+// indexes its blocks by ID. A term naming a block missing from byID
+// names a block SSA construction made to split a critical edge: such a
+// block is new, so it has frequency 0 (no EdgeFreq, and Freq unset), in
+// every run. The sums repeat the optimizer's additions term for term,
+// so the floating-point results, and the comparison, are bit-identical
+// to the ones it would make on the same frequencies.
+func (t *FreqTest) Holds(byID []*ir.Block) bool {
+	freq := func(term FreqTerm) float64 {
+		if int(term.Block) >= len(byID) || byID[term.Block] == nil {
+			return 0
+		}
+		return termFreq(byID[term.Block], int(term.Succ))
+	}
+	var ins, use float64
+	for _, term := range t.Ins {
+		ins += freq(term)
+	}
+	for _, term := range t.Use {
+		use += freq(term)
+	}
+	return (use > ins) == t.Speculate
+}
+
+// termFreq is the frequency of the edge to b.Succs[succ], or b.Freq
+// when b has no such edge frequency.
+func termFreq(b *ir.Block, succ int) float64 {
+	if succ >= 0 && succ < len(b.EdgeFreq) {
+		return b.EdgeFreq[succ]
+	}
+	return b.Freq
 }
 
 // trapping reports whether speculatively executing the expression could

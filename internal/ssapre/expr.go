@@ -48,6 +48,12 @@ type Options struct {
 	// Workers bounds the number of functions optimized concurrently:
 	// 0 uses every core, 1 reproduces the serial pipeline bit-for-bit.
 	Workers int
+	// FreqTest, when non-nil, receives every control-speculation test
+	// the run makes, in the order it makes them within each function.
+	// These tests are the only place the optimizer reads block or edge
+	// frequencies. Functions run concurrently under Workers, so the
+	// callback must be safe for concurrent calls on different functions.
+	FreqTest func(fn *ir.Func, t FreqTest)
 }
 
 // Stats reports what the optimizer did to one function.

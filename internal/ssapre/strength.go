@@ -156,7 +156,7 @@ type srCand struct {
 // reduceCandidates rewrites every `t = x2 * k` in the loop.
 func reduceCandidates(ssa *core.SSA, loop *ir.Loop, preheader *ir.Block, iv *indVar, copies map[core.SymVer]ir.Operand, stats *Stats) {
 	var cands []srCand
-	for b := range loop.Blocks {
+	for _, b := range loopBlocks(ssa.Fn, loop) {
 		for _, st := range b.Stmts {
 			a, ok := st.(*ir.Assign)
 			if !ok || a.RK != ir.RHSBinary || a.Op != ir.OpMul {
@@ -192,6 +192,20 @@ func reduceCandidates(ssa *core.SSA, loop *ir.Loop, preheader *ir.Block, iv *ind
 		}
 		buildChain(ssa, loop, preheader, iv, c.k, cands, copies, stats)
 	}
+}
+
+// loopBlocks returns loop's blocks in fn's block order. Candidates are
+// collected, and chains and LFTR temps created, in this order, so the
+// code does not depend on the iteration order of the loop's block set
+// when a loop holds candidates in two blocks.
+func loopBlocks(fn *ir.Func, loop *ir.Loop) []*ir.Block {
+	out := make([]*ir.Block, 0, len(loop.Blocks))
+	for _, b := range fn.Blocks {
+		if loop.Blocks[b] {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // matchIVMul matches t = x2*k or t = k*x2 against the induction variable's
@@ -301,7 +315,7 @@ func buildChain(ssa *core.SSA, loop *ir.Loop, preheader *ir.Block, iv *indVar, k
 		return
 	}
 	var boundK ir.Operand // lazily created bound*k
-	for b := range loop.Blocks {
+	for _, b := range loopBlocks(fn, loop) {
 		for _, st := range b.Stmts {
 			a, ok := st.(*ir.Assign)
 			if !ok || a.RK != ir.RHSBinary || !a.Op.IsComparison() {

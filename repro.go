@@ -284,7 +284,8 @@ type Compilation struct {
 // The compilation cache (internal/cache) holds one entry per artifact:
 // a pristine lowered program per source hash, the collected alias/edge
 // profile (*profile.Profile) per (source, options, training-args) key,
-// BuildCtx's immutable builds and the recorded machine traces, all in
+// BuildCtx's immutable builds and the reuse entries that share them
+// across training inputs, and the recorded machine traces, all in
 // memory for the life of the process. CompileCtx, CollectProfileCtx,
 // Reference and ReuseLimitCtx all start from the same parse, and an
 // experiment sweep re-compiles each workload under many config variants,
@@ -300,6 +301,7 @@ var (
 	compCache      = cache.New(compCacheCap)
 	profilingRuns  atomic.Uint64
 	buildsCompiled atomic.Uint64
+	buildsReused   atomic.Uint64
 )
 
 // frontendCtx parses + lowers IR from source, memoized by source hash;
@@ -406,6 +408,8 @@ func ResetCaches() { compCache.Reset() }
 // client or an expired deadline stops the compilation at the next phase
 // instead of running it to completion. A config that fails validation
 // returns an error wrapping ErrInvalidConfig before the pipeline runs.
+// CompileCtx always runs the whole pipeline: it returns the optimized
+// IR, which no earlier build can supply.
 func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -414,6 +418,38 @@ func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, erro
 		return nil, err
 	}
 	buildsCompiled.Add(1)
+	f, err := compileFront(ctx, src, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return f.back(ctx, nil)
+}
+
+// verify surfaces specheck violations as a compile error; the
+// *specheck.Error stays reachable through errors.As for callers that
+// want the structured violation list (speclint, specd's counters).
+func verify(vs []specheck.Violation) error {
+	if err := specheck.AsError(vs); err != nil {
+		return fmt.Errorf("repro: %w", err)
+	}
+	return nil
+}
+
+// front is a compilation cut at flag assignment. Everything a training
+// input changes in a build is in c.Prog by then: the chi/mu lists and
+// their Spec flags, and the block and edge frequencies, which the rest
+// of the pipeline reads only in SSAPRE's control-speculation tests.
+type front struct {
+	c    *Compilation
+	cfg  Config
+	mode core.Mode // the data-speculation mode flags were assigned under
+}
+
+// compileFront runs the pipeline up to and including flag assignment:
+// frontend, refinement, alias annotation, the profile (supplied, the
+// memoized training run, or the static estimate) and flag assignment,
+// with their per-pass checks under VerifyPasses.
+func compileFront(ctx context.Context, src string, cfg Config) (*front, error) {
 	prog, err := frontendCtx(ctx, src)
 	if err != nil {
 		return nil, err
@@ -427,93 +463,95 @@ func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, erro
 		Build:  &Build{Config: norm, Functions: len(prog.Funcs)},
 		Source: src, Prog: prog,
 	}
-
-	// verify surfaces specheck violations as a compile error; the
-	// *specheck.Error stays reachable through errors.As for callers that
-	// want the structured violation list (speclint, specd's counters).
-	verify := func(vs []specheck.Violation) error {
-		if err := specheck.AsError(vs); err != nil {
-			return fmt.Errorf("repro: %w", err)
+	f := &front{c: c, cfg: cfg}
+	if cfg.OptimizeOff {
+		return f, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// flow-sensitive refinement (paper Fig. 4): devirtualize
+	// references whose address resolves to a single variable
+	alias.RefineWorkers(prog, cfg.Workers)
+	ar := alias.Analyze(prog, alias.Options{TypeBased: !cfg.NoTypeBasedAA})
+	ar.AnnotateWorkers(prog, cfg.Workers)
+	c.Alias = ar
+	env := &specheck.Env{Alias: ar}
+	if cfg.VerifyPasses {
+		if err := verify(specheck.CheckAnnotated(prog, env, "alias-annotate")); err != nil {
+			return nil, err
 		}
-		return nil
 	}
 
+	// a supplied profile, or the memoized training run: every
+	// variant of a sweep that shares (source, options, training
+	// args) reads one interpreter run's profile
+	var prof *profile.Profile
+	var perr error
+	if len(cfg.ProfileJSON) > 0 {
+		if prof, err = profile.Unmarshal(prog, cfg.ProfileJSON); err != nil {
+			return nil, fmt.Errorf("repro: %w", err)
+		}
+	} else {
+		prof, perr = profileDataCtx(ctx, src, cfg)
+	}
+	if isCtxErr(perr) {
+		// cancellation is not a failed training run; surface it
+		return nil, perr
+	}
+	if perr == nil {
+		prof.ApplyEdges(prog)
+		c.Profile = prof
+	} else {
+		// the training input faulted: fall back to the static
+		// estimate, but record the failure — silently degrading
+		// would skew every profile-guided measurement
+		c.ProfileErr = fmt.Errorf("repro: profiling run failed: %w", perr)
+		profile.StaticEstimate(prog)
+	}
+
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	mode := cfg.Spec.coreMode()
+	flagProf := prof
+	if cfg.AggressivePromotion {
+		// ignore every alias: empty profile sets leave all chis weak
+		mode = core.ModeProfile
+		flagProf = profile.New()
+	}
+	pol := core.PolicyFor(cfg.Machine, cfg.SpecThreshold)
+	var fnOv map[string]core.FnOverride
+	if len(cfg.FnSpec) > 0 {
+		fnOv = make(map[string]core.FnOverride, len(cfg.FnSpec))
+		for name, fs := range cfg.FnSpec {
+			fnOv[name] = core.FnOverride{
+				Mode:   fs.Spec.coreMode(),
+				Policy: core.PolicyFor(cfg.Machine, fs.SpecThreshold),
+			}
+		}
+	}
+	core.AssignFlagsTiered(prog, ar, flagProf, mode, pol, fnOv)
+	env.Prof, env.Mode, env.Policy, env.FnOverrides = flagProf, mode, pol, fnOv
+	if cfg.VerifyPasses {
+		if err := verify(specheck.CheckAnnotated(prog, env, "assign-flags")); err != nil {
+			return nil, err
+		}
+		if err := verify(specheck.CheckFlags(prog, env, "assign-flags")); err != nil {
+			return nil, err
+		}
+	}
+	f.mode = mode
+	return f, nil
+}
+
+// back runs the rest of the pipeline on a front: SSAPRE, IR
+// verification, scheduling, code generation and hardening. freqTest,
+// when non-nil, receives SSAPRE's control-speculation tests
+// (ssapre.Options.FreqTest).
+func (f *front) back(ctx context.Context, freqTest func(*ir.Func, ssapre.FreqTest)) (*Compilation, error) {
+	c, cfg, prog := f.c, f.cfg, f.c.Prog
 	if !cfg.OptimizeOff {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// flow-sensitive refinement (paper Fig. 4): devirtualize
-		// references whose address resolves to a single variable
-		alias.RefineWorkers(prog, cfg.Workers)
-		ar := alias.Analyze(prog, alias.Options{TypeBased: !cfg.NoTypeBasedAA})
-		ar.AnnotateWorkers(prog, cfg.Workers)
-		c.Alias = ar
-		env := &specheck.Env{Alias: ar}
-		if cfg.VerifyPasses {
-			if err := verify(specheck.CheckAnnotated(prog, env, "alias-annotate")); err != nil {
-				return nil, err
-			}
-		}
-
-		// a supplied profile, or the memoized training run: every
-		// variant of a sweep that shares (source, options, training
-		// args) reads one interpreter run's profile
-		var prof *profile.Profile
-		var perr error
-		if len(cfg.ProfileJSON) > 0 {
-			if prof, err = profile.Unmarshal(prog, cfg.ProfileJSON); err != nil {
-				return nil, fmt.Errorf("repro: %w", err)
-			}
-		} else {
-			prof, perr = profileDataCtx(ctx, src, cfg)
-		}
-		if isCtxErr(perr) {
-			// cancellation is not a failed training run; surface it
-			return nil, perr
-		}
-		if perr == nil {
-			prof.ApplyEdges(prog)
-			c.Profile = prof
-		} else {
-			// the training input faulted: fall back to the static
-			// estimate, but record the failure — silently degrading
-			// would skew every profile-guided measurement
-			c.ProfileErr = fmt.Errorf("repro: profiling run failed: %w", perr)
-			profile.StaticEstimate(prog)
-		}
-
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		mode := cfg.Spec.coreMode()
-		flagProf := prof
-		if cfg.AggressivePromotion {
-			// ignore every alias: empty profile sets leave all chis weak
-			mode = core.ModeProfile
-			flagProf = profile.New()
-		}
-		pol := core.PolicyFor(cfg.Machine, cfg.SpecThreshold)
-		var fnOv map[string]core.FnOverride
-		if len(cfg.FnSpec) > 0 {
-			fnOv = make(map[string]core.FnOverride, len(cfg.FnSpec))
-			for name, fs := range cfg.FnSpec {
-				fnOv[name] = core.FnOverride{
-					Mode:   fs.Spec.coreMode(),
-					Policy: core.PolicyFor(cfg.Machine, fs.SpecThreshold),
-				}
-			}
-		}
-		core.AssignFlagsTiered(prog, ar, flagProf, mode, pol, fnOv)
-		env.Prof, env.Mode, env.Policy, env.FnOverrides = flagProf, mode, pol, fnOv
-		if cfg.VerifyPasses {
-			if err := verify(specheck.CheckAnnotated(prog, env, "assign-flags")); err != nil {
-				return nil, err
-			}
-			if err := verify(specheck.CheckFlags(prog, env, "assign-flags")); err != nil {
-				return nil, err
-			}
-		}
-
 		var verifyHook func(fn *ir.Func, pass string, inSSA bool) error
 		if cfg.VerifyPasses {
 			verifyHook = func(fn *ir.Func, pass string, inSSA bool) error {
@@ -523,16 +561,16 @@ func CompileCtx(ctx context.Context, src string, cfg Config) (*Compilation, erro
 				return verify(specheck.CheckPostSSA(fn, pass))
 			}
 		}
-		controlSpec := !cfg.NoControlSpec
 		stats, err := ssapre.Run(prog, ssapre.Options{
-			DataSpec:    mode,
-			ControlSpec: controlSpec,
+			DataSpec:    f.mode,
+			ControlSpec: !cfg.NoControlSpec,
 			Rounds:      cfg.Rounds,
-			Alias:       ar,
+			Alias:       c.Alias,
 			NoArith:     cfg.NoArith,
 			NoStrength:  cfg.NoStrength,
 			Workers:     cfg.Workers,
 			VerifyHook:  verifyHook,
+			FreqTest:    freqTest,
 		})
 		if err != nil {
 			return nil, err
@@ -624,17 +662,20 @@ func buildKey(src string, cfg Config) (key cache.Key, ok bool) {
 // compile, and ResetCaches drops every build. Callers that need the IR,
 // the alias result or the profile use CompileCtx. An invalid config
 // is rejected (ErrInvalidConfig) as CompileCtx rejects it.
+//
+// A new training input whose profile makes the same decisions as an
+// earlier one reuses that input's build (DESIGN.md §9): the pipeline
+// runs up to flag assignment, and when the flags match an earlier
+// build's and every control-speculation test that build's SSAPRE made
+// comes out the same over the new frequencies, the returned Build
+// shares that build's code, statistics and harden report under its own
+// Config. The code is then bit-identical to what the rest of the
+// pipeline would have produced.
 func BuildCtx(ctx context.Context, src string, cfg Config) (*Build, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err // before the lookup: a bad config takes no cache entry
 	}
-	compute := func() (any, error) {
-		c, err := CompileCtx(ctx, src, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return c.Build, nil
-	}
+	compute := func() (any, error) { return buildCtx(ctx, src, cfg) }
 	key, ok := buildKey(src, cfg)
 	var v any
 	var err error
@@ -649,10 +690,182 @@ func BuildCtx(ctx context.Context, src string, cfg Config) (*Build, error) {
 	return v.(*Build), nil
 }
 
-// BuildsCompiled counts the pipeline runs: every CompileCtx call,
-// including each build-cache miss of BuildCtx. A repeated request
-// asserts a zero delta against it, as sweeps do against ProfilingRuns.
+// buildCtx is BuildCtx's miss path: the front half, then an earlier
+// build reused under its guards, or the back half, whose build then
+// joins the reuse entry for the next request.
+func buildCtx(ctx context.Context, src string, cfg Config) (*Build, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	f, err := compileFront(ctx, src, cfg)
+	if err != nil {
+		buildsCompiled.Add(1)
+		return nil, err
+	}
+	set, err := f.reuseSet(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	if set != nil {
+		if b := set.match(f); b != nil {
+			buildsReused.Add(1)
+			return b, nil
+		}
+	}
+	buildsCompiled.Add(1)
+	var tests funcTests
+	c, err := f.back(ctx, tests.add)
+	if err != nil {
+		return nil, err
+	}
+	if set != nil {
+		set.add(c.Build, tests.byFn)
+	}
+	return c.Build, nil
+}
+
+// maxReuseVariants bounds one reuse entry's builds. The paper kernels
+// compile to one or two per entry; past the bound the oldest goes.
+const maxReuseVariants = 8
+
+// reuseSet is the compilation cache's reuse entry for one source,
+// config without its training input and flag digest: the builds
+// compiled under those flag decisions so far, each with the
+// control-speculation tests its SSAPRE made.
+type reuseSet struct {
+	mu       sync.Mutex
+	variants []reuseVariant
+}
+
+// reuseVariant is one shared build and its guards: per function name,
+// the control-speculation tests in the order SSAPRE made them.
+type reuseVariant struct {
+	b     *Build
+	tests map[string][]ssapre.FreqTest
+}
+
+// reuseSet returns the reuse entry for f's source, config and flag
+// decisions, or nil when f may not reuse: a failed training run (the
+// static-estimate fallback) and a config with no JSON encoding always
+// compile.
+func (f *front) reuseSet(ctx context.Context, src string) (*reuseSet, error) {
+	if f.c.ProfileErr != nil {
+		return nil, nil
+	}
+	// the training input, or a supplied profile, reaches the build only
+	// through the flags (in the digest) and the frequencies (in the
+	// guards), so the key leaves both out
+	cfg := f.cfg
+	cfg.Workers, cfg.ProfileArgs, cfg.ProfileJSON = 0, nil, nil
+	opts, err := json.Marshal(cfg)
+	if err != nil {
+		return nil, nil
+	}
+	digest := core.FlagDigest(f.c.Prog)
+	key := cache.KeyOf([]byte("reuse"), []byte(src), opts, digest[:])
+	v, err := compCache.GetCtx(ctx, key, func() (any, error) { return &reuseSet{}, nil })
+	if err != nil {
+		return nil, err
+	}
+	return v.(*reuseSet), nil
+}
+
+// match returns a Build for f that shares the first variant whose every
+// control-speculation test comes out as recorded over f's frequencies,
+// or nil when none does. SSAPRE is deterministic and reads frequencies
+// only in those tests, so on the same IR it would make the same
+// transformations and the back half would produce the variant's code.
+func (s *reuseSet) match(f *front) *Build {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	byID := map[string][]*ir.Block{}
+	holds := func(v reuseVariant) bool {
+		for _, fn := range f.c.Prog.Funcs {
+			tests := v.tests[fn.Name]
+			if len(tests) == 0 {
+				continue
+			}
+			idx, ok := byID[fn.Name]
+			if !ok {
+				idx = blocksByID(fn)
+				byID[fn.Name] = idx
+			}
+			for i := range tests {
+				if !tests[i].Holds(idx) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, v := range s.variants {
+		if holds(v) {
+			return v.b.shared(f.c.Build.Config)
+		}
+	}
+	return nil
+}
+
+// add records b, compiled under the given tests, as a variant.
+func (s *reuseSet) add(b *Build, tests map[string][]ssapre.FreqTest) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.variants) == maxReuseVariants {
+		s.variants = append(s.variants[:0], s.variants[1:]...)
+	}
+	s.variants = append(s.variants, reuseVariant{b: b, tests: tests})
+}
+
+// funcTests collects SSAPRE's control-speculation tests per function;
+// functions are optimized concurrently, so add locks.
+type funcTests struct {
+	mu   sync.Mutex
+	byFn map[string][]ssapre.FreqTest
+}
+
+func (t *funcTests) add(fn *ir.Func, test ssapre.FreqTest) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.byFn == nil {
+		t.byFn = map[string][]ssapre.FreqTest{}
+	}
+	t.byFn[fn.Name] = append(t.byFn[fn.Name], test)
+}
+
+// blocksByID indexes fn's blocks by ID (IDs have gaps where lowering
+// removed unreachable blocks).
+func blocksByID(fn *ir.Func) []*ir.Block {
+	n := 0
+	for _, b := range fn.Blocks {
+		n = max(n, b.ID+1)
+	}
+	idx := make([]*ir.Block, n)
+	for _, b := range fn.Blocks {
+		idx[b.ID] = b
+	}
+	return idx
+}
+
+// shared returns a Build under cfg that shares b's code, statistics and
+// harden report, and its fingerprint, computed at most once for all.
+func (b *Build) shared(cfg Config) *Build {
+	nb := &Build{Config: cfg, Code: b.Code, Stats: b.Stats, Harden: b.Harden, Functions: b.Functions}
+	fp := b.fingerprint()
+	nb.fpOnce.Do(func() { nb.fp = fp })
+	return nb
+}
+
+// BuildsCompiled counts the full pipeline runs: every CompileCtx call,
+// and each build-cache miss of BuildCtx that reused no earlier build. A
+// repeated request asserts a zero delta against it, as sweeps do
+// against ProfilingRuns.
 func BuildsCompiled() uint64 { return buildsCompiled.Load() }
+
+// BuildsReused counts the build-cache misses of BuildCtx answered by
+// an earlier build whose flag decisions and control-speculation tests
+// the new training input reproduced: each ran the pipeline only up to
+// flag assignment.
+func BuildsReused() uint64 { return buildsReused.Load() }
 
 // The machine-trace path: one functional machine.Record per (program
 // fingerprint, args, resource limits) captures the architectural event
