@@ -3,7 +3,6 @@ package repro_test
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand/v2"
 	"os"
 	"runtime"
@@ -11,217 +10,22 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/par"
 	"repro/internal/workloads"
 )
 
-// The benchmarks in this file regenerate every table and figure of the
-// paper's evaluation (§5). Each reports the paper's metrics through
-// b.ReportMetric, so `go test -bench=. -benchmem` prints the reproduced
-// series next to wall-clock compile+run time:
+// The benchmarks in this file measure the compiler, not the paper's
+// figures: those are pinned exactly by BENCH_paper.json (`go run
+// ./cmd/experiments -exp all -json`, checked by paper_test.go), and the
+// ablations print through `go run ./cmd/experiments -exp ablation`. The
+// machine's benchmarks are in bench_machine_test.go.
 //
-//	BenchmarkSec51Smvp          — §5.1 case study (check ratio, speedups)
-//	BenchmarkFig10LoadReduction — Fig. 10 (per-benchmark load reduction / speedup)
-//	BenchmarkFig11Misspeculation— Fig. 11 (check ratio, mis-speculation ratio)
-//	BenchmarkFig12Potential     — Fig. 12 (reuse limit, aggressive bound)
-//	BenchmarkHeuristicVsProfile — §5.2 (heuristic rules vs alias profile)
-//	BenchmarkAblation*          — design-choice ablations from DESIGN.md
 //	BenchmarkPipeline*          — compiler throughput on the workload suite
-
-// BenchmarkSec51Smvp regenerates the §5.1 equake/smvp case study.
-// Paper shape: ~40% of loads become checks; speculative speedup sits
-// between the base and the manually tuned (no-check) bound.
-func BenchmarkSec51Smvp(b *testing.B) {
-	var s experiments.Smvp
-	for i := 0; i < b.N; i++ {
-		var err error
-		s, err = experiments.RunSmvpCtx(context.Background(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(s.ChecksPerLoad*100, "checks/loads_%")
-	b.ReportMetric(s.Speedup*100, "speedup_%")
-	b.ReportMetric(s.ManualSpeedup*100, "manual_bound_%")
-}
-
-// benchRows runs the full workload sweep once per iteration and reports a
-// metric per benchmark.
-func benchRows(b *testing.B, metric func(experiments.Row) (string, float64)) {
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RunAllCtx(context.Background(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		name, v := metric(r)
-		b.ReportMetric(v, r.Name+"_"+name)
-	}
-}
-
-// BenchmarkFig10LoadReduction regenerates Fig. 10: dynamic-load reduction
-// and speedup of speculative register promotion per benchmark.
-// Paper shape: art, ammp, equake, mcf, twolf reduce loads noticeably;
-// gzip/vpr/bzip2 barely move; load reduction does not translate 1:1 into
-// speedup.
-func BenchmarkFig10LoadReduction(b *testing.B) {
-	benchRows(b, func(r experiments.Row) (string, float64) {
-		return "loadred_%", r.LoadReduction() * 100
-	})
-}
-
-// BenchmarkFig10Speedup reports Fig. 10's execution-time series.
-func BenchmarkFig10Speedup(b *testing.B) {
-	benchRows(b, func(r experiments.Row) (string, float64) {
-		return "speedup_%", r.Speedup() * 100
-	})
-}
-
-// BenchmarkFig11Misspeculation regenerates Fig. 11: percentage of check
-// loads over loads retired and the mis-speculation ratio.
-// Paper shape: miss ratios are small everywhere; gzip has the largest
-// ratio on a negligible check count.
-func BenchmarkFig11Misspeculation(b *testing.B) {
-	benchRows(b, func(r experiments.Row) (string, float64) {
-		return "missratio_%", r.MissRatio() * 100
-	})
-}
-
-// BenchmarkFig11CheckRatio reports the companion check-load series.
-func BenchmarkFig11CheckRatio(b *testing.B) {
-	benchRows(b, func(r experiments.Row) (string, float64) {
-		return "checkratio_%", r.CheckRatio() * 100
-	})
-}
-
-// BenchmarkFig12Potential regenerates Fig. 12: the simulation-based
-// load-reuse limit per benchmark. Paper shape: the limit upper-bounds and
-// correlates with the achieved reduction (gzip's low potential predicts
-// its negligible gain).
-func BenchmarkFig12Potential(b *testing.B) {
-	benchRows(b, func(r experiments.Row) (string, float64) {
-		return "reuselimit_%", r.ReusePotential * 100
-	})
-}
-
-// BenchmarkFig12Aggressive reports Fig. 12's second method: aggressive
-// register promotion ignoring all aliases.
-func BenchmarkFig12Aggressive(b *testing.B) {
-	benchRows(b, func(r experiments.Row) (string, float64) {
-		return "aggressive_%", r.AggressiveReduction * 100
-	})
-}
-
-// BenchmarkHeuristicVsProfile regenerates the §5.2 comparison: load
-// reduction of the heuristic-rules variant. Paper shape: comparable to
-// the profile-guided version.
-func BenchmarkHeuristicVsProfile(b *testing.B) {
-	benchRows(b, func(r experiments.Row) (string, float64) {
-		return "heur_loadred_%", r.HeurLoadReduction() * 100
-	})
-}
-
-// ablationCycles measures the ref-input cycle count of one configuration
-// of one workload.
-func ablationCycles(b *testing.B, name string, cfg repro.Config) float64 {
-	b.Helper()
-	w, ok := workloads.ByName(name)
-	if !ok {
-		b.Fatalf("unknown workload %s", name)
-	}
-	cfg.ProfileArgs = w.ProfileArgs
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := c.RunCtx(context.Background(), w.RefArgs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = res.Counters.Cycles
-	}
-	return float64(cycles)
-}
-
-// BenchmarkAblationDataSpec: equake with and without data speculation
-// (the headline delta of the paper).
-func BenchmarkAblationDataSpec(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		cfg  repro.Config
-	}{
-		{"full", repro.Config{Spec: repro.SpecProfile}},
-		{"nodata", repro.Config{Spec: repro.SpecOff}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportMetric(ablationCycles(b, "equake", c.cfg), "cycles")
-		})
-	}
-}
-
-// BenchmarkAblationControlSpec: control speculation on/off (it enables
-// while-loop invariant hoisting, §4.2's anticipation discussion).
-func BenchmarkAblationControlSpec(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		cfg  repro.Config
-	}{
-		{"on", repro.Config{Spec: repro.SpecProfile}},
-		{"off", repro.Config{Spec: repro.SpecProfile, NoControlSpec: true}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportMetric(ablationCycles(b, "equake", c.cfg), "cycles")
-		})
-	}
-}
-
-// BenchmarkAblationLoadsOnly: register promotion without arithmetic PRE.
-func BenchmarkAblationLoadsOnly(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		cfg  repro.Config
-	}{
-		{"witharith", repro.Config{Spec: repro.SpecProfile}},
-		{"loadsonly", repro.Config{Spec: repro.SpecProfile, NoArith: true}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportMetric(ablationCycles(b, "mcf", c.cfg), "cycles")
-		})
-	}
-}
-
-// BenchmarkAblationALATSize sweeps ALAT capacity: a small ALAT evicts
-// entries and turns successful checks into failed ones.
-func BenchmarkAblationALATSize(b *testing.B) {
-	w, _ := workloads.ByName("equake")
-	for _, size := range []int{2, 8, 32, 128} {
-		b.Run(fmt.Sprintf("entries=%d", size), func(b *testing.B) {
-			cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs}
-			cfg.Machine = machine.Defaults()
-			cfg.Machine.ALATSize = size
-			var failed int64
-			for i := 0; i < b.N; i++ {
-				c, err := repro.CompileCtx(context.Background(), w.Src, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := c.RunCtx(context.Background(), w.RefArgs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				failed = res.Counters.FailedChecks
-			}
-			b.ReportMetric(float64(failed), "failedchecks")
-		})
-	}
-}
+//	BenchmarkCompileProfile     — the compile ledger (BENCH_compile.json)
+//	BenchmarkFrontendCache      — a cold parse+lower vs a cache hit
+//	BenchmarkVMExecution        — VM throughput on optimized equake
+//	BenchmarkAblationScheduling — pipelined cycles with and without the scheduler
 
 // BenchmarkPipelineCompile measures compiler throughput (parse through
 // codegen with profiling and full speculation) over the workload suite.
@@ -465,25 +269,5 @@ func BenchmarkAblationScheduling(b *testing.B) {
 			}
 			b.ReportMetric(float64(cycles), "pipelined_cycles")
 		})
-	}
-}
-
-// BenchmarkInputSensitivity regenerates the input-sensitivity table
-// (training input vs reference input as the profile source). Shape: the
-// mismatched profile mis-speculates on the rare aliasing the training run
-// never saw; the matched profile either avoids the promotion or never
-// fails its checks — and outputs are identical either way.
-func BenchmarkInputSensitivity(b *testing.B) {
-	var rows []experiments.Sensitivity
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RunSensitivityCtx(context.Background(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(float64(r.MismatchFailed), r.Name+"_mismatch_failed")
-		b.ReportMetric(float64(r.MatchedFailed), r.Name+"_matched_failed")
 	}
 }

@@ -19,9 +19,10 @@ import (
 
 // TestSweepProfilesOncePerPair asserts via the cache counters that a
 // cold RunAllCtx performs one profiling interpreter run per workload (all
-// four config variants of a workload share one run), records one
-// machine trace per distinct compiled program, and that repeating the
-// sweep performs neither.
+// four config variants of a workload share one run), memoizes one build
+// and one reuse entry per variant, records one machine trace per
+// distinct compiled program, and that repeating the sweep performs
+// none of these.
 func TestSweepProfilesOncePerPair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep")
@@ -57,36 +58,47 @@ func TestSweepProfilesOncePerPair(t *testing.T) {
 			traces[fmt.Sprint(c.Code.Fingerprint(), w.RefArgs)] = true
 		}
 	}
-	// one frontend parse + one profiling run per workload, and one trace
-	// entry per distinct trace key
-	if want := 2*n + uint64(len(traces)); computes != want {
-		t.Errorf("cold sweep computed %d cache entries, want %d (%d workloads, %d distinct traces)",
+	// one frontend parse + one profiling run per workload, one build and
+	// one reuse entry per variant (four per workload), and one trace entry
+	// per distinct trace key: 16 + 32 + 32 + 19 = 99 on the paper kernels
+	if want := 2*n + 2*4*n + uint64(len(traces)); computes != want || want != 99 {
+		t.Errorf("cold sweep computed %d cache entries, want %d = 99 (%d workloads, %d distinct traces)",
 			computes, want, n, len(traces))
 	}
 	// a second sweep in the same process is fully memoized
-	runs1 := repro.ProfilingRuns()
+	runs1, stats1 := repro.ProfilingRuns(), repro.CacheStats()
 	if _, err := experiments.RunAllCtx(context.Background(), 8); err != nil {
 		t.Fatal(err)
 	}
 	if got := repro.ProfilingRuns() - runs1; got != 0 {
 		t.Errorf("warm in-memory sweep ran the profiling interpreter %d times, want 0", got)
 	}
+	if got := repro.CacheStats().Computes - stats1.Computes; got != 0 {
+		t.Errorf("warm in-memory sweep computed %d cache entries, want 0", got)
+	}
 }
 
 // TestReportByteIdenticalAcrossCacheModes renders the full experiment
-// report with memoization disabled (the oracle), cold, warm, and with 8
-// workers — all four byte strings must be identical.
+// report, as tables and as JSON, with memoization disabled (the oracle),
+// cold, warm, and with 8 workers — all four byte strings must be
+// identical.
 func TestReportByteIdenticalAcrossCacheModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the full report repeatedly")
 	}
 	render := func(name string, workers int) string {
 		t.Helper()
-		var b strings.Builder
-		if err := experiments.ReportCtx(context.Background(), &b, workers); err != nil {
+		rep, err := experiments.RunReportCtx(context.Background(), workers)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		return b.String()
+		data, err := experiments.MarshalReport(rep)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var b strings.Builder
+		experiments.PrintReport(&b, rep)
+		return b.String() + string(data)
 	}
 
 	repro.SetCacheEnabled(false)

@@ -1,205 +1,170 @@
-// Command benchguard is the CI perf gate for the wall-clock benchmark
-// artifacts. It compares freshly generated files against their
-// committed baselines and exits non-zero on a regression beyond the
-// allowed fraction:
+// Command benchguard is the CI gate for the committed benchmark files.
+// CI regenerates every BENCH_*.json file in the working directory after
+// copying the committed ones aside; benchguard then checks each row of
+// one table against the committed copy:
 //
-//   - BENCH_machine.json: the per-grid replay-sweep speedups must not
-//     DROP by more than the margin. A speedup is the cost of one
-//     machine.Run per config (K records and K one-lane replays, what a
-//     caller without batching pays) over one Record plus one
-//     ReplayBatch of the whole grid. The direct side pays Record K
-//     times, so a slower Record raises a speedup; record_ns, the cost
-//     of one Record, must therefore not RISE by more than the margin,
-//     and neither may walk_ns, one warm ReplayBatch of the grid's
-//     pipelined half (the scoreboard walk alone, which the replay leg
-//     dilutes with a Record), or walk_all_ns, the same walk summed over
-//     every paper kernel, or record_all_ns, one Record plus its serial
-//     replay summed over every paper kernel (the machine's share of a
-//     cold evaluation);
-//   - BENCH_compile.json: the compile path's allocs_per_compile and
-//     ns_per_compile must not RISE by more than the margin, and
-//     builds_compiled and builds_reused, the full pipeline runs and the
-//     reused builds of a fixed seeded sequence of cold builds, must
-//     equal their baselines exactly (margin 0): they count, not time,
-//     so any change is a change in what the build cache reuses.
+//   - a row with a dotted JSON path (e.g. "serial.speedup") gates one
+//     number: "higher" fails when it drops below baseline·(1−margin),
+//     "lower" when it rises above baseline·(1+margin), and "exact" on
+//     any difference;
+//   - a row without a path compares the whole file byte for byte.
 //
-// CI benchmark numbers are noisy (BENCH_machine.json's figures are
-// medians of five interleaved passes), so the default margin is
-// deliberately wide (25%); the guarded quantities sit far inside it on
-// any runner, and only a real algorithmic regression (e.g. the batched
-// replay walk falling back to per-config replays or to per-instruction
-// walking, or a per-site allocation sneaking into the flag-assignment
-// loop) moves them that much. The deterministic artifact BENCH_harden.json is not gated here:
-// CI diffs it byte for byte.
+// Wall-clock numbers are noisy (BENCH_machine.json's and
+// BENCH_compile.json's figures are medians of five interleaved passes),
+// so their margin is deliberately wide (25%): only a real algorithmic
+// regression, such as the batched replay walk falling back to
+// per-config replays or a per-site allocation in the flag-assignment
+// loop, moves them that much. Counts that do not depend on the host, and
+// the paper and hardening ledgers, are exact.
 //
 // Usage:
 //
-//	benchguard -baseline BENCH_machine.baseline.json -fresh BENCH_machine.json \
-//	    [-compile-baseline BENCH_compile.baseline.json -compile-fresh BENCH_compile.json] \
-//	    [-max-regress 0.25]
+//	benchguard -baseline-dir DIR
+//
+// It exits 1 when a row regresses and 2 when a file cannot be read or a
+// path does not resolve to a number.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"path/filepath"
+	"strings"
 )
 
-// gate is one benchmark file the guard compares: where the baseline and
-// fresh copies live, how to extract the guarded quantities, and which
-// direction is better.
-type gate struct {
-	baseline, fresh *string
-	load            func(path string) (map[string]float64, error)
-	higherIsBetter  bool
-	// exact gates host-independent counts: any difference from the
-	// baseline, either way, fails, whatever the margin
-	exact bool
+// The directions a row can gate.
+const (
+	higher = "higher"
+	lower  = "lower"
+	exact  = "exact"
+)
+
+// row is one gated quantity: a dotted JSON path in a file (empty: the
+// whole file, byte for byte), the direction that is better, and the
+// fraction it may move the other way.
+type row struct {
+	file, path, better string
+	margin             float64
+}
+
+var table = []row{
+	// direct-vs-replay sweep speedups of the two grids (a speedup is K
+	// machine.Run calls over one Record plus one ReplayBatch of the grid)
+	{"BENCH_machine.json", "serial.speedup", higher, 0.25},
+	{"BENCH_machine.json", "mixed.speedup", higher, 0.25},
+	// one equake Record, and one Record plus its serial replay summed
+	// over the paper kernels: a slower Record raises the speedups, so it
+	// is gated on its own
+	{"BENCH_machine.json", "record_ns", lower, 0.25},
+	{"BENCH_machine.json", "record_all_ns", lower, 0.25},
+	// one warm pipelined walk, on equake and summed over the kernels
+	{"BENCH_machine.json", "walk_ns", lower, 0.25},
+	{"BENCH_machine.json", "walk_all_ns", lower, 0.25},
+	{"BENCH_machine.json", "trace_bytes_all", exact, 0},
+	{"BENCH_compile.json", "allocs_per_compile", lower, 0.25},
+	{"BENCH_compile.json", "ns_per_compile", lower, 0.25},
+	// full pipeline runs and reused builds of a fixed seeded sequence of
+	// cold builds: any change is a change in what the build cache reuses
+	{"BENCH_compile.json", "builds_compiled", exact, 0},
+	{"BENCH_compile.json", "builds_reused", exact, 0},
+	{"BENCH_harden.json", "", exact, 0},
+	{"BENCH_paper.json", "", exact, 0},
 }
 
 func main() {
-	machineBase := flag.String("baseline", "", "committed BENCH_machine.json to compare against (empty = skip the machine guards)")
-	machineFresh := flag.String("fresh", "BENCH_machine.json", "freshly generated BENCH_machine.json")
-	compileBase := flag.String("compile-baseline", "", "committed BENCH_compile.json to compare against (empty = skip the compile guard)")
-	compileFresh := flag.String("compile-fresh", "BENCH_compile.json", "freshly generated BENCH_compile.json")
-	gates := []gate{
-		{baseline: machineBase, fresh: machineFresh, load: loadSpeedups, higherIsBetter: true},
-		{baseline: machineBase, fresh: machineFresh, load: loadScalars(machineScalars...)},
-		{baseline: compileBase, fresh: compileFresh, load: loadScalars("allocs_per_compile", "ns_per_compile")},
-		{baseline: compileBase, fresh: compileFresh, load: loadScalars(compileCounts...), exact: true},
-	}
-	maxRegress := flag.Float64("max-regress", 0.25, "maximum allowed fractional regression (0.25 = 25%)")
+	baseDir := flag.String("baseline-dir", "", "directory holding the committed copies of the BENCH_*.json files; the fresh ones are read from the working directory")
 	flag.Parse()
-
-	ran, failed := false, false
-	for _, g := range gates {
-		if *g.baseline == "" {
-			continue
-		}
-		ran = true
-		ok, err := guard(os.Stdout, g, *maxRegress)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
-			os.Exit(2)
-		}
-		failed = failed || !ok
-	}
-	if !ran {
-		fmt.Fprintln(os.Stderr, "benchguard: -baseline or -compile-baseline is required")
+	if *baseDir == "" {
+		fmt.Fprintln(os.Stderr, "benchguard: -baseline-dir is required")
 		os.Exit(2)
 	}
-	if failed {
+	ok, err := guard(os.Stdout, table, *baseDir, ".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
+		os.Exit(2)
+	}
+	if !ok {
 		fmt.Println("benchguard: benchmark regressed beyond the allowed margin")
 		os.Exit(1)
 	}
 }
 
-// guard compares every baseline quantity of g with its fresh value and
-// prints one line per quantity to w. A quantity fails when it is missing
-// from the fresh file or moved the wrong way by more than margin:
-// below baseline·(1−margin) when higher is better, above
-// baseline·(1+margin) when lower is. An exact gate's quantity fails on
-// any difference.
-func guard(w io.Writer, g gate, margin float64) (bool, error) {
-	base, err := g.load(*g.baseline)
-	if err != nil {
-		return false, err
-	}
-	fresh, err := g.load(*g.fresh)
-	if err != nil {
-		return false, err
-	}
-	keys := make([]string, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+// guard checks every row's fresh value (under freshDir) against its
+// baseline (under baseDir), prints one line per row to w, and reports
+// whether all of them pass.
+func guard(w io.Writer, rows []row, baseDir, freshDir string) (bool, error) {
 	ok := true
-	for _, key := range keys {
-		baseV := base[key]
-		freshV, found := fresh[key]
-		if !found {
-			fmt.Fprintf(w, "FAIL %-18s baseline %.3f but missing from fresh results\n", key, baseV)
-			ok = false
+	for _, r := range rows {
+		base, err := os.ReadFile(filepath.Join(baseDir, r.file))
+		if err != nil {
+			return false, err
+		}
+		fresh, err := os.ReadFile(filepath.Join(freshDir, r.file))
+		if err != nil {
+			return false, err
+		}
+		name := r.file + ":" + r.path
+		if r.path == "" {
+			status, verdict := "ok  ", "identical to the baseline"
+			if !bytes.Equal(base, fresh) {
+				status, verdict, ok = "FAIL", "differs from the baseline", false
+			}
+			fmt.Fprintf(w, "%s %-38s %s\n", status, r.file, verdict)
 			continue
 		}
-		limit, bad := baseV*(1+margin), freshV > baseV*(1+margin)
-		switch {
-		case g.exact:
-			limit, bad = baseV, freshV != baseV
-		case g.higherIsBetter:
-			limit, bad = baseV*(1-margin), freshV < baseV*(1-margin)
+		baseV, err := lookup(base, r)
+		if err != nil {
+			return false, fmt.Errorf("baseline %s: %w", name, err)
 		}
-		status := "ok"
+		freshV, err := lookup(fresh, r)
+		if err != nil {
+			return false, fmt.Errorf("fresh %s: %w", name, err)
+		}
+		limit, bad := baseV, freshV != baseV
+		switch r.better {
+		case higher:
+			limit = baseV * (1 - r.margin)
+			bad = freshV < limit
+		case lower:
+			limit = baseV * (1 + r.margin)
+			bad = freshV > limit
+		}
+		status := "ok  "
 		if bad {
-			status = "FAIL"
-			ok = false
+			status, ok = "FAIL", false
 		}
-		fmt.Fprintf(w, "%-4s %-18s baseline %14.3f  fresh %14.3f  limit %14.3f\n",
-			status, key, baseV, freshV, limit)
+		fmt.Fprintf(w, "%s %-38s baseline %14.3f  fresh %14.3f  limit %14.3f\n", status, name, baseV, freshV, limit)
 	}
 	return ok, nil
 }
 
-// loadSpeedups extracts the per-grid speedups from a BENCH_machine.json
-// file (the "speedup" field of every object-valued top-level entry,
-// e.g. the "serial" and "mixed" grids).
-func loadSpeedups(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// lookup resolves r's dotted path in a JSON document to a number. A
+// margin-gated quantity (a time, a ratio, a count of allocations) must
+// also be positive: zero means the benchmark measured nothing.
+func lookup(data []byte, r row) (float64, error) {
+	var v any
+	if err := json.Unmarshal(data, &v); err != nil {
+		return 0, err
 	}
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := map[string]float64{}
-	for key, v := range raw {
-		grid, ok := v.(map[string]any)
+	for _, key := range strings.Split(r.path, ".") {
+		obj, ok := v.(map[string]any)
 		if !ok {
-			continue
+			return 0, fmt.Errorf("no object holds %q", key)
 		}
-		if s, ok := grid["speedup"].(float64); ok && s > 0 {
-			out[key] = s
+		if v, ok = obj[key]; !ok {
+			return 0, fmt.Errorf("missing %q", key)
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no per-grid speedups found", path)
+	f, ok := v.(float64)
+	if !ok {
+		return 0, fmt.Errorf("not a number: %v", v)
 	}
-	return out, nil
-}
-
-// compileCounts are BENCH_compile.json's exactly gated counts.
-var compileCounts = []string{"builds_compiled", "builds_reused"}
-
-// machineScalars are BENCH_machine.json's gated costs.
-var machineScalars = []string{"record_ns", "record_all_ns", "walk_ns", "walk_all_ns"}
-
-// loadScalars returns a loader for the named top-level numeric fields
-// of a benchmark file (e.g. BENCH_compile.json's allocs_per_compile and
-// ns_per_compile, or BENCH_machine.json's machineScalars). Every key must be present and positive.
-func loadScalars(keys ...string) func(path string) (map[string]float64, error) {
-	return func(path string) (map[string]float64, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var raw map[string]any
-		if err := json.Unmarshal(data, &raw); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		out := map[string]float64{}
-		for _, key := range keys {
-			if v, ok := raw[key].(float64); ok && v > 0 {
-				out[key] = v
-			}
-		}
-		if len(out) != len(keys) {
-			return nil, fmt.Errorf("%s: missing benchmark fields (want %v)", path, keys)
-		}
-		return out, nil
+	if r.better != exact && f <= 0 {
+		return 0, fmt.Errorf("not positive: %v", f)
 	}
+	return f, nil
 }

@@ -5,6 +5,7 @@
 // Usage:
 //
 //	experiments                 # everything
+//	experiments -json           # the same numbers as JSON (BENCH_paper.json)
 //	experiments -exp fig10      # one table: smvp|fig10|fig11|fig12|heur|ablation|machine
 //	experiments -exp eval -workload equake -json
 //	                            # one (workload, config) point as JSON —
@@ -58,7 +59,7 @@ func run() error {
 	fnTiers := flag.String("fn-tiers", "", "comma-separated fn=tier per-function speculation overrides for -exp eval (tiers: aggressive|cautious|profile|none), e.g. hot=none")
 	hardenPol := flag.String("harden", "", "for -exp eval: close speculative leaks post-codegen (fence|hoist)")
 	corpusDir := flag.String("corpus", "", "directory of MiniC sources for -exp corpus")
-	jsonOut := flag.Bool("json", false, "emit JSON instead of a table (-exp eval and -exp corpus)")
+	jsonOut := flag.Bool("json", false, "emit JSON instead of a table (-exp all, threshold, harden, eval and corpus)")
 	workers := flag.Int("workers", 0, "max concurrent compilations (0 = all cores, 1 = serial oracle)")
 	cacheStats := flag.Bool("cache-stats", false, "print compilation-cache hit/miss counters to stderr when done")
 	verify := flag.Bool("verify-passes", false, "run the speculation-soundness checker after every pipeline stage of every compilation")
@@ -83,7 +84,17 @@ func run() error {
 	var err error
 	switch *exp {
 	case "all":
-		err = experiments.ReportCtx(ctx, os.Stdout, *workers)
+		var rep *experiments.Report
+		rep, err = experiments.RunReportCtx(ctx, *workers)
+		if err == nil && *jsonOut {
+			var data []byte
+			data, err = experiments.MarshalReport(rep)
+			if err == nil {
+				_, err = os.Stdout.Write(data)
+			}
+		} else if err == nil {
+			experiments.PrintReport(os.Stdout, rep)
+		}
 	case "smvp":
 		var s experiments.Smvp
 		s, err = experiments.RunSmvpCtx(ctx, *workers)

@@ -3,7 +3,6 @@ package repro_test
 import (
 	"context"
 	"errors"
-	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -160,7 +159,7 @@ func TestEntryPointsCancelled(t *testing.T) {
 			return err
 		}},
 		{"RunCorpusDirCtx", func() error { _, err := experiments.RunCorpusDirCtx(ctx, "testdata", 1); return err }},
-		{"ReportCtx", func() error { return experiments.ReportCtx(ctx, io.Discard, 1) }},
+		{"RunReportCtx", func() error { _, err := experiments.RunReportCtx(ctx, 1); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

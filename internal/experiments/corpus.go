@@ -238,10 +238,13 @@ func RunCorpusFileCtx(ctx context.Context, file CorpusFile) (*CorpusFileResult, 
 	if err != nil {
 		return nil, err
 	}
-	cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: profileArgs, Workers: 1}
-	c, err := compile(ctx, file.Source, cfg)
+	cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: profileArgs, Workers: 1, VerifyPasses: verifyPasses.Load()}
+	c, err := repro.CompileCtx(ctx, file.Source, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if c.ProfileErr != nil {
+		return nil, c.ProfileErr
 	}
 	res, err := c.RunCtx(ctx, refArgs)
 	if err != nil {

@@ -50,26 +50,11 @@ var verifyPasses atomic.Bool
 // speculation-soundness checker (repro.Config.VerifyPasses).
 func SetVerifyPasses(on bool) { verifyPasses.Store(on) }
 
-// compile wraps repro.CompileCtx and fails loudly when the training run
+// build wraps repro.BuildCtx, the memoized, IR-free build every
+// experiment compiles through, so a repeated (source, config) pair does
+// not run the pipeline again. It fails loudly when the training run
 // faulted: a silent StaticEstimate fallback would skew every
 // profile-guided number in the tables while looking plausible.
-func compile(ctx context.Context, src string, cfg repro.Config) (*repro.Compilation, error) {
-	if verifyPasses.Load() {
-		cfg.VerifyPasses = true
-	}
-	c, err := repro.CompileCtx(ctx, src, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if c.ProfileErr != nil {
-		return nil, c.ProfileErr
-	}
-	return c, nil
-}
-
-// build is compile for the serving paths (RunEvalCtx, RunMachineSweepCtx):
-// it returns the memoized, IR-free repro.Build, so a repeated (source,
-// config) pair does not run the pipeline again.
 func build(ctx context.Context, src string, cfg repro.Config) (*repro.Build, error) {
 	if verifyPasses.Load() {
 		cfg.VerifyPasses = true
@@ -82,6 +67,28 @@ func build(ctx context.Context, src string, cfg repro.Config) (*repro.Build, err
 		return nil, b.ProfileErr
 	}
 	return b, nil
+}
+
+// runVariants builds src under every config in cfgs and runs each build
+// on args, with at most workers variants in flight (0 = all cores); the
+// same bound is handed to every compilation. Results are index-aligned
+// with cfgs.
+func runVariants(ctx context.Context, src string, args []int64, cfgs []repro.Config, workers int) ([]*machine.Result, error) {
+	results := make([]*machine.Result, len(cfgs))
+	err := par.EachCtx(ctx, workers, len(cfgs), func(i int) error {
+		cfg := cfgs[i]
+		cfg.Workers = workers
+		b, err := build(ctx, src, cfg)
+		if err != nil {
+			return err
+		}
+		results[i], err = b.RunCtx(ctx, args)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // Row is one benchmark's measurements for the Fig. 10/11 tables.
@@ -186,40 +193,16 @@ func RunAllCtx(ctx context.Context, workers int) ([]Row, error) {
 // compilation, and each run.
 func RunOneCtx(ctx context.Context, w workloads.Workload, workers int) (Row, error) {
 	row := Row{Name: w.Name}
-
-	variants := []repro.Config{
-		{Spec: repro.SpecOff},
-		{Spec: repro.SpecProfile},
-		{Spec: repro.SpecHeuristic},
-		{AggressivePromotion: true},
+	results, err := runVariants(ctx, w.Src, w.RefArgs, []repro.Config{
+		{Spec: repro.SpecOff, ProfileArgs: w.ProfileArgs},
+		{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs},
+		{Spec: repro.SpecHeuristic, ProfileArgs: w.ProfileArgs},
+		{AggressivePromotion: true, ProfileArgs: w.ProfileArgs},
+	}, workers)
+	if err != nil {
+		return row, err
 	}
-	results := make([]*machine.Result, len(variants))
-	var reusePotential float64
-	// the variants plus the Fig. 12 reuse-limit simulation are mutually
-	// independent; item len(variants) is the simulation
-	err := par.EachCtx(ctx, workers, len(variants)+1, func(i int) error {
-		if i == len(variants) {
-			sim, err := repro.ReuseLimitCtx(ctx, w.Src, w.RefArgs)
-			if err != nil {
-				return err
-			}
-			reusePotential = sim.PotentialReduction()
-			return nil
-		}
-		cfg := variants[i]
-		cfg.ProfileArgs = w.ProfileArgs
-		cfg.Workers = workers
-		c, err := compile(ctx, w.Src, cfg)
-		if err != nil {
-			return err
-		}
-		res, err := c.RunCtx(ctx, w.RefArgs)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
+	sim, err := repro.ReuseLimitCtx(ctx, w.Src, w.RefArgs)
 	if err != nil {
 		return row, err
 	}
@@ -238,7 +221,7 @@ func RunOneCtx(ctx context.Context, w workloads.Workload, workers int) (Row, err
 	if row.BaseLoads > 0 {
 		row.AggressiveReduction = 1 - float64(plainLoads(agg))/float64(row.BaseLoads)
 	}
-	row.ReusePotential = reusePotential
+	row.ReusePotential = sim.PotentialReduction()
 	return row, nil
 }
 
@@ -261,32 +244,16 @@ func RunSmvpCtx(ctx context.Context, workers int) (Smvp, error) {
 	if !ok {
 		return Smvp{}, fmt.Errorf("experiments: smvp case study: workload %q is not registered", "equake")
 	}
-	manualCfg := repro.Config{AggressivePromotion: true}
+	manualCfg := repro.Config{AggressivePromotion: true, ProfileArgs: w.ProfileArgs}
 	// hand-allocated registers: no check instructions at all — run the
 	// aggressive build with zero-cost checks
 	manualCfg.Machine.CheckHitLat = machine.Free
 	manualCfg.Machine.CheckMissPen = machine.Free
-	variants := []repro.Config{
-		{Spec: repro.SpecOff},
-		{Spec: repro.SpecProfile},
+	results, err := runVariants(ctx, w.Src, w.RefArgs, []repro.Config{
+		{Spec: repro.SpecOff, ProfileArgs: w.ProfileArgs},
+		{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs},
 		manualCfg,
-	}
-	results := make([]*machine.Result, len(variants))
-	err := par.EachCtx(ctx, workers, len(variants), func(i int) error {
-		cfg := variants[i]
-		cfg.ProfileArgs = w.ProfileArgs
-		cfg.Workers = workers
-		c, err := compile(ctx, w.Src, cfg)
-		if err != nil {
-			return err
-		}
-		res, err := c.RunCtx(ctx, w.RefArgs)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
+	}, workers)
 	if err != nil {
 		return Smvp{}, err
 	}
@@ -351,35 +318,57 @@ func PrintSmvp(w io.Writer, s Smvp) {
 	fmt.Fprintf(w, "  manual no-check bound:     %.1f%% (paper: 14%%)\n", s.ManualSpeedup*100)
 }
 
-// ReportCtx runs everything and renders all tables, with the given
-// worker bound threaded through every study; the rendered bytes are
-// identical at any worker count and with the compilation cache cold,
-// warm, or disabled.
-func ReportCtx(ctx context.Context, w io.Writer, workers int) error {
-	s, err := RunSmvpCtx(ctx, workers)
-	if err != nil {
-		return err
+// Report is what `experiments -exp all` measures: the §5.1 case study,
+// the per-workload rows behind Figs. 10–12 and §5.2, and the
+// input-sensitivity table.
+type Report struct {
+	Smvp        Smvp
+	Rows        []Row
+	Sensitivity []Sensitivity
+}
+
+// RunReportCtx runs every study of the report, with the given worker
+// bound threaded through each; the result is identical at any worker
+// count and with the compilation cache cold, warm, or disabled.
+func RunReportCtx(ctx context.Context, workers int) (*Report, error) {
+	var r Report
+	var err error
+	if r.Smvp, err = RunSmvpCtx(ctx, workers); err != nil {
+		return nil, err
 	}
-	PrintSmvp(w, s)
-	fmt.Fprintln(w)
-	rows, err := RunAllCtx(ctx, workers)
-	if err != nil {
-		return err
+	if r.Rows, err = RunAllCtx(ctx, workers); err != nil {
+		return nil, err
 	}
-	PrintFig10(w, rows)
-	fmt.Fprintln(w)
-	PrintFig11(w, rows)
-	fmt.Fprintln(w)
-	PrintFig12(w, rows)
-	fmt.Fprintln(w)
-	PrintHeuristic(w, rows)
-	fmt.Fprintln(w)
-	sens, err := RunSensitivityCtx(ctx, workers)
-	if err != nil {
-		return err
+	if r.Sensitivity, err = RunSensitivityCtx(ctx, workers); err != nil {
+		return nil, err
 	}
-	PrintSensitivity(w, sens)
-	return nil
+	return &r, nil
+}
+
+// PrintReport renders every table of the report.
+func PrintReport(w io.Writer, r *Report) {
+	PrintSmvp(w, r.Smvp)
+	fmt.Fprintln(w)
+	PrintFig10(w, r.Rows)
+	fmt.Fprintln(w)
+	PrintFig11(w, r.Rows)
+	fmt.Fprintln(w)
+	PrintFig12(w, r.Rows)
+	fmt.Fprintln(w)
+	PrintHeuristic(w, r.Rows)
+	fmt.Fprintln(w)
+	PrintSensitivity(w, r.Sensitivity)
+}
+
+// MarshalReport renders the report as canonical indented JSON with a
+// trailing newline: the committed BENCH_paper.json, which CI regenerates
+// and compares byte for byte.
+func MarshalReport(r *Report) ([]byte, error) {
+	data, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // Summary returns a one-line shape check used by tests: which benchmarks
@@ -440,26 +429,11 @@ func sensitivityRow(ctx context.Context, name string, workers int) (Sensitivity,
 	if !ok {
 		return Sensitivity{}, fmt.Errorf("unknown workload %s", name)
 	}
-	variants := []repro.Config{
+	results, err := runVariants(ctx, w.Src, w.RefArgs, []repro.Config{
 		{Spec: repro.SpecOff, ProfileArgs: w.ProfileArgs},
 		{Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs},
 		{Spec: repro.SpecProfile, ProfileArgs: w.RefArgs},
-	}
-	results := make([]*machine.Result, len(variants))
-	err := par.EachCtx(ctx, workers, len(variants), func(i int) error {
-		cfg := variants[i]
-		cfg.Workers = workers
-		c, err := compile(ctx, w.Src, cfg)
-		if err != nil {
-			return err
-		}
-		res, err := c.RunCtx(ctx, w.RefArgs)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
+	}, workers)
 	if err != nil {
 		return Sensitivity{}, err
 	}

@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/workloads"
 )
 
 // TestPaperShape asserts the qualitative results the paper reports, on the
@@ -129,10 +133,12 @@ func TestReportRendersAllTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	var sb strings.Builder
-	if err := ReportCtx(context.Background(), &sb, 0); err != nil {
+	rep, err := RunReportCtx(context.Background(), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var sb strings.Builder
+	PrintReport(&sb, rep)
 	out := sb.String()
 	for _, want := range []string{
 		"§5.1", "Figure 10", "Figure 11", "Figure 12", "§5.2",
@@ -185,7 +191,7 @@ int main() {
 	print(100 / arg(0));
 	return 0;
 }`
-	_, err := compile(context.Background(), src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{0}})
+	_, err := build(context.Background(), src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{0}})
 	if err == nil {
 		t.Fatal("faulting training run must fail the experiment compile")
 	}
@@ -193,7 +199,86 @@ int main() {
 		t.Errorf("error %q does not identify the profiling failure", err)
 	}
 	// a healthy training input compiles cleanly through the same wrapper
-	if _, err := compile(context.Background(), src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{5}}); err != nil {
+	if _, err := build(context.Background(), src, repro.Config{Spec: repro.SpecProfile, ProfileArgs: []int64{5}}); err != nil {
 		t.Fatalf("healthy compile failed: %v", err)
+	}
+}
+
+// TestReportAblationRendersEveryLine renders `-exp ablation` and checks
+// every case line and every ALAT line of both kernels. The full and
+// no-data-speculation cases must report exactly the speculative and base
+// counters of the kernel's Fig. 10 row, the default ALAT must time like
+// the 128-entry one, and a larger ALAT must never fail or evict more.
+func TestReportAblationRendersEveryLine(t *testing.T) {
+	ctx := context.Background()
+	var sb strings.Builder
+	if err := ReportAblationCtx(ctx, &sb, 0); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	caseLine := regexp.MustCompile(`(?m)^  (.{28}) +(\d+) cycles, +(\d+) plain loads, +(\d+) checks \((\d+) failed\)$`)
+	alatLine := regexp.MustCompile(`(?m)^  ALAT +(\d+) entries: +(\d+) cycles, +(\d+) failed checks, +(\d+) evictions$`)
+	atoi := func(s string) int64 {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	sections := strings.Split(strings.TrimSpace(out), "\n\n")
+	if len(sections) != 2 {
+		t.Fatalf("want one section per kernel, got %d:\n%s", len(sections), out)
+	}
+	for i, name := range []string{"equake", "mcf"} {
+		sec := sections[i]
+		if want := fmt.Sprintf("ablation on %s (cycles on ref input):\n", name); !strings.HasPrefix(sec, want) {
+			t.Fatalf("section %d does not start with %q:\n%s", i, want, sec)
+		}
+		w, _ := workloads.ByName(name)
+		row, err := RunOneCtx(ctx, w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := map[string][4]int64{} // cycles, plain loads, checks, failed
+		for _, m := range caseLine.FindAllStringSubmatch(sec, -1) {
+			cases[strings.TrimSpace(m[1])] = [4]int64{atoi(m[2]), atoi(m[3]), atoi(m[4]), atoi(m[5])}
+		}
+		for _, c := range []string{"full (profile+control spec)", "no data speculation",
+			"no control speculation", "loads only (no arith PRE)", "no PRE at all"} {
+			if _, ok := cases[c]; !ok {
+				t.Errorf("%s: no %q line:\n%s", name, c, sec)
+			}
+		}
+		if len(cases) != 5 {
+			t.Errorf("%s: %d case lines, want 5:\n%s", name, len(cases), sec)
+		}
+		if got, want := cases["full (profile+control spec)"], [4]int64{row.SpecCycles, row.SpecLoads, row.Checks, row.FailedChecks}; got != want {
+			t.Errorf("%s: full case %v, want the Fig. 10 row's %v", name, got, want)
+		}
+		if got, want := cases["no data speculation"], [4]int64{row.BaseCycles, row.BaseLoads, 0, 0}; got != want {
+			t.Errorf("%s: no-data-speculation case %v, want the Fig. 10 base %v", name, got, want)
+		}
+		if c := cases["no PRE at all"]; c[2] != 0 {
+			t.Errorf("%s: no PRE at all still issues %d checks", name, c[2])
+		}
+		alat := alatLine.FindAllStringSubmatch(sec, -1)
+		if len(alat) != 4 {
+			t.Fatalf("%s: %d ALAT lines, want 4:\n%s", name, len(alat), sec)
+		}
+		for j, size := range []int64{4, 8, 32, 128} {
+			m := alat[j]
+			if atoi(m[1]) != size {
+				t.Errorf("%s: ALAT line %d is for %s entries, want %d", name, j, m[1], size)
+			}
+			if j > 0 {
+				prev := alat[j-1]
+				if atoi(m[3]) > atoi(prev[3]) || atoi(m[4]) > atoi(prev[4]) {
+					t.Errorf("%s: %d entries fail or evict more than %s: %q vs %q", name, size, prev[1], m[0], prev[0])
+				}
+			}
+		}
+		if got := atoi(alat[3][2]); got != row.SpecCycles {
+			t.Errorf("%s: 128-entry ALAT takes %d cycles, the default %d", name, got, row.SpecCycles)
+		}
 	}
 }

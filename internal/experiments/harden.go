@@ -86,7 +86,7 @@ func RunHardenCtx(ctx context.Context, workers int) (*HardenResult, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		c, err := compile(ctx, w.Src, repro.Config{
+		c, err := build(ctx, w.Src, repro.Config{
 			Spec: repro.SpecProfile, ProfileArgs: w.ProfileArgs, Workers: workers,
 		})
 		if err != nil {

@@ -143,7 +143,7 @@ func RunThresholdSweepCtx(ctx context.Context, name string, thresholds []float64
 	sweep := ThresholdSweep{Workload: name}
 
 	// compile the base and every θ variant concurrently
-	comps := make([]*repro.Compilation, len(thresholds)+1)
+	comps := make([]*repro.Build, len(thresholds)+1)
 	err := par.EachCtx(ctx, workers, len(comps), func(i int) error {
 		cfg := repro.Config{Spec: repro.SpecOff}
 		if i > 0 {
@@ -151,7 +151,7 @@ func RunThresholdSweepCtx(ctx context.Context, name string, thresholds []float64
 		}
 		cfg.ProfileArgs = w.RefArgs
 		cfg.Workers = workers
-		c, err := compile(ctx, w.Src, cfg)
+		c, err := build(ctx, w.Src, cfg)
 		if err != nil {
 			return err
 		}

@@ -54,10 +54,6 @@ func makeALATKey(frameID int64, reg int) alatKey {
 	return alatKey(uint64(frameID)<<16 | uint64(reg))
 }
 
-// alatFilterSize is the size of the address presence filter (a power of
-// two; the filter is indexed by the address's low bits).
-const alatFilterSize = 1 << 10
-
 // alatMapHint caps the capacity hint of the table's maps: the maps grow
 // with live entries like the slots do, never with the configured
 // capacity, which nothing bounds.
@@ -78,11 +74,6 @@ type alat struct {
 	victim int             // round-robin eviction cursor
 	// evictions counts capacity evictions (Counters.ALATEvictions).
 	evictions int64
-	// filter counts valid entries per low-bits address bucket, so the
-	// hottest operation — a store that conflicts with nothing — is a
-	// single array load instead of a map probe. A non-zero bucket falls
-	// through to the exact byAddr index.
-	filter [alatFilterSize]int32
 }
 
 func newALAT(size int) *alat {
@@ -110,13 +101,11 @@ func (a *alat) unindexAddr(i, addr int) {
 	} else {
 		a.byAddr[addr] = list
 	}
-	a.filter[addr&(alatFilterSize-1)]--
 }
 
 // indexAddr adds slot i to addr's slot list.
 func (a *alat) indexAddr(i, addr int) {
 	a.byAddr[addr] = append(a.byAddr[addr], i)
-	a.filter[addr&(alatFilterSize-1)]++
 }
 
 // insert allocates (or refreshes) the entry for a register.
@@ -163,15 +152,11 @@ func (a *alat) check(frameID int64, reg, addr int) bool {
 
 // invalidate drops every entry at addr (a conflicting store).
 func (a *alat) invalidate(addr int) {
-	if a.filter[addr&(alatFilterSize-1)] == 0 {
-		return // nothing lives in this bucket: the common store
-	}
 	list, ok := a.byAddr[addr]
 	if !ok {
 		return
 	}
 	delete(a.byAddr, addr)
-	a.filter[addr&(alatFilterSize-1)] -= int32(len(list))
 	for _, i := range list {
 		e := &a.slots[i]
 		e.valid = false

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// BenchmarkALATStoreInvalidate exercises the simulator's hottest ALAT
-// path: every dynamic store consults the table. The address-indexed
-// implementation is O(1) per store regardless of capacity — the series
-// across sizes should be flat (the old linear scan grew with size).
+// BenchmarkALATStoreInvalidate measures a store that conflicts with no
+// entry (Record consults the table only for stores to an armed
+// address). The address-indexed implementation is O(1) per store
+// regardless of capacity — the series across sizes should be flat (the
+// old linear scan grew with size).
 func BenchmarkALATStoreInvalidate(b *testing.B) {
 	for _, size := range []int{8, 32, 512} {
 		b.Run(fmt.Sprintf("entries=%d", size), func(b *testing.B) {
@@ -19,7 +20,7 @@ func BenchmarkALATStoreInvalidate(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.invalidate(i & 1023) // miss: the common no-conflict store
+				a.invalidate(i & 1023) // no entry at this address
 			}
 		})
 	}
