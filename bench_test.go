@@ -43,9 +43,11 @@ func BenchmarkPipelineCompile(b *testing.B) {
 
 // BenchmarkCompileProfile measures the allocation profile of the
 // optimizing compile path (every workload, profile-guided speculation)
-// and of the warm frontend-cache path (clone-dominated), and emits
-// BENCH_compile.json so CI can guard against allocation regressions the
-// same way BENCH_machine.json guards sweep speedups. Each iteration
+// and of the warm frontend-cache path (clone-dominated), counts the
+// build reuse and speculative recordings of a fixed cold sequence
+// (reuseLedger, speculationLedger), and emits BENCH_compile.json so CI
+// can guard against allocation regressions the same way
+// BENCH_machine.json guards sweep speedups. Each iteration
 // runs both legs once per pass, over benchPasses interleaved passes,
 // and every figure written is the median of its passes, so that one
 // noisy pass (CI runs -benchtime 1x) does not move a gated number.
@@ -96,15 +98,18 @@ func BenchmarkCompileProfile(b *testing.B) {
 	allocsPer := median(allocs)
 	b.ReportMetric(allocsPer, "allocs/compile")
 	compiled, reused := reuseLedger(b)
+	used, discarded := speculationLedger(b)
 	out := map[string]any{
-		"benchmark":          "CompileProfile",
-		"workloads":          len(ws),
-		"passes":             benchPasses,
-		"allocs_per_compile": allocsPer,
-		"ns_per_compile":     median(compileNs),
-		"clone_ns":           median(cloneNs),
-		"builds_compiled":    compiled,
-		"builds_reused":      reused,
+		"benchmark":              "CompileProfile",
+		"workloads":              len(ws),
+		"passes":                 benchPasses,
+		"allocs_per_compile":     allocsPer,
+		"ns_per_compile":         median(compileNs),
+		"clone_ns":               median(cloneNs),
+		"builds_compiled":        compiled,
+		"builds_reused":          reused,
+		"spec_records_used":      used,
+		"spec_records_discarded": discarded,
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -133,6 +138,31 @@ func reuseLedger(b *testing.B) (compiled, reused uint64) {
 		}
 	}
 	return repro.BuildsCompiled() - c0, repro.BuildsReused() - r0
+}
+
+// speculationLedger serves reuseLedger's sequence of training inputs
+// as evaluations, each on a fresh measurement input drawn the same way,
+// serially from an empty cache and on at least two procs, and returns
+// how many recordings on a guessed build were used and how many
+// discarded. Both counts are host-independent: benchguard gates them
+// exactly.
+func speculationLedger(b *testing.B) (used, discarded uint64) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	repro.ResetCaches()
+	rng, argRng := rand.New(rand.NewPCG(29, 1)), rand.New(rand.NewPCG(29, 2))
+	u0, d0 := repro.SpeculativeRecords()
+	for _, w := range workloads.All() {
+		for i := int64(0); i < 8; i++ {
+			cfg := repro.Config{Spec: repro.SpecProfile, ProfileArgs: drawTrain(rng, w.ProfileArgs, i)}
+			if _, _, err := repro.BuildAndRunCtx(context.Background(), w.Src, cfg, drawTrain(argRng, w.RefArgs, i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	u1, d1 := repro.SpeculativeRecords()
+	return u1 - u0, d1 - d0
 }
 
 // sweepOnce compiles every workload once. sweepWorkers bounds how many

@@ -71,6 +71,11 @@ var table = []row{
 	// cold builds: any change is a change in what the build cache reuses
 	{"BENCH_compile.json", "builds_compiled", exact, 0},
 	{"BENCH_compile.json", "builds_reused", exact, 0},
+	// recordings on a guessed build that the same sequence, served as
+	// evaluations, used and discarded: any change is a change in what
+	// the evaluate path guesses
+	{"BENCH_compile.json", "spec_records_used", exact, 0},
+	{"BENCH_compile.json", "spec_records_discarded", exact, 0},
 	{"BENCH_harden.json", "", exact, 0},
 	{"BENCH_paper.json", "", exact, 0},
 }

@@ -127,6 +127,16 @@ func (c *Cache) SumObjects(f func(v any) int64) int64 {
 	return total
 }
 
+// Contains reports whether key has an entry, complete or in flight,
+// without counting a lookup: a caller deciding whether work ahead of a
+// lookup would be wasted peeks with it.
+func (c *Cache) Contains(key Key) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.mem[key]
+	return ok && !c.disabled
+}
+
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

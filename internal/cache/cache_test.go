@@ -54,6 +54,47 @@ func TestMemoizeBytes(t *testing.T) {
 	}
 }
 
+// TestContainsCountsNothing pins Contains: true for an entry complete
+// or in flight, false for an absent, evicted or disabled one, and never
+// a lookup in the counters.
+func TestContainsCountsNothing(t *testing.T) {
+	c := New(2)
+	if c.Contains(keyN(1)) {
+		t.Fatal("empty cache contains key 1")
+	}
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		getBytes(context.Background(), c, keyN(1), func() ([]byte, error) {
+			<-release
+			return []byte("v"), nil
+		})
+	}()
+	for !c.Contains(keyN(1)) {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-done
+	if !c.Contains(keyN(1)) {
+		t.Fatal("completed entry not contained")
+	}
+	for _, n := range []int{2, 3} {
+		getBytes(context.Background(), c, keyN(n), func() ([]byte, error) { return []byte("v"), nil })
+	}
+	if c.Contains(keyN(1)) {
+		t.Fatal("evicted entry still contained")
+	}
+	before := c.Stats()
+	c.SetEnabled(false)
+	if c.Contains(keyN(3)) {
+		t.Fatal("a disabled cache contains nothing")
+	}
+	if after := c.Stats(); after != before {
+		t.Fatalf("Contains moved the counters: %+v -> %+v", before, after)
+	}
+}
+
 // TestObjectTierIsMemoryOnly pins that an object entry is held in memory
 // as the value compute returned: every hit shares it.
 func TestObjectTierIsMemoryOnly(t *testing.T) {

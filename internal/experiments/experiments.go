@@ -630,8 +630,10 @@ type EvalResult struct {
 	Harden *harden.Report `json:"harden,omitempty"`
 }
 
-// RunEvalCtx compiles and runs one (workload, config) point; the build
-// is memoized (repro.BuildCtx), so a repeated point only replays. The
+// RunEvalCtx compiles and runs one (workload, config) point through
+// repro.BuildAndRunCtx: the build is memoized, so a repeated point only
+// replays, and a new one records while it builds. As in build, a
+// faulted training run fails the point. The
 // result is deterministic — identical at any worker count and with the
 // compilation cache cold, warm, or disabled — because every computation
 // under it is (see the determinism tests at the repo root).
@@ -655,7 +657,7 @@ func RunEvalCtx(ctx context.Context, req EvalRequest) (*EvalResult, error) {
 		cfg.FnSpec = fnSpec
 	}
 	cfg.Workers = req.Workers
-	if req.Verify {
+	if req.Verify || verifyPasses.Load() {
 		cfg.VerifyPasses = true
 	}
 	if req.Harden != "" {
@@ -665,11 +667,7 @@ func RunEvalCtx(ctx context.Context, req EvalRequest) (*EvalResult, error) {
 	if args == nil {
 		args = w.RefArgs
 	}
-	b, err := build(ctx, w.Src, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, err := b.RunCtx(ctx, args)
+	b, res, err := repro.BuildAndRunCtx(ctx, w.Src, cfg, args)
 	if err != nil {
 		return nil, err
 	}

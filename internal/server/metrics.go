@@ -205,6 +205,15 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE specd_builds_reused_total counter\n")
 	fmt.Fprintf(w, "specd_builds_reused_total %d\n", repro.BuildsReused())
 
+	// recordings a cold /evaluate started on its guessed build while
+	// compiling: used ones became the request's trace, discarded ones
+	// were cancelled unused
+	used, discarded := repro.SpeculativeRecords()
+	fmt.Fprintf(w, "# HELP specd_speculative_records_total Trace recordings started on a guessed build during a cold evaluation, by outcome.\n")
+	fmt.Fprintf(w, "# TYPE specd_speculative_records_total counter\n")
+	fmt.Fprintf(w, "specd_speculative_records_total{outcome=\"used\"} %d\n", used)
+	fmt.Fprintf(w, "specd_speculative_records_total{outcome=\"discarded\"} %d\n", discarded)
+
 	// resident size of the traces the record-and-replay path
 	// keeps in the cache (a gauge: eviction and Reset shrink it)
 	fmt.Fprintf(w, "# HELP specd_trace_bytes Machine traces resident in the compilation cache, in bytes.\n")

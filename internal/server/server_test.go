@@ -11,6 +11,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -668,7 +670,10 @@ func TestRepeatedRequestsCompileNothing(t *testing.T) {
 // decisions, share one build. The second moves
 // specd_builds_reused_total by one and leaves
 // specd_builds_compiled_total flat, and both replies are byte-identical
-// to the CLI path's with the compilation cache off.
+// to the CLI path's with the compilation cache off. On more than one
+// proc the second, measured on a new input, also records on its guess,
+// the first's build, and uses that recording:
+// specd_speculative_records_total{outcome="used"} moves by one.
 func TestEvaluateReusesBuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and times two workloads")
@@ -678,6 +683,7 @@ func TestEvaluateReusesBuild(t *testing.T) {
 	defer ts.Close()
 
 	const compiled, reused = "specd_builds_compiled_total", "specd_builds_reused_total"
+	const used, discarded = `specd_speculative_records_total{outcome="used"}`, `specd_speculative_records_total{outcome="discarded"}`
 	for _, tc := range []struct {
 		workload string
 		train    [2][]int64
@@ -690,6 +696,11 @@ func TestEvaluateReusesBuild(t *testing.T) {
 			req := experiments.EvalRequest{
 				Workload: tc.workload,
 				Config:   &repro.Config{Spec: repro.SpecProfile, ProfileArgs: train},
+			}
+			if i == 1 {
+				// a trailing argument the kernel does not read
+				w, _ := workloads.ByName(tc.workload)
+				req.Args = append(slices.Clone(w.RefArgs), 1)
 			}
 			before := scrape(t, ts)
 			resp := postJSON(t, ts, "/evaluate", req)
@@ -707,6 +718,16 @@ func TestEvaluateReusesBuild(t *testing.T) {
 			}
 			if d := after[reused] - before[reused]; d != wantReused {
 				t.Errorf("%s %v: %s moved by %g, want %g", tc.workload, train, reused, d, wantReused)
+			}
+			wantUsed := 0.0
+			if i == 1 && runtime.GOMAXPROCS(0) > 1 {
+				wantUsed = 1
+			}
+			if d := after[used] - before[used]; d != wantUsed {
+				t.Errorf("%s %v: %s moved by %g, want %g", tc.workload, train, used, d, wantUsed)
+			}
+			if d := after[discarded] - before[discarded]; d != 0 {
+				t.Errorf("%s %v: %s moved by %g, want 0", tc.workload, train, discarded, d)
 			}
 
 			repro.SetCacheEnabled(false)

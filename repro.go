@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -302,6 +303,11 @@ var (
 	profilingRuns  atomic.Uint64
 	buildsCompiled atomic.Uint64
 	buildsReused   atomic.Uint64
+
+	speculativeUsed, speculativeDiscarded atomic.Uint64
+	// recordingsLive counts the recording goroutines not yet exited;
+	// the tests hold it at zero whenever no BuildAndRunCtx is running
+	recordingsLive atomic.Int64
 )
 
 // frontendCtx parses + lowers IR from source, memoized by source hash;
@@ -675,7 +681,12 @@ func BuildCtx(ctx context.Context, src string, cfg Config) (*Build, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err // before the lookup: a bad config takes no cache entry
 	}
-	compute := func() (any, error) { return buildCtx(ctx, src, cfg) }
+	return memoBuild(ctx, src, cfg, func() (any, error) { return buildCtx(ctx, src, cfg) })
+}
+
+// memoBuild looks cfg's build up in the compilation cache, running
+// compute on a miss (and always, for a config with no build key).
+func memoBuild(ctx context.Context, src string, cfg Config, compute func() (any, error)) (*Build, error) {
 	key, ok := buildKey(src, cfg)
 	var v any
 	var err error
@@ -755,10 +766,8 @@ func (f *front) reuseSet(ctx context.Context, src string) (*reuseSet, error) {
 	// the training input, or a supplied profile, reaches the build only
 	// through the flags (in the digest) and the frequencies (in the
 	// guards), so the key leaves both out
-	cfg := f.cfg
-	cfg.Workers, cfg.ProfileArgs, cfg.ProfileJSON = 0, nil, nil
-	opts, err := json.Marshal(cfg)
-	if err != nil {
+	opts, ok := untrainedOpts(f.cfg)
+	if !ok {
 		return nil, nil
 	}
 	digest := core.FlagDigest(f.c.Prog)
@@ -768,6 +777,15 @@ func (f *front) reuseSet(ctx context.Context, src string) (*reuseSet, error) {
 		return nil, err
 	}
 	return v.(*reuseSet), nil
+}
+
+// untrainedOpts encodes cfg without its training input, supplied
+// profile and Workers: the part of a build key that the reuse and guess
+// entries share. ok is false when cfg has no JSON encoding.
+func untrainedOpts(cfg Config) (opts []byte, ok bool) {
+	cfg.Workers, cfg.ProfileArgs, cfg.ProfileJSON = 0, nil, nil
+	opts, err := json.Marshal(cfg)
+	return opts, err == nil
 }
 
 // match returns a Build for f that shares the first variant whose every
@@ -895,16 +913,16 @@ func (b *Build) fingerprint() [32]byte {
 // recorded under exactly the normalized layout and limits it is keyed
 // by, so it fits every Config sharing the key and replay never refuses
 // it.
-func (b *Build) traceFor(ctx context.Context, args []int64, mcfg machine.Config) (*machine.Trace, error) {
+//
+// rec, when non-nil, is a recording of the same key already under way
+// on a guessed build (BuildAndRunCtx); a miss waits on it instead of
+// recording again.
+func (b *Build) traceFor(ctx context.Context, args []int64, mcfg machine.Config, rec *recording) (*machine.Trace, error) {
 	n := mcfg.Normalized()
-	fp := b.fingerprint()
-	argb := make([]byte, 8*len(args))
-	for i, a := range args {
-		binary.LittleEndian.PutUint64(argb[i*8:], uint64(a))
-	}
-	lim := fmt.Sprintf("slots=%d steps=%d depth=%d", n.StackSlots, n.MaxSteps, n.MaxCallDepth)
-	key := cache.KeyOf([]byte("trace"), fp[:], argb, []byte(lim))
-	v, err := compCache.GetCtx(ctx, key, func() (any, error) {
+	v, err := compCache.GetCtx(ctx, traceKey(b.fingerprint(), args, n), func() (any, error) {
+		if rec != nil {
+			return rec.wait()
+		}
 		return machine.RecordCtx(ctx, b.Code, args, n)
 	})
 	if err != nil {
@@ -913,13 +931,25 @@ func (b *Build) traceFor(ctx context.Context, args []int64, mcfg machine.Config)
 	return v.(*machine.Trace), nil
 }
 
+// traceKey is the trace-cache key of a program fingerprint, args and a
+// normalized machine config's layout and limits.
+func traceKey(fp [32]byte, args []int64, n machine.Config) cache.Key {
+	argb := make([]byte, 8*len(args))
+	for i, a := range args {
+		binary.LittleEndian.PutUint64(argb[i*8:], uint64(a))
+	}
+	lim := fmt.Sprintf("slots=%d steps=%d depth=%d", n.StackSlots, n.MaxSteps, n.MaxCallDepth)
+	return cache.KeyOf([]byte("trace"), fp[:], argb, []byte(lim))
+}
+
 // runMachine executes the compiled program under mcfg: the cached
-// trace for its key, re-timed by machine.Replay.
-func (b *Build) runMachine(ctx context.Context, args []int64, mcfg machine.Config) (*machine.Result, error) {
+// trace for its key, re-timed by machine.Replay. rec is as for
+// traceFor.
+func (b *Build) runMachine(ctx context.Context, args []int64, mcfg machine.Config, rec *recording) (*machine.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr, err := b.traceFor(ctx, args, mcfg)
+	tr, err := b.traceFor(ctx, args, mcfg, rec)
 	if err != nil {
 		// the recording run faulted under these limits
 		return nil, err
@@ -932,7 +962,151 @@ func (b *Build) runMachine(ctx context.Context, args []int64, mcfg machine.Confi
 // caller waiting on another run's in-flight recording returns promptly
 // when cancelled) and a done ctx stops the run before it starts.
 func (b *Build) RunCtx(ctx context.Context, args []int64) (*machine.Result, error) {
-	return b.runMachine(ctx, args, b.Config.Machine)
+	return b.runMachine(ctx, args, b.Config.Machine, nil)
+}
+
+// BuildAndRunCtx is BuildCtx followed by RunCtx on args, the
+// evaluate path (specd's /evaluate and `experiments -exp eval`), with
+// the two overlapped when the build is not yet memoized: the program is
+// recorded on args while it builds. On a build-cache miss it takes the
+// build last evaluated under the same source and config, training input
+// aside (the guess entry, DESIGN.md §9), and records that build's code
+// on a second goroutine into a private future. When the request's own
+// build comes back with the guess's fingerprint, the trace-cache miss
+// waits on the future instead of recording; any other outcome cancels
+// the future and waits for it to stop before recording as RunCtx does.
+// So the reply, the cache's contents and its compute counts are those
+// of BuildCtx then RunCtx, and no recording outlives the call. The
+// recording runs serially — no second goroutine — when there is no
+// guess, when the guess's trace on args is already cached, under
+// GOMAXPROCS 1, and when cfg.Workers is 1.
+//
+// A build whose training run failed (Build.ProfileErr) is returned with
+// that error and not run: profile-guided measurements are meaningless
+// under its static-estimate fallback.
+func BuildAndRunCtx(ctx context.Context, src string, cfg Config, args []int64) (*Build, *machine.Result, error) {
+	if err := cfg.check(); err != nil {
+		return nil, nil, err
+	}
+	var rec *recording
+	defer func() { rec.discard() }()
+	b, err := memoBuild(ctx, src, cfg, func() (any, error) {
+		g, err := guessEntry(ctx, src, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if gb := g.Load(); gb != nil && cfg.Workers != 1 && runtime.GOMAXPROCS(0) > 1 &&
+			!compCache.Contains(traceKey(gb.fingerprint(), args, cfg.Machine.Normalized())) {
+			rec = startRecording(ctx, gb, args, cfg.Machine)
+		}
+		b, err := buildCtx(ctx, src, cfg)
+		if err == nil && b.ProfileErr == nil {
+			g.Store(b)
+		}
+		return b, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if b.ProfileErr != nil {
+		return b, nil, b.ProfileErr
+	}
+	if rec != nil && rec.fp != b.fingerprint() {
+		rec.discard()
+		rec = nil
+	}
+	res, err := b.runMachine(ctx, args, b.Config.Machine, rec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, res, nil
+}
+
+// guessEntry returns the guess entry of src under cfg, keyed like the
+// reuse entry without the flag digest: the build last evaluated under
+// that source and config, training input aside. Seven of the eight
+// paper kernels compile to one build over every training input, so it
+// is usually the build a new training input produces. A config with no
+// JSON encoding gets a fresh, empty entry.
+func guessEntry(ctx context.Context, src string, cfg Config) (*atomic.Pointer[Build], error) {
+	opts, ok := untrainedOpts(cfg)
+	if !ok {
+		return new(atomic.Pointer[Build]), nil
+	}
+	key := cache.KeyOf([]byte("guess"), []byte(src), opts)
+	v, err := compCache.GetCtx(ctx, key, func() (any, error) { return new(atomic.Pointer[Build]), nil })
+	if err != nil {
+		return nil, err
+	}
+	return v.(*atomic.Pointer[Build]), nil
+}
+
+// recording is a trace of a guessed build's code being recorded on a
+// second goroutine: a future private to one BuildAndRunCtx call, which
+// either hands it to the trace cache (wait) or cancels it (discard),
+// both from the call's own goroutine.
+type recording struct {
+	fp       [32]byte // the guessed code's fingerprint
+	cancel   context.CancelFunc
+	done     chan struct{}
+	tr       *machine.Trace
+	err      error
+	panicked any  // a panic of the recording, re-raised by join
+	settled  bool // waited on or discarded
+}
+
+// startRecording records gb's code on args under mcfg's layout and
+// limits, as traceFor would, on a new goroutine.
+func startRecording(ctx context.Context, gb *Build, args []int64, mcfg machine.Config) *recording {
+	rctx, cancel := context.WithCancel(ctx)
+	r := &recording{fp: gb.fingerprint(), cancel: cancel, done: make(chan struct{})}
+	recordingsLive.Add(1)
+	go func() {
+		defer close(r.done)
+		defer recordingsLive.Add(-1)
+		defer func() { r.panicked = recover() }()
+		r.tr, r.err = machine.RecordCtx(rctx, gb.Code, args, mcfg.Normalized())
+	}()
+	return r
+}
+
+// wait returns the recorded trace, counted as used.
+func (r *recording) wait() (*machine.Trace, error) {
+	speculativeUsed.Add(1)
+	r.join()
+	return r.tr, r.err
+}
+
+// discard cancels a recording not yet waited on and returns once its
+// goroutine has exited, counting it as discarded. A nil or settled
+// recording is left alone.
+func (r *recording) discard() {
+	if r == nil || r.settled {
+		return
+	}
+	speculativeDiscarded.Add(1)
+	r.cancel()
+	r.join()
+}
+
+// join waits for the recording goroutine to exit, settles the
+// recording and re-raises a panic of the recording on the caller's
+// goroutine, where the caller's recovery (specd's job handler) sees it
+// instead of the process ending.
+func (r *recording) join() {
+	<-r.done
+	r.cancel()
+	r.settled = true
+	if r.panicked != nil {
+		panic(r.panicked)
+	}
+}
+
+// SpeculativeRecords counts BuildAndRunCtx's recordings on a guessed
+// build by outcome: used ones filled the trace cache, discarded ones
+// were cancelled because the build, or a cache hit, made them moot.
+func SpeculativeRecords() (used, discarded uint64) {
+	return speculativeUsed.Load(), speculativeDiscarded.Load()
 }
 
 // EvaluateCtx re-times the compiled program on args under every machine
@@ -980,7 +1154,7 @@ func (b *Build) EvaluateCtx(ctx context.Context, args []int64, cfgs []machine.Co
 	}
 	if err := par.EachCtx(ctx, workers, len(order), func(g int) error {
 		idxs := groups[order[g]]
-		tr, err := b.traceFor(ctx, args, cfgs[idxs[0]])
+		tr, err := b.traceFor(ctx, args, cfgs[idxs[0]], nil)
 		if err != nil {
 			// the recording run faulted under these limits
 			return err
